@@ -9,9 +9,10 @@
 #include <sstream>
 
 #include "analysis/parallel_safety.hpp"
-#include "cachesim/sim.hpp"
+#include "cachesim/parallel_stack.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
+#include "support/string_util.hpp"
 #include "trace/walker.hpp"
 
 namespace sdlo::analysis {
@@ -26,9 +27,9 @@ struct Score {
 };
 
 /// Scores one program variant: the model first; when it is approximate and
-/// the concrete trace is affordable, the exact stack-distance profiler
-/// (Governor-threaded — a truncated profile is discarded, keeping the
-/// model's estimate rather than a prefix count).
+/// the concrete trace is affordable, the exact trace-walking sweep engine
+/// at the one capacity (Governor-threaded — a truncated walk is discarded,
+/// keeping the model's estimate rather than a prefix count).
 Score score_program(const ir::Program& prog, const sym::Env& env,
                     const AdvisorOptions& opts) {
   model::Analysis an = model::analyze(prog);
@@ -43,10 +44,10 @@ Score score_program(const ir::Program& prog, const sym::Env& env,
         sym::try_evaluate(prog.total_accesses(), env);
     if (total && *total <= opts.max_sim_accesses) {
       trace::CompiledProgram cp(prog, env);
-      cachesim::ProfileResult prof = cachesim::profile_stack_distances(
-          cp, 1, trace::TraceMode::kRuns, opts.governor);
-      if (prof.completeness == Completeness::kComplete) {
-        cachesim::SimResult r = prof.result(opts.capacity);
+      const cachesim::SimResult r = cachesim::simulate_sweep_streamed(
+          cp, {{opts.capacity, 1, 0, cachesim::Replacement::kLru}}, nullptr,
+          {}, opts.governor)[0];
+      if (r.completeness == Completeness::kComplete) {
         s.misses = static_cast<std::int64_t>(r.misses);
         s.by_site.assign(r.misses_by_site.begin(), r.misses_by_site.end());
         s.simulated = true;
@@ -88,28 +89,7 @@ std::string format_pct(double pct) {
   return buf;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
+/// "profiler" is the stable schema name of the exact trace-walking engine.
 const char* engine_name(bool simulated) {
   return simulated ? "profiler" : "model";
 }
@@ -318,19 +298,17 @@ void render_advice_text(const AdvisorReport& report, std::ostream& os,
 
 void render_advice_json(const AdvisorReport& report, std::ostream& os,
                         std::size_t top) {
-  os << "{\n";
-  os << "  \"version\": \"" << kVersionNumber << "\",\n";
-  os << "  \"capacity\": " << report.capacity << ",\n";
-  os << "  \"complete\": "
-     << (report.completeness == Completeness::kComplete ? "true" : "false")
-     << ",\n";
-  os << "  \"baseline\": {\"misses\": " << report.baseline_misses
-     << ", \"confidence\": \""
+  os << "{\"version\":\"" << kVersionNumber << "\"";
+  os << ",\"capacity\":" << report.capacity;
+  os << ",\"complete\":"
+     << (report.completeness == Completeness::kComplete ? "true" : "false");
+  os << ",\"baseline\":{\"misses\":" << report.baseline_misses
+     << ",\"confidence\":\""
      << model::confidence_name(report.baseline_confidence)
-     << "\", \"engine\": \"" << engine_name(report.baseline_simulated)
-     << "\"},\n";
-  os << "  \"rejected_illegal\": " << report.rejected_illegal << ",\n";
-  os << "  \"advice\": [";
+     << "\",\"engine\":\"" << engine_name(report.baseline_simulated)
+     << "\"}";
+  os << ",\"rejected_illegal\":" << report.rejected_illegal;
+  os << ",\"advice\":[";
   std::size_t shown = 0;
   for (const Advice& a : report.advice) {
     if (top && shown == top) break;
@@ -338,28 +316,26 @@ void render_advice_json(const AdvisorReport& report, std::ostream& os,
     ++shown;
     char pct[32];
     std::snprintf(pct, sizeof pct, "%.2f", a.delta_pct);
-    os << "\n    {\"kind\": \""
+    os << "{\"kind\":\""
        << (a.kind == AdviceKind::kInterchange ? "interchange" : "tile")
-       << "\", \"title\": \"" << json_escape(a.title) << "\", \"band\": "
-       << a.band << ", \"order\": [";
+       << "\",\"title\":\"" << json_escape(a.title) << "\",\"band\":"
+       << a.band << ",\"order\":[";
     for (std::size_t i = 0; i < a.loop_order.size(); ++i)
-      os << (i ? ", " : "") << "\"" << json_escape(a.loop_order[i]) << "\"";
+      os << (i ? "," : "") << "\"" << json_escape(a.loop_order[i]) << "\"";
     os << "]";
-    if (a.kind == AdviceKind::kTile) os << ", \"tile\": " << a.tile;
-    os << ", \"predicted_misses\": " << a.predicted_misses
-       << ", \"delta\": " << a.delta << ", \"delta_pct\": " << pct
-       << ", \"confidence\": \"" << model::confidence_name(a.confidence)
-       << "\", \"engine\": \"" << engine_name(a.simulated) << "\"}";
+    if (a.kind == AdviceKind::kTile) os << ",\"tile\":" << a.tile;
+    os << ",\"predicted_misses\":" << a.predicted_misses
+       << ",\"delta\":" << a.delta << ",\"delta_pct\":" << pct
+       << ",\"confidence\":\"" << model::confidence_name(a.confidence)
+       << "\",\"engine\":\"" << engine_name(a.simulated) << "\"}";
   }
-  os << (shown ? "\n  " : "") << "],\n";
-  os << "  \"notes\": [";
+  os << "],\"notes\":[";
   for (std::size_t i = 0; i < report.notes.size(); ++i) {
     if (i) os << ",";
-    os << "\n    {\"id\": \"" << report.notes[i].id << "\", \"message\": \""
+    os << "{\"id\":\"" << report.notes[i].id << "\",\"message\":\""
        << json_escape(report.notes[i].message) << "\"}";
   }
-  os << (report.notes.empty() ? "" : "\n  ") << "]\n";
-  os << "}\n";
+  os << "]}\n";
 }
 
 }  // namespace sdlo::analysis

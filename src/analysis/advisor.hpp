@@ -5,7 +5,7 @@
 // transformations with the existing ir::interchange / ir::tile_nest
 // rewrites, rejects the ones the dependence pass proves illegal, scores
 // every survivor with model::predict_misses at the requested capacity
-// (falling back to the exact stack-distance profiler when the model is
+// (falling back to the exact trace-walking sweep engine when the model is
 // approximate, Governor-threaded like every other driver), fuses in the
 // PS202/PS204 parallelization findings, and returns a report ranked by
 // predicted miss count. Every recommendation carries its transformed
@@ -40,11 +40,11 @@ struct AdvisorOptions {
   /// Tile sizes tried for single perfect nests (must divide the extent).
   std::vector<std::int64_t> tile_sizes = {4, 8, 16, 32, 64};
   bool try_tiling = true;
-  /// Profiler fallback is skipped when the concrete trace exceeds this.
+  /// Simulation fallback is skipped when the concrete trace exceeds this.
   std::int64_t max_sim_accesses = 4'000'000;
   model::PredictOptions predict;
   /// Optional deadline/memory/cancellation governor; polled between
-  /// candidates and threaded through the profiler fallback.
+  /// candidates and threaded through the simulation fallback.
   const Governor* governor = nullptr;
 };
 
@@ -68,7 +68,7 @@ struct Advice {
   std::int64_t delta = 0;  ///< predicted - baseline (negative = better)
   double delta_pct = 0.0;
   model::Confidence confidence = model::Confidence::kExact;
-  bool simulated = false;  ///< score came from the profiler fallback
+  bool simulated = false;  ///< score came from the simulation fallback
 };
 
 /// A fused parallelization finding (PS202 padding / PS204 privatization).
@@ -108,8 +108,8 @@ void render_advice_text(const AdvisorReport& report, std::ostream& os,
                         const std::string& source_name = "",
                         std::size_t top = 0);
 
-/// Machine-readable report; top-level keys version/capacity/baseline/
-/// advice/notes/rejected_illegal/complete.
+/// Machine-readable report, one compact line; top-level keys version/
+/// capacity/baseline/advice/notes/rejected_illegal/complete.
 void render_advice_json(const AdvisorReport& report, std::ostream& os,
                         std::size_t top = 0);
 

@@ -1,11 +1,11 @@
 #include "analysis/lint.hpp"
 
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
 #include "analysis/verifier.hpp"
 #include "support/cli.hpp"
+#include "support/string_util.hpp"
 
 namespace sdlo::analysis {
 
@@ -205,98 +205,70 @@ void render_text(const LintReport& rep, std::ostream& os,
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 const char* bool_str(bool b) { return b ? "true" : "false"; }
 
 }  // namespace
 
 void render_json(const LintReport& rep, std::ostream& os) {
-  os << "{\n";
-  os << "  \"version\": \"" << kVersionNumber << "\",\n";
-  os << "  \"ok\": " << bool_str(rep.ok()) << ",\n";
-  os << "  \"clean\": " << bool_str(rep.clean()) << ",\n";
-  os << "  \"counts\": {\"errors\": " << rep.num_errors()
-     << ", \"warnings\": " << rep.num_warnings()
-     << ", \"notes\": " << rep.num_notes() << "},\n";
-  os << "  \"diagnostics\": [";
+  os << "{\"version\":\"" << kVersionNumber << "\"";
+  os << ",\"ok\":" << bool_str(rep.ok());
+  os << ",\"clean\":" << bool_str(rep.clean());
+  os << ",\"counts\":{\"errors\":" << rep.num_errors()
+     << ",\"warnings\":" << rep.num_warnings()
+     << ",\"notes\":" << rep.num_notes() << "}";
+  os << ",\"diagnostics\":[";
   for (std::size_t i = 0; i < rep.diagnostics.size(); ++i) {
     const Diagnostic& d = rep.diagnostics[i];
-    os << (i == 0 ? "\n" : ",\n");
-    os << "    {\"id\": \"" << d.id << "\", \"severity\": \""
-       << severity_name(d.severity) << "\", \"line\": " << d.loc.line
-       << ", \"column\": " << d.loc.column << ", \"object\": \""
-       << json_escape(d.object) << "\", \"message\": \""
+    os << (i == 0 ? "" : ",") << "{\"id\":\"" << d.id
+       << "\",\"severity\":\"" << severity_name(d.severity)
+       << "\",\"line\":" << d.loc.line << ",\"column\":" << d.loc.column
+       << ",\"object\":\"" << json_escape(d.object) << "\",\"message\":\""
        << json_escape(d.message) << "\"}";
   }
-  os << (rep.diagnostics.empty() ? "],\n" : "\n  ],\n");
+  os << "]";
   if (rep.verified && rep.applicability.has_value()) {
     const auto& ap = *rep.applicability;
-    os << "  \"model\": {\"symbolic_exact\": " << bool_str(ap.symbolic_exact)
-       << ", \"confidence\": \"" << model::confidence_name(ap.numeric)
-       << "\", \"sites\": [";
+    os << ",\"model\":{\"symbolic_exact\":" << bool_str(ap.symbolic_exact)
+       << ",\"confidence\":\"" << model::confidence_name(ap.numeric)
+       << "\",\"sites\":[";
     for (std::size_t i = 0; i < ap.sites.size(); ++i) {
       const auto& s = ap.sites[i];
-      os << (i == 0 ? "\n" : ",\n");
-      os << "    {\"index\": " << s.index << ", \"statement\": \""
-         << json_escape(s.statement) << "\", \"array\": \""
-         << json_escape(s.array) << "\", \"varying\": "
-         << bool_str(s.varying) << ", \"exact_symbolic\": "
-         << bool_str(s.exact_symbolic) << ", \"sibling\": "
-         << bool_str(s.sibling_case) << ", \"interpolated\": "
-         << bool_str(s.interpolated) << "}";
+      os << (i == 0 ? "" : ",") << "{\"index\":" << s.index
+         << ",\"statement\":\"" << json_escape(s.statement)
+         << "\",\"array\":\"" << json_escape(s.array)
+         << "\",\"varying\":" << bool_str(s.varying)
+         << ",\"exact_symbolic\":" << bool_str(s.exact_symbolic)
+         << ",\"sibling\":" << bool_str(s.sibling_case)
+         << ",\"interpolated\":" << bool_str(s.interpolated) << "}";
     }
-    os << (ap.sites.empty() ? "]},\n" : "\n  ]},\n");
-    os << "  \"parallel\": {\"loops\": [";
+    os << "]},\"parallel\":{\"loops\":[";
     for (std::size_t i = 0; i < rep.loops.size(); ++i) {
       const auto& lp = rep.loops[i];
-      os << (i == 0 ? "\n" : ",\n");
-      os << "    {\"var\": \"" << json_escape(lp.var)
-         << "\", \"top_level\": " << bool_str(lp.top_level)
-         << ", \"doall_safe\": " << bool_str(lp.doall_safe)
-         << ", \"carried\": [";
+      os << (i == 0 ? "" : ",") << "{\"var\":\"" << json_escape(lp.var)
+         << "\",\"top_level\":" << bool_str(lp.top_level)
+         << ",\"doall_safe\":" << bool_str(lp.doall_safe)
+         << ",\"carried\":[";
       for (std::size_t k = 0; k < lp.carried.size(); ++k) {
-        os << (k == 0 ? "" : ", ") << "\"" << json_escape(lp.carried[k])
+        os << (k == 0 ? "" : ",") << "\"" << json_escape(lp.carried[k])
            << "\"";
       }
-      os << "], \"privatized\": [";
+      os << "],\"privatized\":[";
       for (std::size_t k = 0; k < lp.privatized.size(); ++k) {
-        os << (k == 0 ? "" : ", ") << "\"" << json_escape(lp.privatized[k])
+        os << (k == 0 ? "" : ",") << "\"" << json_escape(lp.privatized[k])
            << "\"";
       }
-      os << "], \"false_sharing\": [";
+      os << "],\"false_sharing\":[";
       for (std::size_t k = 0; k < lp.hazards.size(); ++k) {
         const auto& h = lp.hazards[k];
-        os << (k == 0 ? "" : ", ") << "{\"array\": \""
-           << json_escape(h.array) << "\", \"stride\": " << h.stride
-           << ", \"line\": " << h.line_elems << "}";
+        os << (k == 0 ? "" : ",") << "{\"array\":\""
+           << json_escape(h.array) << "\",\"stride\":" << h.stride
+           << ",\"line\":" << h.line_elems << "}";
       }
       os << "]}";
     }
-    os << (rep.loops.empty() ? "]}\n" : "\n  ]}\n");
+    os << "]}";
   } else {
-    os << "  \"model\": null,\n";
-    os << "  \"parallel\": null\n";
+    os << ",\"model\":null,\"parallel\":null";
   }
   os << "}\n";
 }

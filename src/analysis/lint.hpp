@@ -82,9 +82,9 @@ LintReport lint_text(const std::string& text, const LintOptions& opts = {});
 void render_text(const LintReport& rep, std::ostream& os,
                  const std::string& source_name = "");
 
-/// Machine-readable report. The schema is stable and documented in the
-/// README: top-level keys ok/clean/counts/diagnostics/model/parallel, with
-/// model and parallel null when the verifier failed.
+/// Machine-readable report, one compact line. The schema is stable and
+/// documented in the README: top-level keys ok/clean/counts/diagnostics/
+/// model/parallel, with model and parallel null when the verifier failed.
 void render_json(const LintReport& rep, std::ostream& os);
 
 }  // namespace sdlo::analysis

@@ -1,6 +1,5 @@
 #include "analysis/misses_driver.hpp"
 
-#include <cstdio>
 #include <string>
 
 #include "cachesim/sweep.hpp"
@@ -14,30 +13,6 @@ namespace {
 
 const char* json_completeness(Completeness c) {
   return c == Completeness::kTruncated ? "truncated" : "complete";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -55,7 +30,7 @@ MissesOutcome run_misses(const ir::Program& prog, const sym::Env& env,
     trace::CompiledProgram cp(prog, env);
     oc.sim = cachesim::simulate_sweep(
         cp, {{opts.capacity, 1, 0, cachesim::Replacement::kLru}}, nullptr,
-        opts.mode, gov)[0];
+        trace::TraceMode::kRuns, gov)[0];
     oc.simulated = true;
   }
   return oc;

@@ -27,7 +27,6 @@ struct MissesOptions {
   std::int64_t capacity = 8192;
   /// Cross-check the model against the sweep-engine simulator.
   bool simulate = false;
-  trace::TraceMode mode = trace::TraceMode::kRuns;
 };
 
 struct MissesOutcome {

@@ -1,12 +1,18 @@
 #include "analysis/sweep_driver.hpp"
 
+#include <filesystem>
+#include <memory>
+#include <optional>
 #include <utility>
 
-#include "cachesim/sim.hpp"
+#include "cachesim/parallel_stack.hpp"
+#include "parallel/thread_pool.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
+#include "trace/spool.hpp"
+#include "trace/walker.hpp"
 
 namespace sdlo::analysis {
 
@@ -33,8 +39,58 @@ std::vector<std::int64_t> sweep_ladder(std::int64_t line,
   return caps;
 }
 
+namespace {
+
+/// The simulated engine: one streamed walk over the ladder, on a pool when
+/// threads > 1, teeing the spool when one is requested.
+void simulate_ladder(const trace::CompiledProgram& cp,
+                     const SweepDriverOptions& opts, const Governor* gov,
+                     SweepOutcome& oc) {
+  std::vector<cachesim::SweepConfig> configs;
+  configs.reserve(oc.capacities.size());
+  for (const std::int64_t cap : oc.capacities) {
+    configs.push_back({cap, opts.line_elems, 0, cachesim::Replacement::kLru});
+  }
+  std::unique_ptr<parallel::ThreadPool> pool;
+  if (opts.threads > 1) {
+    pool = std::make_unique<parallel::ThreadPool>(opts.threads);
+  }
+  cachesim::StreamOptions sopt;
+  sopt.partition.threads = opts.threads;
+  std::optional<trace::SpoolFileGuard> guard;
+  std::optional<trace::SpoolWriter> writer;
+  if (!opts.spool_path.empty()) {
+    guard.emplace(opts.spool_path);
+    writer.emplace(opts.spool_path);
+    sopt.tee = &*writer;
+  }
+  oc.rows = cachesim::simulate_sweep_streamed(cp, configs, pool.get(), sopt,
+                                              gov);
+  oc.engine = "simulated";
+  oc.accesses = oc.rows.empty() ? 0 : oc.rows[0].accesses;
+  oc.completeness = Completeness::kComplete;
+  for (const cachesim::SimResult& r : oc.rows) {
+    if (r.completeness == Completeness::kTruncated) {
+      oc.completeness = Completeness::kTruncated;
+    }
+  }
+  if (writer && writer->groups() == cp.group_count()) {
+    writer->finish(cp.num_sites(), cp.address_space_size());
+    oc.spool_bytes = std::filesystem::file_size(opts.spool_path);
+    guard->release();
+    oc.spool_path = opts.spool_path;
+  }
+}
+
+}  // namespace
+
 SweepOutcome run_sweep(const ir::Program& prog, const sym::Env& env,
                        const SweepDriverOptions& opts, const Governor* gov) {
+  if (opts.engine == SweepEngine::kSymbolic && !opts.spool_path.empty()) {
+    throw Error(
+        "--spool tees the simulated trace walk; it cannot be combined with "
+        "--engine symbolic");
+  }
   const trace::CompiledProgram cp(prog, env);
   SweepOutcome oc;
   oc.line_elems = opts.line_elems;
@@ -72,21 +128,14 @@ SweepOutcome run_sweep(const ir::Program& prog, const sym::Env& env,
     }
   }
 
-  const cachesim::ProfileResult prof = cachesim::profile_stack_distances(
-      cp, opts.line_elems, opts.mode, gov);
-  oc.engine = "simulated";
-  oc.completeness = prof.completeness;
-  oc.accesses = prof.accesses;
-  oc.rows.reserve(oc.capacities.size());
-  for (const std::int64_t cap : oc.capacities) {
-    oc.rows.push_back(prof.result(cap));
-  }
+  simulate_ladder(cp, opts, gov, oc);
   return oc;
 }
 
-void render_sweep_text(const SweepOutcome& oc, std::ostream& os) {
+void render_sweep_text(const SweepOutcome& oc, std::ostream& os,
+                       bool sites) {
   std::vector<std::string> header{"capacity", "misses", "miss ratio"};
-  const bool sites = !oc.rows.empty() && !oc.rows[0].misses_by_site.empty();
+  sites = sites && !oc.rows.empty();
   if (sites) {
     for (std::size_t s = 0; s < oc.rows[0].misses_by_site.size(); ++s) {
       header.push_back("site " + std::to_string(s));
@@ -137,6 +186,11 @@ void render_sweep_text(const SweepOutcome& oc, std::ostream& os) {
             "bounds for the full trace)\n";
     }
   }
+  if (!oc.spool_path.empty()) {
+    os << "spooled trace written to " << oc.spool_path << " ("
+       << with_commas(static_cast<std::int64_t>(oc.spool_bytes))
+       << " bytes)\n";
+  }
 }
 
 void render_sweep_json(const SweepOutcome& oc, std::ostream& os,
@@ -170,6 +224,10 @@ void render_sweep_json(const SweepOutcome& oc, std::ostream& os,
       os << (i == 0 ? "" : ",") << oc.crossings[i];
     }
     os << "]";
+  }
+  if (!oc.spool_path.empty()) {
+    os << ",\"spool\":{\"path\":\"" << json_escape(oc.spool_path)
+       << "\",\"bytes\":" << oc.spool_bytes << "}";
   }
   os << "}\n";
 }

@@ -1,9 +1,12 @@
-// Engine selection and fallback policy for the `sdlo sweep` verb.
+// Engine selection and fallback policy for the `sdlo sweep` verb — the one
+// sweep driver behind the CLI and the serve daemon.
 //
 // Two engines answer the miss-vs-capacity question:
 //
-//   simulated  — trace-walking: the exact stack-distance profiler
-//                (cachesim/profile_stack_distances), O(trace);
+//   simulated  — trace-walking: the streamed marker-stack sweep
+//                (cachesim::simulate_sweep_streamed), O(trace); one chunk
+//                by default, time-partitioned across a pool with
+//                `threads` > 1, optionally teeing the trace to a spool;
 //   symbolic   — analytic: model::symbolic_sweep evaluates the partition
 //                machinery's stack-distance histogram, O(model), no trace
 //                walk — but only *exact* on the model-exact subset.
@@ -18,6 +21,12 @@
 // truncation inside either engine is NOT a fallback — re-running the walk
 // would blow the same deadline — and surfaces instead as a best-so-far
 // partial curve marked truncated (exit code 2).
+//
+// A spool (`spool_path`) is the run-compressed trace (SDLOSPL2) written on
+// the simulated engine's single walk. The file survives only a run that
+// generated every group: truncation leaves the writer unfinished so its
+// temp file is discarded, and any failure after the finish is unwound by
+// an RAII guard — no half-written spool is ever left behind.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +38,6 @@
 #include "model/analyzer.hpp"
 #include "model/symbolic_sweep.hpp"
 #include "support/governor.hpp"
-#include "trace/walker.hpp"
 
 namespace sdlo::analysis {
 
@@ -46,8 +54,13 @@ struct SweepDriverOptions {
   std::int64_t line_elems = 1;
   /// Include the per-site miss breakdown in renderings.
   bool sites = false;
-  /// Trace delivery for the simulated engine.
-  trace::TraceMode mode = trace::TraceMode::kRuns;
+  /// Worker threads of the simulated engine: > 1 profiles that many time
+  /// chunks on a pool (bit-identical to one thread).
+  int threads = 1;
+  /// When non-empty, the simulated walk tees its trace to this spool file.
+  /// Only the simulated engine walks the trace, so a spool with
+  /// SweepEngine::kSymbolic is a usage error.
+  std::string spool_path;
   model::SymbolicSweepOptions symbolic;
 };
 
@@ -69,6 +82,10 @@ struct SweepOutcome {
   std::vector<cachesim::SimResult> rows;
   /// Capacities where the analytic curve changes (symbolic engine only).
   std::vector<std::int64_t> crossings;
+  /// The kept spool file and its size; the path is empty when no spool was
+  /// requested or the run did not finish one.
+  std::string spool_path;
+  std::uint64_t spool_bytes = 0;
 
   bool truncated() const {
     return completeness == Completeness::kTruncated;
@@ -84,20 +101,23 @@ std::vector<std::int64_t> sweep_ladder(std::int64_t line,
 
 /// Runs the requested engine with the fallback policy above. `gov` governs
 /// whichever engine runs (the symbolic evaluation loop polls it exactly
-/// like the trace walk does).
+/// like the trace walk does). Throws sdlo::Error when a spool is requested
+/// with the symbolic engine.
 SweepOutcome run_sweep(const ir::Program& prog, const sym::Env& env,
                        const SweepDriverOptions& opts = {},
                        const Governor* gov = nullptr);
 
-/// Renders the outcome as the human table `sdlo sweep` prints.
-void render_sweep_text(const SweepOutcome& oc, std::ostream& os);
+/// Renders the outcome as the human table `sdlo sweep` prints, with one
+/// column per site when `sites` is set.
+void render_sweep_text(const SweepOutcome& oc, std::ostream& os, bool sites);
 
 /// Renders the stable JSON schema:
 ///   {"engine":..., "fell_back":..., "confidence":..., "line_elems":...,
 ///    "accesses":..., "completeness":..., "rows":[{"capacity":...,
 ///    "misses":...[, "misses_by_site":[...]]}]}
-/// plus "fallback_reason" when fell_back and "crossings" for the symbolic
-/// engine. `sites` matches SweepDriverOptions::sites.
+/// plus "fallback_reason" when fell_back, "crossings" for the symbolic
+/// engine and "spool":{"path":...,"bytes":...} when a spool was kept.
+/// `sites` matches SweepDriverOptions::sites.
 void render_sweep_json(const SweepOutcome& oc, std::ostream& os, bool sites);
 
 }  // namespace sdlo::analysis

@@ -21,6 +21,32 @@ constexpr std::size_t kLineBatch = 512;
 
 }  // namespace
 
+void fold_segments(const std::vector<std::uint64_t>& buckets,
+                   const std::vector<std::uint64_t>& cold_by_site,
+                   std::uint64_t accesses, Completeness completeness,
+                   const std::vector<std::vector<std::size_t>>& slots,
+                   std::vector<SimResult>& out) {
+  const std::size_t num_caps = slots.size();
+  const std::size_t ks = num_caps + 1;
+  const std::size_t num_sites = cold_by_site.size();
+  for (std::size_t r = 0; r < num_caps; ++r) {
+    for (std::size_t slot : slots[r]) {
+      SimResult& res = out[slot];
+      res.accesses = accesses;
+      res.completeness = completeness;
+      res.misses = 0;
+      res.misses_by_site.assign(num_sites, 0);
+      for (std::size_t s = 0; s < num_sites; ++s) {
+        std::uint64_t m = cold_by_site[s];
+        const std::uint64_t* b = buckets.data() + s * ks;
+        for (std::size_t seg = r + 1; seg <= num_caps; ++seg) m += b[seg];
+        res.misses_by_site[s] = m;
+        res.misses += m;
+      }
+    }
+  }
+}
+
 MarkerStackEngine::MarkerStackEngine(std::vector<std::int64_t> caps_lines,
                                      std::int64_t line_elems,
                                      std::int32_t num_sites,

@@ -10,8 +10,8 @@
 // indices are dense in [0, footprint_lines).
 //
 // This is the engine behind both the sequential sweep unit (sweep.cpp) and
-// the time-partitioned parallel sweep (parallel_stack.hpp), which runs one
-// engine per trace chunk. For partitioning the engine exposes two hooks:
+// the streamed sweep (parallel_stack.hpp), which runs one engine per trace
+// chunk. For partitioning the engine exposes two hooks:
 //
 //  * a hole sink — every cold access (first touch of a line *within the fed
 //    prefix*) is appended, in program order, as a (line, site) Hole. For a
@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cachesim/results.hpp"
 #include "trace/walker.hpp"
 
 namespace sdlo::cachesim {
@@ -61,6 +62,18 @@ struct Hole {
   std::uint64_t line = 0;
   std::int32_t site = 0;
 };
+
+/// Folds per-site segment hit counts into one SimResult per capacity:
+/// `slots[r]` lists the `out` entries the r-th of the k = slots.size()
+/// ascending capacities answers, and its misses are each site's cold
+/// accesses plus its hits deeper than that capacity (segments r+1 .. k).
+/// `buckets` is row-major [site][segment] with k + 1 segments per row, the
+/// MarkerStackEngine layout.
+void fold_segments(const std::vector<std::uint64_t>& buckets,
+                   const std::vector<std::uint64_t>& cold_by_site,
+                   std::uint64_t accesses, Completeness completeness,
+                   const std::vector<std::vector<std::size_t>>& slots,
+                   std::vector<SimResult>& out);
 
 class MarkerStackEngine {
  public:

@@ -147,7 +147,6 @@ class FrontierMerger {
   FrontierMerger(const std::vector<std::int64_t>& caps,
                  std::int32_t num_sites, std::uint64_t fp)
       : caps_(caps),
-        num_sites_(num_sites),
         ks_(caps.size() + 1),
         buckets_(static_cast<std::size_t>(num_sites) * ks_, 0),
         cold_by_site_(static_cast<std::size_t>(num_sites), 0),
@@ -186,30 +185,14 @@ class FrontierMerger {
   /// Writes the merged result into the `slots` of `out`.
   void finish(const std::vector<std::vector<std::size_t>>& slots,
               bool truncated, std::vector<SimResult>& out) const {
-    const std::size_t k = caps_.size();
-    for (std::size_t r = 0; r < k; ++r) {
-      for (std::size_t slot : slots[r]) {
-        SimResult& res = out[slot];
-        res.accesses = accesses_;
-        res.completeness =
-            truncated ? Completeness::kTruncated : Completeness::kComplete;
-        res.misses = 0;
-        res.misses_by_site.assign(static_cast<std::size_t>(num_sites_), 0);
-        for (std::int32_t s = 0; s < num_sites_; ++s) {
-          std::uint64_t m = cold_by_site_[static_cast<std::size_t>(s)];
-          const std::uint64_t* b =
-              buckets_.data() + static_cast<std::size_t>(s) * ks_;
-          for (std::size_t seg = r + 1; seg <= k; ++seg) m += b[seg];
-          res.misses_by_site[static_cast<std::size_t>(s)] = m;
-          res.misses += m;
-        }
-      }
-    }
+    fold_segments(buckets_, cold_by_site_, accesses_,
+                  truncated ? Completeness::kTruncated
+                            : Completeness::kComplete,
+                  slots, out);
   }
 
  private:
   const std::vector<std::int64_t>& caps_;
-  std::int32_t num_sites_;
   std::size_t ks_;
   std::vector<std::uint64_t> buckets_;
   std::vector<std::uint64_t> cold_by_site_;
@@ -218,29 +201,6 @@ class FrontierMerger {
   std::vector<std::uint64_t> hole_lines_;  // gather scratch
   std::vector<std::uint64_t> hole_pos_;
 };
-
-/// Feeds groups [first, first + n) into `eng`, polling the governor every
-/// poll_interval groups. Returns false when the governor tripped; the
-/// engine then holds the bit-exact simulation of the consumed prefix.
-template <typename Source>
-bool walk_chunk(const Source& src, std::uint64_t first, std::uint64_t n,
-                MarkerStackEngine& eng, const Governor* gov) {
-  const std::uint64_t interval =
-      gov != nullptr && gov->poll_interval > 0 ? gov->poll_interval : 1024;
-  std::uint64_t tick = 0;
-  try {
-    src.walk_runs_range(first, n, [&](const Run* g, std::size_t nrefs) {
-      if (gov != nullptr && ++tick >= interval) {
-        tick = 0;
-        if (gov->should_stop()) throw AbortWalk{};
-      }
-      eng.consume_runs(g, nrefs);
-    });
-  } catch (const AbortWalk&) {
-    return false;
-  }
-  return true;
-}
 
 /// Per-group completion board shared between the workers and the merging
 /// thread: done flags, a running count, and the first captured error.
@@ -251,147 +211,6 @@ struct FrontierBoard {
   std::size_t done_count = 0;
   std::exception_ptr first_error;
 };
-
-/// Runs and merges one line-size group: C chunks profiled (in parallel with
-/// a pool) while the caller thread advances the merge frontier — chunk c's
-/// holes are resolved as soon as chunks 0..c are done, its engine freed —
-/// then the SimResult fold into the `slots` of `out`.
-template <typename Source>
-void run_partitioned_group(const Source& src,
-                           const std::vector<std::int64_t>& caps,
-                           const std::vector<std::vector<std::size_t>>& slots,
-                           std::int64_t line, std::int32_t num_sites,
-                           std::uint64_t fp,
-                           const std::vector<std::uint64_t>& bounds,
-                           bool capped, parallel::ThreadPool* pool,
-                           const PartitionOptions& opt, const Governor* gov,
-                           std::vector<SimResult>& out) {
-  const std::size_t chunks = bounds.size() - 1;
-  std::vector<ChunkProfile> profiles(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    profiles[c].engine = std::make_unique<MarkerStackEngine>(
-        caps, line, num_sites, fp, &profiles[c].holes);
-  }
-
-  FrontierMerger merger(caps, num_sites, fp);
-  bool truncated = capped;
-  double profile_seconds = 0;
-  double merge_seconds = 0;
-  double wait_seconds = 0;
-  std::uint64_t merged_chunks = 0;
-  std::uint64_t overlapped = 0;
-
-  if (pool != nullptr && pool->num_threads() > 1 && chunks > 1) {
-    WallTimer profile_timer;
-    FrontierBoard board;
-    board.done.assign(chunks, 0);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      pool->submit([&, c] {
-        try {
-          profiles[c].complete =
-              walk_chunk(src, bounds[c], bounds[c + 1] - bounds[c],
-                         *profiles[c].engine, gov);
-        } catch (...) {
-          std::scoped_lock lock(board.mu);
-          if (!board.first_error) {
-            board.first_error = std::current_exception();
-          }
-        }
-        {
-          std::scoped_lock lock(board.mu);
-          board.done[c] = 1;
-          ++board.done_count;
-        }
-        board.cv.notify_all();
-      });
-    }
-
-    for (std::size_t c = 0; c < chunks; ++c) {
-      std::size_t profiled_now = 0;
-      bool aborted = false;
-      {
-        WallTimer wait_timer;
-        std::unique_lock lock(board.mu);
-        while (board.done[c] == 0 && board.first_error == nullptr) {
-          const bool signalled = board.cv.wait_for(
-              lock, std::chrono::milliseconds(2), [&] {
-                return board.done[c] != 0 || board.first_error != nullptr;
-              });
-          if (signalled) break;
-          // Timed out with the pool quiescent: chunk c's task was dropped
-          // before running (a tripped cancel token draining the queue, or
-          // an injected pool fault) — no completion will ever be
-          // signalled. Treat it as an incomplete chunk so the result is
-          // the exact prefix of the chunks that did run.
-          if (pool->idle() && board.done[c] == 0 &&
-              board.first_error == nullptr) {
-            profiles[c].complete = false;
-            board.done[c] = 1;
-            ++board.done_count;
-          }
-        }
-        aborted = board.first_error != nullptr && board.done[c] == 0;
-        profiled_now = board.done_count;
-        wait_seconds += wait_timer.seconds();
-      }
-      if (aborted) break;
-
-      WallTimer merge_timer;
-      const bool chunk_complete = profiles[c].complete;
-      merger.merge_chunk(profiles[c]);
-      merge_seconds += merge_timer.seconds();
-      ++merged_chunks;
-      if (profiled_now < chunks) ++overlapped;
-      if (opt.merge_observer) opt.merge_observer(c, profiled_now, chunks);
-      if (!chunk_complete) {
-        // A governor trip truncates each worker at its own boundary; the
-        // longest prefix of the *global* trace we can state exactly ends
-        // inside this earliest incomplete chunk — later chunks (possibly
-        // still profiling) are discarded unmerged.
-        truncated = true;
-        break;
-      }
-    }
-    pool->wait_idle();
-    profile_seconds = profile_timer.seconds();
-    {
-      std::scoped_lock lock(board.mu);
-      if (board.first_error) std::rethrow_exception(board.first_error);
-    }
-  } else {
-    // Serial path: the frontier degenerates to profile-then-merge per
-    // chunk, which still frees each engine early and keeps the chunk's
-    // tables cache-warm when its holes are resolved.
-    for (std::size_t c = 0; c < chunks; ++c) {
-      WallTimer walk_timer;
-      profiles[c].complete = walk_chunk(
-          src, bounds[c], bounds[c + 1] - bounds[c], *profiles[c].engine,
-          gov);
-      profile_seconds += walk_timer.seconds();
-      WallTimer merge_timer;
-      const bool chunk_complete = profiles[c].complete;
-      merger.merge_chunk(profiles[c]);
-      merge_seconds += merge_timer.seconds();
-      ++merged_chunks;
-      if (opt.merge_observer) opt.merge_observer(c, c + 1, chunks);
-      if (!chunk_complete) {
-        truncated = true;
-        break;
-      }
-    }
-  }
-
-  if (opt.stats != nullptr) {
-    opt.stats->profile_seconds += profile_seconds;
-    opt.stats->merge_seconds += merge_seconds;
-    opt.stats->merge_wait_seconds += wait_seconds;
-    opt.stats->chunks += chunks;
-    opt.stats->merged_chunks += merged_chunks;
-    opt.stats->overlapped_merges += overlapped;
-  }
-
-  merger.finish(slots, truncated, out);
-}
 
 /// Thrown by the streamed generator when a chunk's consumer vanished (a
 /// pool fault dropped its task) — generation cannot usefully continue.
@@ -466,6 +285,7 @@ struct ConfigSplit {
 ConfigSplit split_configs(const std::vector<SweepConfig>& configs) {
   ConfigSplit split;
   for (std::size_t i = 0; i < configs.size(); ++i) {
+    check_sweep_config(configs[i]);
     if (configs[i].ways != 0) {
       split.sa_configs.push_back(configs[i]);
       split.sa_slots.push_back(i);
@@ -504,8 +324,8 @@ void collect_caps(const std::vector<SweepConfig>& configs, std::int64_t line,
 
 /// Chunk boundaries: equal access-count targets, snapped to run-group
 /// boundaries analytically (no scan over the group stream).
-template <typename Source>
-std::vector<std::uint64_t> make_bounds(const Source& src, std::uint64_t chunks,
+std::vector<std::uint64_t> make_bounds(const trace::CompiledProgram& src,
+                                       std::uint64_t chunks,
                                        std::uint64_t end_group,
                                        std::uint64_t total_accesses) {
   std::vector<std::uint64_t> bounds(static_cast<std::size_t>(chunks) + 1);
@@ -520,85 +340,6 @@ std::vector<std::uint64_t> make_bounds(const Source& src, std::uint64_t chunks,
     bounds[static_cast<std::size_t>(j)] = g;
   }
   return bounds;
-}
-
-template <typename Source>
-std::vector<SimResult> partitioned_impl(
-    const Source& src, const std::vector<SweepConfig>& configs,
-    parallel::ThreadPool* pool, const PartitionOptions& opt,
-    const Governor* gov) {
-  std::vector<SimResult> out(configs.size());
-  if (configs.empty()) return out;
-
-  // Partitioning covers the fully-associative stack computation; the
-  // set-associative configurations take the usual shared-walk engines.
-  ConfigSplit split = split_configs(configs);
-  const std::vector<SweepConfig>& sa_configs = split.sa_configs;
-  const std::vector<std::size_t>& sa_slots = split.sa_slots;
-  const std::vector<std::int64_t>& lines_seen = split.lines_seen;
-
-  const std::uint64_t total_groups = src.group_count();
-  const std::uint64_t total_accesses = src.total_accesses();
-  const std::uint64_t end_group =
-      opt.max_groups > 0 ? std::min(total_groups, opt.max_groups)
-                         : total_groups;
-  const bool capped = end_group < total_groups;
-  int threads = opt.threads > 0
-                    ? opt.threads
-                    : (pool != nullptr ? pool->num_threads() : 1);
-  if (threads < 1) threads = 1;
-  std::uint64_t chunks;
-  if (opt.chunks > 0) {
-    chunks = static_cast<std::uint64_t>(opt.chunks);
-  } else if (opt.chunk_accesses > 0) {
-    chunks = (total_accesses + opt.chunk_accesses - 1) / opt.chunk_accesses;
-  } else {
-    chunks = static_cast<std::uint64_t>(threads);
-  }
-  chunks = std::min(chunks, end_group);
-  if (chunks == 0) chunks = 1;
-
-  if (lines_seen.empty() || (chunks <= 1 && !capped)) {
-    // Nothing to partition: the sequential engine already covers it.
-    return simulate_sweep(src, configs, pool, trace::TraceMode::kRuns, gov);
-  }
-
-  // Reserve every chunk's dense tables plus the merge tables up front;
-  // denied (or failpoint-injected) means the partitioned tables don't fit —
-  // degrade to the sequential engine and its own further degradations.
-  std::uint64_t bytes = 0;
-  for (std::int64_t line : lines_seen) {
-    const std::uint64_t fp = src.footprint_lines(line);
-    bytes += chunks * fp * kStackBytesPerLine + fp * kMergeBytesPerLine;
-  }
-  MemoryReservation reservation =
-      failpoints::fail_alloc(failpoints::kSweepDenseAlloc)
-          ? MemoryReservation::denied()
-          : MemoryReservation(gov != nullptr ? gov->memory : nullptr, bytes);
-  if (!reservation.ok()) {
-    return simulate_sweep(src, configs, pool, trace::TraceMode::kRuns, gov);
-  }
-
-  const std::vector<std::uint64_t> bounds =
-      make_bounds(src, chunks, end_group, total_accesses);
-
-  if (!sa_configs.empty()) {
-    const std::vector<SimResult> sa_out =
-        simulate_sweep(src, sa_configs, pool, trace::TraceMode::kRuns, gov);
-    for (std::size_t i = 0; i < sa_slots.size(); ++i) {
-      out[sa_slots[i]] = sa_out[i];
-    }
-  }
-
-  for (std::int64_t line : lines_seen) {
-    std::vector<std::int64_t> distinct;
-    std::vector<std::vector<std::size_t>> slots;
-    collect_caps(configs, line, distinct, slots);
-    run_partitioned_group(src, distinct, slots, line, src.num_sites(),
-                          src.footprint_lines(line), bounds, capped, pool,
-                          opt, gov, out);
-  }
-  return out;
 }
 
 /// Per line size state of one streamed sweep: the distinct capacities with
@@ -674,30 +415,26 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
                     ? opt.threads
                     : (pool != nullptr ? pool->num_threads() : 1);
   if (threads < 1) threads = 1;
-  std::uint64_t chunks;
-  if (opt.chunks > 0) {
-    chunks = static_cast<std::uint64_t>(opt.chunks);
-  } else if (opt.chunk_accesses > 0) {
-    chunks = (total_accesses + opt.chunk_accesses - 1) / opt.chunk_accesses;
-  } else {
-    chunks = static_cast<std::uint64_t>(threads);
-  }
+  std::uint64_t chunks = static_cast<std::uint64_t>(
+      opt.chunks > 0 ? opt.chunks : threads);
   chunks = std::min(chunks, end_group);
-  if (chunks == 0) chunks = 1;
   const std::size_t nchunks = static_cast<std::size_t>(chunks);
+  // One chunk has no reuse crossing a chunk boundary: no holes, no merge.
+  const bool single = chunks == 1;
 
   // A 1-thread pool gains nothing from the ring (the generator IS the
   // bottleneck thread); the fused path is then strictly better.
   const bool pooled = pool != nullptr && pool->num_threads() > 1 && chunks > 1;
 
   // Reserve the dense tables up front — the fused path holds only ONE
-  // chunk's tables at a time, its key memory advantage — plus, pooled, a
-  // nominal estimate for the in-flight window rings.
+  // chunk's tables at a time, its key memory advantage — plus, with more
+  // than one chunk, the merge table and, pooled, a nominal estimate for
+  // the in-flight window rings.
   std::uint64_t bytes = 0;
   for (std::int64_t line : split.lines_seen) {
     const std::uint64_t fp = prog.footprint_lines(line);
     bytes += (pooled ? chunks : 1) * fp * kStackBytesPerLine +
-             fp * kMergeBytesPerLine;
+             (single ? 0 : fp * kMergeBytesPerLine);
   }
   if (pooled) {
     bytes += chunks * sopt.ring_windows * sopt.window_groups * sizeof(Run);
@@ -725,12 +462,13 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
     lines[l].line = split.lines_seen[l];
     lines[l].fp = prog.footprint_lines(lines[l].line);
     collect_caps(configs, lines[l].line, lines[l].caps, lines[l].slots);
-    lines[l].merger = std::make_unique<FrontierMerger>(lines[l].caps,
-                                                       num_sites, lines[l].fp);
+    if (!single) {
+      lines[l].merger = std::make_unique<FrontierMerger>(
+          lines[l].caps, num_sites, lines[l].fp);
+    }
   }
 
   bool truncated = capped;
-  double profile_seconds = 0;
   double merge_seconds = 0;
   double wait_seconds = 0;
   std::uint64_t merged_chunks = 0;
@@ -741,7 +479,6 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
     // per-chunk window rings; one pool task per chunk feeds every line
     // size's engines for that chunk; the caller then advances the rolling
     // merge frontier while later chunks are still profiling.
-    WallTimer span;
     std::vector<std::vector<ChunkProfile>> profiles(lines.size());
     for (std::size_t l = 0; l < lines.size(); ++l) {
       profiles[l].resize(nchunks);
@@ -866,7 +603,7 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
       for (std::size_t cc = 0; cc < nchunks; ++cc) queues[cc].close();
     }
 
-    // Rolling frontier, as in the partitioned driver.
+    // Rolling frontier: fold chunks in trace order as they finish.
     for (std::size_t cc = 0; cc < nchunks; ++cc) {
       std::size_t profiled_now = 0;
       bool aborted = false;
@@ -907,7 +644,6 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
       }
     }
     pool->wait_idle();
-    profile_seconds = span.seconds();
     {
       std::scoped_lock lock(board.mu);
       if (board.first_error) std::rethrow_exception(board.first_error);
@@ -915,24 +651,26 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
   } else {
     // Fused single pass: generate, tee and profile in lockstep on one
     // thread, merging each chunk at its boundary — only one chunk's dense
-    // tables are ever live.
-    WallTimer span;
+    // tables are ever live. A single chunk records no holes and skips the
+    // merge: its engine's buckets are the result.
     std::vector<ChunkProfile> cur(lines.size());
     auto new_chunk = [&] {
       for (std::size_t l = 0; l < lines.size(); ++l) {
         cur[l].engine = std::make_unique<MarkerStackEngine>(
             lines[l].caps, lines[l].line, num_sites, lines[l].fp,
-            &cur[l].holes);
+            single ? nullptr : &cur[l].holes);
         cur[l].complete = true;
       }
     };
     std::size_t c = 0;
     auto merge_cur = [&](bool complete, std::size_t profiled_now) {
-      WallTimer t;
-      for (std::size_t l = 0; l < lines.size(); ++l) {
-        lines[l].merger->merge_chunk(cur[l]);
+      if (!single) {
+        WallTimer t;
+        for (std::size_t l = 0; l < lines.size(); ++l) {
+          lines[l].merger->merge_chunk(cur[l]);
+        }
+        merge_seconds += t.seconds();
       }
-      merge_seconds += t.seconds();
       ++merged_chunks;
       if (opt.merge_observer) opt.merge_observer(c, profiled_now, nchunks);
       if (!complete) truncated = true;
@@ -969,12 +707,18 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
         merge_cur(true, c + 1);
       }
     }
-    profile_seconds =
-        std::max(0.0, span.seconds() - merge_seconds - spool_seconds);
+    if (single) {
+      for (std::size_t l = 0; l < lines.size(); ++l) {
+        const MarkerStackEngine& e = *cur[l].engine;
+        fold_segments(e.buckets(), e.cold_by_site(), e.accesses(),
+                      truncated ? Completeness::kTruncated
+                                : Completeness::kComplete,
+                      lines[l].slots, out);
+      }
+    }
   }
 
   if (opt.stats != nullptr) {
-    opt.stats->profile_seconds += profile_seconds;
     opt.stats->merge_seconds += merge_seconds;
     opt.stats->merge_wait_seconds += wait_seconds;
     opt.stats->spool_write_seconds += spool_seconds;
@@ -983,8 +727,8 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
     opt.stats->overlapped_merges += overlapped;
   }
 
-  for (std::size_t l = 0; l < lines.size(); ++l) {
-    lines[l].merger->finish(lines[l].slots, truncated, out);
+  for (const StreamLine& sl : lines) {
+    if (sl.merger != nullptr) sl.merger->finish(sl.slots, truncated, out);
   }
   return out;
 }
@@ -996,27 +740,6 @@ std::vector<SimResult> simulate_sweep_streamed(
     const std::vector<SweepConfig>& configs, parallel::ThreadPool* pool,
     const StreamOptions& opt, const Governor* gov) {
   return streamed_impl(prog, configs, pool, opt, gov);
-}
-
-std::vector<SimResult> simulate_sweep_partitioned(
-    const trace::CompiledProgram& prog,
-    const std::vector<SweepConfig>& configs, parallel::ThreadPool* pool,
-    const PartitionOptions& opt, const Governor* gov) {
-  return partitioned_impl(prog, configs, pool, opt, gov);
-}
-
-std::vector<SimResult> simulate_sweep_partitioned(
-    const trace::SpooledTrace& spool,
-    const std::vector<SweepConfig>& configs, parallel::ThreadPool* pool,
-    const PartitionOptions& opt, const Governor* gov) {
-  return partitioned_impl(spool, configs, pool, opt, gov);
-}
-
-std::vector<SimResult> simulate_sweep_partitioned(
-    const trace::RunTrace& rt, const std::vector<SweepConfig>& configs,
-    parallel::ThreadPool* pool, const PartitionOptions& opt,
-    const Governor* gov) {
-  return partitioned_impl(rt, configs, pool, opt, gov);
 }
 
 }  // namespace sdlo::cachesim

@@ -1,19 +1,20 @@
-// Time-partitioned parallel stack distance (the parallel sweep engine).
+// Time-partitioned stack distance: the streamed sweep engine.
 //
 // One stack-distance computation — a single fully-associative sweep over
 // one trace — is made to scale across cores by partitioning the
 // run-compressed trace in TIME: the group stream is split into contiguous
 // chunks of roughly equal access counts (chunk boundaries are always run
 // group boundaries, located analytically with group_of_access), and each
-// worker profiles its chunk independently with a per-chunk MarkerStackEngine
-// and dense tables.
+// chunk is profiled independently with its own MarkerStackEngine and dense
+// tables. The trace is generated once; each group feeds the engine of the
+// chunk it falls in (and, optionally, a tee spool writer).
 //
 // Within a chunk every reuse whose source also lies in the chunk has its
 // exact global stack depth — the reuse window is a contiguous slice of the
 // global trace — so the per-chunk hit buckets are globally correct as-is.
-// The only accesses a worker cannot classify are its "holes": the first
+// The only accesses a chunk cannot classify are its "holes": the first
 // touch of each line within the chunk, whose previous access (if any) lies
-// in an earlier chunk. Workers record holes in program order; a sequential
+// in an earlier chunk. Engines record holes in program order; a sequential
 // merge pass then resolves every hole exactly (this is the
 // time-partitioning idea of PARDA-style parallel stack distance, built on
 // the same Fenwick last-access formulation as stack_profiler.hpp):
@@ -43,17 +44,20 @@
 //   (MarkerStackEngine::recency_order — exact, the bulk fast paths
 //   preserve it) with fresh monotone timestamps.
 //
+// A one-chunk plan has no reuse that crosses a chunk boundary: its engine
+// runs with no hole sink and no merge table, and its buckets fold straight
+// into the results (fold_segments, as the sequential sweep does).
+//
 // The merged result — per-site segment buckets summed across chunks (via
 // simd::add_u64) plus the resolved holes — is bit-identical to the
 // sequential sweep, including misses_by_site, at every capacity.
 //
-// Governance: the per-chunk dense tables are reserved against the memory
-// budget up front (chunks * kStackBytesPerLine + merge table per line);
-// when denied — or when the sweep-dense-alloc failpoint injects a denial —
-// the call degrades to the sequential simulate_sweep, which applies its own
-// further degradations. A deadline or cancellation trips each worker at a
-// group boundary; the merged result is then the bit-exact simulation of
-// the longest contiguous prefix the workers completed (chunks after the
+// Governance: the dense tables are reserved against the memory budget up
+// front; when denied — or when the sweep-dense-alloc failpoint injects a
+// denial — the call degrades to the sequential simulate_sweep, which
+// applies its own further degradations. A deadline or cancellation trips
+// the walk at a group boundary; the merged result is then the bit-exact
+// simulation of the longest contiguous prefix profiled (chunks after the
 // earliest incomplete one are discarded), marked Completeness::kTruncated.
 // PartitionOptions::max_groups caps the walk at a deterministic prefix for
 // tests, independent of timing.
@@ -71,19 +75,17 @@
 
 namespace sdlo::cachesim {
 
-/// Phase accounting of one partitioned sweep, accumulated across line-size
+/// Phase accounting of one streamed sweep, accumulated across line-size
 /// groups. Seconds are wall-clock on the merging (caller) thread; because
 /// the merge overlaps profiling, merge_seconds is hidden time whenever
 /// overlapped_merges > 0.
 struct PartitionStats {
-  /// Span from the first chunk's dispatch until every worker went idle.
-  double profile_seconds = 0;
-  /// Time spent inside hole-merge steps (overlaps profile_seconds).
+  /// Time spent inside hole-merge steps (overlaps profiling).
   double merge_seconds = 0;
   /// Time the merging thread spent blocked waiting for its frontier chunk.
   double merge_wait_seconds = 0;
   /// Time spent appending groups to the streamed tee spool (overlaps
-  /// profile_seconds in the pipelined driver; zero without a tee).
+  /// profiling on the pooled path; zero without a tee).
   double spool_write_seconds = 0;
   /// Chunks profiled / merged, over every line-size group.
   std::uint64_t chunks = 0;
@@ -97,10 +99,8 @@ struct PartitionStats {
 struct PartitionOptions {
   /// Worker parallelism; 0 uses the pool's thread count (1 without a pool).
   int threads = 0;
-  /// Target accesses per chunk; 0 splits the trace evenly across threads.
-  std::uint64_t chunk_accesses = 0;
-  /// Explicit chunk-count override (ablation / hole-merge tests); 0 defers
-  /// to chunk_accesses / threads.
+  /// Explicit chunk-count override (hole-merge tests); 0 splits the trace
+  /// evenly across threads. Clamped to the run-group count.
   int chunks = 0;
   /// When nonzero, process only the first max_groups run groups and mark
   /// the result truncated if that is a proper prefix — the deterministic
@@ -117,33 +117,9 @@ struct PartitionOptions {
       merge_observer;
 };
 
-/// simulate_sweep with the fully-associative configurations computed by the
-/// time-partitioned parallel engine (set-associative configurations take
-/// the usual shared-walk fallback). Results are bit-identical to
-/// simulate_sweep in `configs` order.
-std::vector<SimResult> simulate_sweep_partitioned(
-    const trace::CompiledProgram& prog,
-    const std::vector<SweepConfig>& configs,
-    parallel::ThreadPool* pool = nullptr, const PartitionOptions& opt = {},
-    const Governor* gov = nullptr);
-
-/// The partitioned sweep fed from an out-of-core spool: workers stream
-/// their chunks through independent bounded read windows.
-std::vector<SimResult> simulate_sweep_partitioned(
-    const trace::SpooledTrace& spool,
-    const std::vector<SweepConfig>& configs,
-    parallel::ThreadPool* pool = nullptr, const PartitionOptions& opt = {},
-    const Governor* gov = nullptr);
-
-/// The partitioned sweep fed from a materialized in-memory run trace.
-std::vector<SimResult> simulate_sweep_partitioned(
-    const trace::RunTrace& rt, const std::vector<SweepConfig>& configs,
-    parallel::ThreadPool* pool = nullptr, const PartitionOptions& opt = {},
-    const Governor* gov = nullptr);
-
 /// Configuration of the pipelined (generate-once) sweep driver.
 struct StreamOptions {
-  /// Chunking, stats and test hooks, exactly as in the partitioned sweep.
+  /// Chunking, stats and test hooks.
   PartitionOptions partition;
   /// When non-null, every generated run group is also appended here — the
   /// spool write rides the single generation pass instead of costing a
@@ -161,17 +137,18 @@ struct StreamOptions {
 /// The pipelined billion-access sweep: walks the compiled program ONCE,
 /// teeing each run group to the optional spool writer while feeding every
 /// requested line size's per-chunk engines, then resolves holes with the
-/// same rolling-frontier merge as simulate_sweep_partitioned. Results are
-/// bit-identical to simulate_sweep / simulate_sweep_partitioned.
+/// rolling-frontier merge. Results are bit-identical to simulate_sweep.
+/// Set-associative configurations take the sequential engine's shared walk.
 ///
 /// With a pool of >= 2 threads the generator (caller thread) hands groups
 /// to per-chunk profiling tasks through a bounded ring of ready windows —
 /// group g+1 is generated and spooled while group g is profiled. Otherwise
 /// a fused single-pass path feeds engines directly during generation,
-/// holding only ONE chunk's tables at a time (the lowest-memory exact
-/// path). When the dense tables are denied by the memory budget (or the
-/// sweep-dense-alloc failpoint), the tee still completes in its own
-/// governed pass and the simulation degrades to simulate_sweep.
+/// holding only ONE chunk's tables at a time; with one chunk it needs no
+/// hole list and no merge table (the lowest-memory exact path). When the
+/// dense tables are denied by the memory budget (or the sweep-dense-alloc
+/// failpoint), the tee still completes in its own governed pass and the
+/// simulation degrades to simulate_sweep.
 std::vector<SimResult> simulate_sweep_streamed(
     const trace::CompiledProgram& prog,
     const std::vector<SweepConfig>& configs,

@@ -51,7 +51,9 @@ class SweepUnit {
   MemoryReservation reservation_;
 };
 
-void check_line_geometry(const SweepConfig& c) {
+}  // namespace
+
+void check_sweep_config(const SweepConfig& c) {
   SDLO_CHECK(c.capacity_elems > 0, "sweep capacity must be positive");
   SDLO_CHECK(c.line_elems > 0 &&
                  std::has_single_bit(
@@ -60,6 +62,8 @@ void check_line_geometry(const SweepConfig& c) {
   SDLO_CHECK(c.capacity_elems % c.line_elems == 0,
              "sweep capacity must be a whole number of lines");
 }
+
+namespace {
 
 /// The single-pass fully-associative unit: a MarkerStackEngine
 /// (marker_stack.hpp) plus the result slots it answers.
@@ -74,8 +78,7 @@ class MultiLruStackUnit final : public SweepUnit {
                     std::uint64_t footprint_lines)
       : engine_(std::move(caps_lines), line_elems, num_sites,
                 footprint_lines),
-        slots_(std::move(slots)),
-        num_sites_(num_sites) {}
+        slots_(std::move(slots)) {}
 
   void consume(const Access* a, std::size_t n) override {
     engine_.consume(a, n);
@@ -86,33 +89,13 @@ class MultiLruStackUnit final : public SweepUnit {
   }
 
   void finish(std::vector<SimResult>& out) const override {
-    const std::size_t k = engine_.caps().size();
-    const std::size_t ks = engine_.segments();
-    const std::vector<std::uint64_t>& buckets = engine_.buckets();
-    const std::vector<std::uint64_t>& cold = engine_.cold_by_site();
-    for (std::size_t r = 0; r < k; ++r) {
-      for (std::size_t slot : slots_[r]) {
-        SimResult& res = out[slot];
-        res.accesses = engine_.accesses();
-        res.completeness = completeness_;
-        res.misses = 0;
-        res.misses_by_site.assign(static_cast<std::size_t>(num_sites_), 0);
-        for (std::int32_t s = 0; s < num_sites_; ++s) {
-          std::uint64_t m = cold[static_cast<std::size_t>(s)];
-          const std::uint64_t* b =
-              buckets.data() + static_cast<std::size_t>(s) * ks;
-          for (std::size_t seg = r + 1; seg <= k; ++seg) m += b[seg];
-          res.misses_by_site[static_cast<std::size_t>(s)] = m;
-          res.misses += m;
-        }
-      }
-    }
+    fold_segments(engine_.buckets(), engine_.cold_by_site(),
+                  engine_.accesses(), completeness_, slots_, out);
   }
 
  private:
   MarkerStackEngine engine_;
   std::vector<std::vector<std::size_t>> slots_;  // result slots per capacity
-  std::int32_t num_sites_;
 };
 
 /// Shared-walk fallback unit: one real cache instance per configuration,
@@ -124,7 +107,7 @@ class CacheUnit final : public SweepUnit {
             std::uint64_t footprint_lines)
       : slot_(slot),
         misses_by_site_(static_cast<std::size_t>(num_sites), 0) {
-    check_line_geometry(cfg);
+    check_sweep_config(cfg);
     if (cfg.ways == 0) {
       shift_ = std::countr_zero(static_cast<std::uint64_t>(cfg.line_elems));
       lru_ = std::make_unique<LruCache>(cfg.capacity_elems / cfg.line_elems,
@@ -302,7 +285,7 @@ std::vector<SimResult> simulate_sweep_impl(
           c, i, prog.num_sites(), prog.footprint_lines(c.line_elems)));
       continue;
     }
-    check_line_geometry(c);
+    check_sweep_config(c);
     if (std::find(lines_seen.begin(), lines_seen.end(), c.line_elems) ==
         lines_seen.end()) {
       lines_seen.push_back(c.line_elems);
@@ -363,7 +346,7 @@ std::vector<SimResult> simulate_many_impl(
   std::vector<std::unique_ptr<SweepUnit>> units;
   units.reserve(configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    check_line_geometry(configs[i]);
+    check_sweep_config(configs[i]);
     std::uint64_t fp = prog.footprint_lines(configs[i].line_elems);
     MemoryReservation r;
     if (configs[i].ways == 0) {

@@ -64,6 +64,10 @@ struct SweepConfig {
   Replacement policy = Replacement::kLru;
 };
 
+/// Throws ContractViolation unless `c` is a valid geometry: a positive
+/// capacity that is a whole number of lines of a power-of-two size.
+void check_sweep_config(const SweepConfig& c);
+
 /// Simulates every configuration with as few trace walks as possible:
 /// fully-associative configurations sharing a line size are answered by one
 /// marker-augmented LRU stack each; set-associative configurations are fed

@@ -12,6 +12,7 @@
 #endif
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -30,6 +31,7 @@
 #include "model/analyzer.hpp"
 #include "model/symbolic_sweep.hpp"
 #include "serve/json.hpp"
+#include "serve/protocol.hpp"
 #include "serve/service.hpp"
 #include "support/failpoints.hpp"
 #include "trace/walker.hpp"
@@ -348,7 +350,7 @@ void check_sweep(OracleReport& report, const trace::CompiledProgram& cp,
   }
 }
 
-// Partitioned / out-of-core oracle: the time-partitioned parallel sweep
+// Partitioned / out-of-core oracle: the time-partitioned streamed sweep
 // (whose hole-merge pass reconstructs cross-chunk reuse depths), the spool
 // file round trip and the materialized RunTrace must each reproduce the
 // sequential simulate_sweep bit for bit — misses_by_site included — at
@@ -364,7 +366,7 @@ void check_partitioned_engines(OracleReport& report,
     }
   }
   // One set-associative entry exercises the shared-walk delegation inside
-  // the partitioned driver.
+  // the streamed driver.
   configs.push_back({4 * opts.line_sizes.front(), opts.line_sizes.front(),
                      2, cachesim::Replacement::kLru});
   const auto want = cachesim::simulate_sweep(cp, configs);
@@ -381,12 +383,11 @@ void check_partitioned_engines(OracleReport& report,
     }
   };
 
-  for (const int chunks : {2, 5, 17}) {
-    cachesim::PartitionOptions popt;
-    popt.chunks = chunks;
+  for (const int chunks : {1, 2, 5, 17}) {
+    cachesim::StreamOptions sopt;
+    sopt.partition.chunks = chunks;
     compare_all("partitioned-vs-sweep",
-                cachesim::simulate_sweep_partitioned(cp, configs, nullptr,
-                                                     popt),
+                cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt),
                 " chunks=" + std::to_string(chunks));
   }
 
@@ -406,38 +407,15 @@ void check_partitioned_engines(OracleReport& report,
         std::to_string(spool_seq.fetch_add(1, std::memory_order_relaxed)) +
         ".spl"))
           .string();
-  const std::string path_v1 = path + ".v1";
   const std::string path_tee = path + ".tee";
   try {
     trace::spool_program(path, cp);
     const trace::SpooledTrace spool(path);
     compare_all("spooled-vs-sweep", cachesim::simulate_sweep(spool, configs),
                 "");
-    cachesim::PartitionOptions popt;
-    popt.chunks = 3;
-    compare_all("spooled-partitioned-vs-sweep",
-                cachesim::simulate_sweep_partitioned(spool, configs,
-                                                     nullptr, popt),
-                " chunks=3");
     const trace::RunTrace rt = trace::RunTrace::materialize(cp);
     compare_all("run-trace-vs-sweep", cachesim::simulate_sweep(rt, configs),
                 "");
-
-    // The legacy container: a v1 spool of the same trace must decode to
-    // the same stream (group/access shape) and the same miss counts as the
-    // delta-encoded v2 default.
-    trace::spool_program(path_v1, cp, 1);
-    const trace::SpooledTrace spool_v1(path_v1);
-    if (spool_v1.group_count() != spool.group_count() ||
-        spool_v1.total_accesses() != spool.total_accesses()) {
-      std::ostringstream os;
-      os << "v1 shape " << spool_v1.group_count() << "/"
-         << spool_v1.total_accesses() << " != v2 shape "
-         << spool.group_count() << "/" << spool.total_accesses();
-      add_mismatch(report, "spool-v1-vs-v2", os.str());
-    }
-    compare_all("spool-v1-vs-sweep",
-                cachesim::simulate_sweep(spool_v1, configs), " version=1");
 
     // The pipelined driver: one generation pass feeding every engine while
     // teeing the spool must be bit-identical to the sequential sweep, and
@@ -460,7 +438,6 @@ void check_partitioned_engines(OracleReport& report,
                  std::string("spool round trip failed: ") + e.what());
   }
   std::remove(path.c_str());
-  std::remove(path_v1.c_str());
   std::remove(path_tee.c_str());
 }
 
@@ -1042,10 +1019,29 @@ void check_advise_claims(OracleReport& report, const ir::Program& prog,
 /// serve oracle stays a small fraction of the battery.
 constexpr std::uint64_t kServeSweepAccessBudget = 200'000;
 
+/// Frames `r` exactly as the daemon writes it and reads it back through the
+/// client's line reader. Returns the decoded payload, or nullopt with
+/// `problem` set when the reply does not survive the wire as one line.
+std::optional<std::string> framed_payload(const serve::Response& r,
+                                          std::string& problem) {
+  try {
+    std::string wire = serve::render_response(r) + "\n";
+    std::string line;
+    if (!serve::take_line(wire, line) || !wire.empty()) {
+      problem = "reply spans more than one line";
+      return std::nullopt;
+    }
+    return serve::parse_response(line).payload;
+  } catch (const Error& e) {
+    problem = e.what();
+    return std::nullopt;
+  }
+}
+
 /// Serve-vs-CLI equivalence (DESIGN.md §16): an in-process serve::Service
-/// must answer every analysis verb with the exact bytes of the shared CLI
-/// emitter, and a repeated request must hit the memo cache and return the
-/// same bytes again.
+/// must answer every analysis verb, framed and decoded as a client sees
+/// it, with the exact bytes of the shared CLI emitter, and a repeated
+/// request must hit the memo cache and return the same bytes again.
 void check_serve_equivalence(OracleReport& report, const ir::Program& prog,
                              const sym::Env& env, const OracleOptions& opts) {
   serve::ServiceOptions sopts;
@@ -1124,11 +1120,17 @@ void check_serve_equivalence(OracleReport& report, const ir::Program& prog,
       report.truncated = true;
       return;
     }
+    std::string problem;
     const serve::Response r1 = service.handle_line(c.line);
-    if (r1.payload != c.expected) {
+    const std::optional<std::string> p1 = framed_payload(r1, problem);
+    if (!p1) {
+      add_mismatch(report, "serve", c.verb + ": " + problem);
+      continue;
+    }
+    if (*p1 != c.expected) {
       add_mismatch(report, "serve",
                    c.verb + ": daemon payload differs from the CLI emitter ("
-                   + std::to_string(r1.payload.size()) + " vs " +
+                   + std::to_string(p1->size()) + " vs " +
                    std::to_string(c.expected.size()) + " bytes; status " +
                    serve::status_name(r1.status) +
                    (r1.error.empty() ? "" : ", error: " + r1.error) + ")");
@@ -1136,10 +1138,13 @@ void check_serve_equivalence(OracleReport& report, const ir::Program& prog,
     }
     if (r1.status != serve::Status::kOk) continue;  // not memoized
     const serve::Response r2 = service.handle_line(c.line);
+    const std::optional<std::string> p2 = framed_payload(r2, problem);
     if (!r2.cached) {
       add_mismatch(report, "serve",
                    c.verb + ": repeated request missed the memo cache");
-    } else if (r2.payload != c.expected) {
+    } else if (!p2) {
+      add_mismatch(report, "serve", c.verb + ": cached reply: " + problem);
+    } else if (*p2 != c.expected) {
       add_mismatch(report, "serve",
                    c.verb + ": cached payload is not byte-identical");
     }

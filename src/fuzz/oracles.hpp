@@ -13,8 +13,8 @@
 //   cachesim::profile_stack_distances / ProfileResult::result
 //                                one-pass exact stack-distance histogram
 //   cachesim::simulate_sweep     marker-augmented multi-capacity LRU stack
-//   cachesim::simulate_sweep_partitioned
-//                                time-partitioned parallel stack distance
+//   cachesim::simulate_sweep_streamed
+//                                time-partitioned stack distance
 //                                (per-chunk engines + exact hole merge)
 //   trace::SpooledTrace / RunTrace
 //                                out-of-core spool round trip and the
@@ -76,8 +76,8 @@ struct OracleOptions {
   bool check_symbolic = true;
   bool check_profile = true;    ///< profiler (both modes) vs simulate_lru*
   bool check_sweep = true;      ///< sweep + many (both modes) vs reference
-  /// Time-partitioned parallel sweep and the out-of-core engines: the
-  /// partitioned hole-merge (several chunk counts), the spool round trip
+  /// Time-partitioned streamed sweep and the out-of-core engines: the
+  /// streamed hole-merge (several chunk counts), the spool round trip
   /// (SpooledTrace) and the materialized RunTrace must all be bit-identical
   /// to the sequential simulate_sweep, misses_by_site included.
   bool check_partitioned = true;

@@ -2,25 +2,16 @@
 
 #include <utility>
 
-#include "support/affinity.hpp"
 #include "support/check.hpp"
 #include "support/failpoints.hpp"
 
 namespace sdlo::parallel {
 
-ThreadPool::ThreadPool(int threads, AffinityPolicy affinity)
-    : affinity_(affinity) {
+ThreadPool::ThreadPool(int threads) {
   SDLO_EXPECTS(threads >= 1);
-  // Pinning only makes sense with more than one node to spread across.
-  if (affinity_ == AffinityPolicy::kNumaInterleave &&
-      (!affinity::pinning_supported() ||
-       affinity::host_topology().num_nodes() <= 1)) {
-    affinity_ = AffinityPolicy::kNone;
-  }
   workers_.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back(
-        [this, i](std::stop_token st) { worker_loop(st, i); });
+    workers_.emplace_back([this](std::stop_token st) { worker_loop(st); });
   }
 }
 
@@ -72,10 +63,6 @@ bool ThreadPool::has_error() const {
   return first_error_ != nullptr;
 }
 
-int ThreadPool::pinned_workers() const {
-  return pinned_.load(std::memory_order_relaxed);
-}
-
 void ThreadPool::run_task(std::function<void()>& task) {
   try {
     failpoints::hit(failpoints::kPoolTask);
@@ -86,14 +73,7 @@ void ThreadPool::run_task(std::function<void()>& task) {
   }
 }
 
-void ThreadPool::worker_loop(std::stop_token st, int worker_index) {
-  if (affinity_ == AffinityPolicy::kNumaInterleave) {
-    const int nodes = affinity::host_topology().num_nodes();
-    if (nodes > 1 &&
-        affinity::pin_current_thread_to_node(worker_index % nodes)) {
-      pinned_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+void ThreadPool::worker_loop(std::stop_token st) {
   for (;;) {
     std::function<void()> task;
     bool skip = false;

@@ -14,15 +14,8 @@
 // CancellationToken. Once the token trips, workers drain queued tasks
 // without running them, so a governed driver that submits a long backlog
 // can stop promptly at a task boundary instead of finishing the backlog.
-//
-// NUMA: with AffinityPolicy::kNumaInterleave each worker pins itself to one
-// NUMA node, round-robin by worker index (support/affinity.hpp), so a
-// worker's first-touch allocations and its later reads stay on the same
-// node. The policy is off by default, and is a silent no-op on single-node
-// hosts or platforms without pinning support.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -36,18 +29,11 @@
 
 namespace sdlo::parallel {
 
-/// How pool workers bind to the host's NUMA topology.
-enum class AffinityPolicy : std::uint8_t {
-  kNone,            ///< workers float wherever the scheduler puts them
-  kNumaInterleave,  ///< worker i pins to node (i mod num_nodes)
-};
-
 /// Fixed-size pool executing submitted tasks FIFO.
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (>= 1), optionally NUMA-pinned.
-  explicit ThreadPool(int threads,
-                      AffinityPolicy affinity = AffinityPolicy::kNone);
+  /// Spawns `threads` workers (>= 1).
+  explicit ThreadPool(int threads);
 
   /// Joins all workers after draining the queue. Never throws: a pending
   /// captured task exception is discarded (call wait_idle() first if the
@@ -85,13 +71,8 @@ class ThreadPool {
   /// batch that can no longer complete.
   bool has_error() const;
 
-  /// Number of workers whose NUMA pin actually took effect (0 with
-  /// AffinityPolicy::kNone, on single-node hosts, or when the kernel
-  /// denied the pin).
-  int pinned_workers() const;
-
  private:
-  void worker_loop(std::stop_token st, int worker_index);
+  void worker_loop(std::stop_token st);
   void run_task(std::function<void()>& task);
   void wait_idle_nothrow();
 
@@ -102,8 +83,6 @@ class ThreadPool {
   std::int64_t in_flight_ = 0;  // queued + running
   std::exception_ptr first_error_;
   CancellationToken cancel_;  // default token: never cancelled
-  AffinityPolicy affinity_ = AffinityPolicy::kNone;
-  std::atomic<int> pinned_{0};
   std::vector<std::jthread> workers_;
 };
 

@@ -80,13 +80,9 @@ void Client::send_line(const std::string& line) {
 
 std::string Client::recv_line(int timeout_ms) {
   const auto start = Clock::now();
+  std::string line;
   while (true) {
-    const std::size_t nl = buf_.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = buf_.substr(0, nl);
-      buf_.erase(0, nl + 1);
-      return line;
-    }
+    if (take_line(buf_, line)) return line;
     const int remaining = timeout_ms - elapsed_ms(start);
     if (remaining <= 0) throw Error("client: timed out waiting for response");
     struct pollfd pfd {};

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 #include <sstream>
 
 namespace sdlo::serve {
@@ -341,30 +340,6 @@ class Parser {
 
 JsonValue parse_json(const std::string& text) {
   return Parser(text).parse_document();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 std::string json_id_token(const JsonValue* id) {

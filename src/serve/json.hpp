@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "support/check.hpp"
+#include "support/string_util.hpp"
 
 namespace sdlo::serve {
 
@@ -82,9 +83,9 @@ class JsonValue {
 /// is bounded (64 levels) so malformed input cannot exhaust the stack.
 JsonValue parse_json(const std::string& text);
 
-/// Escapes `s` for inclusion inside a JSON string literal (quotes not
-/// included). Control characters become \u00XX.
-std::string json_escape(const std::string& s);
+/// The shared escaper (support/string_util.hpp), re-exported for the
+/// protocol's callers.
+using sdlo::json_escape;
 
 /// Serializes the raw JSON token of a request id for verbatim echo in the
 /// response: strings are quoted+escaped, integers print exactly, anything

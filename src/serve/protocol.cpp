@@ -86,6 +86,10 @@ void render_one(const Response& r, std::ostream& os, bool top_level) {
     os << ",\"retry_after_ms\":" << r.retry_after_ms;
   }
   if (!r.error.empty()) os << ",\"error\":\"" << json_escape(r.error) << "\"";
+  if (r.payload.find('\n') != std::string::npos) {
+    throw FramingError("response payload holds a raw newline and cannot be "
+                       "framed as one line");
+  }
   if (!r.payload.empty()) os << ",\"payload\":" << r.payload;
   if (!r.batch.empty()) {
     os << ",\"responses\":[";
@@ -110,6 +114,14 @@ std::string render_response(const Response& r) {
   std::ostringstream os;
   render_one(r, os, /*top_level=*/true);
   return os.str();
+}
+
+bool take_line(std::string& buf, std::string& line) {
+  const std::size_t nl = buf.find('\n');
+  if (nl == std::string::npos) return false;
+  line = buf.substr(0, nl);
+  buf.erase(0, nl + 1);
+  return true;
 }
 
 Status parse_status(const std::string& name) {

@@ -103,8 +103,21 @@ struct Response {
   std::vector<Response> batch;    ///< kBatch sub-responses
 };
 
-/// Renders the one-line envelope (no trailing newline).
+/// Thrown when a response cannot be framed as one NDJSON line: a payload
+/// (the verb's JSON document, spliced in verbatim) holds a raw newline.
+class FramingError : public Error {
+ public:
+  using Error::Error;
+};
+
+/// Renders the one-line envelope (no trailing newline). Throws
+/// FramingError rather than emit a line a client would split.
 std::string render_response(const Response& r);
+
+/// The NDJSON line reader: when `buf` holds a complete line, removes it
+/// (and its '\n') from `buf` and returns it; otherwise leaves `buf` alone
+/// and returns false. serve::Client reads every response through this.
+bool take_line(std::string& buf, std::string& line);
 
 /// Parses "ok"/"error"/"truncated"/"rejected"; throws sdlo::Error else.
 Status parse_status(const std::string& name);

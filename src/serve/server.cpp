@@ -278,7 +278,18 @@ void Server::write_response(const std::shared_ptr<Connection>& conn,
     conn->cancel();
     return;
   }
-  conn->write_line(render_response(resp), opts_.write_timeout_ms);
+  std::string line;
+  try {
+    line = render_response(resp);
+  } catch (const FramingError& e) {
+    // Never send a line a client would split: answer with a typed error.
+    Response err;
+    err.id_token = resp.id_token;
+    err.status = Status::kError;
+    err.error = e.what();
+    line = render_response(err);
+  }
+  conn->write_line(line, opts_.write_timeout_ms);
 }
 
 void Server::reap_readers(bool all) {

@@ -36,4 +36,9 @@ std::string format_double(double v, int precision);
 /// True iff `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
 
+/// Escapes `s` for inclusion inside a JSON string literal (quotes not
+/// included). Control characters become \n, \r, \t or \u00XX, so the
+/// result never holds a raw newline. Every JSON emitter shares this one.
+std::string json_escape(std::string_view s);
+
 }  // namespace sdlo

@@ -14,7 +14,7 @@ constexpr char kMagicV2[8] = {'S', 'D', 'L', 'O', 'S', 'P', 'L', '2'};
 constexpr std::size_t kHeaderBytes = 48;
 constexpr std::size_t kWriteFlushBytes = std::size_t{256} << 10;
 
-/// v2 group tags: a self-contained group vs a delta against the previous.
+/// Group tags: a self-contained group vs a delta against the previous.
 constexpr std::uint64_t kGroupFull = 0;
 constexpr std::uint64_t kGroupDelta = 1;
 
@@ -39,9 +39,8 @@ std::int64_t unzigzag(std::uint64_t v) {
 
 }  // namespace
 
-SpoolWriter::SpoolWriter(std::string path, int version)
-    : path_(std::move(path)), tmp_path_(path_ + ".tmp"), version_(version) {
-  SDLO_EXPECTS(version_ == 1 || version_ == 2);
+SpoolWriter::SpoolWriter(std::string path)
+    : path_(std::move(path)), tmp_path_(path_ + ".tmp") {
   out_.open(tmp_path_, std::ios::binary | std::ios::trunc);
   if (!out_.good()) {
     throw IoError("spool: cannot open " + tmp_path_ + " for writing");
@@ -86,7 +85,7 @@ void SpoolWriter::flush_buffer() {
   buf_.clear();
 }
 
-void SpoolWriter::put_group_v1(const Run* group, std::size_t nrefs) {
+void SpoolWriter::put_group_full(const Run* group, std::size_t nrefs) {
   put_varint(nrefs);
   put_varint(group[0].count);
   for (std::size_t r = 0; r < nrefs; ++r) {
@@ -97,8 +96,8 @@ void SpoolWriter::put_group_v1(const Run* group, std::size_t nrefs) {
   }
 }
 
-void SpoolWriter::put_group_v2(const Run* group, std::size_t nrefs,
-                               bool at_index) {
+void SpoolWriter::put_group(const Run* group, std::size_t nrefs,
+                            bool at_index) {
   // A delta group must have the previous group's exact shape: same width
   // and, per run, the same stride and (site, mode). Index boundaries force
   // a full group so seeks need no decoder state.
@@ -123,7 +122,7 @@ void SpoolWriter::put_group_v2(const Run* group, std::size_t nrefs,
     }
   } else {
     put_varint(kGroupFull);
-    put_group_v1(group, nrefs);
+    put_group_full(group, nrefs);
   }
   prev_.assign(group, group + nrefs);
 }
@@ -135,11 +134,7 @@ void SpoolWriter::add_group(const Run* group, std::size_t nrefs) {
   if (at_index) {
     index_.emplace_back(bytes_written_ + buf_.size(), accesses_);
   }
-  if (version_ == 2) {
-    put_group_v2(group, nrefs, at_index);
-  } else {
-    put_group_v1(group, nrefs);
-  }
+  put_group(group, nrefs, at_index);
   ++groups_;
   accesses_ += group[0].count * nrefs;
   if (buf_.size() >= kWriteFlushBytes) flush_buffer();
@@ -167,8 +162,7 @@ void SpoolWriter::finish(std::int32_t num_sites,
   flush_buffer();
 
   unsigned char header[kHeaderBytes] = {};
-  const char* magic = version_ == 2 ? kMagicV2 : kMagicV1;
-  std::copy(magic, magic + 8, header);
+  std::copy(kMagicV2, kMagicV2 + 8, header);
   put_u64_le(header + 8, groups_);
   put_u64_le(header + 16, accesses_);
   put_u64_le(header + 24, address_space);
@@ -188,9 +182,8 @@ void SpoolWriter::finish(std::int32_t num_sites,
   finished_ = true;
 }
 
-void spool_program(const std::string& path, const CompiledProgram& prog,
-                   int version) {
-  SpoolWriter writer(path, version);
+void spool_program(const std::string& path, const CompiledProgram& prog) {
+  SpoolWriter writer(path);
   prog.walk_runs([&](const Run* group, std::size_t nrefs) {
     writer.add_group(group, nrefs);
   });
@@ -210,10 +203,11 @@ SpooledTrace::SpooledTrace(std::string path, SpoolReadOptions opt)
   in.read(reinterpret_cast<char*>(header), kHeaderBytes);
   if (!in.good()) throw IoError("spool: " + path_ + " is not a spool file");
   if (std::equal(kMagicV1, kMagicV1 + 8, header)) {
-    version_ = 1;
-  } else if (std::equal(kMagicV2, kMagicV2 + 8, header)) {
-    version_ = 2;
-  } else {
+    throw IoError("spool: " + path_ +
+                  " is a version-1 (SDLOSPL1) spool, which is no longer "
+                  "read; re-spool the program");
+  }
+  if (!std::equal(kMagicV2, kMagicV2 + 8, header)) {
     throw IoError("spool: " + path_ + " is not a spool file");
   }
   total_groups_ = get_u64_le(header + 8);
@@ -292,10 +286,6 @@ void SpooledTrace::decode_group_full(Cursor& cur,
 }
 
 void SpooledTrace::decode_group(Cursor& cur, std::vector<Run>& group) const {
-  if (version_ == 1) {
-    decode_group_full(cur, group);
-    return;
-  }
   const std::uint64_t tag = get_varint(cur);
   if (tag == kGroupFull) {
     decode_group_full(cur, group);
@@ -316,20 +306,6 @@ void SpooledTrace::decode_group(Cursor& cur, std::vector<Run>& group) const {
   cur.prev.assign(group.begin(), group.end());
 }
 
-void SpooledTrace::skip_group(Cursor& cur) const {
-  if (version_ != 1) {
-    // v2 delta groups depend on the predecessor, so a skip must still
-    // decode (into the cursor's scratch) to keep cur.prev current.
-    decode_group(cur, cur.scratch);
-    return;
-  }
-  const std::uint64_t nrefs = get_varint(cur);
-  SDLO_CHECK(nrefs > 0 && nrefs <= kMaxLeafRefs,
-             "spool: corrupt group width in " + path_);
-  (void)get_varint(cur);  // count
-  for (std::uint64_t r = 0; r < 3 * nrefs; ++r) (void)get_varint(cur);
-}
-
 std::uint64_t SpooledTrace::open_at(Cursor& cur, std::uint64_t group) const {
   SDLO_EXPECTS(group < total_groups_);
   const std::size_t entry =
@@ -339,7 +315,7 @@ std::uint64_t SpooledTrace::open_at(Cursor& cur, std::uint64_t group) const {
   cur.in.seekg(static_cast<std::streamoff>(index_[entry].first));
   cur.pos = 0;
   cur.len = 0;
-  cur.prev.clear();  // index entries always land on full (v2 tag 0) groups
+  cur.prev.clear();  // index entries always land on full (tag 0) groups
   return group - static_cast<std::uint64_t>(entry) * kSpoolIndexStride;
 }
 
@@ -360,7 +336,7 @@ std::uint64_t SpooledTrace::group_of_access(
   std::uint64_t g = static_cast<std::uint64_t>(entry) * kSpoolIndexStride;
   std::uint64_t acc = index_[entry].second;
   for (;;) {
-    // Stateful decode keeps delta chains (v2) intact; the index entry is
+    // Stateful decode keeps delta chains intact; the index entry is
     // always a full group, so the cursor needs no priming.
     decode_group(cur, cur.scratch);
     acc += cur.scratch[0].count * cur.scratch.size();

@@ -6,39 +6,34 @@
 // more than a memory-budgeted driver may hold at once. The spool closes
 // that gap with a disk form of the same group stream:
 //
-//  * SpoolWriter serializes walk_runs() groups to a compact varint format.
-//    Two on-disk versions share the header and index layout:
-//
-//      "SDLOSPL1" (v1) — per group the ref count and iteration count, per
-//      run the base, zigzag stride and (site, mode) word.
-//
-//      "SDLOSPL2" (v2, the default) — per group a tag varint. Tag 0 is a
-//      FULL group, encoded exactly like a v1 group body. Tag 1 is a DELTA
-//      group: it has the same shape as the previous group (same ref count
-//      and, per run, the same site/mode/stride), so only
-//      zigzag(count - prev count) and per run zigzag(base - prev base) are
-//      stored. Loop nests re-execute the same leaf statements with shifted
-//      bases, so almost every group after the first in a leaf's lifetime
-//      is a delta — typically 2-4x smaller files. A full group is forced
-//      at every kSpoolIndexStride-th group, so a seek through the sparse
-//      index always lands on a self-contained group and needs no prior
-//      decoder state.
+//  * SpoolWriter serializes walk_runs() groups to a compact varint format,
+//    "SDLOSPL2": per group a tag varint. Tag 0 is a FULL group — the ref
+//    count and iteration count, then per run the base, zigzag stride and
+//    (site, mode) word. Tag 1 is a DELTA group: it has the same shape as
+//    the previous group (same ref count and, per run, the same
+//    site/mode/stride), so only zigzag(count - prev count) and per run
+//    zigzag(base - prev base) are stored. Loop nests re-execute the same
+//    leaf statements with shifted bases, so almost every group after the
+//    first in a leaf's lifetime is a delta — typically 2-4x smaller files.
+//    A full group is forced at every kSpoolIndexStride-th group, so a seek
+//    through the sparse index always lands on a self-contained group and
+//    needs no prior decoder state.
 //
 //    A sparse index — one entry every kSpoolIndexStride groups, carrying
 //    the file offset and the access-count prefix — is appended at the end
 //    so readers can seek by group or by access index without scanning. The
 //    writer builds the file at `path + ".tmp"` and renames it into place on
 //    finish(); any failure (including the spool-write failpoint) leaves
-//    nothing at the destination path. SpooledTrace auto-detects the
-//    version from the magic and reads both, bit-identically.
+//    nothing at the destination path. The retired "SDLOSPL1" container
+//    (full groups only) is recognized and refused with an IoError.
 //
 //  * SpooledTrace re-streams the groups through the same walk_runs() /
 //    walk_runs_range() / walk_batched() shapes CompiledProgram offers, so
-//    every simulation engine consumes a spool unchanged and bit-identically.
-//    Reads go through a bounded window buffer (SpoolReadOptions, default
-//    1 MiB) — peak memory is the window, never the trace. Walks are const
-//    and re-entrant (each opens its own stream), so a spool can feed
-//    time-partitioned workers concurrently.
+//    the sequential sweep engines (simulate_sweep, simulate_many) consume
+//    a spool unchanged and bit-identically. Reads go through a bounded
+//    window buffer (SpoolReadOptions, default 1 MiB) — peak memory is the
+//    window, never the trace. Walks are const and re-entrant (each opens
+//    its own stream), so pooled sweep units can share one spool.
 //
 //  * RunTrace is the in-memory counterpart: the materialized group stream,
 //    reserved against a Governor's MemoryBudget as it grows. When the
@@ -74,9 +69,6 @@ struct SpoolReadOptions {
   std::size_t window_bytes = std::size_t{1} << 20;
 };
 
-/// The spool version written by default (the delta-encoded "SDLOSPL2").
-inline constexpr int kSpoolDefaultVersion = 2;
-
 /// Streaming writer of the spool format. Feed program-order run groups via
 /// add_group() (a walk_runs sink), then finish(); destroying an unfinished
 /// writer discards the temporary file. The group-at-a-time API is what the
@@ -84,9 +76,7 @@ inline constexpr int kSpoolDefaultVersion = 2;
 /// profile earlier groups, so the spool write overlaps the profile.
 class SpoolWriter {
  public:
-  /// `version` selects the on-disk format: 1 ("SDLOSPL1") or 2
-  /// ("SDLOSPL2", default).
-  explicit SpoolWriter(std::string path, int version = kSpoolDefaultVersion);
+  explicit SpoolWriter(std::string path);
   ~SpoolWriter();
 
   SpoolWriter(const SpoolWriter&) = delete;
@@ -111,28 +101,26 @@ class SpoolWriter {
 
  private:
   void put_varint(std::uint64_t v);
-  void put_group_v1(const Run* group, std::size_t nrefs);
-  void put_group_v2(const Run* group, std::size_t nrefs, bool at_index);
+  void put_group_full(const Run* group, std::size_t nrefs);
+  void put_group(const Run* group, std::size_t nrefs, bool at_index);
   void flush_buffer();
   void discard();
 
   std::string path_;
   std::string tmp_path_;
-  int version_;
   std::ofstream out_;
   std::vector<unsigned char> buf_;
   std::uint64_t bytes_written_ = 0;  // flushed bytes (file offset of buf_[0])
   std::uint64_t groups_ = 0;
   std::uint64_t accesses_ = 0;
-  std::vector<Run> prev_;  // v2: previous group, the delta base
+  std::vector<Run> prev_;  // previous group, the delta base
   // One (file offset, access prefix) pair every kSpoolIndexStride groups.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> index_;
   bool finished_ = false;
 };
 
 /// Spools the whole run-compressed trace of a compiled program to `path`.
-void spool_program(const std::string& path, const CompiledProgram& prog,
-                   int version = kSpoolDefaultVersion);
+void spool_program(const std::string& path, const CompiledProgram& prog);
 
 /// Deletes the file at `path` on destruction unless released — the
 /// deadline-safe way to hold a temporary spool across its write and later
@@ -167,9 +155,6 @@ class SpooledTrace {
   std::int32_t num_sites() const { return num_sites_; }
   std::uint64_t address_space_size() const { return address_space_; }
 
-  /// On-disk format version this file was written with (1 or 2).
-  int version() const { return version_; }
-
   /// Same contract as CompiledProgram::footprint_lines.
   std::uint64_t footprint_lines(std::int64_t line_elems) const;
 
@@ -195,7 +180,9 @@ class SpooledTrace {
     const std::uint64_t skip = open_at(cur, first_group);
     std::vector<Run> group;
     group.reserve(kMaxLeafRefs);
-    for (std::uint64_t g = 0; g < skip; ++g) skip_group(cur);
+    // Delta groups depend on their predecessor, so skipped groups are
+    // still decoded (into scratch) to keep the delta base current.
+    for (std::uint64_t g = 0; g < skip; ++g) decode_group(cur, cur.scratch);
     for (std::uint64_t g = 0; g < num_groups; ++g) {
       decode_group(cur, group);
       sink(static_cast<const Run*>(group.data()), group.size());
@@ -229,7 +216,7 @@ class SpooledTrace {
 
  private:
   /// One open decode stream: a file handle plus the bounded byte window,
-  /// and (v2) the previously decoded group — the delta base. A cursor
+  /// and the previously decoded group — the delta base. A cursor
   /// always starts at an index boundary, where the writer guarantees a
   /// self-contained full group, so `prev` never needs priming.
   struct Cursor {
@@ -237,8 +224,8 @@ class SpooledTrace {
     std::vector<unsigned char> buf;
     std::size_t pos = 0;  // next unread byte in buf
     std::size_t len = 0;  // valid bytes in buf
-    std::vector<Run> prev;     // v2 delta base (empty until first group)
-    std::vector<Run> scratch;  // v2 skip target
+    std::vector<Run> prev;     // delta base (empty until first group)
+    std::vector<Run> scratch;  // skip target
   };
 
   /// Opens a cursor at the largest indexed group <= `group`; returns how
@@ -248,11 +235,9 @@ class SpooledTrace {
   std::uint64_t get_varint(Cursor& cur) const;
   void decode_group_full(Cursor& cur, std::vector<Run>& group) const;
   void decode_group(Cursor& cur, std::vector<Run>& group) const;
-  void skip_group(Cursor& cur) const;
 
   std::string path_;
   SpoolReadOptions opt_;
-  int version_ = 1;
   std::uint64_t total_groups_ = 0;
   std::uint64_t total_accesses_ = 0;
   std::uint64_t address_space_ = 0;

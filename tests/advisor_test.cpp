@@ -110,7 +110,9 @@ TEST(Advisor, JsonReportCarriesVersionAndBaseline) {
   std::ostringstream os;
   render_advice_json(rep, os);
   const std::string out = os.str();
-  EXPECT_NE(out.find("\"version\": \"1.0.0\""), std::string::npos) << out;
+  EXPECT_NE(out.find("\"version\":\"1.0.0\""), std::string::npos) << out;
+  // One line: the daemon frames the report as one NDJSON line.
+  EXPECT_EQ(out.find('\n'), out.size() - 1) << out;
   EXPECT_NE(out.find("\"baseline\""), std::string::npos);
   EXPECT_NE(out.find("\"advice\""), std::string::npos);
   EXPECT_NE(out.find("\"delta_pct\""), std::string::npos);

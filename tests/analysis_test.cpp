@@ -639,31 +639,26 @@ TEST(Render, TextSummarizesModelAndParallelVerdicts) {
 
 TEST(Render, JsonSchemaIsStable) {
   // Golden output for a diagnostic-free program: any change here is a
-  // breaking change to the documented `sdlo lint --json` schema.
+  // breaking change to the documented `sdlo lint --json` schema. The report
+  // is one compact line, so the daemon can frame it as one NDJSON line.
   const LintReport rep = lint_text("for i<N> { S1: W[i] = A[i] }");
   std::ostringstream os;
   render_json(rep, os);
   EXPECT_EQ(os.str(),
-            "{\n"
-            "  \"version\": \"1.0.0\",\n"
-            "  \"ok\": true,\n"
-            "  \"clean\": true,\n"
-            "  \"counts\": {\"errors\": 0, \"warnings\": 0, \"notes\": 0},\n"
-            "  \"diagnostics\": [],\n"
-            "  \"model\": {\"symbolic_exact\": true, \"confidence\": "
-            "\"exact\", \"sites\": [\n"
-            "    {\"index\": 0, \"statement\": \"S1\", \"array\": \"A\", "
-            "\"varying\": false, \"exact_symbolic\": true, \"sibling\": "
-            "false, \"interpolated\": false},\n"
-            "    {\"index\": 1, \"statement\": \"S1\", \"array\": \"W\", "
-            "\"varying\": false, \"exact_symbolic\": true, \"sibling\": "
-            "false, \"interpolated\": false}\n"
-            "  ]},\n"
-            "  \"parallel\": {\"loops\": [\n"
-            "    {\"var\": \"i\", \"top_level\": true, \"doall_safe\": true, "
-            "\"carried\": [], \"privatized\": [], \"false_sharing\": []}\n"
-            "  ]}\n"
-            "}\n");
+            "{\"version\":\"1.0.0\",\"ok\":true,\"clean\":true,"
+            "\"counts\":{\"errors\":0,\"warnings\":0,\"notes\":0},"
+            "\"diagnostics\":[],"
+            "\"model\":{\"symbolic_exact\":true,\"confidence\":\"exact\","
+            "\"sites\":["
+            "{\"index\":0,\"statement\":\"S1\",\"array\":\"A\","
+            "\"varying\":false,\"exact_symbolic\":true,\"sibling\":false,"
+            "\"interpolated\":false},"
+            "{\"index\":1,\"statement\":\"S1\",\"array\":\"W\","
+            "\"varying\":false,\"exact_symbolic\":true,\"sibling\":false,"
+            "\"interpolated\":false}]},"
+            "\"parallel\":{\"loops\":["
+            "{\"var\":\"i\",\"top_level\":true,\"doall_safe\":true,"
+            "\"carried\":[],\"privatized\":[],\"false_sharing\":[]}]}}\n");
 }
 
 TEST(Render, JsonNullsModelSectionsWhenVerificationFails) {
@@ -671,10 +666,10 @@ TEST(Render, JsonNullsModelSectionsWhenVerificationFails) {
   std::ostringstream os;
   render_json(rep, os);
   const std::string out = os.str();
-  EXPECT_NE(out.find("\"ok\": false"), std::string::npos) << out;
-  EXPECT_NE(out.find("\"id\": \"WF001\""), std::string::npos) << out;
-  EXPECT_NE(out.find("\"model\": null"), std::string::npos) << out;
-  EXPECT_NE(out.find("\"parallel\": null"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"ok\":false"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"id\":\"WF001\""), std::string::npos) << out;
+  EXPECT_NE(out.find("\"model\":null"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"parallel\":null"), std::string::npos) << out;
 }
 
 TEST(Render, JsonEscapesControlAndQuoteCharacters) {

@@ -1,12 +1,15 @@
-// End-to-end regressions for the CLI's pipelined `sweep --spool` path:
-// the tee spool must survive exactly the runs that generated every group,
-// and every failure or truncation path — injected pool faults, injected
-// spool-write faults, an expired deadline — must leave neither the
-// destination file nor its .tmp sibling behind (the RAII guard +
-// temp-and-rename contract). These run the real binary as a subprocess so
-// the cleanup is exercised through process exit, not just stack unwind.
+// End-to-end regressions for `sdlo sweep`: one driver answers with and
+// without --threads and --spool, so the JSON is the same bytes either way
+// (apart from the kept spool's own member); the tee spool must survive
+// exactly the runs that generated every group, and every failure or
+// truncation path — injected pool faults, injected spool-write faults, an
+// expired deadline — must leave neither the destination file nor its .tmp
+// sibling behind (the RAII guard + temp-and-rename contract). These run the
+// real binary as a subprocess so the cleanup is exercised through process
+// exit, not just stack unwind.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -50,6 +53,28 @@ int run_sweep(const std::string& env_prefix, const std::string& extra) {
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
+/// Runs `sdlo sweep prog --set N=48 extra_flags --json` and returns its
+/// stdout (empty when the process failed).
+std::string sweep_json(const std::string& extra) {
+  const std::string cmd = "\"" + std::string(SDLO_CLI_PATH) + "\" sweep " +
+                          program_file() + " --set N=48 --json " + extra +
+                          " 2>/dev/null";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return "";
+  std::string out;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
+  return ::pclose(pipe) == 0 ? out : "";
+}
+
+/// `json` without its "spool" member (the one place a --spool run differs).
+std::string without_spool_member(std::string json) {
+  const std::size_t at = json.find(",\"spool\":{");
+  if (at != std::string::npos) json.erase(at, json.find('}', at) + 1 - at);
+  return json;
+}
+
 void expect_no_spool(const std::string& path) {
   EXPECT_FALSE(fs::exists(path)) << path;
   EXPECT_FALSE(fs::exists(path + ".tmp")) << path << ".tmp";
@@ -61,16 +86,37 @@ TEST(CliSpool, CleanRunKeepsAFinishedDecodableSpool) {
   ASSERT_TRUE(fs::exists(path));
   EXPECT_FALSE(fs::exists(path + ".tmp"));
   const sdlo::trace::SpooledTrace spool(path);
-  EXPECT_EQ(spool.version(), 2);
   EXPECT_GT(spool.group_count(), 0u);
   fs::remove(path);
 }
 
-TEST(CliSpool, SpoolVersionFlagSelectsTheContainer) {
-  const std::string v1 = unique_path("sdlo_cli_v1");
-  ASSERT_EQ(run_sweep("", "--spool " + v1 + " --spool-version 1"), 0);
-  EXPECT_EQ(sdlo::trace::SpooledTrace(v1).version(), 1);
-  fs::remove(v1);
+TEST(CliSpool, SweepJsonIsIdenticalWithThreadsAndSpool) {
+  const std::string path = unique_path("sdlo_cli_same_bytes");
+  for (const std::string line : {"1", "8"}) {
+    const std::string plain = sweep_json("--line " + line);
+    ASSERT_FALSE(plain.empty()) << "line " << line;
+    EXPECT_EQ(sweep_json("--line " + line + " --threads 4"), plain)
+        << "line " << line;
+    const std::string spooled =
+        sweep_json("--line " + line + " --threads 4 --spool " + path);
+    EXPECT_NE(spooled.find("\"spool\":{\"path\":"), std::string::npos)
+        << spooled;
+    EXPECT_EQ(without_spool_member(spooled), plain) << "line " << line;
+    fs::remove(path);
+  }
+}
+
+TEST(CliSpool, RemovedFlagsExitOneAsUnknown) {
+  for (const std::string flag : {"trace-mode batched", "chunk-accesses 1000",
+                                 "spool-version 2", "numa"}) {
+    EXPECT_EQ(run_sweep("", "--" + flag), 1) << flag;
+  }
+}
+
+TEST(CliSpool, SpoolWithTheSymbolicEngineIsAUsageError) {
+  const std::string path = unique_path("sdlo_cli_symbolic");
+  EXPECT_EQ(run_sweep("", "--engine symbolic --spool " + path), 1);
+  expect_no_spool(path);
 }
 
 TEST(CliSpool, PoolFaultRemovesTheSpoolAndExitsOne) {

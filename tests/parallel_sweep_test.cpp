@@ -1,5 +1,5 @@
-// Differential tests for the time-partitioned parallel sweep engine:
-// simulate_sweep_partitioned must be bit-identical to the sequential
+// Differential tests for the time partitioning of the streamed sweep:
+// simulate_sweep_streamed must be bit-identical to the sequential
 // simulate_sweep — including misses_by_site — for every chunking of the
 // trace, because the hole-merge pass resolves cross-chunk reuses exactly.
 // Also covers the hole-merge edge cases (reuse windows spanning several
@@ -42,6 +42,17 @@ void expect_same(const std::vector<SimResult>& got,
   }
 }
 
+/// The streamed sweep under the given chunking.
+std::vector<SimResult> streamed(const trace::CompiledProgram& cp,
+                                const std::vector<SweepConfig>& configs,
+                                parallel::ThreadPool* pool = nullptr,
+                                const PartitionOptions& opt = {},
+                                const Governor* gov = nullptr) {
+  cachesim::StreamOptions sopt;
+  sopt.partition = opt;
+  return cachesim::simulate_sweep_streamed(cp, configs, pool, sopt, gov);
+}
+
 std::vector<SweepConfig> standard_configs() {
   std::vector<SweepConfig> configs;
   for (std::int64_t cap : {1, 2, 3, 16, 64, 250, 1024}) {
@@ -81,7 +92,7 @@ TEST(ParallelSweep, MatchesSequentialOnEveryGalleryProgram) {
     for (int chunks : {2, 3, 4, 13}) {
       PartitionOptions opt;
       opt.chunks = chunks;
-      const auto got = cachesim::simulate_sweep_partitioned(
+      const auto got = streamed(
           cp, configs, nullptr, opt);
       expect_same(got, want,
                   c.name + " chunks=" + std::to_string(chunks));
@@ -99,18 +110,18 @@ TEST(ParallelSweep, PoolMatchesSerialPartitioning) {
   PartitionOptions opt;
   opt.chunks = 5;
   const auto got =
-      cachesim::simulate_sweep_partitioned(cp, configs, &pool, opt);
+      streamed(cp, configs, &pool, opt);
   expect_same(got, want, "pooled chunks=5");
   // threads from the pool when no explicit chunk count is given.
   const auto got2 =
-      cachesim::simulate_sweep_partitioned(cp, configs, &pool);
+      streamed(cp, configs, &pool);
   expect_same(got2, want, "pooled default-chunking");
 }
 
 TEST(ParallelSweep, SingleGroupChunks) {
-  // chunk_accesses=1 forces one run group per chunk (the floor): every
-  // chunk's accesses are all holes or all intra-group reuses, and the merge
-  // reconstructs the global stack alone.
+  // A chunk count above the group count is clamped to one run group per
+  // chunk (the floor): every chunk's accesses are all holes or all
+  // intra-group reuses, and the merge reconstructs the global stack alone.
   const ir::Program p = ir::parse_program(R"(
     for i<7> { S1: A[i] += B[i] }
     for i<7> { S2: C[i] += A[i] }
@@ -121,9 +132,9 @@ TEST(ParallelSweep, SingleGroupChunks) {
     configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
   const auto want = cachesim::simulate_sweep(cp, configs);
   PartitionOptions opt;
-  opt.chunk_accesses = 1;
+  opt.chunks = 1 << 20;
   const auto got =
-      cachesim::simulate_sweep_partitioned(cp, configs, nullptr, opt);
+      streamed(cp, configs, nullptr, opt);
   expect_same(got, want, "one-group chunks");
 }
 
@@ -144,7 +155,7 @@ TEST(ParallelSweep, ReuseSpansMultipleChunkBoundaries) {
     PartitionOptions opt;
     opt.chunks = chunks;
     const auto got =
-        cachesim::simulate_sweep_partitioned(cp, configs, nullptr, opt);
+        streamed(cp, configs, nullptr, opt);
     expect_same(got, want, "spanning chunks=" + std::to_string(chunks));
   }
   // Sanity anchor: at capacity 66 the whole working set (A[0] + 64 B lines
@@ -167,7 +178,7 @@ TEST(ParallelSweep, AllHolesChunks) {
     PartitionOptions opt;
     opt.chunks = chunks;
     const auto got =
-        cachesim::simulate_sweep_partitioned(cp, configs, nullptr, opt);
+        streamed(cp, configs, nullptr, opt);
     expect_same(got, want, "all-holes chunks=" + std::to_string(chunks));
   }
   for (const auto& r : want) EXPECT_EQ(r.misses, 256u);  // all cold
@@ -185,7 +196,7 @@ TEST(ParallelSweep, MaxGroupsTruncationIsChunkCountInvariant) {
   one.chunks = 1;
   one.max_groups = max_groups;
   const auto want =
-      cachesim::simulate_sweep_partitioned(cp, configs, nullptr, one);
+      streamed(cp, configs, nullptr, one);
   for (const auto& r : want) {
     EXPECT_EQ(r.completeness, Completeness::kTruncated);
     EXPECT_LT(r.accesses, cp.total_accesses());
@@ -195,7 +206,7 @@ TEST(ParallelSweep, MaxGroupsTruncationIsChunkCountInvariant) {
   four.chunks = 4;
   four.max_groups = max_groups;
   const auto got =
-      cachesim::simulate_sweep_partitioned(cp, configs, nullptr, four);
+      streamed(cp, configs, nullptr, four);
   expect_same(got, want, "max_groups chunks=4 vs 1");
 }
 
@@ -212,7 +223,7 @@ TEST(ParallelSweep, GovernedCancellationTruncatesExactPrefix) {
   PartitionOptions opt;
   opt.chunks = 4;
   const auto got =
-      cachesim::simulate_sweep_partitioned(cp, configs, &pool, opt, &gov);
+      streamed(cp, configs, &pool, opt, &gov);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].completeness, Completeness::kTruncated);
   // The truncated counts are an exact prefix simulation, hence bounded by
@@ -233,7 +244,7 @@ TEST(ParallelSweep, MemoryDenialDegradesToSequentialEngine) {
   PartitionOptions opt;
   opt.chunks = 4;
   const auto got =
-      cachesim::simulate_sweep_partitioned(cp, configs, nullptr, opt, &gov);
+      streamed(cp, configs, nullptr, opt, &gov);
   expect_same(got, want, "budget-denied fallback");
   EXPECT_EQ(none.used(), 0u);
 
@@ -241,7 +252,7 @@ TEST(ParallelSweep, MemoryDenialDegradesToSequentialEngine) {
       failpoints::kSweepDenseAlloc,
       failpoints::Spec{failpoints::Action::kFailAlloc, 0});
   const auto injected =
-      cachesim::simulate_sweep_partitioned(cp, configs, nullptr, opt);
+      streamed(cp, configs, nullptr, opt);
   expect_same(injected, want, "failpoint-denied fallback");
 }
 

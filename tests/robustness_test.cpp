@@ -95,12 +95,12 @@ std::vector<Operation> operations() {
                         {1024, 1, 0, cachesim::Replacement::kLru}},
                        &pool);
                  }});
-  ops.push_back({"sweep-partitioned", [] {
+  ops.push_back({"sweep-streamed", [] {
                    parallel::ThreadPool pool(2);
                    const auto cp = small_program();
-                   cachesim::PartitionOptions opt;
-                   opt.chunks = 3;
-                   cachesim::simulate_sweep_partitioned(
+                   cachesim::StreamOptions opt;
+                   opt.partition.chunks = 3;
+                   cachesim::simulate_sweep_streamed(
                        cp,
                        {{16, 1, 0, cachesim::Replacement::kLru},
                         {1024, 1, 0, cachesim::Replacement::kLru}},
@@ -312,10 +312,10 @@ TEST(Robustness, ConcurrentCancelMidPartitionedSweepIsClean) {
       std::this_thread::sleep_for(std::chrono::microseconds(50 * iter));
       gov.cancel.request_cancel();
     });
-    cachesim::PartitionOptions opt;
-    opt.chunks = 4;
-    const auto part = cachesim::simulate_sweep_partitioned(cp, configs,
-                                                           &pool, opt, &gov);
+    cachesim::StreamOptions opt;
+    opt.partition.chunks = 4;
+    const auto part = cachesim::simulate_sweep_streamed(cp, configs, &pool,
+                                                        opt, &gov);
     canceller.join();
     ASSERT_EQ(part.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {

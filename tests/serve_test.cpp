@@ -183,6 +183,22 @@ TEST(ServeProtocol, ResponseRoundTripPreservesPayloadBytes) {
   ASSERT_EQ(bb.batch.size(), 2u);
   EXPECT_EQ(bb.batch[0].payload, r.payload);
   EXPECT_EQ(bb.batch[1].status, serve::Status::kRejected);
+
+  // A payload with a raw newline cannot be one NDJSON line: refused, typed,
+  // also when it hides in a batch sub-response.
+  serve::Response broken = r;
+  broken.payload = "{\n\"version\":\"1\"\n}";
+  EXPECT_THROW(serve::render_response(broken), serve::FramingError);
+  batch.batch.push_back(broken);
+  EXPECT_THROW(serve::render_response(batch), serve::FramingError);
+
+  // The client's line reader takes exactly one line at a time.
+  std::string buf = serve::render_response(r) + "\n{\"id\":2";
+  std::string line;
+  ASSERT_TRUE(serve::take_line(buf, line));
+  EXPECT_EQ(serve::parse_response(line).payload, r.payload);
+  EXPECT_EQ(buf, "{\"id\":2");
+  EXPECT_FALSE(serve::take_line(buf, line));
 }
 
 TEST(ServeProtocol, SalvagesIdFromUnparseableLines) {
@@ -463,6 +479,19 @@ TEST(ServeServer, EndToEndPayloadMatchesCliEmitterIncludingCacheHit) {
   const auto second = client.request(line);
   EXPECT_TRUE(second.cached);
   EXPECT_EQ(second.payload, first.payload);
+
+  // lint and advise replies arrive as one line each, byte-identical to the
+  // CLI emitters.
+  std::ostringstream lint_json;
+  analysis::LintOptions lo;
+  lo.env = {{"N", 12}};
+  analysis::render_json(analysis::lint_text(kProgram, lo), lint_json);
+  const auto lint = client.request(analysis_request("l", "lint", kProgram));
+  EXPECT_EQ(lint.payload + "\n", lint_json.str());
+  const auto advise =
+      client.request(analysis_request("a", "advise", kProgram));
+  ASSERT_EQ(advise.status, serve::Status::kOk) << advise.error;
+  EXPECT_NE(advise.payload.find("\"baseline\":"), std::string::npos);
 
   server.stop();
   EXPECT_FALSE(std::filesystem::exists(opts.socket_path));  // unlinked

@@ -122,17 +122,17 @@ TEST(SimdDispatch, SweepEnginesIdenticalAtEveryTier) {
 
   simd::set_isa(Isa::kScalar);
   const auto want = cachesim::simulate_sweep(cp, configs);
-  cachesim::PartitionOptions popt;
-  popt.chunks = 5;
+  cachesim::StreamOptions popt;
+  popt.partition.chunks = 5;
   const auto want_part =
-      cachesim::simulate_sweep_partitioned(cp, configs, nullptr, popt);
+      cachesim::simulate_sweep_streamed(cp, configs, nullptr, popt);
 
   for (const Isa isa : usable_tiers()) {
     ASSERT_EQ(simd::set_isa(isa), isa);
     const std::string tier = simd::isa_name(isa);
     const auto got = cachesim::simulate_sweep(cp, configs);
     const auto got_part =
-        cachesim::simulate_sweep_partitioned(cp, configs, nullptr, popt);
+        cachesim::simulate_sweep_streamed(cp, configs, nullptr, popt);
     ASSERT_EQ(got.size(), want.size()) << tier;
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got[i].misses, want[i].misses) << tier << " cfg=" << i;

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "cachesim/parallel_stack.hpp"
 #include "cachesim/sweep.hpp"
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
@@ -208,103 +207,67 @@ TEST(Spool, FeedsTheSweepEnginesBitIdentically) {
 
   const auto want = cachesim::simulate_sweep(cp, configs);
   const auto got = cachesim::simulate_sweep(spool, configs);
-  cachesim::PartitionOptions opt;
-  opt.chunks = 3;
-  const auto part =
-      cachesim::simulate_sweep_partitioned(spool, configs, nullptr, opt);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].misses, want[i].misses) << i;
     EXPECT_EQ(got[i].misses_by_site, want[i].misses_by_site) << i;
-    EXPECT_EQ(part[i].misses, want[i].misses) << i;
-    EXPECT_EQ(part[i].misses_by_site, want[i].misses_by_site) << i;
   }
   std::remove(path.c_str());
 }
 
-TEST(Spool, V1AndV2DecodeBitIdentically) {
-  // Both on-disk versions of every gallery program must decode to the same
-  // group stream and metadata; the version survives the header round trip.
-  for (const auto& c : gallery_cases()) {
-    const auto want = collect_groups(c.cp);
-    for (int version : {1, 2}) {
-      const std::string path = temp_spool(
-          "sdlo_spool_v" + std::to_string(version) + "_" + c.name + ".spl");
-      trace::spool_program(path, c.cp, version);
-      const SpooledTrace spool(path);
-      EXPECT_EQ(spool.version(), version) << c.name;
-      EXPECT_EQ(spool.total_accesses(), c.cp.total_accesses()) << c.name;
-      EXPECT_EQ(spool.group_count(), c.cp.group_count()) << c.name;
-      expect_same_stream(collect_groups(spool), want,
-                         c.name + " v" + std::to_string(version));
-      for (std::uint64_t a :
-           {std::uint64_t{0}, c.cp.total_accesses() / 2,
-            c.cp.total_accesses() - 1}) {
-        EXPECT_EQ(spool.group_of_access(a), c.cp.group_of_access(a))
-            << c.name << " v" << version << " access " << a;
-      }
-      std::remove(path.c_str());
-    }
-  }
-}
-
 TEST(Spool, DeltaEncodingShrinksTheFile) {
-  // Loop nests re-execute the same leaves with shifted bases, so most v2
-  // groups are deltas; the v2 file must be strictly smaller than v1.
+  // Loop nests re-execute the same leaves with shifted bases, so most
+  // groups are deltas: the body must undercut the smallest possible
+  // all-full encoding of the same stream (tag, width and count, then three
+  // varints per run, each at least one byte).
   const auto g = ir::matmul_tiled();
   const CompiledProgram cp(g.prog, g.make_env({16, 16, 16}, {4, 8, 4}));
-  const std::string p1 = temp_spool("sdlo_spool_size_v1.spl");
-  const std::string p2 = temp_spool("sdlo_spool_size_v2.spl");
-  trace::spool_program(p1, cp, 1);
-  trace::spool_program(p2, cp, 2);
-  EXPECT_LT(std::filesystem::file_size(p2),
-            std::filesystem::file_size(p1));
-  std::remove(p1.c_str());
-  std::remove(p2.c_str());
+  trace::SpoolWriter writer(temp_spool("sdlo_spool_size.spl"));
+  std::uint64_t full_floor = 0;
+  cp.walk_runs([&](const trace::Run* group, std::size_t nrefs) {
+    full_floor += 3 + 3 * nrefs;
+    writer.add_group(group, nrefs);
+  });
+  EXPECT_LT(writer.body_bytes(), full_floor);
 }
 
 TEST(Spool, SeeksAcrossIndexStrideBoundaries) {
   // More groups than kSpoolIndexStride: by-group and by-access seeks cross
   // real index entries, and each indexed landing site must be a
-  // self-contained full group in v2 (the writer forces one there), so a
+  // self-contained full group (the writer forces one there), so a
   // cursor opened mid-file decodes delta chains identically to a cursor
   // that walked from the start.
   const auto g = ir::matmul();
   const CompiledProgram cp(g.prog, g.make_env({70, 70, 70}, {}));
   ASSERT_GT(cp.group_count(), trace::kSpoolIndexStride);
-  for (int version : {1, 2}) {
-    const std::string path = temp_spool(
-        "sdlo_spool_stride_v" + std::to_string(version) + ".spl");
-    trace::spool_program(path, cp, version);
-    const SpooledTrace spool(path);
-    for (std::uint64_t first :
-         {trace::kSpoolIndexStride - 3, trace::kSpoolIndexStride,
-          trace::kSpoolIndexStride + 1, cp.group_count() - 9}) {
-      const std::uint64_t n =
-          std::min<std::uint64_t>(cp.group_count() - first, 8);
-      GroupStream want;
-      cp.walk_runs_range(first, n, [&](const trace::Run* grp,
-                                       std::size_t nrefs) {
-        want.runs.insert(want.runs.end(), grp, grp + nrefs);
-        want.sizes.push_back(nrefs);
-      });
-      GroupStream got;
-      spool.walk_runs_range(first, n, [&](const trace::Run* grp,
-                                          std::size_t nrefs) {
-        got.runs.insert(got.runs.end(), grp, grp + nrefs);
-        got.sizes.push_back(nrefs);
-      });
-      expect_same_stream(got, want,
-                         "v" + std::to_string(version) + " first=" +
-                             std::to_string(first));
-    }
-    for (std::uint64_t a :
-         {cp.total_accesses() / 2, cp.total_accesses() - 1}) {
-      EXPECT_EQ(spool.group_of_access(a), cp.group_of_access(a))
-          << "v" << version << " access " << a;
-    }
-    std::remove(path.c_str());
+  const std::string path = temp_spool("sdlo_spool_stride.spl");
+  trace::spool_program(path, cp);
+  const SpooledTrace spool(path);
+  for (std::uint64_t first :
+       {trace::kSpoolIndexStride - 3, trace::kSpoolIndexStride,
+        trace::kSpoolIndexStride + 1, cp.group_count() - 9}) {
+    const std::uint64_t n =
+        std::min<std::uint64_t>(cp.group_count() - first, 8);
+    GroupStream want;
+    cp.walk_runs_range(first, n, [&](const trace::Run* grp,
+                                     std::size_t nrefs) {
+      want.runs.insert(want.runs.end(), grp, grp + nrefs);
+      want.sizes.push_back(nrefs);
+    });
+    GroupStream got;
+    spool.walk_runs_range(first, n, [&](const trace::Run* grp,
+                                        std::size_t nrefs) {
+      got.runs.insert(got.runs.end(), grp, grp + nrefs);
+      got.sizes.push_back(nrefs);
+    });
+    expect_same_stream(got, want, "first=" + std::to_string(first));
   }
+  for (std::uint64_t a :
+       {cp.total_accesses() / 2, cp.total_accesses() - 1}) {
+    EXPECT_EQ(spool.group_of_access(a), cp.group_of_access(a))
+        << "access " << a;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Spool, FileGuardRemovesUnlessReleased) {
@@ -359,6 +322,18 @@ TEST(Spool, RejectsMissingAndMalformedFiles) {
     out << "not a spool file";
   }
   EXPECT_THROW(SpooledTrace{path}, trace::IoError);
+  // The retired SDLOSPL1 container is recognized and refused, typed.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "SDLOSPL1" << std::string(40, '\0');
+  }
+  try {
+    const SpooledTrace v1(path);
+    ADD_FAILURE() << "a version-1 spool was accepted";
+  } catch (const trace::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("version-1"), std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 

@@ -2,10 +2,11 @@
 // rolling merge frontier: simulate_sweep_streamed must be bit-identical to
 // the sequential simulate_sweep on both its paths (fused single-pass and
 // pooled window ring), the tee spool it writes while sweeping must be
-// byte-identical to a standalone spool_program of the same trace in either
-// on-disk version, the frontier must demonstrably merge chunks while later
-// chunks are still profiling, and a governed cancellation mid-frontier must
-// yield the bit-exact simulation of a contiguous trace prefix.
+// byte-identical to a standalone spool_program of the same trace, the
+// frontier must demonstrably merge chunks while later chunks are still
+// profiling, a one-chunk plan must need only the stack tables, and a
+// governed cancellation mid-frontier must yield the bit-exact simulation
+// of a contiguous trace prefix.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "cachesim/lru_cache.hpp"
+#include "cachesim/marker_stack.hpp"
 #include "cachesim/parallel_stack.hpp"
 #include "cachesim/sweep.hpp"
 #include "ir/gallery.hpp"
@@ -133,41 +136,35 @@ TEST(StreamedSweep, TeeSpoolIsByteIdenticalToSpoolProgram) {
   const auto configs = standard_configs();
   const auto want = cachesim::simulate_sweep(cp, configs);
 
-  for (int version : {1, 2}) {
-    const std::string ref_path = temp_path(
-        "sdlo_stream_ref_v" + std::to_string(version) + ".spl");
-    trace::spool_program(ref_path, cp, version);
-    const auto ref = file_bytes(ref_path);
+  const std::string ref_path = temp_path("sdlo_stream_ref.spl");
+  trace::spool_program(ref_path, cp);
+  const auto ref = file_bytes(ref_path);
 
-    for (const bool pooled : {false, true}) {
-      const std::string tee_path = temp_path(
-          "sdlo_stream_tee_v" + std::to_string(version) +
-          (pooled ? "_pooled" : "_fused") + ".spl");
-      std::unique_ptr<parallel::ThreadPool> pool;
-      if (pooled) pool = std::make_unique<parallel::ThreadPool>(2);
-      {
-        trace::SpoolWriter writer(tee_path, version);
-        PartitionStats stats;
-        StreamOptions sopt;
-        sopt.partition.chunks = 4;
-        sopt.partition.stats = &stats;
-        sopt.tee = &writer;
-        const auto got = cachesim::simulate_sweep_streamed(
-            cp, configs, pool.get(), sopt);
-        expect_same(got, want,
-                    "tee v" + std::to_string(version) +
-                        (pooled ? " pooled" : " fused"));
-        ASSERT_EQ(writer.groups(), cp.group_count());
-        ASSERT_EQ(writer.accesses(), cp.total_accesses());
-        EXPECT_GT(stats.spool_write_seconds, 0.0);
-        writer.finish(cp.num_sites(), cp.address_space_size());
-      }
-      EXPECT_EQ(file_bytes(tee_path), ref)
-          << "version=" << version << " pooled=" << pooled;
-      std::remove(tee_path.c_str());
+  for (const bool pooled : {false, true}) {
+    const std::string tee_path = temp_path(
+        std::string("sdlo_stream_tee") + (pooled ? "_pooled" : "_fused") +
+        ".spl");
+    std::unique_ptr<parallel::ThreadPool> pool;
+    if (pooled) pool = std::make_unique<parallel::ThreadPool>(2);
+    {
+      trace::SpoolWriter writer(tee_path);
+      PartitionStats stats;
+      StreamOptions sopt;
+      sopt.partition.chunks = 4;
+      sopt.partition.stats = &stats;
+      sopt.tee = &writer;
+      const auto got = cachesim::simulate_sweep_streamed(
+          cp, configs, pool.get(), sopt);
+      expect_same(got, want, pooled ? "tee pooled" : "tee fused");
+      ASSERT_EQ(writer.groups(), cp.group_count());
+      ASSERT_EQ(writer.accesses(), cp.total_accesses());
+      EXPECT_GT(stats.spool_write_seconds, 0.0);
+      writer.finish(cp.num_sites(), cp.address_space_size());
     }
-    std::remove(ref_path.c_str());
+    EXPECT_EQ(file_bytes(tee_path), ref) << "pooled=" << pooled;
+    std::remove(tee_path.c_str());
   }
+  std::remove(ref_path.c_str());
 }
 
 TEST(StreamedSweep, FrontierMergesWhileLaterChunksProfile) {
@@ -198,15 +195,16 @@ TEST(StreamedSweep, FrontierMergesWhileLaterChunksProfile) {
       std::size_t merged, profiled, chunks;
     };
     std::vector<Event> events;
-    PartitionOptions opt;
-    opt.chunks = 16;
-    opt.stats = &stats;
-    opt.merge_observer = [&](std::size_t merged, std::size_t profiled,
-                             std::size_t chunks) {
+    StreamOptions sopt;
+    sopt.partition.chunks = 16;
+    sopt.partition.stats = &stats;
+    sopt.partition.merge_observer = [&](std::size_t merged,
+                                        std::size_t profiled,
+                                        std::size_t chunks) {
       events.push_back({merged, profiled, chunks});
     };
     const auto got =
-        cachesim::simulate_sweep_partitioned(cp, configs, &pool, opt);
+        cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt);
     expect_same(got, want, "attempt=" + std::to_string(attempt));
     EXPECT_EQ(stats.merged_chunks, stats.chunks);
     for (const auto& e : events) {
@@ -253,6 +251,8 @@ TEST(StreamedSweep, StreamedOverlapsOnThePooledPath) {
 }
 
 TEST(StreamedSweep, MaxGroupsTruncationMatchesPartitioned) {
+  // The one-chunk run of a max_groups prefix is pinned to a plain LRU
+  // replay of exactly that prefix; every partitioned run must match it.
   const auto g = ir::matmul();
   const CompiledProgram cp(g.prog, g.make_env({10, 10, 10}, {}));
   std::vector<SweepConfig> configs{{4, 1, 0, cachesim::Replacement::kLru},
@@ -260,13 +260,27 @@ TEST(StreamedSweep, MaxGroupsTruncationMatchesPartitioned) {
   const std::uint64_t max_groups = cp.group_count() / 3;
   ASSERT_GT(max_groups, 4u);
 
-  PartitionOptions pref;
-  pref.chunks = 1;
-  pref.max_groups = max_groups;
-  const auto want =
-      cachesim::simulate_sweep_partitioned(cp, configs, nullptr, pref);
+  std::vector<SimResult> want(configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    cachesim::LruCache lru(configs[i].capacity_elems);
+    SimResult& r = want[i];
+    r.completeness = Completeness::kTruncated;
+    r.misses_by_site.assign(static_cast<std::size_t>(cp.num_sites()), 0);
+    cp.walk_runs_range(0, max_groups, [&](const trace::Run* grp,
+                                          std::size_t n) {
+      for (std::uint64_t v = 0; v < grp[0].count; ++v) {
+        for (std::size_t k = 0; k < n; ++k) {
+          ++r.accesses;
+          if (!lru.access(grp[k].at(v))) {
+            ++r.misses;
+            ++r.misses_by_site[static_cast<std::size_t>(grp[k].site)];
+          }
+        }
+      }
+    });
+  }
 
-  for (int chunks : {1, 4}) {
+  for (int chunks : {1, 4, 7}) {
     StreamOptions sopt;
     sopt.partition.chunks = chunks;
     sopt.partition.max_groups = max_groups;
@@ -361,14 +375,46 @@ TEST(StreamedSweep, MemoryDenialDegradesButTeeStillCompletes) {
   std::remove(tee_path.c_str());
 }
 
+TEST(StreamedSweep, OneChunkNeedsOnlyTheStackTables) {
+  // One chunk has no reuse crossing a chunk boundary, so a budget of
+  // exactly the marker stack's dense tables must let the one-thread sweep
+  // run on the dense path — no hole list, no merge table.
+  const auto g = ir::matmul_tiled();
+  const CompiledProgram cp(g.prog, g.make_env({16, 16, 16}, {4, 8, 4}));
+  std::vector<SweepConfig> configs;
+  for (std::int64_t cap : {1, 2, 16, 64, 250, 1024}) {
+    configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
+  }
+  const auto want = cachesim::simulate_sweep(cp, configs);
+  MemoryBudget exact(cp.footprint_lines(1) * cachesim::kStackBytesPerLine);
+  Governor gov;
+  gov.memory = &exact;
+  PartitionStats stats;
+  StreamOptions sopt;
+  sopt.partition.threads = 1;
+  sopt.partition.stats = &stats;
+  const auto got =
+      cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt, &gov);
+  expect_same(got, want, "one chunk at the exact stack budget");
+  EXPECT_EQ(stats.chunks, 1u) << "degraded instead of the dense path";
+  EXPECT_EQ(stats.merge_seconds, 0.0);
+  EXPECT_EQ(exact.used(), 0u);
+}
+
 TEST(StreamedSweep, TeeWriteFailureUnwindsCleanlyOnThePooledPath) {
   // An injected spool-write failure mid-generation must unwind through the
   // window rings without deadlocking the pool or leaving a partial file,
   // and the pool must remain usable afterwards. The writer only touches
   // the disk on 256 KiB buffer flushes, so the trace must be large enough
-  // (and encoded verbosely enough — v1) that a flush happens mid-walk.
-  const auto g = ir::matmul();
-  const CompiledProgram cp(g.prog, g.make_env({128, 128, 128}, {}));
+  // (and encoded verbosely enough — alternating statements defeat the delta
+  // encoding) that a flush happens mid-walk.
+  const ir::Program p = ir::parse_program(R"(
+    for i<256> { for j<256> {
+      for a<2> { S1: A[i,a] += A[i,a] }
+      for b<2> { S2: B[j,b] += C[b,j] }
+    } }
+  )");
+  const CompiledProgram cp(p, {});
   std::vector<SweepConfig> configs{{16, 1, 0, cachesim::Replacement::kLru}};
   const std::string tee_path = temp_path("sdlo_stream_failpoint_tee.spl");
   std::remove(tee_path.c_str());
@@ -378,7 +424,7 @@ TEST(StreamedSweep, TeeWriteFailureUnwindsCleanlyOnThePooledPath) {
     failpoints::ScopedFailpoint fp(
         failpoints::kSpoolWrite,
         failpoints::Spec{failpoints::Action::kFailAlloc, 0});
-    trace::SpoolWriter writer(tee_path, 1);
+    trace::SpoolWriter writer(tee_path);
     StreamOptions sopt;
     sopt.partition.chunks = 4;
     sopt.tee = &writer;

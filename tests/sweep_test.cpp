@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cachesim/lru_cache.hpp"
+#include "cachesim/parallel_stack.hpp"
 #include "cachesim/sim.hpp"
 #include "cachesim/sweep.hpp"
 #include "ir/gallery.hpp"
@@ -192,6 +193,10 @@ TEST(SweepTest, RejectsBadGeometry) {
                Error);
   EXPECT_THROW(cachesim::simulate_sweep(
                    cp, {{66, 4, 0, cachesim::Replacement::kLru}}),
+               Error);
+  // The streamed engine, which `sdlo sweep --line` feeds, checks too.
+  EXPECT_THROW(cachesim::simulate_sweep_streamed(
+                   cp, {{48, 3, 0, cachesim::Replacement::kLru}}),
                Error);
 }
 

@@ -335,7 +335,7 @@ TEST(SweepDriverTest, InexactProgramFallsBackToSimulation) {
     }
 
     std::ostringstream text;
-    analysis::render_sweep_text(oc, text);
+    analysis::render_sweep_text(oc, text, /*sites=*/false);
     EXPECT_NE(text.str().find("fallback from symbolic"), std::string::npos);
     std::ostringstream json;
     analysis::render_sweep_json(oc, json, /*sites=*/false);
@@ -392,7 +392,7 @@ TEST(SweepDriverTest, TruncatedSymbolicSweepExitsWithCode2) {
   EXPECT_NE(json.str().find("\"completeness\":\"truncated\""),
             std::string::npos);
   std::ostringstream text;
-  analysis::render_sweep_text(oc, text);
+  analysis::render_sweep_text(oc, text, /*sites=*/false);
   EXPECT_NE(text.str().find("TRUNCATED"), std::string::npos);
 }
 

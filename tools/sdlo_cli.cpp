@@ -7,8 +7,7 @@
 //   sdlo lint     prog.sdlo [--set N=512] [--cap 8192] [--line 8] [--json]
 //   sdlo misses   prog.sdlo --cap 8192 --set N=512 [--simulate] [--json]
 //   sdlo sweep    prog.sdlo --set N=512 [--engine symbolic] [--line 4]
-//                 [--sites] [--json] [--threads T] [--chunk-accesses N]
-//                 [--spool FILE] [--spool-version 1|2] [--numa]
+//                 [--sites] [--json] [--threads T] [--spool FILE]
 //   sdlo trace    prog.sdlo --set N=8 [--limit 100]
 //   sdlo advise   prog.sdlo --set N=512 [--cap 8192] [--line 8] [--top K]
 //                 [--json]
@@ -30,25 +29,20 @@
 //
 // Symbols are bound with repeated --set NAME=VALUE flags. `misses` prints
 // the model's prediction and, with --simulate, cross-checks it against the
-// sweep engine's simulator. `sweep` uses the stack-distance profiler to
-// answer every capacity from one pass — at line granularity with --line,
-// and with a per-site miss breakdown under --sites. With --engine symbolic
-// the curve is computed analytically from the miss model with no trace
-// walk (analysis/sweep_driver.hpp); programs the model cannot resolve
-// exactly fall back to simulation, and both text and JSON output name the
-// engine that actually answered (plus the fallback reason), so scripts can
-// detect a silent fallback. With --threads > 1 (or an explicit
-// --chunk-accesses) the pass runs on the pipelined streamed engine
-// (cachesim/parallel_stack.hpp): the trace is generated once, workers
-// profile time chunks through a bounded ring, and the sequential hole
-// merge rolls forward behind them — merged counts bit-identical to the
-// sequential pass. --spool FILE tees the run-compressed trace (SDLOSPL2
-// by default, --spool-version 1 for the legacy container) to FILE on that
-// same pass, so the out-of-core spool costs no extra trace walk; the file
-// is finished only when every group was generated, and any failure or
-// deadline truncation removes it (RAII guard + atomic temp-and-rename).
-// --numa pins the workers round-robin across NUMA nodes; on single-node
-// hosts the policy silently degrades to unpinned.
+// sweep engine's simulator. `sweep` answers every capacity from one pass
+// (analysis/sweep_driver.hpp, the same driver the daemon runs) — at line
+// granularity with --line, and with a per-site miss breakdown under
+// --sites. The pass is the streamed marker-stack engine
+// (cachesim/parallel_stack.hpp); --threads T > 1 profiles T time chunks on
+// a pool while the hole merge rolls forward behind them, bit-identical to
+// one thread. --spool FILE tees the run-compressed trace (SDLOSPL2) to
+// FILE on that same pass; the file is kept only when every group was
+// generated, and any failure or deadline truncation removes it. With
+// --engine symbolic the curve is computed analytically from the miss model
+// with no trace walk; programs the model cannot resolve exactly fall back
+// to simulation, and both text and JSON output name the engine that
+// actually answered (plus the fallback reason), so scripts can detect a
+// silent fallback. --spool with --engine symbolic is a usage error.
 //
 // `lint` runs the static-analysis passes of src/analysis (well-formedness,
 // model applicability, parallelization safety) and prints the diagnostics
@@ -60,7 +54,7 @@
 // `advise` runs the dependence/reuse analysis and the transformation
 // advisor (analysis/advisor.hpp): it enumerates interchange and tiling
 // candidates, rejects the ones the direction vectors prove illegal, scores
-// the survivors with the miss model (profiler fallback when approximate)
+// the survivors with the miss model (simulation fallback when approximate)
 // at --cap, and prints a ranked report with predicted miss deltas, the
 // DP3xx dependence findings, per-site locality verdicts, and the fused
 // PS202/PS204 padding/privatization notes. --top limits the list; --json
@@ -84,7 +78,6 @@
 // program is delta-debugged down to a minimal counterexample and written
 // to --artifact-dir as a replayable `.sdlo` artifact; `--replay` re-runs
 // the oracles (and, if still failing, the reducer) on such an artifact.
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -95,9 +88,6 @@
 #include "analysis/lint.hpp"
 #include "analysis/misses_driver.hpp"
 #include "analysis/sweep_driver.hpp"
-#include "cachesim/parallel_stack.hpp"
-#include "cachesim/sim.hpp"
-#include "cachesim/sweep.hpp"
 #include "fuzz/generator.hpp"
 #include "fuzz/oracles.hpp"
 #include "fuzz/reducer.hpp"
@@ -110,7 +100,6 @@
 #include "support/governor.hpp"
 #include "support/string_util.hpp"
 #include "support/table.hpp"
-#include "trace/spool.hpp"
 #include "trace/walker.hpp"
 
 namespace {
@@ -169,10 +158,6 @@ CliGovernor make_governor(double deadline_sec, std::int64_t mem_budget_mb) {
   return g;
 }
 
-const char* json_completeness(Completeness c) {
-  return c == Completeness::kTruncated ? "truncated" : "complete";
-}
-
 int cmd_analyze(const ir::Program& prog, const Governor* gov, bool json) {
   // Symbolic analysis has no meaningful partial result, so the governor is
   // honored through the throwing path: a tripped deadline surfaces as
@@ -197,12 +182,11 @@ int cmd_analyze(const ir::Program& prog, const Governor* gov, bool json) {
 }
 
 int cmd_misses(const ir::Program& prog, const sym::Env& env,
-               std::int64_t cap, bool simulate, trace::TraceMode mode,
-               const Governor* gov, bool json) {
+               std::int64_t cap, bool simulate, const Governor* gov,
+               bool json) {
   analysis::MissesOptions opts;
   opts.capacity = cap;
   opts.simulate = simulate;
-  opts.mode = mode;
   const analysis::MissesOutcome oc =
       analysis::run_misses(prog, env, opts, gov);
   if (json) {
@@ -213,183 +197,14 @@ int cmd_misses(const ir::Program& prog, const sym::Env& env,
   return oc.exit_code();
 }
 
-using analysis::sweep_ladder;
-
-/// What the tee spool of one pipelined sweep produced.
-struct SpoolOutcome {
-  std::string path;          ///< empty when no spool was requested/kept
-  std::uint64_t bytes = 0;
-};
-
-/// Pipelined sweep output: same table and JSON shape as the profiler path,
-/// plus the streamed driver's phase accounting (JSON only) and the tee
-/// spool outcome.
-int emit_streamed_results(const std::vector<std::int64_t>& caps,
-                          const std::vector<cachesim::SimResult>& results,
-                          const cachesim::PartitionStats& stats,
-                          const SpoolOutcome& spool, std::int64_t line,
-                          bool sites, int threads, bool json) {
-  bool truncated = false;
-  for (const auto& r : results) {
-    truncated = truncated || r.completeness == Completeness::kTruncated;
-  }
-  const std::uint64_t accesses = results.empty() ? 0 : results[0].accesses;
-  if (json) {
-    std::cout << "{\"version\":\"" << kVersionNumber
-              << "\",\"engine\":\"simulated\",\"line_elems\":" << line
-              << ",\"accesses\":" << accesses
-              << ",\"threads\":" << (threads > 1 ? threads : 1)
-              << ",\"completeness\":\""
-              << json_completeness(truncated ? Completeness::kTruncated
-                                             : Completeness::kComplete)
-              << "\",\"phases\":{\"profile_seconds\":"
-              << stats.profile_seconds
-              << ",\"merge_seconds\":" << stats.merge_seconds
-              << ",\"merge_wait_seconds\":" << stats.merge_wait_seconds
-              << ",\"spool_write_seconds\":" << stats.spool_write_seconds
-              << ",\"chunks\":" << stats.chunks
-              << ",\"overlapped_merges\":" << stats.overlapped_merges
-              << "}";
-    if (!spool.path.empty()) {
-      std::cout << ",\"spool\":{\"path\":\"" << spool.path
-                << "\",\"bytes\":" << spool.bytes << "}";
-    }
-    std::cout << ",\"rows\":[";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      std::cout << (i == 0 ? "" : ",") << "{\"capacity\":" << caps[i]
-                << ",\"misses\":" << results[i].misses;
-      if (sites) {
-        std::cout << ",\"misses_by_site\":[";
-        for (std::size_t s = 0; s < results[i].misses_by_site.size(); ++s) {
-          std::cout << (s == 0 ? "" : ",") << results[i].misses_by_site[s];
-        }
-        std::cout << "]";
-      }
-      std::cout << "}";
-    }
-    std::cout << "]}\n";
-    return to_int(truncated ? ExitCode::kTruncated : ExitCode::kOk);
-  }
-  std::vector<std::string> header{"capacity", "misses", "miss ratio"};
-  if (sites && !results.empty()) {
-    for (std::size_t s = 0; s < results[0].misses_by_site.size(); ++s) {
-      header.push_back("site " + std::to_string(s));
-    }
-  }
-  TextTable t(header);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    std::vector<std::string> row{
-        with_commas(caps[i]),
-        with_commas(static_cast<std::int64_t>(r.misses)),
-        format_double(accesses == 0
-                          ? 0.0
-                          : 100.0 * static_cast<double>(r.misses) /
-                                static_cast<double>(accesses),
-                      3) +
-            "%"};
-    if (sites) {
-      for (const auto m : r.misses_by_site) {
-        row.push_back(with_commas(static_cast<std::int64_t>(m)));
-      }
-    }
-    t.add_row(row);
-  }
-  t.print(std::cout);
-  if (line != 1) {
-    std::cout << "(line granularity: " << line
-              << " elements per line; capacities in elements)\n";
-  }
-  if (truncated) {
-    std::cout << "TRUNCATED by budget after "
-              << with_commas(static_cast<std::int64_t>(accesses))
-              << " accesses: counts are exact for that prefix (lower "
-                 "bounds for the full trace)\n";
-  }
-  if (!spool.path.empty()) {
-    std::cout << "spooled trace written to " << spool.path << " ("
-              << with_commas(static_cast<std::int64_t>(spool.bytes))
-              << " bytes)\n";
-  }
-  return to_int(truncated ? ExitCode::kTruncated : ExitCode::kOk);
-}
-
-/// The pipelined sweep path: walks the program once through
-/// simulate_sweep_streamed, teeing the trace to --spool FILE on the same
-/// pass (no separate serialize-then-decode passes), with --threads workers
-/// optionally NUMA-pinned. The spool file only survives a run that
-/// generated every group: truncation (deadline) leaves the writer
-/// unfinished so its temp file is discarded, and any failure after a
-/// finish is unwound by the RAII guard — no half-written spool is ever
-/// left behind.
-int run_streamed_sweep(const ir::Program& prog, const sym::Env& env,
-                       std::int64_t line, bool sites, int threads,
-                       std::int64_t chunk_accesses,
-                       const std::string& spool_path, int spool_version,
-                       bool numa, const Governor* gov, bool json) {
-  trace::CompiledProgram cp(prog, env);
-  const auto caps = sweep_ladder(line, cp.address_space_size());
-  std::vector<cachesim::SweepConfig> configs;
-  for (const std::int64_t cap : caps) {
-    configs.push_back({cap, line, 0, cachesim::Replacement::kLru});
-  }
-  std::unique_ptr<parallel::ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<parallel::ThreadPool>(
-        threads, numa ? parallel::AffinityPolicy::kNumaInterleave
-                      : parallel::AffinityPolicy::kNone);
-  }
-  cachesim::PartitionStats stats;
-  cachesim::StreamOptions sopt;
-  sopt.partition.threads = threads;
-  sopt.partition.stats = &stats;
-  if (chunk_accesses > 0) {
-    sopt.partition.chunk_accesses =
-        static_cast<std::uint64_t>(chunk_accesses);
-  }
-  std::unique_ptr<trace::SpoolFileGuard> guard;
-  std::unique_ptr<trace::SpoolWriter> writer;
-  if (!spool_path.empty()) {
-    guard = std::make_unique<trace::SpoolFileGuard>(spool_path);
-    writer = std::make_unique<trace::SpoolWriter>(spool_path, spool_version);
-    sopt.tee = writer.get();
-  }
-  const auto results =
-      cachesim::simulate_sweep_streamed(cp, configs, pool.get(), sopt, gov);
-  SpoolOutcome spool;
-  if (writer != nullptr && writer->groups() == cp.group_count()) {
-    writer->finish(cp.num_sites(), cp.address_space_size());
-    guard->release();
-    spool.path = spool_path;
-    spool.bytes = std::filesystem::file_size(spool_path);
-  }
-  return emit_streamed_results(caps, results, stats, spool, line, sites,
-                               threads, json);
-}
-
 int cmd_sweep(const ir::Program& prog, const sym::Env& env,
-              const std::string& engine, std::int64_t line, bool sites,
-              trace::TraceMode mode, const Governor* gov, bool json,
-              int threads, std::int64_t chunk_accesses,
-              const std::string& spool_path, int spool_version, bool numa) {
-  const analysis::SweepEngine eng = analysis::parse_sweep_engine(engine);
-  if (eng == analysis::SweepEngine::kSimulate &&
-      (!spool_path.empty() || threads > 1 || chunk_accesses > 0)) {
-    // The pipelined / out-of-core paths are simulation-only.
-    return run_streamed_sweep(prog, env, line, sites, threads,
-                              chunk_accesses, spool_path, spool_version,
-                              numa, gov, json);
-  }
-  analysis::SweepDriverOptions opts;
-  opts.engine = eng;
-  opts.line_elems = line;
-  opts.sites = sites;
-  opts.mode = mode;
+              const analysis::SweepDriverOptions& opts, const Governor* gov,
+              bool json) {
   const analysis::SweepOutcome oc = analysis::run_sweep(prog, env, opts, gov);
   if (json) {
-    analysis::render_sweep_json(oc, std::cout, sites);
+    analysis::render_sweep_json(oc, std::cout, opts.sites);
   } else {
-    analysis::render_sweep_text(oc, std::cout);
+    analysis::render_sweep_text(oc, std::cout, opts.sites);
   }
   return oc.exit_code();
 }
@@ -662,23 +477,12 @@ int main(int argc, char** argv) {
               "wall-clock ceiling in seconds; partial results exit 2")
         .flag("mem-budget",
               "dense-table memory ceiling in MB (degrades to hashed)")
-        .flag("trace-mode",
-              "trace delivery for misses/sweep: runs (default) or batched")
         .flag("threads",
-              "worker threads for sweep: > 1 runs the time-partitioned "
-              "parallel engine (bit-identical)")
-        .flag("chunk-accesses",
-              "target accesses per partitioned-sweep chunk (default: "
-              "trace/threads)")
+              "worker threads for sweep: > 1 profiles time chunks in "
+              "parallel (bit-identical)")
         .flag("spool",
-              "tee the run-compressed trace to FILE on the same pipelined "
-              "pass (out-of-core; the file is removed on any failure)")
-        .flag("spool-version",
-              "SDLOSPL container version for --spool: 2 (default, "
-              "delta-encoded site tables) or 1")
-        .flag("numa",
-              "pin sweep workers round-robin across NUMA nodes "
-              "(no-op on single-node hosts)")
+              "tee the run-compressed trace to FILE on the sweep's one "
+              "pass (simulated engine only; removed on any failure)")
         .flag("top", "max recommendations shown (advise; 0 = all)")
         .flag("only",
               "comma-separated oracle families to run (fuzz): roundtrip, "
@@ -713,14 +517,6 @@ int main(int argc, char** argv) {
       return to_int(ExitCode::kError);
     }
     const std::string& verb = pos[0];
-    const std::string mode_str = cli.get_string("trace-mode", "runs");
-    if (mode_str != "runs" && mode_str != "batched") {
-      std::cerr << "sdlo: --trace-mode must be 'runs' or 'batched'\n";
-      return to_int(ExitCode::kError);
-    }
-    const trace::TraceMode trace_mode = mode_str == "batched"
-                                            ? trace::TraceMode::kBatched
-                                            : trace::TraceMode::kRuns;
     const CliGovernor governor = make_governor(
         cli.get_double("deadline", 0), cli.get_int("mem-budget", 0));
     const bool json = cli.get_bool("json", false);
@@ -784,23 +580,18 @@ int main(int argc, char** argv) {
     if (verb == "analyze") return cmd_analyze(prog, governor.get(), json);
     if (verb == "misses") {
       return cmd_misses(prog, env, cli.get_int("cap", 8192),
-                        cli.get_bool("simulate", false), trace_mode,
-                        governor.get(), json);
+                        cli.get_bool("simulate", false), governor.get(),
+                        json);
     }
     if (verb == "sweep") {
-      const std::int64_t spool_version = cli.get_int("spool-version", 2);
-      if (spool_version != 1 && spool_version != 2) {
-        std::cerr << "sdlo: --spool-version must be 1 or 2\n";
-        return to_int(ExitCode::kError);
-      }
-      return cmd_sweep(prog, env, cli.get_string("engine", "simulate"),
-                       cli.get_int("line", 1), cli.get_bool("sites", false),
-                       trace_mode, governor.get(), json,
-                       static_cast<int>(cli.get_int("threads", 1)),
-                       cli.get_int("chunk-accesses", 0),
-                       cli.get_string("spool", ""),
-                       static_cast<int>(spool_version),
-                       cli.get_bool("numa", false));
+      analysis::SweepDriverOptions opts;
+      opts.engine =
+          analysis::parse_sweep_engine(cli.get_string("engine", "simulate"));
+      opts.line_elems = cli.get_int("line", 1);
+      opts.sites = cli.get_bool("sites", false);
+      opts.threads = static_cast<int>(cli.get_int("threads", 1));
+      opts.spool_path = cli.get_string("spool", "");
+      return cmd_sweep(prog, env, opts, governor.get(), json);
     }
     if (verb == "trace") {
       return cmd_trace(prog, env, cli.get_int("limit", 50));
