@@ -6,8 +6,10 @@
 #include "support/checked_math.hpp"
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "cachesim/sim.hpp"
 #include "ir/gallery.hpp"
@@ -47,6 +49,41 @@ ir::GalleryProgram make(Prog p) {
       return ir::two_index_tiled();
   }
   throw Error("bad enum");
+}
+
+const char* prog_name(Prog p) {
+  switch (p) {
+    case Prog::kMatmul:
+      return "Matmul";
+    case Prog::kMatmulTiled:
+      return "MatmulTiled";
+    case Prog::kTwoIndexFused:
+      return "TwoIndexFused";
+    case Prog::kTwoIndexUnfused:
+      return "TwoIndexUnfused";
+    case Prog::kTwoIndexTiled:
+      return "TwoIndexTiled";
+  }
+  throw Error("bad enum");
+}
+
+std::string join_extents(const std::vector<std::int64_t>& xs) {
+  std::string out;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (i > 0) out += 'x';
+    out += std::to_string(xs[i]);
+  }
+  return out;
+}
+
+// Prints a case by its values, e.g. "MatmulTiled_N8x8x8_T4x4x4_C20".
+// gtest_discover_tests names each ctest case by this text, so the names
+// are the same on every build (gtest's fallback prints the struct's
+// bytes, heap pointers included).
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << prog_name(c.prog) << "_N" << join_extents(c.bounds);
+  if (!c.tiles.empty()) *os << "_T" << join_extents(c.tiles);
+  *os << "_C" << c.capacity;
 }
 
 class ModelVsSimulator : public ::testing::TestWithParam<Case> {};
