@@ -5,7 +5,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "cachesim/sweep.hpp"
+#include "cachesim/parallel_stack.hpp"
 #include "ir/gallery.hpp"
 #include "trace/walker.hpp"
 
@@ -14,9 +14,7 @@ int main(int argc, char** argv) {
   CommandLine cli(argc, argv);
   cli.flag("n", "loop bound (default 128)");
   cli.flag("csv", "emit CSV");
-  bench::register_trace_flag(cli);
   if (!cli.finish()) return 0;
-  const auto trace_mode = bench::parse_trace_mode(cli);
   const std::int64_t n = cli.get_int("n", 128);
   const std::int64_t cap = bench::kb_to_elems(16);
 
@@ -30,13 +28,12 @@ int main(int argc, char** argv) {
     const auto env = g.make_env({n, n, n}, tiles);
     trace::CompiledProgram cp(g.prog, env);
     // One sweep call: the FA config rides the marker engine, the three
-    // set-associative geometries share a single fallback trace walk.
-    const auto sims = cachesim::simulate_sweep(
+    // set-associative geometries share a single serial trace walk.
+    const auto sims = cachesim::simulate_sweep_streamed(
         cp, {{cap, 1, 0, cachesim::Replacement::kLru},
              {cap, 1, 16, cachesim::Replacement::kLru},
              {cap, 1, 4, cachesim::Replacement::kLru},
-             {cap, 1, 1, cachesim::Replacement::kLru}},
-        nullptr, trace_mode);
+             {cap, 1, 1, cachesim::Replacement::kLru}});
     const auto fa = sims[0].misses;
     const auto w16 = sims[1].misses;
     const auto w4 = sims[2].misses;

@@ -14,9 +14,7 @@ int main(int argc, char** argv) {
   CommandLine cli(argc, argv);
   cli.flag("n", "loop bound (default 128)");
   cli.flag("csv", "emit CSV");
-  bench::register_trace_flag(cli);
   if (!cli.finish()) return 0;
-  const auto trace_mode = bench::parse_trace_mode(cli);
   const std::int64_t n = cli.get_int("n", 128);
 
   auto unfused = ir::two_index_unfused();
@@ -37,8 +35,8 @@ int main(int argc, char** argv) {
                    fcp.address_space_size()))
             << " elements (T is a scalar)\n\n";
 
-  const auto uprof = cachesim::profile_stack_distances(ucp, 1, trace_mode);
-  const auto fprof = cachesim::profile_stack_distances(fcp, 1, trace_mode);
+  const auto uprof = cachesim::profile_stack_distances(ucp, 1);
+  const auto fprof = cachesim::profile_stack_distances(fcp, 1);
 
   TextTable t({"Cache", "Unfused misses (sim)", "Fused misses (sim)",
                "Unfused (model)", "Fused (model)"});

@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "cachesim/sweep.hpp"
+#include "cachesim/parallel_stack.hpp"
 #include "ir/gallery.hpp"
 #include "trace/walker.hpp"
 
@@ -22,9 +22,7 @@ int main(int argc, char** argv) {
   cli.flag("n", "loop bound (default 128)");
   cli.flag("cache_kb", "cache size in KB (default 16)");
   cli.flag("csv", "emit CSV");
-  bench::register_trace_flag(cli);
   if (!cli.finish()) return 0;
-  const auto trace_mode = bench::parse_trace_mode(cli);
   const std::int64_t n = cli.get_int("n", 128);
   const std::int64_t cap = bench::kb_to_elems(cli.get_int("cache_kb", 16));
 
@@ -46,8 +44,7 @@ int main(int argc, char** argv) {
       configs.push_back({cap, line, 0, cachesim::Replacement::kLru});
     }
     std::vector<std::uint64_t> sims;
-    for (const auto& r : cachesim::simulate_sweep(cp, configs, nullptr,
-                                                 trace_mode)) {
+    for (const auto& r : cachesim::simulate_sweep_streamed(cp, configs)) {
       sims.push_back(r.misses);
     }
     t.add_row({bench::tuple_str(tiles), with_commas(pred.misses),

@@ -20,22 +20,6 @@ inline std::int64_t kb_to_elems(std::int64_t kilobytes) {
   return kilobytes * 1024 / 8;
 }
 
-/// Registers the shared `--trace` flag (run-compressed vs per-access trace
-/// delivery for the simulation-backed columns).
-inline void register_trace_flag(CommandLine& cli) {
-  cli.flag("trace", "trace delivery: runs (default) or batched");
-}
-
-/// Parses `--trace`; both modes produce bit-identical results, batched is
-/// the slow reference path.
-inline trace::TraceMode parse_trace_mode(const CommandLine& cli) {
-  const std::string s = cli.get_string("trace", "runs");
-  SDLO_CHECK(s == "runs" || s == "batched",
-             "--trace must be 'runs' or 'batched'");
-  return s == "batched" ? trace::TraceMode::kBatched
-                        : trace::TraceMode::kRuns;
-}
-
 /// "(a,b,c,d)" rendering of a tuple.
 inline std::string tuple_str(const std::vector<std::int64_t>& v) {
   std::string s = "(";

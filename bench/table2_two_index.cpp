@@ -17,7 +17,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "cachesim/sweep.hpp"
+#include "cachesim/parallel_stack.hpp"
 #include "ir/gallery.hpp"
 #include "trace/walker.hpp"
 
@@ -26,9 +26,7 @@ int main(int argc, char** argv) {
   CommandLine cli(argc, argv);
   cli.flag("quick", "quarter-scale bounds (fast CI runs)");
   cli.flag("csv", "emit CSV");
-  bench::register_trace_flag(cli);
   if (!cli.finish()) return 0;
-  const auto trace_mode = bench::parse_trace_mode(cli);
   const bool quick = cli.get_bool("quick", false);
   const std::int64_t scale = quick ? 4 : 1;
 
@@ -72,9 +70,8 @@ int main(int argc, char** argv) {
 
     WallTimer sim_timer;
     trace::CompiledProgram cp(g.prog, env);
-    const auto sim = cachesim::simulate_sweep(
-        cp, {{cap, 1, 0, cachesim::Replacement::kLru}}, nullptr,
-        trace_mode)[0];
+    const auto sim = cachesim::simulate_sweep_streamed(
+        cp, {{cap, 1, 0, cachesim::Replacement::kLru}})[0];
     const double sim_s = sim_timer.seconds();
 
     t.add_row({bench::tuple_str(bounds), bench::tuple_str(tiles),

@@ -12,7 +12,7 @@
 #include <thread>
 
 #include "bench_common.hpp"
-#include "cachesim/sweep.hpp"
+#include "cachesim/parallel_stack.hpp"
 #include "ir/gallery.hpp"
 #include "parallel/thread_pool.hpp"
 #include "trace/walker.hpp"
@@ -22,9 +22,7 @@ int main(int argc, char** argv) {
   CommandLine cli(argc, argv);
   cli.flag("quick", "quarter-scale bounds (fast CI runs)");
   cli.flag("csv", "emit CSV");
-  bench::register_trace_flag(cli);
   if (!cli.finish()) return 0;
-  const auto trace_mode = bench::parse_trace_mode(cli);
   const bool quick = cli.get_bool("quick", false);
   const std::int64_t scale = quick ? 4 : 1;
 
@@ -69,13 +67,12 @@ int main(int argc, char** argv) {
     row.cache_kb = cfg.cache_kb / (scale * scale);
     const std::int64_t cap = bench::kb_to_elems(cfg.cache_kb) /
                              (scale * scale);
-    pool.submit([&g, &an, &row, cap, trace_mode] {
+    pool.submit([&g, &an, &row, cap] {
       const auto env = g.make_env({row.n, row.n, row.n}, row.tiles);
       row.predicted = model::predict_misses(an, env, cap).misses;
       trace::CompiledProgram cp(g.prog, env);
-      row.sim = cachesim::simulate_sweep(
-          cp, {{cap, 1, 0, cachesim::Replacement::kLru}}, nullptr,
-          trace_mode)[0];
+      row.sim = cachesim::simulate_sweep_streamed(
+          cp, {{cap, 1, 0, cachesim::Replacement::kLru}})[0];
     });
   }
   pool.wait_idle();

@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "cachesim/sweep.hpp"
 #include "ir/gallery.hpp"
 #include "tile/fast_model.hpp"
 #include "tile/search.hpp"
@@ -20,9 +19,7 @@ int main(int argc, char** argv) {
   cli.flag("cache_kb", "cache size in KB (default 64)");
   cli.flag("max_tile", "largest tile value searched (default 512)");
   cli.flag("csv", "emit CSV");
-  bench::register_trace_flag(cli);
   if (!cli.finish()) return 0;
-  const auto trace_mode = bench::parse_trace_mode(cli);
   const std::int64_t cache_kb = cli.get_int("cache_kb", 64);
   const std::int64_t cap = bench::kb_to_elems(cache_kb);
 
@@ -67,7 +64,7 @@ int main(int argc, char** argv) {
                "tile vs the\nequal-tile convention:\n";
   tile::Scorer sim_scorer(g, fast, {256, 256, 256, 256}, cap);
   auto sim_misses = [&](const std::vector<std::int64_t>& tiles) {
-    return sim_scorer.simulated_misses(tiles, trace_mode);
+    return sim_scorer.simulated_misses(tiles);
   };
   const auto searched = sim_misses(unknown.best.tiles);
   std::cout << "  searched " << bench::tuple_str(unknown.best.tiles)

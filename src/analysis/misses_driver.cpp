@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "cachesim/sweep.hpp"
+#include "cachesim/parallel_stack.hpp"
 #include "ir/printer.hpp"
 #include "support/cli.hpp"
 #include "support/string_util.hpp"
@@ -28,9 +28,9 @@ MissesOutcome run_misses(const ir::Program& prog, const sym::Env& env,
   oc.pred = model::predict_misses(an, env, opts.capacity);
   if (opts.simulate) {
     trace::CompiledProgram cp(prog, env);
-    oc.sim = cachesim::simulate_sweep(
+    oc.sim = cachesim::simulate_sweep_streamed(
         cp, {{opts.capacity, 1, 0, cachesim::Replacement::kLru}}, nullptr,
-        trace::TraceMode::kRuns, gov)[0];
+        {}, gov)[0];
     oc.simulated = true;
   }
   return oc;

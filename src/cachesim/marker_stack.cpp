@@ -95,13 +95,6 @@ std::vector<std::uint64_t> MarkerStackEngine::recency_order() const {
   return order;
 }
 
-void MarkerStackEngine::consume(const trace::Access* a, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    step(a[i].addr >> shift_, a[i].site);
-  }
-  accesses_ += n;
-}
-
 void MarkerStackEngine::step_lines(const std::uint64_t* lines, std::size_t n,
                                    std::int32_t site) {
   for (std::size_t i = 0; i < n; ++i) {

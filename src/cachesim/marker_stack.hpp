@@ -9,9 +9,9 @@
 // touches only the boundary nodes. The address map is direct-indexed: line
 // indices are dense in [0, footprint_lines).
 //
-// This is the engine behind both the sequential sweep unit (sweep.cpp) and
-// the streamed sweep (parallel_stack.hpp), which runs one engine per trace
-// chunk. For partitioning the engine exposes two hooks:
+// This is the engine behind the streamed sweep (parallel_stack.hpp), the
+// only place it is constructed: one engine per trace chunk. For
+// partitioning the engine exposes two hooks:
 //
 //  * a hole sink — every cold access (first touch of a line *within the fed
 //    prefix*) is appended, in program order, as a (line, site) Hole. For a
@@ -86,7 +86,6 @@ class MarkerStackEngine {
                     std::uint64_t footprint_lines,
                     std::vector<Hole>* hole_sink = nullptr);
 
-  void consume(const trace::Access* a, std::size_t n);
   void consume_runs(const trace::Run* g, std::size_t nrefs);
 
   /// Accesses fed so far.

@@ -11,7 +11,9 @@
 #include <mutex>
 #include <utility>
 
+#include "cachesim/lru_cache.hpp"
 #include "cachesim/marker_stack.hpp"
+#include "cachesim/set_assoc_cache.hpp"
 #include "support/check.hpp"
 #include "support/failpoints.hpp"
 #include "support/simd.hpp"
@@ -274,10 +276,64 @@ class WindowQueue {
   bool closed_ = false;
 };
 
-/// Split of a sweep into the set-associative fallback slice and the
-/// distinct fully-associative line sizes the stack engines cover.
+/// One configuration simulated by a real cache model: a hashed-table
+/// LruCache for a fully-associative configuration whose dense stack tables
+/// were denied, or a SetAssocCache. Units consume whole run groups and
+/// share one serial walk.
+class CacheUnit {
+ public:
+  CacheUnit(const SweepConfig& cfg, std::size_t slot, std::int32_t num_sites)
+      : slot_(slot),
+        misses_by_site_(static_cast<std::size_t>(num_sites), 0) {
+    if (cfg.ways == 0) {
+      shift_ = std::countr_zero(static_cast<std::uint64_t>(cfg.line_elems));
+      // addr_limit 0 selects the open-addressing map: memory proportional
+      // to the capacity, not the footprint.
+      lru_ = std::make_unique<LruCache>(cfg.capacity_elems / cfg.line_elems);
+    } else {
+      set_assoc_ = std::make_unique<SetAssocCache>(
+          cfg.capacity_elems, cfg.ways, cfg.line_elems, cfg.policy);
+    }
+  }
+
+  void consume_runs(const Run* g, std::size_t nrefs) {
+    const std::uint64_t count = g[0].count;
+    accesses_ += count * nrefs;
+    for (std::uint64_t v = 0; v < count; ++v) {
+      for (std::size_t r = 0; r < nrefs; ++r) {
+        const std::uint64_t addr = g[r].at(v);
+        const bool hit = lru_ ? lru_->access(addr >> shift_)
+                              : set_assoc_->access(addr);
+        if (!hit) {
+          ++misses_;
+          ++misses_by_site_[static_cast<std::size_t>(g[r].site)];
+        }
+      }
+    }
+  }
+
+  void finish(Completeness completeness, std::vector<SimResult>& out) const {
+    SimResult& res = out[slot_];
+    res.accesses = accesses_;
+    res.completeness = completeness;
+    res.misses = misses_;
+    res.misses_by_site = misses_by_site_;
+  }
+
+ private:
+  std::size_t slot_;
+  int shift_ = 0;
+  std::unique_ptr<LruCache> lru_;
+  std::unique_ptr<SetAssocCache> set_assoc_;
+  std::uint64_t accesses_ = 0;
+  std::uint64_t misses_ = 0;
+  std::vector<std::uint64_t> misses_by_site_;
+};
+
+/// Split of a sweep into the set-associative configurations, which take
+/// the shared walk, and the distinct fully-associative line sizes the
+/// stack engines cover.
 struct ConfigSplit {
-  std::vector<SweepConfig> sa_configs;
   std::vector<std::size_t> sa_slots;
   std::vector<std::int64_t> lines_seen;
 };
@@ -287,7 +343,6 @@ ConfigSplit split_configs(const std::vector<SweepConfig>& configs) {
   for (std::size_t i = 0; i < configs.size(); ++i) {
     check_sweep_config(configs[i]);
     if (configs[i].ways != 0) {
-      split.sa_configs.push_back(configs[i]);
       split.sa_slots.push_back(i);
       continue;
     }
@@ -381,35 +436,54 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
     spool_seconds += t.seconds();
   };
 
-  // Degraded path: the tee still completes, in its own governed pass (the
-  // spool must materialize even when the dense tables do not fit), then
-  // the sequential engine simulates with its own further degradations.
-  auto degrade = [&]() {
-    if (tee != nullptr) {
-      std::uint64_t tick = 0;
-      WallTimer t;
-      try {
-        prog.walk_runs_range(0, end_group, [&](const Run* g, std::size_t n) {
-          if (gov != nullptr && ++tick >= interval) {
-            tick = 0;
-            if (gov->should_stop()) throw AbortWalk{};
-          }
-          tee->add_group(g, n);
-        });
-      } catch (const AbortWalk&) {
-        // The spool holds exactly the generated prefix; the caller decides
-        // whether to finish() it.
-      }
-      spool_seconds += t.seconds();
+  const ConfigSplit split = split_configs(configs);
+  const std::int32_t num_sites = prog.num_sites();
+
+  // One serial walk of groups [0, end_group) through real cache models,
+  // teeing each group first when `with_tee`; writes the units' results.
+  auto shared_walk = [&](std::vector<CacheUnit>& units, bool with_tee) {
+    if (units.empty() && !with_tee) return;
+    std::uint64_t tick = 0;
+    bool complete = !capped;
+    try {
+      prog.walk_runs_range(0, end_group, [&](const Run* g, std::size_t n) {
+        if (gov != nullptr && ++tick >= interval) {
+          tick = 0;
+          if (gov->should_stop()) throw AbortWalk{};
+        }
+        if (with_tee) tee_group(g, n);
+        for (CacheUnit& u : units) u.consume_runs(g, n);
+      });
+    } catch (const AbortWalk&) {
+      // The units (and the tee) hold exactly the generated prefix; the
+      // caller decides whether to finish() the spool.
+      complete = false;
     }
-    if (opt.stats != nullptr) opt.stats->spool_write_seconds += spool_seconds;
-    return simulate_sweep(prog, configs, pool, trace::TraceMode::kRuns, gov);
+    for (const CacheUnit& u : units) {
+      u.finish(complete ? Completeness::kComplete : Completeness::kTruncated,
+               out);
+    }
   };
 
-  if (total_accesses == 0 || end_group == 0) return degrade();
+  // The last rung: every configuration on a real cache model — hashed
+  // tables for the fully-associative ones — in one serial walk that also
+  // completes the tee. Also serves an empty trace and a sweep with no
+  // fully-associative configuration.
+  auto hashed = [&]() {
+    std::vector<CacheUnit> units;
+    units.reserve(configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      units.emplace_back(configs[i], i, num_sites);
+    }
+    shared_walk(units, true);
+    if (opt.stats != nullptr) opt.stats->spool_write_seconds += spool_seconds;
+    return out;
+  };
 
-  ConfigSplit split = split_configs(configs);
-  if (split.lines_seen.empty()) return degrade();
+  if (total_accesses == 0 || end_group == 0 || split.lines_seen.empty() ||
+      failpoints::fail_alloc(failpoints::kSweepDenseAlloc)) {
+    return hashed();
+  }
 
   int threads = opt.threads > 0
                     ? opt.threads
@@ -418,45 +492,50 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
   std::uint64_t chunks = static_cast<std::uint64_t>(
       opt.chunks > 0 ? opt.chunks : threads);
   chunks = std::min(chunks, end_group);
-  const std::size_t nchunks = static_cast<std::size_t>(chunks);
   // One chunk has no reuse crossing a chunk boundary: no holes, no merge.
-  const bool single = chunks == 1;
+  bool single = chunks == 1;
 
   // A 1-thread pool gains nothing from the ring (the generator IS the
   // bottleneck thread); the fused path is then strictly better.
-  const bool pooled = pool != nullptr && pool->num_threads() > 1 && chunks > 1;
+  bool pooled = pool != nullptr && pool->num_threads() > 1 && chunks > 1;
 
   // Reserve the dense tables up front — the fused path holds only ONE
   // chunk's tables at a time, its key memory advantage — plus, with more
   // than one chunk, the merge table and, pooled, a nominal estimate for
   // the in-flight window rings.
-  std::uint64_t bytes = 0;
-  for (std::int64_t line : split.lines_seen) {
-    const std::uint64_t fp = prog.footprint_lines(line);
-    bytes += (pooled ? chunks : 1) * fp * kStackBytesPerLine +
-             (single ? 0 : fp * kMergeBytesPerLine);
+  auto reserve_tables = [&]() {
+    std::uint64_t bytes = 0;
+    for (std::int64_t line : split.lines_seen) {
+      const std::uint64_t fp = prog.footprint_lines(line);
+      bytes += (pooled ? chunks : 1) * fp * kStackBytesPerLine +
+               (single ? 0 : fp * kMergeBytesPerLine);
+    }
+    if (pooled) {
+      bytes += chunks * sopt.ring_windows * sopt.window_groups * sizeof(Run);
+    }
+    return MemoryReservation(gov != nullptr ? gov->memory : nullptr, bytes);
+  };
+  MemoryReservation reservation = reserve_tables();
+  if (!reservation.ok() && !single) {
+    // Middle rung: one chunk and no pool needs only the stack tables.
+    chunks = 1;
+    single = true;
+    pooled = false;
+    reservation = reserve_tables();
   }
-  if (pooled) {
-    bytes += chunks * sopt.ring_windows * sopt.window_groups * sizeof(Run);
-  }
-  MemoryReservation reservation =
-      failpoints::fail_alloc(failpoints::kSweepDenseAlloc)
-          ? MemoryReservation::denied()
-          : MemoryReservation(gov != nullptr ? gov->memory : nullptr, bytes);
-  if (!reservation.ok()) return degrade();
+  if (!reservation.ok()) return hashed();
+  const std::size_t nchunks = static_cast<std::size_t>(chunks);
 
   const std::vector<std::uint64_t> bounds =
       make_bounds(prog, chunks, end_group, total_accesses);
 
-  if (!split.sa_configs.empty()) {
-    const std::vector<SimResult> sa_out = simulate_sweep(
-        prog, split.sa_configs, pool, trace::TraceMode::kRuns, gov);
-    for (std::size_t i = 0; i < split.sa_slots.size(); ++i) {
-      out[split.sa_slots[i]] = sa_out[i];
-    }
+  std::vector<CacheUnit> sa_units;
+  sa_units.reserve(split.sa_slots.size());
+  for (std::size_t slot : split.sa_slots) {
+    sa_units.emplace_back(configs[slot], slot, num_sites);
   }
+  shared_walk(sa_units, false);
 
-  const std::int32_t num_sites = prog.num_sites();
   std::vector<StreamLine> lines(split.lines_seen.size());
   for (std::size_t l = 0; l < lines.size(); ++l) {
     lines[l].line = split.lines_seen[l];

@@ -46,27 +46,37 @@
 //
 // A one-chunk plan has no reuse that crosses a chunk boundary: its engine
 // runs with no hole sink and no merge table, and its buckets fold straight
-// into the results (fold_segments, as the sequential sweep does).
+// into the results (fold_segments).
 //
 // The merged result — per-site segment buckets summed across chunks (via
 // simd::add_u64) plus the resolved holes — is bit-identical to the
-// sequential sweep, including misses_by_site, at every capacity.
+// one-chunk run, including misses_by_site, at every capacity, and to the
+// per-configuration simulate_lru_lines reference.
 //
 // Governance: the dense tables are reserved against the memory budget up
-// front; when denied — or when the sweep-dense-alloc failpoint injects a
-// denial — the call degrades to the sequential simulate_sweep, which
-// applies its own further degradations. A deadline or cancellation trips
-// the walk at a group boundary; the merged result is then the bit-exact
-// simulation of the longest contiguous prefix profiled (chunks after the
-// earliest incomplete one are discarded), marked Completeness::kTruncated.
-// PartitionOptions::max_groups caps the walk at a deterministic prefix for
-// tests, independent of timing.
+// front. When the reservation is denied, the engine degrades a rung at a
+// time, bit-identically:
+//   1. a multi-chunk plan retries as one chunk with no pool, which needs
+//      only the stack tables (fp * kStackBytesPerLine per line size);
+//   2. when that is denied too — or the sweep-dense-alloc failpoint injects
+//      a denial — every configuration runs on a hashed-table LruCache
+//      (memory proportional to the capacities, O(#configs) per access),
+//      all fed from one serial walk.
+// Set-associative configurations, which the inclusion property does not
+// cover, always take that serial shared walk over real SetAssocCache
+// models. A deadline or cancellation trips the walk at a group boundary;
+// the merged result is then the bit-exact simulation of the longest
+// contiguous prefix profiled (chunks after the earliest incomplete one are
+// discarded), marked Completeness::kTruncated. PartitionOptions::max_groups
+// caps the walk at a deterministic prefix for tests, independent of
+// timing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "cachesim/results.hpp"
 #include "cachesim/sweep.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/governor.hpp"
@@ -134,11 +144,12 @@ struct StreamOptions {
   std::size_t ring_windows = 4;
 };
 
-/// The pipelined billion-access sweep: walks the compiled program ONCE,
-/// teeing each run group to the optional spool writer while feeding every
-/// requested line size's per-chunk engines, then resolves holes with the
-/// rolling-frontier merge. Results are bit-identical to simulate_sweep.
-/// Set-associative configurations take the sequential engine's shared walk.
+/// The one multi-configuration simulation entry point: walks the compiled
+/// program ONCE, teeing each run group to the optional spool writer while
+/// feeding every requested line size's per-chunk engines, then resolves
+/// holes with the rolling-frontier merge. Results are exact and returned
+/// in `configs` order, bit-identical to per-configuration simulate_lru /
+/// simulate_lru_lines / simulate_set_assoc.
 ///
 /// With a pool of >= 2 threads the generator (caller thread) hands groups
 /// to per-chunk profiling tasks through a bounded ring of ready windows —
@@ -146,9 +157,8 @@ struct StreamOptions {
 /// a fused single-pass path feeds engines directly during generation,
 /// holding only ONE chunk's tables at a time; with one chunk it needs no
 /// hole list and no merge table (the lowest-memory exact path). When the
-/// dense tables are denied by the memory budget (or the sweep-dense-alloc
-/// failpoint), the tee still completes in its own governed pass and the
-/// simulation degrades to simulate_sweep.
+/// memory budget denies the dense tables, the run degrades as the file
+/// comment describes; the tee still completes on every rung.
 std::vector<SimResult> simulate_sweep_streamed(
     const trace::CompiledProgram& prog,
     const std::vector<SweepConfig>& configs,

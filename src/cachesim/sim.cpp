@@ -165,7 +165,6 @@ struct AbortProfile {};
 
 ProfileResult profile_stack_distances(const trace::CompiledProgram& prog,
                                       std::int64_t line_elems,
-                                      trace::TraceMode mode,
                                       const Governor* gov) {
   SDLO_EXPECTS(line_elems > 0);
   SDLO_EXPECTS(std::has_single_bit(
@@ -193,40 +192,18 @@ ProfileResult profile_stack_distances(const trace::CompiledProgram& prog,
   std::uint64_t tick = 0;
   bool complete = true;
   try {
-    if (mode == trace::TraceMode::kRuns) {
-      prog.walk_runs([&](const trace::Run* g, std::size_t nrefs) {
-        if (gov != nullptr && ++tick >= interval) {
-          tick = 0;
-          if (gov->should_stop()) throw AbortProfile{};
-        }
-        profile_run_group(profiler, g, nrefs, shift, line_elems);
-      });
-    } else {
-      prog.walk([&](const trace::Access& a) {
-        if (gov != nullptr && ++tick >= interval) {
-          tick = 0;
-          if (gov->should_stop()) throw AbortProfile{};
-        }
-        profiler.access(a.addr >> shift, a.site);
-      });
-    }
+    prog.walk_runs([&](const trace::Run* g, std::size_t nrefs) {
+      if (gov != nullptr && ++tick >= interval) {
+        tick = 0;
+        if (gov->should_stop()) throw AbortProfile{};
+      }
+      profile_run_group(profiler, g, nrefs, shift, line_elems);
+    });
   } catch (const AbortProfile&) {
     complete = false;
   }
-  ProfileResult r;
-  r.completeness =
-      complete ? Completeness::kComplete : Completeness::kTruncated;
-  r.accesses = profiler.total_accesses();
-  r.cold = profiler.cold_accesses();
-  r.line_elems = line_elems;
-  r.histogram = profiler.histogram();
-  r.cold_by_site.reserve(static_cast<std::size_t>(prog.num_sites()));
-  r.histogram_by_site.reserve(static_cast<std::size_t>(prog.num_sites()));
-  for (std::int32_t s = 0; s < prog.num_sites(); ++s) {
-    r.cold_by_site.push_back(profiler.site_cold(s));
-    r.histogram_by_site.push_back(profiler.site_histogram(s));
-  }
-  return r;
+  return profiler.result(line_elems, complete ? Completeness::kComplete
+                                              : Completeness::kTruncated);
 }
 
 }  // namespace sdlo::cachesim

@@ -38,21 +38,20 @@ SimResult simulate_lru_lines(const trace::CompiledProgram& prog,
 
 /// Profiles the trace at `line_elems` granularity (a power of two dividing
 /// nothing in particular — addresses are grouped into lines), recording
-/// global and per-site depth histograms in one walk. The default run mode
-/// consumes the run-compressed trace, bulk-accounting same-line repeats and
-/// steady-state pinned groups; trace::TraceMode::kBatched forces the
-/// per-access walk. Both produce bit-identical profiles.
+/// global and per-site depth histograms in one walk of the run-compressed
+/// trace, bulk-accounting same-line repeats and steady-state pinned groups.
+/// The result is bit-identical to feeding every access of walk() to
+/// StackDistanceProfiler::access; tests and the fuzz battery use it as the
+/// reference for the streamed engine and the symbolic sweep.
 ///
 /// `gov`, when non-null, governs the walk: the profiler polls every
-/// `gov->poll_interval` run groups (or access batches of that many
-/// accesses) and, when the deadline or cancellation trips, returns the
-/// exact profile of the consumed prefix marked kTruncated. `gov->memory`
-/// additionally gates the dense last-access table: when the reservation is
-/// denied the profiler falls back to the hashed table (bit-identical
-/// results, just slower).
-ProfileResult profile_stack_distances(
-    const trace::CompiledProgram& prog, std::int64_t line_elems = 1,
-    trace::TraceMode mode = trace::TraceMode::kRuns,
-    const Governor* gov = nullptr);
+/// `gov->poll_interval` run groups and, when the deadline or cancellation
+/// trips, returns the exact profile of the consumed prefix marked
+/// kTruncated. `gov->memory` additionally gates the dense last-access
+/// table: when the reservation is denied the profiler falls back to the
+/// hashed table (bit-identical results, just slower).
+ProfileResult profile_stack_distances(const trace::CompiledProgram& prog,
+                                      std::int64_t line_elems = 1,
+                                      const Governor* gov = nullptr);
 
 }  // namespace sdlo::cachesim

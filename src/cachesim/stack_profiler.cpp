@@ -173,4 +173,17 @@ std::uint64_t StackDistanceProfiler::site_cold(std::int32_t site) const {
   return site_cold_[static_cast<std::size_t>(site)];
 }
 
+ProfileResult StackDistanceProfiler::result(
+    std::int64_t line_elems, Completeness completeness) const {
+  ProfileResult r;
+  r.completeness = completeness;
+  r.accesses = total_;
+  r.cold = cold_;
+  r.line_elems = line_elems;
+  r.histogram = histogram();
+  r.cold_by_site = site_cold_;
+  r.histogram_by_site = site_hist_;
+  return r;
+}
+
 }  // namespace sdlo::cachesim

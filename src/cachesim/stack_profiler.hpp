@@ -92,6 +92,11 @@ class StackDistanceProfiler {
     return static_cast<std::int32_t>(site_hist_.size());
   }
 
+  /// Everything recorded so far as a ProfileResult over lines of
+  /// `line_elems` elements, per-site breakdowns included.
+  ProfileResult result(std::int64_t line_elems,
+                       Completeness completeness) const;
+
   /// Distinct addresses seen so far.
   std::uint64_t distinct_addresses() const {
     return dense_last_pos_.empty() ? last_pos_.size() : distinct_;

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,10 +23,10 @@
 #include "analysis/misses_driver.hpp"
 #include "analysis/parallel_safety.hpp"
 #include "analysis/sweep_driver.hpp"
+#include "cachesim/marker_stack.hpp"
 #include "cachesim/parallel_stack.hpp"
 #include "cachesim/sim.hpp"
-#include "cachesim/sweep.hpp"
-#include "trace/spool.hpp"
+#include "cachesim/stack_profiler.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "model/analyzer.hpp"
@@ -34,6 +35,7 @@
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
 #include "support/failpoints.hpp"
+#include "trace/spool.hpp"
 #include "trace/walker.hpp"
 
 namespace sdlo::fuzz {
@@ -105,51 +107,18 @@ void check_roundtrip(OracleReport& report, const ir::Program& prog) {
 }
 
 void check_walker(OracleReport& report, const trace::CompiledProgram& cp) {
-  std::vector<trace::Access> ref;
-  ref.reserve(static_cast<std::size_t>(cp.total_accesses()));
-  cp.walk([&](const trace::Access& a) { ref.push_back(a); });
-  if (ref.size() != cp.total_accesses()) {
-    std::ostringstream os;
-    os << "walk produced " << ref.size() << " accesses, total_accesses() = "
-       << cp.total_accesses();
-    add_mismatch(report, "walker", os.str());
-  }
-  // Batch boundaries must not change the delivered sequence: batch=1
-  // flushes inside every flattened leaf loop, batch=3 lands mid-statement.
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{3}}) {
-    std::size_t pos = 0;
-    bool diverged = false;
-    cp.walk_batched(
-        [&](const trace::Access* a, std::size_t n) {
-          for (std::size_t i = 0; i < n && !diverged; ++i, ++pos) {
-            if (pos >= ref.size() || a[i].addr != ref[pos].addr ||
-                a[i].mode != ref[pos].mode || a[i].site != ref[pos].site) {
-              std::ostringstream os;
-              os << "batch=" << batch << " diverges from walk() at access "
-                 << pos;
-              add_mismatch(report, "walker", os.str());
-              diverged = true;
-            }
-          }
-        },
-        batch);
-    if (!diverged && pos != ref.size()) {
-      std::ostringstream os;
-      os << "batch=" << batch << " produced " << pos << " accesses, walk() "
-         << ref.size();
-      add_mismatch(report, "walker", os.str());
-    }
-  }
-  // The run-compressed trace, decompressed iteration-major, must reproduce
-  // walk() access for access; every group must also satisfy the contract
-  // the bulk engines rely on (uniform count, bounded width when count > 1).
-  std::size_t pos = 0;
+  // Every run group must satisfy the contract the bulk engines rely on
+  // (uniform count, bounded width when count > 1), and the groups must add
+  // up to total_accesses(), which the chunk planner trusts.
+  std::uint64_t accesses = 0;
   bool diverged = false;
   cp.walk_runs([&](const trace::Run* g, std::size_t nrefs) {
     if (diverged) return;
     const std::uint64_t count = nrefs > 0 ? g[0].count : 0;
-    if (nrefs == 0 || count == 0 ||
-        (count > 1 && nrefs > trace::kMaxLeafRefs)) {
+    bool ok = nrefs > 0 && count > 0 &&
+              (count == 1 || nrefs <= trace::kMaxLeafRefs);
+    for (std::size_t r = 1; ok && r < nrefs; ++r) ok = g[r].count == count;
+    if (!ok) {
       std::ostringstream os;
       os << "walk_runs group violates contract: nrefs=" << nrefs
          << " count=" << count;
@@ -157,35 +126,13 @@ void check_walker(OracleReport& report, const trace::CompiledProgram& cp) {
       diverged = true;
       return;
     }
-    for (std::size_t r = 1; r < nrefs; ++r) {
-      if (g[r].count != count) {
-        std::ostringstream os;
-        os << "walk_runs group with non-uniform counts: " << g[r].count
-           << " vs " << count;
-        add_mismatch(report, "walker-runs", os.str());
-        diverged = true;
-        return;
-      }
-    }
-    for (std::uint64_t v = 0; v < count && !diverged; ++v) {
-      for (std::size_t r = 0; r < nrefs; ++r, ++pos) {
-        const std::uint64_t addr = g[r].at(v);
-        if (pos >= ref.size() || addr != ref[pos].addr ||
-            g[r].mode != ref[pos].mode || g[r].site != ref[pos].site) {
-          std::ostringstream os;
-          os << "walk_runs decompression diverges from walk() at access "
-             << pos;
-          add_mismatch(report, "walker-runs", os.str());
-          diverged = true;
-          break;
-        }
-      }
-    }
+    accesses += count * nrefs;
   });
-  if (!diverged && pos != ref.size()) {
+  if (!diverged && accesses != cp.total_accesses()) {
     std::ostringstream os;
-    os << "walk_runs produced " << pos << " accesses, walk() " << ref.size();
-    add_mismatch(report, "walker-runs", os.str());
+    os << "walk_runs produced " << accesses
+       << " accesses, total_accesses() = " << cp.total_accesses();
+    add_mismatch(report, "walker", os.str());
   }
 }
 
@@ -242,8 +189,8 @@ void check_symbolic_sweep(OracleReport& report, const ir::Program& prog,
                  "analytic stack-distance histogram differs from the trace "
                  "profile (cold/global/per-site)");
   }
-  // And the evaluated curve must be bit-identical to simulate_sweep at the
-  // capacity ladder plus every crossing point and both its neighbors.
+  // And the evaluated curve must be bit-identical to the streamed engine at
+  // the capacity ladder plus every crossing point and both its neighbors.
   std::set<std::int64_t> caps(opts.capacities.begin(),
                               opts.capacities.end());
   for (const std::int64_t d : sweep.crossing_points()) {
@@ -262,7 +209,7 @@ void check_symbolic_sweep(OracleReport& report, const ir::Program& prog,
       configs.push_back(
           {cap_list[base + i], 1, 0, cachesim::Replacement::kLru});
     }
-    const auto swept = cachesim::simulate_sweep(cp, configs);
+    const auto swept = cachesim::simulate_sweep_streamed(cp, configs);
     for (std::size_t i = 0; i < n; ++i) {
       const std::int64_t cap = cap_list[base + i];
       compare_results(report, "symbolic-sweep-vs-sweep",
@@ -272,23 +219,24 @@ void check_symbolic_sweep(OracleReport& report, const ir::Program& prog,
   }
 }
 
+bool same_profile(const cachesim::ProfileResult& a,
+                  const cachesim::ProfileResult& b) {
+  return a.accesses == b.accesses && a.cold == b.cold &&
+         a.histogram == b.histogram && a.cold_by_site == b.cold_by_site &&
+         a.histogram_by_site == b.histogram_by_site;
+}
+
 void check_profile(OracleReport& report, const trace::CompiledProgram& cp,
                    const OracleOptions& opts) {
   for (const std::int64_t line : opts.line_sizes) {
-    const auto prof = cachesim::profile_stack_distances(
-        cp, line, trace::TraceMode::kRuns);
-    const auto prof_b = cachesim::profile_stack_distances(
-        cp, line, trace::TraceMode::kBatched);
+    const auto prof = cachesim::profile_stack_distances(cp, line);
     // The run-fed profiler must reproduce the per-access profile exactly —
     // histograms, cold counts, and the per-site breakdowns.
-    if (prof.accesses != prof_b.accesses || prof.cold != prof_b.cold ||
-        prof.histogram != prof_b.histogram ||
-        prof.cold_by_site != prof_b.cold_by_site ||
-        prof.histogram_by_site != prof_b.histogram_by_site) {
+    if (!same_profile(prof, reference_profile(cp, line))) {
       std::ostringstream os;
       os << "line=" << line
          << ": run-fed profile differs from per-access profile";
-      add_mismatch(report, "profile-runs-vs-batched", os.str());
+      add_mismatch(report, "profile-runs-vs-per-access", os.str());
     }
     for (const std::int64_t cl : opts.capacity_lines) {
       const std::int64_t cap = cl * line;
@@ -301,11 +249,57 @@ void check_profile(OracleReport& report, const trace::CompiledProgram& cp,
   }
 }
 
+/// The spool round trip: SpooledTrace must re-stream the compiled
+/// program's run groups group for group — base, stride, count, mode, site.
+void check_spool_groups(OracleReport& report,
+                        const trace::CompiledProgram& cp,
+                        const std::string& path) {
+  std::vector<trace::Run> want;
+  std::vector<std::size_t> widths;
+  cp.walk_runs([&](const trace::Run* g, std::size_t nrefs) {
+    want.insert(want.end(), g, g + nrefs);
+    widths.push_back(nrefs);
+  });
+  const trace::SpooledTrace spool(path);
+  std::size_t group = 0;
+  std::size_t pos = 0;
+  bool diverged = false;
+  spool.walk_runs([&](const trace::Run* g, std::size_t nrefs) {
+    if (diverged) return;
+    bool same = group < widths.size() && nrefs == widths[group];
+    for (std::size_t r = 0; same && r < nrefs; ++r) {
+      const trace::Run& w = want[pos + r];
+      same = g[r].base == w.base && g[r].stride == w.stride &&
+             g[r].count == w.count && g[r].mode == w.mode &&
+             g[r].site == w.site;
+    }
+    if (!same) {
+      add_mismatch(report, "spooled-vs-walker",
+                   "spooled group " + std::to_string(group) +
+                       " differs from the compiled program's");
+      diverged = true;
+      return;
+    }
+    pos += nrefs;
+    ++group;
+  });
+  if (!diverged && group != widths.size()) {
+    add_mismatch(report, "spooled-vs-walker",
+                 "spool holds " + std::to_string(group) + " groups, the "
+                 "compiled program " + std::to_string(widths.size()));
+  }
+}
+
+// The one sweep engine against the per-configuration references. One mixed
+// config list — fully-associative entries per line size plus
+// set-associative entries under both policies — runs at several chunk
+// counts, so the hole-merge pass that reconstructs cross-chunk reuse
+// depths is pinned to the naive simulators, misses_by_site included.
+// Chunk counts cover single-group chunks on small traces (the count is
+// clamped to the group count). A teed run must also write the exact bytes
+// spool_program does, and the spool must stream the program's groups back.
 void check_sweep(OracleReport& report, const trace::CompiledProgram& cp,
                  const OracleOptions& opts) {
-  // One mixed config list: fully-associative entries per line size plus
-  // set-associative entries under both policies. simulate_sweep must be
-  // bit-identical to the per-configuration reference simulators.
   std::vector<cachesim::SweepConfig> configs;
   for (const std::int64_t line : opts.line_sizes) {
     for (const std::int64_t cl : opts.capacity_lines) {
@@ -319,75 +313,24 @@ void check_sweep(OracleReport& report, const trace::CompiledProgram& cp,
       }
     }
   }
-  const auto results = cachesim::simulate_sweep(cp, configs, nullptr,
-                                                trace::TraceMode::kRuns);
-  const auto results_b = cachesim::simulate_sweep(cp, configs, nullptr,
-                                                  trace::TraceMode::kBatched);
-  const auto many = cachesim::simulate_many(cp, configs, nullptr,
-                                            trace::TraceMode::kRuns);
-  const auto many_b = cachesim::simulate_many(cp, configs, nullptr,
-                                              trace::TraceMode::kBatched);
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const auto& c = configs[i];
-    const SimResult want =
-        c.ways == 0
-            ? cachesim::simulate_lru_lines(cp, c.capacity_elems,
-                                           c.line_elems)
-            : cachesim::simulate_set_assoc(cp, c.capacity_elems, c.ways,
-                                           c.line_elems, c.policy);
-    std::ostringstream where;
-    where << "cap=" << c.capacity_elems << " line=" << c.line_elems
-          << " ways=" << c.ways
-          << (c.policy == cachesim::Replacement::kFifo ? " fifo" : " lru");
-    compare_results(report, "sweep-vs-reference", where.str(), results[i],
-                    want);
-    compare_results(report, "sweep-batched-vs-reference", where.str(),
-                    results_b[i], want);
-    compare_results(report, "many-vs-reference", where.str(), many[i],
-                    want);
-    compare_results(report, "many-batched-vs-reference", where.str(),
-                    many_b[i], want);
-  }
-}
-
-// Partitioned / out-of-core oracle: the time-partitioned streamed sweep
-// (whose hole-merge pass reconstructs cross-chunk reuse depths), the spool
-// file round trip and the materialized RunTrace must each reproduce the
-// sequential simulate_sweep bit for bit — misses_by_site included — at
-// every chunk count tried. Chunk counts are chosen to cover single-group
-// chunks on small traces (the count is clamped to the group count).
-void check_partitioned_engines(OracleReport& report,
-                               const trace::CompiledProgram& cp,
-                               const OracleOptions& opts) {
-  std::vector<cachesim::SweepConfig> configs;
-  for (const std::int64_t line : opts.line_sizes) {
-    for (const std::int64_t cl : opts.capacity_lines) {
-      configs.push_back({cl * line, line, 0, cachesim::Replacement::kLru});
-    }
-  }
-  // One set-associative entry exercises the shared-walk delegation inside
-  // the streamed driver.
-  configs.push_back({4 * opts.line_sizes.front(), opts.line_sizes.front(),
-                     2, cachesim::Replacement::kLru});
-  const auto want = cachesim::simulate_sweep(cp, configs);
-
-  const auto compare_all = [&](const std::string& oracle,
-                               const std::vector<SimResult>& got,
+  const std::vector<SimResult> want = reference_sweep(cp, configs);
+  const auto compare_all = [&](const std::vector<SimResult>& got,
                                const std::string& suffix) {
     for (std::size_t i = 0; i < configs.size(); ++i) {
+      const auto& c = configs[i];
       std::ostringstream where;
-      where << "cap=" << configs[i].capacity_elems
-            << " line=" << configs[i].line_elems
-            << " ways=" << configs[i].ways << suffix;
-      compare_results(report, oracle, where.str(), got[i], want[i]);
+      where << "cap=" << c.capacity_elems << " line=" << c.line_elems
+            << " ways=" << c.ways
+            << (c.policy == cachesim::Replacement::kFifo ? " fifo" : " lru")
+            << suffix;
+      compare_results(report, "sweep-vs-reference", where.str(), got[i],
+                      want[i]);
     }
   };
-
   for (const int chunks : {1, 2, 5, 17}) {
     cachesim::StreamOptions sopt;
     sopt.partition.chunks = chunks;
-    compare_all("partitioned-vs-sweep",
-                cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt),
+    compare_all(cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt),
                 " chunks=" + std::to_string(chunks));
   }
 
@@ -410,23 +353,12 @@ void check_partitioned_engines(OracleReport& report,
   const std::string path_tee = path + ".tee";
   try {
     trace::spool_program(path, cp);
-    const trace::SpooledTrace spool(path);
-    compare_all("spooled-vs-sweep", cachesim::simulate_sweep(spool, configs),
-                "");
-    const trace::RunTrace rt = trace::RunTrace::materialize(cp);
-    compare_all("run-trace-vs-sweep", cachesim::simulate_sweep(rt, configs),
-                "");
-
-    // The pipelined driver: one generation pass feeding every engine while
-    // teeing the spool must be bit-identical to the sequential sweep, and
-    // the teed file must be byte-identical to the one spool_program wrote.
+    check_spool_groups(report, cp, path);
     trace::SpoolWriter tee(path_tee);
     cachesim::StreamOptions sopt;
     sopt.partition.chunks = 3;
     sopt.tee = &tee;
-    compare_all("streamed-vs-sweep",
-                cachesim::simulate_sweep_streamed(cp, configs, nullptr,
-                                                  sopt),
+    compare_all(cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt),
                 " chunks=3 tee");
     tee.finish(cp.num_sites(), cp.address_space_size());
     if (!files_equal(path_tee, path)) {
@@ -434,7 +366,7 @@ void check_partitioned_engines(OracleReport& report,
                    "teed spool differs from spool_program output");
     }
   } catch (const Error& e) {
-    add_mismatch(report, "spooled-vs-sweep",
+    add_mismatch(report, "spooled-vs-walker",
                  std::string("spool round trip failed: ") + e.what());
   }
   std::remove(path.c_str());
@@ -482,36 +414,46 @@ void check_budgeted_degradation(OracleReport& report,
       configs.push_back({cl * line, line, 0, cachesim::Replacement::kLru});
     }
   }
-  const auto dense = cachesim::simulate_sweep(cp, configs, nullptr,
-                                              trace::TraceMode::kRuns);
+  const auto dense = cachesim::simulate_sweep_streamed(cp, configs);
+  const auto expect_dense = [&](const std::vector<SimResult>& got,
+                                const std::string& oracle) {
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      std::ostringstream where;
+      where << "cap=" << configs[i].capacity_elems
+            << " line=" << configs[i].line_elems;
+      compare_results(report, oracle, where.str(), got[i], dense[i]);
+      if (got[i].completeness != Completeness::kComplete) {
+        add_mismatch(report, oracle,
+                     where.str() + ": memory-budgeted run reported "
+                                   "truncation without a deadline");
+      }
+    }
+  };
   MemoryBudget no_memory(0);
   Governor gov;
   gov.memory = &no_memory;
-  const auto hashed = cachesim::simulate_sweep(
-      cp, configs, nullptr, trace::TraceMode::kRuns, &gov);
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    std::ostringstream where;
-    where << "cap=" << configs[i].capacity_elems
-          << " line=" << configs[i].line_elems;
-    compare_results(report, "budgeted-hashed-vs-dense", where.str(),
-                    hashed[i], dense[i]);
-    if (hashed[i].completeness != Completeness::kComplete) {
-      add_mismatch(report, "budgeted-hashed-vs-dense",
-                   where.str() + ": memory-budgeted run reported truncation"
-                                 " without a deadline");
-    }
+  expect_dense(cachesim::simulate_sweep_streamed(cp, configs, nullptr, {},
+                                                 &gov),
+               "budgeted-hashed-vs-dense");
+  // A budget holding exactly the stack tables denies a multi-chunk plan
+  // its merge tables; the retry as one chunk must fit and agree.
+  std::uint64_t stack_bytes = 0;
+  for (const std::int64_t line : opts.line_sizes) {
+    stack_bytes += cp.footprint_lines(line) * cachesim::kStackBytesPerLine;
   }
+  MemoryBudget stack_only(stack_bytes);
+  Governor one_chunk_gov;
+  one_chunk_gov.memory = &stack_only;
+  cachesim::StreamOptions sopt;
+  sopt.partition.chunks = 5;
+  expect_dense(cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt,
+                                                 &one_chunk_gov),
+               "budgeted-one-chunk-vs-dense");
   // The profiler's hashed last-access table must match the dense one too.
   for (const std::int64_t line : opts.line_sizes) {
-    const auto d = cachesim::profile_stack_distances(
-        cp, line, trace::TraceMode::kRuns);
-    const auto h = cachesim::profile_stack_distances(
-        cp, line, trace::TraceMode::kRuns, &gov);
-    if (d.accesses != h.accesses || d.cold != h.cold ||
-        d.histogram != h.histogram ||
-        d.cold_by_site != h.cold_by_site ||
-        d.histogram_by_site != h.histogram_by_site ||
-        h.completeness != Completeness::kComplete) {
+    const auto d = cachesim::profile_stack_distances(cp, line);
+    const auto h = cachesim::profile_stack_distances(cp, line, &gov);
+    if (!same_profile(d, h) || h.completeness != Completeness::kComplete) {
       std::ostringstream os;
       os << "line=" << line
          << ": memory-budgeted (hashed) profile differs from dense profile";
@@ -1015,8 +957,9 @@ void check_advise_claims(OracleReport& report, const ir::Program& prog,
   }
 }
 
-/// Full sweeps are the most expensive serve verb; bound the trace so the
-/// serve oracle stays a small fraction of the battery.
+/// Full sweeps and simulated misses are the most expensive serve requests;
+/// bound the trace so the serve oracle stays a small fraction of the
+/// battery.
 constexpr std::uint64_t kServeSweepAccessBudget = 200'000;
 
 /// Frames `r` exactly as the daemon writes it and reads it back through the
@@ -1070,7 +1013,7 @@ void check_serve_equivalence(OracleReport& report, const ir::Program& prog,
   };
 
   struct Case {
-    std::string verb;
+    std::string label;  ///< the verb plus the request knobs it sets
     std::string line;
     std::string expected;
   };
@@ -1081,17 +1024,18 @@ void check_serve_equivalence(OracleReport& report, const ir::Program& prog,
     cases.push_back({"analyze", request_line("analyze", ""),
                      chomp(os.str())});
   }
-  {
+  const std::string cap =
+      ",\"cap\":" + std::to_string(opts.per_site_capacity);
+  const auto add_misses = [&](bool simulate, const std::string& extra) {
     analysis::MissesOptions mo;
     mo.capacity = opts.per_site_capacity;
+    mo.simulate = simulate;
     std::ostringstream os;
     analysis::render_misses_json(analysis::run_misses(prog, env, mo), os);
-    cases.push_back(
-        {"misses",
-         request_line("misses",
-                      ",\"cap\":" + std::to_string(opts.per_site_capacity)),
-         chomp(os.str())});
-  }
+    cases.push_back({simulate ? "misses simulate" : "misses",
+                     request_line("misses", cap + extra), chomp(os.str())});
+  };
+  add_misses(false, "");
   {
     analysis::LintOptions lo;
     lo.env = env;
@@ -1099,12 +1043,27 @@ void check_serve_equivalence(OracleReport& report, const ir::Program& prog,
     analysis::render_json(analysis::lint_text(text, lo), os);
     cases.push_back({"lint", request_line("lint", ""), chomp(os.str())});
   }
-  if (report.accesses <= kServeSweepAccessBudget) {
-    const analysis::SweepOutcome oc =
-        analysis::run_sweep(prog, env, analysis::SweepDriverOptions{});
+  const auto add_sweep = [&](const std::string& label,
+                             const analysis::SweepDriverOptions& so,
+                             const std::string& extra) {
     std::ostringstream os;
-    analysis::render_sweep_json(oc, os, /*sites=*/false);
-    cases.push_back({"sweep", request_line("sweep", ""), chomp(os.str())});
+    analysis::render_sweep_json(analysis::run_sweep(prog, env, so), os,
+                                so.sites);
+    cases.push_back({label, request_line("sweep", extra), chomp(os.str())});
+  };
+  if (report.accesses <= kServeSweepAccessBudget) {
+    add_misses(true, ",\"simulate\":true");
+    add_sweep("sweep", analysis::SweepDriverOptions{}, "");
+    analysis::SweepDriverOptions symbolic;
+    symbolic.engine = analysis::SweepEngine::kSymbolic;
+    add_sweep("sweep engine=symbolic", symbolic,
+              ",\"engine\":\"symbolic\"");
+    analysis::SweepDriverOptions sites;
+    sites.sites = true;
+    add_sweep("sweep sites", sites, ",\"sites\":true");
+    analysis::SweepDriverOptions line;
+    line.line_elems = 4;
+    add_sweep("sweep line=4", line, ",\"line\":4");
   }
   if (report.accesses <= kAdviseAccessBudget) {
     const ir::ParsedProgram pp = ir::parse_program_located(text);
@@ -1124,12 +1083,12 @@ void check_serve_equivalence(OracleReport& report, const ir::Program& prog,
     const serve::Response r1 = service.handle_line(c.line);
     const std::optional<std::string> p1 = framed_payload(r1, problem);
     if (!p1) {
-      add_mismatch(report, "serve", c.verb + ": " + problem);
+      add_mismatch(report, "serve", c.label + ": " + problem);
       continue;
     }
     if (*p1 != c.expected) {
       add_mismatch(report, "serve",
-                   c.verb + ": daemon payload differs from the CLI emitter ("
+                   c.label + ": daemon payload differs from the CLI emitter ("
                    + std::to_string(p1->size()) + " vs " +
                    std::to_string(c.expected.size()) + " bytes; status " +
                    serve::status_name(r1.status) +
@@ -1141,17 +1100,46 @@ void check_serve_equivalence(OracleReport& report, const ir::Program& prog,
     const std::optional<std::string> p2 = framed_payload(r2, problem);
     if (!r2.cached) {
       add_mismatch(report, "serve",
-                   c.verb + ": repeated request missed the memo cache");
+                   c.label + ": repeated request missed the memo cache");
     } else if (!p2) {
-      add_mismatch(report, "serve", c.verb + ": cached reply: " + problem);
+      add_mismatch(report, "serve", c.label + ": cached reply: " + problem);
     } else if (*p2 != c.expected) {
       add_mismatch(report, "serve",
-                   c.verb + ": cached payload is not byte-identical");
+                   c.label + ": cached payload is not byte-identical");
     }
   }
 }
 
 }  // namespace
+
+cachesim::ProfileResult reference_profile(const trace::CompiledProgram& cp,
+                                          std::int64_t line_elems) {
+  const int shift =
+      std::countr_zero(static_cast<std::uint64_t>(line_elems));
+  cachesim::StackDistanceProfiler profiler(
+      static_cast<std::size_t>(cp.footprint_lines(line_elems)));
+  profiler.enable_site_tracking(cp.num_sites());
+  cp.walk([&](const trace::Access& a) {
+    profiler.access(a.addr >> shift, a.site);
+  });
+  return profiler.result(line_elems, Completeness::kComplete);
+}
+
+std::vector<SimResult> reference_sweep(
+    const trace::CompiledProgram& cp,
+    const std::vector<cachesim::SweepConfig>& configs) {
+  std::vector<SimResult> out;
+  out.reserve(configs.size());
+  for (const auto& c : configs) {
+    out.push_back(c.ways == 0
+                      ? cachesim::simulate_lru_lines(cp, c.capacity_elems,
+                                                     c.line_elems)
+                      : cachesim::simulate_set_assoc(cp, c.capacity_elems,
+                                                     c.ways, c.line_elems,
+                                                     c.policy));
+  }
+  return out;
+}
 
 OracleReport check_program(const ir::Program& prog, const sym::Env& env,
                            const OracleOptions& opts) {
@@ -1184,9 +1172,6 @@ OracleReport check_program(const ir::Program& prog, const sym::Env& env,
   }
   if (opts.check_profile && !out_of_budget()) check_profile(report, cp, opts);
   if (opts.check_sweep && !out_of_budget()) check_sweep(report, cp, opts);
-  if (opts.check_partitioned && !out_of_budget()) {
-    check_partitioned_engines(report, cp, opts);
-  }
   if (opts.check_set_assoc && !out_of_budget()) {
     check_set_assoc_edges(report, cp, opts);
   }
@@ -1219,14 +1204,13 @@ struct FamilyEntry {
   bool OracleOptions::*flag;
 };
 
-constexpr std::array<FamilyEntry, 14> kFamilies = {{
+constexpr std::array<FamilyEntry, 13> kFamilies = {{
     {"roundtrip", &OracleOptions::check_roundtrip},
     {"walker", &OracleOptions::check_walker},
     {"model", &OracleOptions::check_model},
     {"symbolic", &OracleOptions::check_symbolic},
     {"profile", &OracleOptions::check_profile},
     {"sweep", &OracleOptions::check_sweep},
-    {"partitioned", &OracleOptions::check_partitioned},
     {"set-assoc", &OracleOptions::check_set_assoc},
     {"lint", &OracleOptions::check_lint},
     {"parallel", &OracleOptions::check_parallel},

@@ -2,8 +2,8 @@
 //
 // The paper's central claim (§4-§5, Tables 2-3) is that the symbolic
 // stack-distance model matches a fully-associative LRU simulator *exactly*
-// on the constrained TCE loop class. The repo now carries several
-// independent implementations of that semantics:
+// on the constrained TCE loop class. The repo carries several independent
+// implementations of that semantics:
 //
 //   model::predict_misses        symbolic analysis + coordinate enumeration
 //   model::symbolic_sweep        analytic full-curve stack-distance
@@ -12,24 +12,21 @@
 //   cachesim::simulate_lru_lines line-granular variant of the above
 //   cachesim::profile_stack_distances / ProfileResult::result
 //                                one-pass exact stack-distance histogram
-//   cachesim::simulate_sweep     marker-augmented multi-capacity LRU stack
 //   cachesim::simulate_sweep_streamed
-//                                time-partitioned stack distance
-//                                (per-chunk engines + exact hole merge)
-//   trace::SpooledTrace / RunTrace
-//                                out-of-core spool round trip and the
-//                                budget-governed in-memory group stream
-//   cachesim::simulate_many      shared-walk battery of real cache models
+//                                the one sweep engine: per-chunk
+//                                marker-augmented LRU stacks + exact hole
+//                                merge, hashed and set-associative cache
+//                                models on its shared walk
+//   trace::SpooledTrace          out-of-core spool round trip
 //   cachesim::simulate_set_assoc set-associative geometry (edge cases of
 //                                which must degenerate to the above)
-//   trace::walk / walk_batched / walk_runs
-//                                three trace delivery shapes over one plan
 //
-// The engines that consume the run-compressed trace (sweep, many, and the
-// profiler in trace::TraceMode::kRuns) are enrolled as first-class oracles:
-// each runs in both trace modes and must match the per-access references
-// bit for bit, misses_by_site included — so every bulk fast path is
-// differentially pinned to the naive semantics.
+// The engines that consume the run-compressed trace (the streamed sweep
+// and the profiler) are enrolled as first-class oracles: each must match
+// the per-access references — reference_sweep() over the naive simulators
+// fed from walk(), and reference_profile() — bit for bit, misses_by_site
+// included, so every bulk fast path is differentially pinned to the naive
+// semantics. The tests use the same two references.
 //
 // check_program() cross-checks all of them on one program across a
 // capacity / line-size / associativity ladder and reports every
@@ -42,10 +39,13 @@
 #include <string>
 #include <vector>
 
+#include "cachesim/results.hpp"
+#include "cachesim/sweep.hpp"
 #include "fuzz/generator.hpp"
 #include "ir/program.hpp"
 #include "support/governor.hpp"
 #include "symbolic/expr.hpp"
+#include "trace/walker.hpp"
 
 namespace sdlo::fuzz {
 
@@ -67,20 +67,19 @@ struct OracleOptions {
   std::int64_t per_site_capacity = 21;
 
   bool check_roundtrip = true;  ///< parse(print(p)) structural equality
-  bool check_walker = true;     ///< walk vs walk_batched / walk_runs shapes
+  bool check_walker = true;     ///< walk_runs group contract and counts
   bool check_model = true;      ///< model vs exact stack-distance profile
   /// Analytic capacity sweep: when model::symbolic_sweep answers with
   /// Confidence::kExact its histogram must be bit-identical to the trace
-  /// profiler's and its curve must match simulate_sweep at the capacity
-  /// ladder plus every crossing point (misses_by_site included).
+  /// profiler's and its curve must match simulate_sweep_streamed at the
+  /// capacity ladder plus every crossing point (misses_by_site included).
   bool check_symbolic = true;
-  bool check_profile = true;    ///< profiler (both modes) vs simulate_lru*
-  bool check_sweep = true;      ///< sweep + many (both modes) vs reference
-  /// Time-partitioned streamed sweep and the out-of-core engines: the
-  /// streamed hole-merge (several chunk counts), the spool round trip
-  /// (SpooledTrace) and the materialized RunTrace must all be bit-identical
-  /// to the sequential simulate_sweep, misses_by_site included.
-  bool check_partitioned = true;
+  bool check_profile = true;    ///< profiler vs reference_profile, lru-lines
+  /// The streamed sweep engine at chunk counts {1, 2, 5, 17} against
+  /// simulate_lru_lines / simulate_set_assoc, a teed run's spool bytes
+  /// against spool_program, and SpooledTrace's groups against the
+  /// program's own walk_runs.
+  bool check_sweep = true;
   bool check_set_assoc = true;  ///< set-associative edge geometries
   bool check_lint = true;       ///< generated programs lint error-free
   /// Brute-force verification of DOALL-safety claims: every loop the
@@ -88,8 +87,9 @@ struct OracleOptions {
   /// cross-iteration conflicts; loops flagged unsafe are excluded.
   bool check_parallel = true;
   /// Budget-degradation oracle: a zero memory budget forces the sweep
-  /// engine and the profiler onto their hashed fallbacks, which must be
-  /// bit-identical to the unbudgeted dense runs.
+  /// engine and the profiler onto their hashed fallbacks, and a budget of
+  /// only the stack tables forces a multi-chunk sweep down to one chunk;
+  /// both must be bit-identical to the unbudgeted dense runs.
   bool check_budgeted = true;
   /// Brute-force dependence oracle: replay the trace recording every
   /// observed (src site, dst site, kind, direction vector) tuple and
@@ -137,6 +137,19 @@ struct OracleReport {
 
   bool ok() const { return mismatches.empty(); }
 };
+
+/// The per-access reference profile: every access of `cp.walk()` fed to
+/// StackDistanceProfiler::access at `line_elems` granularity, with no bulk
+/// accounting. profile_stack_distances must match it bit for bit.
+cachesim::ProfileResult reference_profile(const trace::CompiledProgram& cp,
+                                          std::int64_t line_elems = 1);
+
+/// Every configuration simulated on its own by the per-access reference
+/// simulators (simulate_lru_lines, simulate_set_assoc), in `configs`
+/// order: what simulate_sweep_streamed must return bit for bit.
+std::vector<cachesim::SimResult> reference_sweep(
+    const trace::CompiledProgram& cp,
+    const std::vector<cachesim::SweepConfig>& configs);
 
 /// Runs every enabled oracle family on `prog` bound with `env`.
 /// The program must be validated and `env` must bind every free symbol.

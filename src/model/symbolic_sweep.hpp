@@ -1,12 +1,12 @@
 // Fully symbolic capacity sweep (ROADMAP item 2).
 //
-// predict_misses() answers one capacity per call; simulate_sweep() answers
-// every capacity but must walk the trace. This module closes the gap: from
-// the symbolic analysis alone it builds, per reuse partition, the exact
-// *stack-distance histogram* — how many of the partition's accesses have
-// each stack depth — and aggregates them into the same ProfileResult shape
-// the trace profiler produces. The full miss-vs-capacity curve then falls
-// out analytically:
+// predict_misses() answers one capacity per call; simulate_sweep_streamed()
+// answers every capacity but must walk the trace. This module closes the
+// gap: from the symbolic analysis alone it builds, per reuse partition, the
+// exact *stack-distance histogram* — how many of the partition's accesses
+// have each stack depth — and aggregates them into the same ProfileResult
+// shape the trace profiler produces. The full miss-vs-capacity curve then
+// falls out analytically:
 //
 //   misses(C) = cold + sum_{depth > C} histogram[depth]
 //
@@ -14,10 +14,10 @@
 // walk. On model-exact programs the histogram is bit-identical to
 // profile_stack_distances() (the fuzz oracle battery enforces this), so the
 // curve — including every crossing point, the capacities where accesses
-// flip from miss to hit — matches simulate_sweep() exactly in O(model)
-// instead of O(trace) time. This is the shape of Zhu/Ding's fully symbolic
-// locality analysis and Gysi et al.'s analytical cache model, grown out of
-// the paper's §5 partition machinery.
+// flip from miss to hit — matches simulate_sweep_streamed() exactly in
+// O(model) instead of O(trace) time. This is the shape of Zhu/Ding's fully
+// symbolic locality analysis and Gysi et al.'s analytical cache model, grown
+// out of the paper's §5 partition machinery.
 //
 // Exactness doctrine (same as predict_misses, plus one sound reduction):
 // a partition's histogram is exact when its dependent coordinates can be

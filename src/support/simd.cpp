@@ -7,9 +7,6 @@
 #if defined(__x86_64__) || defined(_M_X64)
 #define SDLO_SIMD_X86 1
 #include <immintrin.h>
-#elif defined(__aarch64__)
-#define SDLO_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace sdlo::simd {
@@ -58,18 +55,14 @@ Isa probe_cpu() {
   if (__builtin_cpu_supports("avx512f")) return Isa::kAvx512;
   if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
   return Isa::kSse2;  // the x86-64 baseline
-#elif defined(SDLO_SIMD_NEON)
-  return Isa::kNeon;
 #else
   return Isa::kScalar;
 #endif
 }
 
-/// Clamps a requested tier to what the CPU supports. On x86 the tiers are
-/// totally ordered; a cross-architecture request falls to scalar.
+/// Clamps a requested tier to what the CPU supports: the tiers are totally
+/// ordered.
 Isa clamp_isa(Isa want, Isa have) {
-  if (want == have) return want;
-  if (want == Isa::kNeon || have == Isa::kNeon) return Isa::kScalar;
   return static_cast<std::uint8_t>(want) < static_cast<std::uint8_t>(have)
              ? want
              : have;
@@ -81,7 +74,6 @@ bool parse_isa(const char* name, Isa* out) {
   else if (std::strcmp(name, "sse2") == 0) *out = Isa::kSse2;
   else if (std::strcmp(name, "avx2") == 0) *out = Isa::kAvx2;
   else if (std::strcmp(name, "avx512") == 0) *out = Isa::kAvx512;
-  else if (std::strcmp(name, "neon") == 0) *out = Isa::kNeon;
   else return false;
   return true;
 }
@@ -300,51 +292,6 @@ __attribute__((target("avx512f"))) void gather_u64_avx512(
 
 #endif  // SDLO_SIMD_X86
 
-// ---------------------------------------------------------------------------
-// aarch64 NEON bodies (baseline on that architecture, no attribute needed).
-
-#if defined(SDLO_SIMD_NEON)
-
-void add_u64_neon(std::uint64_t* dst, const std::uint64_t* src,
-                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(dst + i, vaddq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-  }
-  add_u64_scalar(dst + i, src + i, n - i);
-}
-
-void run_lines_neon(std::uint64_t base, std::int64_t stride, int shift,
-                    std::uint64_t* out, std::size_t n) {
-  const std::uint64_t s = static_cast<std::uint64_t>(stride);
-  const std::uint64_t lanes[2] = {base, base + s};
-  uint64x2_t a = vld1q_u64(lanes);
-  const uint64x2_t step = vdupq_n_u64(2 * s);
-  const int64x2_t sh = vdupq_n_s64(-shift);  // vshlq with negative = right
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(out + i, vshlq_u64(a, sh));
-    a = vaddq_u64(a, step);
-  }
-  run_lines_scalar(base + i * s, stride, shift, out + i, n - i);
-}
-
-std::size_t find_not_equal_neon(const std::uint64_t* a, std::size_t n,
-                                std::size_t from, std::uint64_t value) {
-  const uint64x2_t v = vdupq_n_u64(value);
-  std::size_t i = from;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t eq = vceqq_u64(vld1q_u64(a + i), v);
-    // Both lanes all-ones iff both equal; min across lanes detects any 0.
-    if (vminvq_u32(vreinterpretq_u32_u64(eq)) != 0xFFFFFFFFu) {
-      return find_not_equal_scalar(a, n, i, value);
-    }
-  }
-  return find_not_equal_scalar(a, n, i, value);
-}
-
-#endif  // SDLO_SIMD_NEON
-
 }  // namespace
 
 const char* isa_name(Isa isa) {
@@ -352,7 +299,6 @@ const char* isa_name(Isa isa) {
     case Isa::kSse2: return "sse2";
     case Isa::kAvx2: return "avx2";
     case Isa::kAvx512: return "avx512";
-    case Isa::kNeon: return "neon";
     case Isa::kScalar: break;
   }
   return "scalar";
@@ -386,9 +332,6 @@ void add_u64(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
     case Isa::kAvx2: return add_u64_avx2(dst, src, n);
     case Isa::kSse2: return add_u64_sse2(dst, src, n);
 #endif
-#if defined(SDLO_SIMD_NEON)
-    case Isa::kNeon: return add_u64_neon(dst, src, n);
-#endif
     default: return add_u64_scalar(dst, src, n);
   }
 }
@@ -401,9 +344,6 @@ void run_lines(std::uint64_t base, std::int64_t stride, int shift,
     case Isa::kAvx2: return run_lines_avx2(base, stride, shift, out, n);
     case Isa::kSse2: return run_lines_sse2(base, stride, shift, out, n);
 #endif
-#if defined(SDLO_SIMD_NEON)
-    case Isa::kNeon: return run_lines_neon(base, stride, shift, out, n);
-#endif
     default: return run_lines_scalar(base, stride, shift, out, n);
   }
 }
@@ -415,9 +355,6 @@ std::size_t find_not_equal(const std::uint64_t* a, std::size_t n,
     case Isa::kAvx512: return find_not_equal_avx512(a, n, from, value);
     case Isa::kAvx2: return find_not_equal_avx2(a, n, from, value);
     case Isa::kSse2: return find_not_equal_sse2(a, n, from, value);
-#endif
-#if defined(SDLO_SIMD_NEON)
-    case Isa::kNeon: return find_not_equal_neon(a, n, from, value);
 #endif
     default: return find_not_equal_scalar(a, n, from, value);
   }

@@ -7,7 +7,7 @@
 // slots, and gathering scattered dense-table entries for a batch of lines.
 // Each of those is expressed here once, with vector bodies for every
 // instruction set the binary may meet at runtime (AVX-512 > AVX2 > SSE2 on
-// x86-64, NEON on aarch64) and a scalar body everywhere else. The scalar
+// x86-64) and a scalar body everywhere else. The scalar
 // and vector bodies are bit-identical by construction — every operation is
 // exact integer arithmetic — so callers never need to know which ran.
 //
@@ -26,9 +26,9 @@
 
 namespace sdlo::simd {
 
-/// Vector instruction tiers, ordered weakest to strongest on x86-64.
-/// kNeon is the aarch64 tier (incomparable with the x86 tiers).
-enum class Isa : std::uint8_t { kScalar, kSse2, kAvx2, kAvx512, kNeon };
+/// Vector instruction tiers, ordered weakest to strongest on x86-64. Other
+/// architectures run the scalar bodies.
+enum class Isa : std::uint8_t { kScalar, kSse2, kAvx2, kAvx512 };
 
 /// Canonical lowercase name of a tier ("avx512", "avx2", ...).
 const char* isa_name(Isa isa);

@@ -4,7 +4,7 @@
 #include <exception>
 #include <set>
 
-#include "cachesim/sweep.hpp"
+#include "cachesim/parallel_stack.hpp"
 #include "support/check.hpp"
 #include "trace/walker.hpp"
 
@@ -140,20 +140,20 @@ const FastMissModel::Score& Scorer::operator()(
 }
 
 std::uint64_t Scorer::simulated_misses(
-    const std::vector<std::int64_t>& tiles, trace::TraceMode mode) {
+    const std::vector<std::int64_t>& tiles) {
   auto it = sim_memo_.find(tiles);
   if (it != sim_memo_.end()) {
     ++cache_hits_;
     return it->second;
   }
   trace::CompiledProgram cp(g_.prog, g_.make_env(bounds_, tiles));
-  const auto r = cachesim::simulate_sweep(
-      cp, {{capacity_, 1, 0, cachesim::Replacement::kLru}}, pool_, mode);
+  const auto r = cachesim::simulate_sweep_streamed(
+      cp, {{capacity_, 1, 0, cachesim::Replacement::kLru}});
   return sim_memo_.emplace(tiles, r[0].misses).first->second;
 }
 
 Scorer::GroundedScore Scorer::grounded_misses(
-    const std::vector<std::int64_t>& tiles, trace::TraceMode mode) {
+    const std::vector<std::int64_t>& tiles) {
   const auto it = sim_memo_.find(tiles);
   if (it != sim_memo_.end()) {
     ++cache_hits_;
@@ -165,8 +165,8 @@ Scorer::GroundedScore Scorer::grounded_misses(
     return {(*this)(tiles).misses, model::Confidence::kApproximate};
   }
   trace::CompiledProgram cp(g_.prog, g_.make_env(bounds_, tiles));
-  const auto r = cachesim::simulate_sweep(
-      cp, {{capacity_, 1, 0, cachesim::Replacement::kLru}}, pool_, mode,
+  const auto r = cachesim::simulate_sweep_streamed(
+      cp, {{capacity_, 1, 0, cachesim::Replacement::kLru}}, nullptr, {},
       gov_);
   if (r[0].completeness == Completeness::kTruncated) {
     // A prefix miss count is a lower bound, not a ranking-safe estimate:

@@ -109,23 +109,18 @@ class Scorer {
   void prefetch(const std::vector<std::vector<std::int64_t>>& tuples);
 
   /// Exact *simulated* misses of one tile tuple at the scorer's capacity:
-  /// compiles the program with the tuple bound in and runs the sweep engine
-  /// over its trace. Used by the validation columns of the ablation benches
-  /// to ground the modeled ranking. Memoized on the tuple (separately from
-  /// the fast-model memo); both trace modes are bit-identical, so the mode
-  /// only picks the engine speed, run-compressed by default.
-  std::uint64_t simulated_misses(
-      const std::vector<std::int64_t>& tiles,
-      trace::TraceMode mode = trace::TraceMode::kRuns);
+  /// compiles the program with the tuple bound in and runs the streamed
+  /// sweep engine (one chunk) over its trace. Used by the validation
+  /// columns of the ablation benches to ground the modeled ranking.
+  /// Memoized on the tuple (separately from the fast-model memo).
+  std::uint64_t simulated_misses(const std::vector<std::int64_t>& tiles);
 
   /// Budget-aware grounding: simulated misses (kExact) while the scorer's
   /// governor allows it; once the deadline/cancellation trips — or the
   /// simulation itself comes back truncated — degrades to the memoized
   /// fast-model score marked kApproximate instead of burning the remaining
   /// budget on full trace walks.
-  GroundedScore grounded_misses(
-      const std::vector<std::int64_t>& tiles,
-      trace::TraceMode mode = trace::TraceMode::kRuns);
+  GroundedScore grounded_misses(const std::vector<std::int64_t>& tiles);
 
   /// Fast-model evaluations actually performed.
   std::size_t evaluations() const { return evaluations_; }

@@ -237,12 +237,6 @@ SpooledTrace::SpooledTrace(std::string path, SpoolReadOptions opt)
   }
 }
 
-std::uint64_t SpooledTrace::footprint_lines(std::int64_t line_elems) const {
-  SDLO_EXPECTS(line_elems > 0);
-  if (address_space_ == 0) return 0;
-  return (address_space_ - 1) / static_cast<std::uint64_t>(line_elems) + 1;
-}
-
 void SpooledTrace::refill(Cursor& cur) const {
   cur.buf.resize(opt_.window_bytes);
   cur.in.read(reinterpret_cast<char*>(cur.buf.data()),
@@ -344,78 +338,6 @@ std::uint64_t SpooledTrace::group_of_access(
     ++g;
     SDLO_CHECK(g < total_groups_, "spool: corrupt access counts in " + path_);
   }
-}
-
-RunTrace RunTrace::materialize(const CompiledProgram& prog,
-                               const Governor* gov) {
-  RunTrace t;
-  t.num_sites_ = prog.num_sites();
-  t.address_space_ = prog.address_space_size();
-  t.group_start_.push_back(0);
-  t.access_prefix_.push_back(0);
-  MemoryBudget* budget = gov != nullptr ? gov->memory : nullptr;
-
-  std::uint64_t reserved = 0;
-  auto ensure = [&](std::uint64_t bytes) {
-    if (bytes <= reserved) return;
-    const std::uint64_t grow = bytes - reserved;
-    MemoryReservation r(budget, grow);
-    if (!r.ok()) {
-      throw BudgetExceeded(
-          BudgetExceeded::Kind::kMemory,
-          "run-trace materialization exceeds the memory budget; "
-          "stream the trace through a spool instead");
-    }
-    reserved = bytes;
-    t.reservations_.push_back(std::move(r));
-  };
-
-  std::uint64_t tick = 0;
-  const std::uint64_t interval =
-      gov != nullptr && gov->poll_interval > 0 ? gov->poll_interval : 1024;
-  prog.walk_runs([&](const Run* group, std::size_t nrefs) {
-    if (gov != nullptr && ++tick >= interval) {
-      tick = 0;
-      gov->check("run-trace materialization");
-    }
-    // Reserve what the vectors will actually hold after growth (geometric
-    // doubling), before they allocate it.
-    std::uint64_t run_cap = t.runs_.capacity();
-    if (t.runs_.size() + nrefs > run_cap) {
-      run_cap = std::max<std::uint64_t>(2 * run_cap,
-                                        t.runs_.size() + nrefs);
-    }
-    std::uint64_t idx_cap = t.group_start_.capacity();
-    if (t.group_start_.size() + 1 > idx_cap) {
-      idx_cap = std::max<std::uint64_t>(2 * idx_cap,
-                                        t.group_start_.size() + 1);
-    }
-    ensure(run_cap * sizeof(Run) + 2 * idx_cap * sizeof(std::uint64_t));
-    t.runs_.insert(t.runs_.end(), group, group + nrefs);
-    t.total_accesses_ += group[0].count * nrefs;
-    t.group_start_.push_back(t.runs_.size());
-    t.access_prefix_.push_back(t.total_accesses_);
-  });
-  return t;
-}
-
-std::uint64_t RunTrace::footprint_lines(std::int64_t line_elems) const {
-  SDLO_EXPECTS(line_elems > 0);
-  if (address_space_ == 0) return 0;
-  return (address_space_ - 1) / static_cast<std::uint64_t>(line_elems) + 1;
-}
-
-std::uint64_t RunTrace::group_of_access(std::uint64_t access_index) const {
-  SDLO_EXPECTS(access_index < total_accesses_);
-  const auto it = std::upper_bound(access_prefix_.begin(),
-                                   access_prefix_.end(), access_index);
-  return static_cast<std::uint64_t>(it - access_prefix_.begin()) - 1;
-}
-
-std::uint64_t RunTrace::bytes() const {
-  return runs_.capacity() * sizeof(Run) +
-         (group_start_.capacity() + access_prefix_.capacity()) *
-             sizeof(std::uint64_t);
 }
 
 }  // namespace sdlo::trace

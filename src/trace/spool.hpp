@@ -28,18 +28,11 @@
 //    (full groups only) is recognized and refused with an IoError.
 //
 //  * SpooledTrace re-streams the groups through the same walk_runs() /
-//    walk_runs_range() / walk_batched() shapes CompiledProgram offers, so
-//    the sequential sweep engines (simulate_sweep, simulate_many) consume
-//    a spool unchanged and bit-identically. Reads go through a bounded
-//    window buffer (SpoolReadOptions, default 1 MiB) — peak memory is the
-//    window, never the trace. Walks are const and re-entrant (each opens
-//    its own stream), so pooled sweep units can share one spool.
-//
-//  * RunTrace is the in-memory counterpart: the materialized group stream,
-//    reserved against a Governor's MemoryBudget as it grows. When the
-//    budget cannot hold the trace, materialize() throws
-//    BudgetExceeded(kMemory) — the signal the caller uses to degrade to a
-//    spool and keep the run sequential-I/O-bound instead of failing.
+//    walk_runs_range() shapes CompiledProgram offers, group for group
+//    bit-identical to the spooled program's own walk. Reads go through a
+//    bounded window buffer (SpoolReadOptions, default 1 MiB) — peak memory
+//    is the window, never the trace. Walks are const and re-entrant (each
+//    opens its own stream).
 #pragma once
 
 #include <cstdint>
@@ -48,7 +41,6 @@
 #include <vector>
 
 #include "support/check.hpp"
-#include "support/governor.hpp"
 #include "trace/walker.hpp"
 
 namespace sdlo::trace {
@@ -155,9 +147,6 @@ class SpooledTrace {
   std::int32_t num_sites() const { return num_sites_; }
   std::uint64_t address_space_size() const { return address_space_; }
 
-  /// Same contract as CompiledProgram::footprint_lines.
-  std::uint64_t footprint_lines(std::int64_t line_elems) const;
-
   /// Index of the group containing global access `access_index`; seeks via
   /// the sparse index, decoding at most kSpoolIndexStride groups.
   std::uint64_t group_of_access(std::uint64_t access_index) const;
@@ -186,31 +175,6 @@ class SpooledTrace {
     for (std::uint64_t g = 0; g < num_groups; ++g) {
       decode_group(cur, group);
       sink(static_cast<const Run*>(group.data()), group.size());
-    }
-  }
-
-  /// Decompressing adapter with the same batch boundaries as
-  /// CompiledProgram::walk_batched.
-  template <typename BatchSink>
-  void walk_batched(BatchSink&& sink, std::size_t batch = kTraceBatch) const {
-    SDLO_EXPECTS(batch > 0);
-    std::vector<Access> buf;
-    buf.reserve(batch + kMaxLeafRefs);
-    walk_runs([&](const Run* group, std::size_t nrefs) {
-      const std::uint64_t count = group[0].count;
-      for (std::uint64_t v = 0; v < count; ++v) {
-        for (std::size_t r = 0; r < nrefs; ++r) {
-          buf.push_back(
-              Access{group[r].at(v), group[r].mode, group[r].site});
-        }
-        if (buf.size() >= batch) {
-          sink(static_cast<const Access*>(buf.data()), buf.size());
-          buf.clear();
-        }
-      }
-    });
-    if (!buf.empty()) {
-      sink(static_cast<const Access*>(buf.data()), buf.size());
     }
   }
 
@@ -244,77 +208,6 @@ class SpooledTrace {
   std::int32_t num_sites_ = 0;
   std::uint64_t body_offset_ = 0;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> index_;
-};
-
-/// The materialized in-memory group stream, governed by a MemoryBudget.
-class RunTrace {
- public:
-  /// Walks `prog` once and stores every group. Reserves the storage
-  /// against gov->memory in slabs as it grows; a denied slab throws
-  /// BudgetExceeded(kMemory) — callers degrade to a SpooledTrace.
-  static RunTrace materialize(const CompiledProgram& prog,
-                              const Governor* gov = nullptr);
-
-  std::uint64_t total_accesses() const { return total_accesses_; }
-  std::uint64_t group_count() const { return group_start_.size() - 1; }
-  std::int32_t num_sites() const { return num_sites_; }
-  std::uint64_t address_space_size() const { return address_space_; }
-  std::uint64_t footprint_lines(std::int64_t line_elems) const;
-  std::uint64_t group_of_access(std::uint64_t access_index) const;
-
-  /// Bytes the stored groups occupy (what materialize reserved).
-  std::uint64_t bytes() const;
-
-  template <typename GroupSink>
-  void walk_runs(GroupSink&& sink) const {
-    walk_runs_range(0, group_count(), sink);
-  }
-
-  template <typename GroupSink>
-  void walk_runs_range(std::uint64_t first_group, std::uint64_t num_groups,
-                       GroupSink&& sink) const {
-    SDLO_EXPECTS(first_group + num_groups <= group_count());
-    for (std::uint64_t g = first_group; g < first_group + num_groups; ++g) {
-      const std::uint64_t b = group_start_[static_cast<std::size_t>(g)];
-      const std::uint64_t e =
-          group_start_[static_cast<std::size_t>(g) + 1];
-      sink(runs_.data() + b, static_cast<std::size_t>(e - b));
-    }
-  }
-
-  template <typename BatchSink>
-  void walk_batched(BatchSink&& sink, std::size_t batch = kTraceBatch) const {
-    SDLO_EXPECTS(batch > 0);
-    std::vector<Access> buf;
-    buf.reserve(batch + kMaxLeafRefs);
-    walk_runs([&](const Run* group, std::size_t nrefs) {
-      const std::uint64_t count = group[0].count;
-      for (std::uint64_t v = 0; v < count; ++v) {
-        for (std::size_t r = 0; r < nrefs; ++r) {
-          buf.push_back(
-              Access{group[r].at(v), group[r].mode, group[r].site});
-        }
-        if (buf.size() >= batch) {
-          sink(static_cast<const Access*>(buf.data()), buf.size());
-          buf.clear();
-        }
-      }
-    });
-    if (!buf.empty()) {
-      sink(static_cast<const Access*>(buf.data()), buf.size());
-    }
-  }
-
- private:
-  RunTrace() = default;
-
-  std::vector<Run> runs_;
-  std::vector<std::uint64_t> group_start_;     // size group_count() + 1
-  std::vector<std::uint64_t> access_prefix_;   // size group_count() + 1
-  std::uint64_t total_accesses_ = 0;
-  std::uint64_t address_space_ = 0;
-  std::int32_t num_sites_ = 0;
-  std::vector<MemoryReservation> reservations_;
 };
 
 }  // namespace sdlo::trace

@@ -11,24 +11,22 @@
 // pairs composed in mixed radix), so distinct elements <=> distinct
 // addresses, which is the identity the stack-distance model uses.
 //
-// Three sink shapes are supported, cheapest last:
-//  * walk(sink)          — sink(const Access&) per access (compatibility).
-//  * walk_batched(sink)  — sink(const Access*, std::size_t) over buffers of
-//    ~4K accesses.
+// Two sink shapes are supported:
 //  * walk_runs(sink)     — sink(const Run*, std::size_t nrefs) over
-//    *run groups*: the run-compressed form of the trace. A leaf-flattened
-//    innermost loop is delivered as one group of `nrefs` constant-stride
-//    runs sharing a common iteration count — one record per reference per
-//    leaf-loop execution — instead of `count * nrefs` materialized Access
-//    structs. A plain statement is a group with count == 1 (the generic
-//    fallback for bodies the leaf flattener declines, e.g. more than
-//    kMaxLeafRefs references). Decompression order of a group is
-//    iteration-major: for v in [0, count): for r in [0, nrefs):
-//    access(base_r + v*stride_r), which is exactly the program order of the
-//    interleaved loop body.
-// walk() and walk_batched() are thin decompressing adapters over
-// walk_runs(), so every caller observes the identical access sequence and
-// identical batch boundaries as before run compression existed.
+//    *run groups*: the run-compressed form of the trace, and the one every
+//    simulation engine consumes. A leaf-flattened innermost loop is
+//    delivered as one group of `nrefs` constant-stride runs sharing a
+//    common iteration count — one record per reference per leaf-loop
+//    execution — instead of `count * nrefs` materialized Access structs. A
+//    plain statement is a group with count == 1 (the generic fallback for
+//    bodies the leaf flattener declines, e.g. more than kMaxLeafRefs
+//    references). Decompression order of a group is iteration-major: for v
+//    in [0, count): for r in [0, nrefs): access(base_r + v*stride_r), which
+//    is exactly the program order of the interleaved loop body.
+//  * walk(sink)          — sink(const Access&) per access: walk_runs()
+//    decompressed in that order. The naive reference simulators
+//    (simulate_lru, simulate_lru_lines, simulate_set_assoc) and
+//    `sdlo trace` use it.
 #pragma once
 
 #include <cstdint>
@@ -68,14 +66,6 @@ struct Run {
   }
 };
 
-/// Trace delivery shape a simulation engine consumes: per-access batches
-/// (the PR 1 path) or run-compressed groups. Both yield bit-identical
-/// results; kRuns is faster and the default for the sweep/profile engines.
-enum class TraceMode { kBatched, kRuns };
-
-/// Default number of accesses buffered per walk_batched() delivery.
-inline constexpr std::size_t kTraceBatch = 4096;
-
 /// Leaf-loop flattening covers statement bodies of up to this many
 /// references; larger bodies fall back to the generic count-1 run path.
 inline constexpr std::size_t kMaxLeafRefs = 32;
@@ -100,37 +90,17 @@ class CompiledProgram {
     for (const auto& op : top_) run_runs(op, values, group, sink);
   }
 
-  /// Calls `sink(const Access*, std::size_t)` with successive program-order
-  /// trace segments of at most `batch` accesses each. Decompresses
-  /// walk_runs(); batch boundaries are identical to the historical batched
-  /// generator (a flush check after every statement / leaf iteration).
-  template <typename BatchSink>
-  void walk_batched(BatchSink&& sink, std::size_t batch = kTraceBatch) const {
-    SDLO_EXPECTS(batch > 0);
-    std::vector<Access> buf;
-    buf.reserve(batch + kMaxLeafRefs);
-    walk_runs([&](const Run* group, std::size_t nrefs) {
+  /// Calls `sink(const Access&)` for every access in program order: each
+  /// run group of walk_runs() decompressed iteration-major.
+  template <typename Sink>
+  void walk(Sink&& sink) const {
+    walk_runs([&sink](const Run* group, std::size_t nrefs) {
       const std::uint64_t count = group[0].count;
       for (std::uint64_t v = 0; v < count; ++v) {
         for (std::size_t r = 0; r < nrefs; ++r) {
-          buf.push_back(Access{group[r].at(v), group[r].mode,
-                               group[r].site});
-        }
-        if (buf.size() >= batch) {
-          sink(static_cast<const Access*>(buf.data()), buf.size());
-          buf.clear();
+          sink(Access{group[r].at(v), group[r].mode, group[r].site});
         }
       }
-    });
-    if (!buf.empty()) sink(static_cast<const Access*>(buf.data()),
-                           buf.size());
-  }
-
-  /// Calls `sink(const Access&)` for every access in program order.
-  template <typename Sink>
-  void walk(Sink&& sink) const {
-    walk_batched([&sink](const Access* a, std::size_t n) {
-      for (std::size_t i = 0; i < n; ++i) sink(a[i]);
     });
   }
 

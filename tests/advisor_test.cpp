@@ -147,7 +147,6 @@ TEST(AdvisorOracle, GalleryAdviceIsLegalAndHonest) {
   opts.check_symbolic = false;
   opts.check_profile = false;
   opts.check_sweep = false;
-  opts.check_partitioned = false;
   opts.check_set_assoc = false;
   opts.check_lint = false;
   opts.check_parallel = false;

@@ -6,16 +6,21 @@
 // expired deadline — must leave neither the destination file nor its .tmp
 // sibling behind (the RAII guard + temp-and-rename contract). These run the
 // real binary as a subprocess so the cleanup is exercised through process
-// exit, not just stack unwind.
+// exit, not just stack unwind. `sdlo trace --limit` is pinned here too: its
+// first lines are walk()'s first accesses and its tail count is exact.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
+#include "ir/parser.hpp"
+#include "support/string_util.hpp"
 #include "trace/spool.hpp"
+#include "trace/walker.hpp"
 
 namespace {
 
@@ -53,19 +58,58 @@ int run_sweep(const std::string& env_prefix, const std::string& extra) {
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
-/// Runs `sdlo sweep prog --set N=48 extra_flags --json` and returns its
-/// stdout (empty when the process failed).
-std::string sweep_json(const std::string& extra) {
-  const std::string cmd = "\"" + std::string(SDLO_CLI_PATH) + "\" sweep " +
-                          program_file() + " --set N=48 --json " + extra +
-                          " 2>/dev/null";
+/// Runs `sdlo args` and returns its stdout; `exit_code` receives the
+/// process exit code (-1 if it did not exit normally).
+std::string capture(const std::string& args, int& exit_code) {
+  const std::string cmd =
+      "\"" + std::string(SDLO_CLI_PATH) + "\" " + args + " 2>/dev/null";
+  exit_code = -1;
   FILE* pipe = ::popen(cmd.c_str(), "r");
   if (pipe == nullptr) return "";
   std::string out;
   char buf[4096];
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
-  return ::pclose(pipe) == 0 ? out : "";
+  const int rc = ::pclose(pipe);
+  if (rc != -1 && WIFEXITED(rc)) exit_code = WEXITSTATUS(rc);
+  return out;
+}
+
+/// Runs `sdlo sweep prog --set N=48 extra_flags --json` and returns its
+/// stdout (empty when the process failed).
+std::string sweep_json(const std::string& extra) {
+  int rc = 0;
+  std::string out =
+      capture("sweep " + program_file() + " --set N=48 --json " + extra, rc);
+  return rc == 0 ? out : "";
+}
+
+/// The matmul program at N=12 (6,912 accesses), compiled in-process.
+sdlo::trace::CompiledProgram trace_program() {
+  std::ifstream in(program_file());
+  std::stringstream text;
+  text << in.rdbuf();
+  return sdlo::trace::CompiledProgram(sdlo::ir::parse_program(text.str()),
+                                      {{"N", 12}});
+}
+
+/// What `sdlo trace --limit limit` must print for `cp`.
+std::string expected_trace(const sdlo::trace::CompiledProgram& cp,
+                           std::uint64_t limit) {
+  std::ostringstream os;
+  std::uint64_t i = 0;
+  cp.walk([&](const sdlo::trace::Access& a) {
+    if (i++ >= limit) return;
+    os << a.addr << (a.mode == sdlo::ir::AccessMode::kWrite ? " W" : " R")
+       << " site=" << a.site << "\n";
+  });
+  if (cp.total_accesses() > limit) {
+    os << "... ("
+       << sdlo::with_commas(
+              static_cast<std::int64_t>(cp.total_accesses() - limit))
+       << " more)\n";
+  }
+  return os.str();
 }
 
 /// `json` without its "spool" member (the one place a --spool run differs).
@@ -144,6 +188,44 @@ TEST(CliSpool, ExpiredDeadlineTruncatesWithoutLeavingASpool) {
                               " --deadline 0.000001"),
             2);
   expect_no_spool(path);
+}
+
+TEST(CliTrace, LimitPrintsTheFirstAccessesAndAnExactTail) {
+  const auto cp = trace_program();
+  ASSERT_EQ(cp.total_accesses(), 6912u);
+  // 0, inside the first run group, on a group boundary, mid-group later.
+  for (const std::uint64_t limit : {0u, 1u, 5u, 48u, 1001u}) {
+    int rc = -1;
+    const std::string out =
+        capture("trace " + program_file() + " --set N=12 --limit " +
+                    std::to_string(limit),
+                rc);
+    EXPECT_EQ(rc, 0) << "limit " << limit;
+    EXPECT_EQ(out, expected_trace(cp, limit)) << "limit " << limit;
+  }
+}
+
+TEST(CliTrace, LimitAtOrAboveTheTotalPrintsNoTail) {
+  const auto cp = trace_program();
+  for (const std::uint64_t limit :
+       {cp.total_accesses(), cp.total_accesses() + 10}) {
+    int rc = -1;
+    const std::string out =
+        capture("trace " + program_file() + " --set N=12 --limit " +
+                    std::to_string(limit),
+                rc);
+    EXPECT_EQ(rc, 0) << "limit " << limit;
+    EXPECT_EQ(out.find("more)"), std::string::npos) << "limit " << limit;
+    EXPECT_EQ(out, expected_trace(cp, limit)) << "limit " << limit;
+  }
+}
+
+TEST(CliTrace, NegativeLimitIsAUsageError) {
+  int rc = -1;
+  const std::string out = capture(
+      "trace " + program_file() + " --set N=12 --limit -1", rc);
+  EXPECT_EQ(rc, 1);
+  EXPECT_TRUE(out.empty()) << out;
 }
 
 TEST(CliSpool, CleanupOfProgramFile) {

@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "cachesim/parallel_stack.hpp"
 #include "cachesim/sim.hpp"
-#include "cachesim/sweep.hpp"
 #include "fuzz/generator.hpp"
 #include "fuzz/oracles.hpp"
 #include "fuzz/reducer.hpp"
@@ -206,16 +206,14 @@ TEST(FuzzArtifactTest, ReplaysThroughBothTracePaths) {
   for (const std::int64_t cap : {1, 2, 3, 5, 8, 64}) {
     const std::vector<cachesim::SweepConfig> cfg{
         {cap, 1, 0, cachesim::Replacement::kLru}};
-    const auto runs =
-        cachesim::simulate_sweep(cp, cfg, nullptr, trace::TraceMode::kRuns);
-    const auto batched = cachesim::simulate_sweep(
-        cp, cfg, nullptr, trace::TraceMode::kBatched);
-    EXPECT_EQ(runs[0].misses, batched[0].misses) << "cap=" << cap;
-    EXPECT_EQ(runs[0].misses_by_site, batched[0].misses_by_site)
+    const auto runs = cachesim::simulate_sweep_streamed(cp, cfg);
+    const auto per_access = cachesim::simulate_lru(cp, cap);
+    EXPECT_EQ(runs[0].misses, per_access.misses) << "cap=" << cap;
+    EXPECT_EQ(runs[0].misses_by_site, per_access.misses_by_site)
         << "cap=" << cap;
   }
   // The replayed program also has to come out clean under every oracle —
-  // run-fed sweep, run-fed profiler, walker shapes, the lot.
+  // run-fed sweep, run-fed profiler, walker contract, the lot.
   const auto report = fuzz::check_program(parsed.prog, parsed.env);
   ASSERT_FALSE(report.skipped);
   EXPECT_TRUE(report.ok())

@@ -1,11 +1,12 @@
 // Differential tests for the time partitioning of the streamed sweep:
-// simulate_sweep_streamed must be bit-identical to the sequential
-// simulate_sweep — including misses_by_site — for every chunking of the
-// trace, because the hole-merge pass resolves cross-chunk reuses exactly.
-// Also covers the hole-merge edge cases (reuse windows spanning several
-// chunk boundaries, single-group chunks, all-cold chunks), deterministic
-// max_groups truncation, governed cancellation mid-sweep (run under TSan in
-// CI), and the memory-budget degradation to the sequential engine.
+// simulate_sweep_streamed must be bit-identical to the per-configuration
+// reference simulators — including misses_by_site — for every chunking of
+// the trace, because the hole-merge pass resolves cross-chunk reuses
+// exactly. Also covers the hole-merge edge cases (reuse windows spanning
+// several chunk boundaries, single-group chunks, all-cold chunks),
+// deterministic max_groups truncation, governed cancellation mid-sweep
+// (run under TSan in CI), and the memory-budget degradation to the serial
+// hashed-table walk.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 
 #include "cachesim/parallel_stack.hpp"
 #include "cachesim/sweep.hpp"
+#include "fuzz/oracles.hpp"
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
 #include "parallel/thread_pool.hpp"
@@ -88,7 +90,7 @@ TEST(ParallelSweep, MatchesSequentialOnEveryGalleryProgram) {
   for (const auto& c : cases) {
     const trace::CompiledProgram cp(c.g.prog,
                                     c.g.make_env(c.bounds, c.tiles));
-    const auto want = cachesim::simulate_sweep(cp, configs);
+    const auto want = fuzz::reference_sweep(cp, configs);
     for (int chunks : {2, 3, 4, 13}) {
       PartitionOptions opt;
       opt.chunks = chunks;
@@ -105,7 +107,7 @@ TEST(ParallelSweep, PoolMatchesSerialPartitioning) {
   const trace::CompiledProgram cp(g.prog,
                                   g.make_env({16, 16, 16}, {4, 8, 4}));
   const auto configs = standard_configs();
-  const auto want = cachesim::simulate_sweep(cp, configs);
+  const auto want = fuzz::reference_sweep(cp, configs);
   parallel::ThreadPool pool(3);
   PartitionOptions opt;
   opt.chunks = 5;
@@ -130,7 +132,7 @@ TEST(ParallelSweep, SingleGroupChunks) {
   std::vector<SweepConfig> configs;
   for (std::int64_t cap : {1, 2, 4, 8, 32})
     configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
-  const auto want = cachesim::simulate_sweep(cp, configs);
+  const auto want = fuzz::reference_sweep(cp, configs);
   PartitionOptions opt;
   opt.chunks = 1 << 20;
   const auto got =
@@ -150,7 +152,7 @@ TEST(ParallelSweep, ReuseSpansMultipleChunkBoundaries) {
   std::vector<SweepConfig> configs;
   for (std::int64_t cap : {1, 2, 32, 63, 64, 65, 66, 128})
     configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
-  const auto want = cachesim::simulate_sweep(cp, configs);
+  const auto want = fuzz::reference_sweep(cp, configs);
   for (int chunks : {2, 8, 16}) {
     PartitionOptions opt;
     opt.chunks = chunks;
@@ -173,7 +175,7 @@ TEST(ParallelSweep, AllHolesChunks) {
   std::vector<SweepConfig> configs{{1, 1, 0, cachesim::Replacement::kLru},
                                    {16, 1, 0, cachesim::Replacement::kLru},
                                    {512, 1, 0, cachesim::Replacement::kLru}};
-  const auto want = cachesim::simulate_sweep(cp, configs);
+  const auto want = fuzz::reference_sweep(cp, configs);
   for (int chunks : {2, 4, 32}) {
     PartitionOptions opt;
     opt.chunks = chunks;
@@ -214,7 +216,7 @@ TEST(ParallelSweep, GovernedCancellationTruncatesExactPrefix) {
   const auto g = ir::matmul();
   const trace::CompiledProgram cp(g.prog, g.make_env({12, 12, 12}, {}));
   std::vector<SweepConfig> configs{{16, 1, 0, cachesim::Replacement::kLru}};
-  const auto full = cachesim::simulate_sweep(cp, configs);
+  const auto full = fuzz::reference_sweep(cp, configs);
 
   parallel::ThreadPool pool(2);
   Governor gov;
@@ -236,24 +238,29 @@ TEST(ParallelSweep, MemoryDenialDegradesToSequentialEngine) {
   const auto g = ir::matmul();
   const trace::CompiledProgram cp(g.prog, g.make_env({10, 10, 10}, {}));
   const auto configs = standard_configs();
-  const auto want = cachesim::simulate_sweep(cp, configs);
+  const auto want = fuzz::reference_sweep(cp, configs);
 
   MemoryBudget none(0);
   Governor gov;
   gov.memory = &none;
+  cachesim::PartitionStats stats;
   PartitionOptions opt;
   opt.chunks = 4;
+  opt.stats = &stats;
   const auto got =
       streamed(cp, configs, nullptr, opt, &gov);
   expect_same(got, want, "budget-denied fallback");
   EXPECT_EQ(none.used(), 0u);
 
+  // The failpoint skips the one-chunk retry: it must force the hashed
+  // rung even with an unlimited budget.
   failpoints::ScopedFailpoint fp(
       failpoints::kSweepDenseAlloc,
       failpoints::Spec{failpoints::Action::kFailAlloc, 0});
   const auto injected =
       streamed(cp, configs, nullptr, opt);
   expect_same(injected, want, "failpoint-denied fallback");
+  EXPECT_EQ(stats.chunks, 0u) << "a denied run profiled a dense chunk";
 }
 
 }  // namespace

@@ -30,7 +30,6 @@
 #include "analysis/sweep_driver.hpp"
 #include "cachesim/parallel_stack.hpp"
 #include "cachesim/sim.hpp"
-#include "cachesim/sweep.hpp"
 #include "fuzz/oracles.hpp"
 #include "fuzz/reducer.hpp"
 #include "ir/gallery.hpp"
@@ -81,14 +80,14 @@ std::vector<Operation> operations() {
   std::vector<Operation> ops;
   ops.push_back({"sweep-serial", [] {
                    const auto cp = small_program();
-                   cachesim::simulate_sweep(
+                   cachesim::simulate_sweep_streamed(
                        cp, {{64, 1, 0, cachesim::Replacement::kLru},
                             {256, 4, 0, cachesim::Replacement::kLru}});
                  }});
   ops.push_back({"sweep-pooled", [] {
                    parallel::ThreadPool pool(2);
                    const auto cp = small_program();
-                   cachesim::simulate_sweep(
+                   cachesim::simulate_sweep_streamed(
                        cp,
                        {{16, 1, 0, cachesim::Replacement::kLru},
                         {64, 1, 2, cachesim::Replacement::kLru},
@@ -123,15 +122,12 @@ std::vector<Operation> operations() {
                    const auto cp = small_program();
                    trace::spool_program(path, cp);
                    const trace::SpooledTrace spool(path);
-                   cachesim::simulate_sweep(
-                       spool, {{64, 1, 0, cachesim::Replacement::kLru}});
+                   std::uint64_t groups = 0;
+                   spool.walk_runs(
+                       [&](const trace::Run*, std::size_t) { ++groups; });
+                   SDLO_CHECK(groups == cp.group_count(),
+                              "spool lost groups");
                    std::filesystem::remove(path);
-                 }});
-  ops.push_back({"many", [] {
-                   const auto cp = small_program();
-                   cachesim::simulate_many(
-                       cp, {{64, 1, 0, cachesim::Replacement::kLru},
-                            {64, 1, 4, cachesim::Replacement::kLru}});
                  }});
   ops.push_back({"profiler", [] {
                    const auto cp = small_program();
@@ -247,12 +243,12 @@ TEST(Robustness, InjectedDenialsNeverChangeResults) {
       {16, 1, 0, cachesim::Replacement::kLru},
       {256, 1, 0, cachesim::Replacement::kLru},
   };
-  const auto want = cachesim::simulate_sweep(cp, configs);
+  const auto want = cachesim::simulate_sweep_streamed(cp, configs);
   failpoints::ScopedFailpoint sweep_fp(failpoints::kSweepDenseAlloc,
                                        {failpoints::Action::kFailAlloc, 0});
   failpoints::ScopedFailpoint prof_fp(failpoints::kProfilerDenseAlloc,
                                       {failpoints::Action::kFailAlloc, 0});
-  const auto got = cachesim::simulate_sweep(cp, configs);
+  const auto got = cachesim::simulate_sweep_streamed(cp, configs);
   for (std::size_t i = 0; i < configs.size(); ++i) {
     EXPECT_EQ(got[i].misses, want[i].misses) << i;
     EXPECT_EQ(got[i].misses_by_site, want[i].misses_by_site) << i;
@@ -262,15 +258,18 @@ TEST(Robustness, InjectedDenialsNeverChangeResults) {
 
 TEST(Robustness, ConcurrentCancelMidPooledSweepIsClean) {
   // The TSan workload: a second thread trips the shared token while four
-  // workers walk the trace. Every iteration must return promptly with each
-  // result either complete or a valid truncated prefix.
+  // workers profile the pool's default chunking — after the serial shared
+  // walk of a set-associative configuration, which the token can trip
+  // too. Every iteration must return promptly with each result either
+  // complete or a valid truncated prefix.
   const auto g = ir::matmul();
   trace::CompiledProgram cp(g.prog, g.make_env({48, 48, 48}, {}));
   std::vector<cachesim::SweepConfig> configs;
   for (std::int64_t cap : {8, 64, 512, 4096}) {
     configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
   }
-  const auto full = cachesim::simulate_sweep(cp, configs);
+  configs.push_back({64, 1, 4, cachesim::Replacement::kLru});
+  const auto full = fuzz::reference_sweep(cp, configs);
   parallel::ThreadPool pool(4);
   for (int iter = 0; iter < 5; ++iter) {
     Governor gov;
@@ -279,8 +278,8 @@ TEST(Robustness, ConcurrentCancelMidPooledSweepIsClean) {
       std::this_thread::sleep_for(std::chrono::microseconds(50 * iter));
       gov.cancel.request_cancel();
     });
-    const auto part = cachesim::simulate_sweep(
-        cp, configs, &pool, trace::TraceMode::kRuns, &gov);
+    const auto part =
+        cachesim::simulate_sweep_streamed(cp, configs, &pool, {}, &gov);
     canceller.join();
     ASSERT_EQ(part.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -303,7 +302,7 @@ TEST(Robustness, ConcurrentCancelMidPartitionedSweepIsClean) {
   for (std::int64_t cap : {8, 64, 512, 4096}) {
     configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
   }
-  const auto full = cachesim::simulate_sweep(cp, configs);
+  const auto full = fuzz::reference_sweep(cp, configs);
   parallel::ThreadPool pool(4);
   for (int iter = 0; iter < 5; ++iter) {
     Governor gov;
@@ -406,9 +405,8 @@ TEST(Robustness, DeadlineStopsLongGovernedRunPromptly) {
   };
   bool saw_truncation = false;
   while (!saw_truncation && seconds_since_start() < 4.0) {
-    const auto res = cachesim::simulate_sweep(
-        cp, {{64, 1, 0, cachesim::Replacement::kLru}}, nullptr,
-        trace::TraceMode::kRuns, &gov);
+    const auto res = cachesim::simulate_sweep_streamed(
+        cp, {{64, 1, 0, cachesim::Replacement::kLru}}, nullptr, {}, &gov);
     saw_truncation = res[0].completeness == Completeness::kTruncated;
   }
   const auto elapsed = seconds_since_start();

@@ -26,7 +26,7 @@ using simd::Isa;
 /// tier).
 std::vector<Isa> usable_tiers() {
   std::vector<Isa> tiers{Isa::kScalar};
-  for (Isa isa : {Isa::kSse2, Isa::kAvx2, Isa::kAvx512, Isa::kNeon}) {
+  for (Isa isa : {Isa::kSse2, Isa::kAvx2, Isa::kAvx512}) {
     if (simd::set_isa(isa) == isa) tiers.push_back(isa);
   }
   return tiers;
@@ -121,7 +121,7 @@ TEST(SimdDispatch, SweepEnginesIdenticalAtEveryTier) {
   configs.push_back({128, 4, 0, cachesim::Replacement::kLru});
 
   simd::set_isa(Isa::kScalar);
-  const auto want = cachesim::simulate_sweep(cp, configs);
+  const auto want = cachesim::simulate_sweep_streamed(cp, configs);
   cachesim::StreamOptions popt;
   popt.partition.chunks = 5;
   const auto want_part =
@@ -130,7 +130,7 @@ TEST(SimdDispatch, SweepEnginesIdenticalAtEveryTier) {
   for (const Isa isa : usable_tiers()) {
     ASSERT_EQ(simd::set_isa(isa), isa);
     const std::string tier = simd::isa_name(isa);
-    const auto got = cachesim::simulate_sweep(cp, configs);
+    const auto got = cachesim::simulate_sweep_streamed(cp, configs);
     const auto got_part =
         cachesim::simulate_sweep_streamed(cp, configs, nullptr, popt);
     ASSERT_EQ(got.size(), want.size()) << tier;

@@ -1,12 +1,13 @@
 // Tests for the pipelined (generate-once) streamed sweep driver and the
 // rolling merge frontier: simulate_sweep_streamed must be bit-identical to
-// the sequential simulate_sweep on both its paths (fused single-pass and
-// pooled window ring), the tee spool it writes while sweeping must be
-// byte-identical to a standalone spool_program of the same trace, the
-// frontier must demonstrably merge chunks while later chunks are still
-// profiling, a one-chunk plan must need only the stack tables, and a
-// governed cancellation mid-frontier must yield the bit-exact simulation
-// of a contiguous trace prefix.
+// the per-configuration reference simulators on both its paths (fused
+// single-pass and pooled window ring), the tee spool it writes while
+// sweeping must be byte-identical to a standalone spool_program of the
+// same trace, the frontier must demonstrably merge chunks while later
+// chunks are still profiling, a one-chunk plan must need only the stack
+// tables (and a denied multi-chunk plan must retry as one), and a governed
+// cancellation mid-frontier must yield the bit-exact simulation of a
+// contiguous trace prefix.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include "cachesim/marker_stack.hpp"
 #include "cachesim/parallel_stack.hpp"
 #include "cachesim/sweep.hpp"
+#include "fuzz/oracles.hpp"
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
 #include "parallel/thread_pool.hpp"
@@ -91,7 +93,7 @@ TEST(StreamedSweep, FusedMatchesSequentialAcrossChunkLadder) {
   const auto g = ir::matmul_tiled();
   const CompiledProgram cp(g.prog, g.make_env({16, 16, 16}, {4, 8, 4}));
   const auto configs = standard_configs();
-  const auto want = cachesim::simulate_sweep(cp, configs);
+  const auto want = fuzz::reference_sweep(cp, configs);
   for (int chunks : {1, 2, 5, 17}) {
     PartitionStats stats;
     StreamOptions sopt;
@@ -112,7 +114,7 @@ TEST(StreamedSweep, PooledRingMatchesSequential) {
   const CompiledProgram cp(g.prog,
                            g.make_env({16, 16, 16, 16}, {4, 8, 8, 4}));
   const auto configs = standard_configs();
-  const auto want = cachesim::simulate_sweep(cp, configs);
+  const auto want = fuzz::reference_sweep(cp, configs);
   parallel::ThreadPool pool(3);
   // A tiny window with a shallow ring forces real generator back-pressure.
   for (std::uint64_t window : {1u, 7u, 4096u}) {
@@ -134,7 +136,7 @@ TEST(StreamedSweep, TeeSpoolIsByteIdenticalToSpoolProgram) {
   const auto g = ir::matmul_tiled();
   const CompiledProgram cp(g.prog, g.make_env({16, 16, 16}, {4, 8, 4}));
   const auto configs = standard_configs();
-  const auto want = cachesim::simulate_sweep(cp, configs);
+  const auto want = fuzz::reference_sweep(cp, configs);
 
   const std::string ref_path = temp_path("sdlo_stream_ref.spl");
   trace::spool_program(ref_path, cp);
@@ -185,7 +187,7 @@ TEST(StreamedSweep, FrontierMergesWhileLaterChunksProfile) {
   std::vector<SweepConfig> configs;
   for (std::int64_t cap : {1, 2, 32, 64, 66, 128})
     configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
-  const auto want = cachesim::simulate_sweep(cp, configs);
+  const auto want = fuzz::reference_sweep(cp, configs);
 
   bool overlapped = false;
   for (int attempt = 0; attempt < 3 && !overlapped; ++attempt) {
@@ -231,7 +233,7 @@ TEST(StreamedSweep, StreamedOverlapsOnThePooledPath) {
   std::vector<SweepConfig> configs{
       {2, 1, 0, cachesim::Replacement::kLru},
       {66, 1, 0, cachesim::Replacement::kLru}};
-  const auto want = cachesim::simulate_sweep(cp, configs);
+  const auto want = fuzz::reference_sweep(cp, configs);
 
   bool overlapped = false;
   for (int attempt = 0; attempt < 3 && !overlapped; ++attempt) {
@@ -346,7 +348,7 @@ TEST(StreamedSweep, MemoryDenialDegradesButTeeStillCompletes) {
   const auto g = ir::matmul();
   const CompiledProgram cp(g.prog, g.make_env({10, 10, 10}, {}));
   const auto configs = standard_configs();
-  const auto want = cachesim::simulate_sweep(cp, configs);
+  const auto want = fuzz::reference_sweep(cp, configs);
 
   const std::string ref_path = temp_path("sdlo_stream_degrade_ref.spl");
   trace::spool_program(ref_path, cp);
@@ -365,6 +367,7 @@ TEST(StreamedSweep, MemoryDenialDegradesButTeeStillCompletes) {
     const auto got =
         cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt, &gov);
     expect_same(got, want, "degraded results");
+    EXPECT_EQ(stats.chunks, 0u) << "a zero budget must reach the hashed rung";
     ASSERT_EQ(writer.groups(), cp.group_count());
     EXPECT_GT(stats.spool_write_seconds, 0.0);
     writer.finish(cp.num_sites(), cp.address_space_size());
@@ -385,7 +388,7 @@ TEST(StreamedSweep, OneChunkNeedsOnlyTheStackTables) {
   for (std::int64_t cap : {1, 2, 16, 64, 250, 1024}) {
     configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
   }
-  const auto want = cachesim::simulate_sweep(cp, configs);
+  const auto want = fuzz::reference_sweep(cp, configs);
   MemoryBudget exact(cp.footprint_lines(1) * cachesim::kStackBytesPerLine);
   Governor gov;
   gov.memory = &exact;
@@ -398,6 +401,35 @@ TEST(StreamedSweep, OneChunkNeedsOnlyTheStackTables) {
   expect_same(got, want, "one chunk at the exact stack budget");
   EXPECT_EQ(stats.chunks, 1u) << "degraded instead of the dense path";
   EXPECT_EQ(stats.merge_seconds, 0.0);
+  EXPECT_EQ(exact.used(), 0u);
+}
+
+TEST(StreamedSweep, DeniedMultiChunkPlanRetriesAsOneChunk) {
+  // The middle rung of the degradation ladder: a budget of exactly the
+  // stack tables denies a 4-thread plan its per-chunk tables and merge
+  // table, and the engine must retry as one chunk with no pool — dense,
+  // complete and bit-identical — before it falls back to hashed tables.
+  const auto g = ir::matmul_tiled();
+  const CompiledProgram cp(g.prog, g.make_env({16, 16, 16}, {4, 8, 4}));
+  std::vector<SweepConfig> configs;
+  for (std::int64_t cap : {1, 2, 16, 64, 250, 1024}) {
+    configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
+  }
+  parallel::ThreadPool pool(4);
+  const auto want = cachesim::simulate_sweep_streamed(cp, configs, &pool);
+  MemoryBudget exact(cp.footprint_lines(1) * cachesim::kStackBytesPerLine);
+  Governor gov;
+  gov.memory = &exact;
+  PartitionStats stats;
+  StreamOptions sopt;
+  sopt.partition.stats = &stats;
+  const auto got =
+      cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt, &gov);
+  expect_same(got, want, "denied 4-chunk plan at the exact stack budget");
+  for (const auto& r : got) {
+    EXPECT_EQ(r.completeness, Completeness::kComplete);
+  }
+  EXPECT_EQ(stats.chunks, 1u) << "did not retry as one chunk";
   EXPECT_EQ(exact.used(), 0u);
 }
 
@@ -436,7 +468,7 @@ TEST(StreamedSweep, TeeWriteFailureUnwindsCleanlyOnThePooledPath) {
   EXPECT_FALSE(std::filesystem::exists(tee_path + ".tmp"));
 
   // Disarmed, the same pool finishes the same job.
-  const auto want = cachesim::simulate_sweep(cp, configs);
+  const auto want = fuzz::reference_sweep(cp, configs);
   StreamOptions sopt;
   sopt.partition.chunks = 4;
   const auto got =
@@ -474,7 +506,7 @@ TEST(StreamedSweep, EmptyConfigListAndZeroAccessPrograms) {
   const ir::Program p = ir::parse_program("for i<1> { S1: A[i] += A[i] }");
   const CompiledProgram tiny(p, {});
   std::vector<SweepConfig> configs{{4, 1, 0, cachesim::Replacement::kLru}};
-  const auto want = cachesim::simulate_sweep(tiny, configs);
+  const auto want = fuzz::reference_sweep(tiny, configs);
   const auto got = cachesim::simulate_sweep_streamed(tiny, configs);
   expect_same(got, want, "tiny program");
 }

@@ -1,8 +1,9 @@
-// Differential tests for the sweep engine: simulate_sweep / simulate_many
-// must be bit-identical to the per-configuration simulators on every
-// gallery program, for every capacity, line size and associativity tried —
-// including the per-site miss breakdown. Also covers the batched walker
-// (walk_batched vs walk) and pool-vs-serial equivalence.
+// Differential tests for the sweep engine: simulate_sweep_streamed must be
+// bit-identical to the per-configuration simulators on every gallery
+// program, for every capacity, line size and associativity tried —
+// including the per-site miss breakdown — and the run-fed profiler to the
+// per-access reference profile. Also covers pool-vs-serial equivalence,
+// governed truncation and the memory-budget degradation.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,7 +13,7 @@
 #include "cachesim/lru_cache.hpp"
 #include "cachesim/parallel_stack.hpp"
 #include "cachesim/sim.hpp"
-#include "cachesim/sweep.hpp"
+#include "fuzz/oracles.hpp"
 #include "ir/gallery.hpp"
 #include "ir/program.hpp"
 #include "parallel/thread_pool.hpp"
@@ -65,7 +66,7 @@ TEST(SweepTest, MatchesSimulateLruOnEveryGalleryProgram) {
     for (std::int64_t cap : caps) {
       configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
     }
-    const auto swept = cachesim::simulate_sweep(cp, configs);
+    const auto swept = cachesim::simulate_sweep_streamed(cp, configs);
     ASSERT_EQ(swept.size(), caps.size());
     for (std::size_t i = 0; i < caps.size(); ++i) {
       expect_same(swept[i], cachesim::simulate_lru(cp, caps[i]),
@@ -84,7 +85,7 @@ TEST(SweepTest, MatchesSimulateLruLinesAcrossLineSizes) {
             {line * mult, line, 0, cachesim::Replacement::kLru});
       }
     }
-    const auto swept = cachesim::simulate_sweep(cp, configs);
+    const auto swept = cachesim::simulate_sweep_streamed(cp, configs);
     ASSERT_EQ(swept.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
       expect_same(swept[i],
@@ -108,7 +109,7 @@ TEST(SweepTest, MixedConfigListWithDuplicatesKeepsOrder) {
       {1024, 1, 0, cachesim::Replacement::kLru},
       {128, 2, 1, cachesim::Replacement::kLru},  // direct-mapped, lines
   };
-  const auto swept = cachesim::simulate_sweep(cp, configs);
+  const auto swept = cachesim::simulate_sweep_streamed(cp, configs);
   ASSERT_EQ(swept.size(), configs.size());
   expect_same(swept[0], cachesim::simulate_lru(cp, 64), "cap=64");
   expect_same(swept[1], cachesim::simulate_lru_lines(cp, 256, 4),
@@ -121,24 +122,29 @@ TEST(SweepTest, MixedConfigListWithDuplicatesKeepsOrder) {
               "cap=128 direct-mapped line=2");
 }
 
-TEST(SweepTest, SimulateManyMatchesSetAssoc) {
+TEST(SweepTest, SetAssocConfigsMatchSetAssocSimulator) {
   for (const auto& c : gallery_cases()) {
     const auto cp = compile(c);
     const std::vector<cachesim::SweepConfig> configs{
         {64, 1, 1, cachesim::Replacement::kLru},
         {64, 1, 4, cachesim::Replacement::kLru},
         {256, 4, 8, cachesim::Replacement::kLru},
-        {128, 1, 0, cachesim::Replacement::kLru},  // FA via LruCache
+        {64, 1, 2, cachesim::Replacement::kFifo},
+        {128, 1, 0, cachesim::Replacement::kLru},  // rides the stack engine
     };
-    const auto many = cachesim::simulate_many(cp, configs);
-    ASSERT_EQ(many.size(), configs.size());
-    expect_same(many[0], cachesim::simulate_set_assoc(cp, 64, 1, 1),
+    const auto swept = cachesim::simulate_sweep_streamed(cp, configs);
+    ASSERT_EQ(swept.size(), configs.size());
+    expect_same(swept[0], cachesim::simulate_set_assoc(cp, 64, 1, 1),
                 c.name + " dm");
-    expect_same(many[1], cachesim::simulate_set_assoc(cp, 64, 4, 1),
+    expect_same(swept[1], cachesim::simulate_set_assoc(cp, 64, 4, 1),
                 c.name + " 4-way");
-    expect_same(many[2], cachesim::simulate_set_assoc(cp, 256, 8, 4),
+    expect_same(swept[2], cachesim::simulate_set_assoc(cp, 256, 8, 4),
                 c.name + " 8-way line=4");
-    expect_same(many[3], cachesim::simulate_lru(cp, 128), c.name + " fa");
+    expect_same(swept[3],
+                cachesim::simulate_set_assoc(cp, 64, 2, 1,
+                                             cachesim::Replacement::kFifo),
+                c.name + " 2-way fifo");
+    expect_same(swept[4], cachesim::simulate_lru(cp, 128), c.name + " fa");
   }
 }
 
@@ -166,18 +172,13 @@ TEST(SweepTest, PoolAndSerialAgree) {
       configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
       configs.push_back({cap, 1, 2, cachesim::Replacement::kLru});
     }
-    const auto serial = cachesim::simulate_sweep(cp, configs, nullptr);
-    const auto pooled = cachesim::simulate_sweep(cp, configs, &pool);
+    const auto serial = cachesim::simulate_sweep_streamed(cp, configs);
+    const auto pooled =
+        cachesim::simulate_sweep_streamed(cp, configs, &pool);
     ASSERT_EQ(serial.size(), pooled.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       expect_same(pooled[i], serial[i], c.name + " pooled config " +
                                             std::to_string(i));
-    }
-    const auto many_serial = cachesim::simulate_many(cp, configs, nullptr);
-    const auto many_pooled = cachesim::simulate_many(cp, configs, &pool);
-    for (std::size_t i = 0; i < many_serial.size(); ++i) {
-      expect_same(many_pooled[i], many_serial[i],
-                  c.name + " pooled many " + std::to_string(i));
     }
   }
 }
@@ -185,18 +186,18 @@ TEST(SweepTest, PoolAndSerialAgree) {
 TEST(SweepTest, RejectsBadGeometry) {
   const auto cases = gallery_cases();
   const auto cp = compile(cases[0]);
-  EXPECT_THROW(cachesim::simulate_sweep(
+  EXPECT_THROW(cachesim::simulate_sweep_streamed(
                    cp, {{0, 1, 0, cachesim::Replacement::kLru}}),
                Error);
-  EXPECT_THROW(cachesim::simulate_sweep(
+  EXPECT_THROW(cachesim::simulate_sweep_streamed(
                    cp, {{64, 3, 0, cachesim::Replacement::kLru}}),
                Error);
-  EXPECT_THROW(cachesim::simulate_sweep(
+  EXPECT_THROW(cachesim::simulate_sweep_streamed(
                    cp, {{66, 4, 0, cachesim::Replacement::kLru}}),
                Error);
-  // The streamed engine, which `sdlo sweep --line` feeds, checks too.
+  // Set-associative geometries are checked too.
   EXPECT_THROW(cachesim::simulate_sweep_streamed(
-                   cp, {{48, 3, 0, cachesim::Replacement::kLru}}),
+                   cp, {{48, 3, 2, cachesim::Replacement::kLru}}),
                Error);
 }
 
@@ -235,10 +236,10 @@ ir::ArrayRef make_ref(std::string array, std::vector<std::string> vars,
   return r;
 }
 
-/// Both trace modes through both engines and the profiler must agree with
-/// each other and with the per-configuration reference simulators.
-void expect_modes_match_reference(const trace::CompiledProgram& cp,
-                                  const std::string& name) {
+/// The run-fed sweep engine — at one chunk and across chunk boundaries —
+/// and the run-fed profiler must agree with the per-access references.
+void expect_runs_match_reference(const trace::CompiledProgram& cp,
+                                 const std::string& name) {
   const std::vector<cachesim::SweepConfig> configs{
       {1, 1, 0, cachesim::Replacement::kLru},
       {3, 1, 0, cachesim::Replacement::kLru},
@@ -247,46 +248,36 @@ void expect_modes_match_reference(const trace::CompiledProgram& cp,
       {1024, 1, 0, cachesim::Replacement::kLru},
       {64, 1, 4, cachesim::Replacement::kLru},
   };
-  const auto runs =
-      cachesim::simulate_sweep(cp, configs, nullptr, trace::TraceMode::kRuns);
-  const auto batched = cachesim::simulate_sweep(cp, configs, nullptr,
-                                                trace::TraceMode::kBatched);
-  const auto many_runs =
-      cachesim::simulate_many(cp, configs, nullptr, trace::TraceMode::kRuns);
-  ASSERT_EQ(runs.size(), configs.size());
-  ASSERT_EQ(batched.size(), configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const auto& cfg = configs[i];
-    const auto want =
-        cfg.ways > 0
-            ? cachesim::simulate_set_assoc(cp, cfg.capacity_elems, cfg.ways,
-                                           cfg.line_elems)
-            : cachesim::simulate_lru_lines(cp, cfg.capacity_elems,
-                                           cfg.line_elems);
-    const std::string what = name + " config " + std::to_string(i);
-    expect_same(runs[i], want, what + " (runs)");
-    expect_same(batched[i], want, what + " (batched)");
-    expect_same(many_runs[i], want, what + " (many runs)");
+  const auto want = fuzz::reference_sweep(cp, configs);
+  for (int chunks : {1, 3}) {
+    cachesim::StreamOptions sopt;
+    sopt.partition.chunks = chunks;
+    const auto got =
+        cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt);
+    ASSERT_EQ(got.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      expect_same(got[i], want[i],
+                  name + " config " + std::to_string(i) +
+                      " chunks=" + std::to_string(chunks));
+    }
   }
   // The profiler's restricted bulk set must reproduce the per-access
   // profile exactly, histogram for histogram.
   for (std::int64_t line : {1, 4}) {
-    const auto pr = cachesim::profile_stack_distances(
-        cp, line, trace::TraceMode::kRuns);
-    const auto pb = cachesim::profile_stack_distances(
-        cp, line, trace::TraceMode::kBatched);
+    const auto pr = cachesim::profile_stack_distances(cp, line);
+    const auto pa = fuzz::reference_profile(cp, line);
     const std::string what = name + " profile line=" + std::to_string(line);
-    EXPECT_EQ(pr.accesses, pb.accesses) << what;
-    EXPECT_EQ(pr.cold, pb.cold) << what;
-    EXPECT_EQ(pr.histogram, pb.histogram) << what;
-    EXPECT_EQ(pr.cold_by_site, pb.cold_by_site) << what;
-    EXPECT_EQ(pr.histogram_by_site, pb.histogram_by_site) << what;
+    EXPECT_EQ(pr.accesses, pa.accesses) << what;
+    EXPECT_EQ(pr.cold, pa.cold) << what;
+    EXPECT_EQ(pr.histogram, pa.histogram) << what;
+    EXPECT_EQ(pr.cold_by_site, pa.cold_by_site) << what;
+    EXPECT_EQ(pr.histogram_by_site, pa.histogram_by_site) << what;
   }
 }
 
-TEST(SweepTest, RunModeMatchesBatchedModeOnGalleryPrograms) {
+TEST(SweepTest, RunEnginesMatchPerAccessReferenceOnGalleryPrograms) {
   for (const auto& c : gallery_cases()) {
-    expect_modes_match_reference(compile(c), c.name);
+    expect_runs_match_reference(compile(c), c.name);
   }
 }
 
@@ -297,7 +288,7 @@ TEST(SweepTest, RunModeBulkFastPathsMatchReference) {
   // All-pinned group: no ref moves with the innermost loop, so after
   // iteration 1 the whole group is in steady state (count 40 >= the bulk
   // threshold).
-  expect_modes_match_reference(
+  expect_runs_match_reference(
       one_band_program({{"i", 6}, {"k", 40}},
                        {{make_ref("A", {"i"}, ir::AccessMode::kRead),
                          make_ref("B", {"i"}, ir::AccessMode::kRead),
@@ -307,14 +298,14 @@ TEST(SweepTest, RunModeBulkFastPathsMatchReference) {
 
   // Single stride-1 run: with line_elems > 1 consecutive elements collapse
   // onto one line, exercising the sub-line span-collapse arithmetic.
-  expect_modes_match_reference(
+  expect_runs_match_reference(
       one_band_program({{"i", 5}, {"k", 64}},
                        {{make_ref("W", {"k"}, ir::AccessMode::kWrite)}}),
       "sub-line single run");
 
   // Disjoint group: one pinned ref, one moving ref with a duplicate, and a
   // moving write into a distinct array — pairwise-disjoint line ranges.
-  expect_modes_match_reference(
+  expect_runs_match_reference(
       one_band_program({{"i", 6}, {"k", 40}},
                        {{make_ref("P", {"i"}, ir::AccessMode::kRead),
                          make_ref("A", {"k"}, ir::AccessMode::kRead),
@@ -324,7 +315,7 @@ TEST(SweepTest, RunModeBulkFastPathsMatchReference) {
 
   // Overlapping moving refs across two statements defeat the disjointness
   // guard, forcing the exact per-element mixed fallback.
-  expect_modes_match_reference(
+  expect_runs_match_reference(
       one_band_program({{"i", 4}, {"k", 40}},
                        {{make_ref("A", {"k"}, ir::AccessMode::kRead),
                          make_ref("B", {"k"}, ir::AccessMode::kWrite)},
@@ -335,7 +326,7 @@ TEST(SweepTest, RunModeBulkFastPathsMatchReference) {
   // Two-dimensional moving subscript M[k][i]: the innermost loop walks the
   // slow axis, so every iteration lands on a fresh line even at
   // line_elems 4.
-  expect_modes_match_reference(
+  expect_runs_match_reference(
       one_band_program({{"i", 5}, {"k", 12}},
                        {{make_ref("M", {"k", "i"}, ir::AccessMode::kRead),
                          make_ref("V", {"i"}, ir::AccessMode::kWrite)}}),
@@ -358,33 +349,25 @@ TEST(SweepTest, DeterministicCancelTruncatesToExactPrefix) {
         {3, 1, 0, cachesim::Replacement::kLru},
         {64, 1, 0, cachesim::Replacement::kLru},
     };
-    const auto full = cachesim::simulate_sweep(cp, configs);
-    const auto check_prefix = [&](trace::TraceMode mode) {
-      Governor gov;
-      gov.poll_interval = 1;  // poll at every run group / batch
-      gov.cancel.cancel_after(4);
-      const auto part =
-          cachesim::simulate_sweep(cp, configs, nullptr, mode, &gov);
-      ASSERT_EQ(part.size(), configs.size());
-      for (std::size_t i = 0; i < configs.size(); ++i) {
-        EXPECT_EQ(part[i].completeness, Completeness::kTruncated)
-            << c.name << " config " << i;
-        EXPECT_LT(part[i].accesses, full[i].accesses) << c.name;
-        EXPECT_LE(part[i].misses, full[i].misses) << c.name;
+    const auto full = cachesim::simulate_sweep_streamed(cp, configs);
+    Governor gov;
+    gov.poll_interval = 1;  // poll at every run group
+    gov.cancel.cancel_after(4);
+    const auto part =
+        cachesim::simulate_sweep_streamed(cp, configs, nullptr, {}, &gov);
+    ASSERT_EQ(part.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      EXPECT_EQ(part[i].completeness, Completeness::kTruncated)
+          << c.name << " config " << i;
+      EXPECT_LT(part[i].accesses, full[i].accesses) << c.name;
+      EXPECT_LE(part[i].misses, full[i].misses) << c.name;
 
-        cachesim::LruCache ref(configs[i].capacity_elems);
-        for (std::uint64_t a = 0; a < part[i].accesses; ++a) {
-          ref.access(stream[static_cast<std::size_t>(a)].addr);
-        }
-        EXPECT_EQ(part[i].misses, ref.misses())
-            << c.name << " config " << i << " prefix replay";
+      cachesim::LruCache ref(configs[i].capacity_elems);
+      for (std::uint64_t a = 0; a < part[i].accesses; ++a) {
+        ref.access(stream[static_cast<std::size_t>(a)].addr);
       }
-    };
-    check_prefix(trace::TraceMode::kRuns);
-    // Batched mode polls once per ~kTraceBatch accesses, so only traces
-    // longer than the poll budget can truncate there.
-    if (stream.size() > 4 * trace::kTraceBatch) {
-      check_prefix(trace::TraceMode::kBatched);
+      EXPECT_EQ(part[i].misses, ref.misses())
+          << c.name << " config " << i << " prefix replay";
     }
   }
 }
@@ -395,13 +378,11 @@ TEST(SweepTest, ExpiredDeadlineTruncatesSweepAndProfiler) {
   Governor gov;
   gov.deadline = Deadline::after_seconds(0);
   gov.poll_interval = 1;
-  const auto swept = cachesim::simulate_sweep(
-      cp, {{64, 1, 0, cachesim::Replacement::kLru}}, nullptr,
-      trace::TraceMode::kRuns, &gov);
+  const auto swept = cachesim::simulate_sweep_streamed(
+      cp, {{64, 1, 0, cachesim::Replacement::kLru}}, nullptr, {}, &gov);
   EXPECT_EQ(swept[0].completeness, Completeness::kTruncated);
 
-  const auto prof = cachesim::profile_stack_distances(
-      cp, 1, trace::TraceMode::kRuns, &gov);
+  const auto prof = cachesim::profile_stack_distances(cp, 1, &gov);
   EXPECT_EQ(prof.completeness, Completeness::kTruncated);
   const auto full = cachesim::profile_stack_distances(cp, 1);
   EXPECT_EQ(full.completeness, Completeness::kComplete);
@@ -419,28 +400,25 @@ TEST(SweepTest, ZeroMemoryBudgetDegradesBitIdentically) {
         {64, 1, 0, cachesim::Replacement::kLru},
         {256, 4, 0, cachesim::Replacement::kLru},
     };
-    const auto dense = cachesim::simulate_sweep(cp, configs);
+    const auto dense = cachesim::simulate_sweep_streamed(cp, configs);
     MemoryBudget zero(0);
     Governor gov;
     gov.memory = &zero;
-    const auto hashed = cachesim::simulate_sweep(
-        cp, configs, nullptr, trace::TraceMode::kRuns, &gov);
+    cachesim::PartitionStats stats;
+    cachesim::StreamOptions sopt;
+    sopt.partition.stats = &stats;
+    const auto hashed =
+        cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt, &gov);
     ASSERT_EQ(hashed.size(), dense.size());
     for (std::size_t i = 0; i < dense.size(); ++i) {
       expect_same(hashed[i], dense[i], c.name + " budgeted sweep");
       EXPECT_EQ(hashed[i].completeness, Completeness::kComplete) << c.name;
     }
-    const auto many_hashed = cachesim::simulate_many(
-        cp, configs, nullptr, trace::TraceMode::kRuns, &gov);
-    const auto many_dense = cachesim::simulate_many(cp, configs);
-    for (std::size_t i = 0; i < many_dense.size(); ++i) {
-      expect_same(many_hashed[i], many_dense[i], c.name + " budgeted many");
-    }
+    EXPECT_EQ(stats.chunks, 0u) << c.name << ": the dense path ran";
     EXPECT_EQ(zero.used(), 0u);  // every denial released nothing
 
     const auto prof_dense = cachesim::profile_stack_distances(cp, 1);
-    const auto prof_hashed = cachesim::profile_stack_distances(
-        cp, 1, trace::TraceMode::kRuns, &gov);
+    const auto prof_hashed = cachesim::profile_stack_distances(cp, 1, &gov);
     EXPECT_EQ(prof_hashed.accesses, prof_dense.accesses) << c.name;
     EXPECT_EQ(prof_hashed.cold, prof_dense.cold) << c.name;
     EXPECT_EQ(prof_hashed.histogram, prof_dense.histogram) << c.name;
@@ -456,11 +434,16 @@ TEST(SweepTest, DenseAllocFailpointDegradesBitIdentically) {
       {16, 1, 0, cachesim::Replacement::kLru},
       {1024, 1, 0, cachesim::Replacement::kLru},
   };
-  const auto dense = cachesim::simulate_sweep(cp, configs);
+  const auto dense = cachesim::simulate_sweep_streamed(cp, configs);
   {
     failpoints::ScopedFailpoint fp(failpoints::kSweepDenseAlloc,
                                    {failpoints::Action::kFailAlloc, 0});
-    const auto hashed = cachesim::simulate_sweep(cp, configs);
+    cachesim::PartitionStats stats;
+    cachesim::StreamOptions sopt;
+    sopt.partition.stats = &stats;
+    const auto hashed =
+        cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt);
+    EXPECT_EQ(stats.chunks, 0u) << "the dense path ran";
     for (std::size_t i = 0; i < dense.size(); ++i) {
       expect_same(hashed[i], dense[i], "failpoint sweep");
       EXPECT_EQ(hashed[i].completeness, Completeness::kComplete);
@@ -487,46 +470,18 @@ TEST(SweepTest, GovernedPooledSweepTruncatesCleanly) {
   for (std::int64_t cap : {4, 16, 64, 256, 1024, 4096}) {
     configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
   }
-  const auto full = cachesim::simulate_sweep(cp, configs);
+  const auto full = cachesim::simulate_sweep_streamed(cp, configs);
   Governor gov;
   gov.poll_interval = 1;
   gov.cancel.cancel_after(3);
-  const auto part = cachesim::simulate_sweep(cp, configs, &pool,
-                                             trace::TraceMode::kRuns, &gov);
+  const auto part =
+      cachesim::simulate_sweep_streamed(cp, configs, &pool, {}, &gov);
   ASSERT_EQ(part.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
     EXPECT_LE(part[i].accesses, full[i].accesses);
     EXPECT_LE(part[i].misses, full[i].misses);
     if (part[i].completeness == Completeness::kComplete) {
       EXPECT_EQ(part[i].misses, full[i].misses);
-    }
-  }
-}
-
-TEST(SweepTest, BatchedWalkMatchesPerAccessWalk) {
-  for (const auto& c : gallery_cases()) {
-    const auto cp = compile(c);
-    std::vector<trace::Access> one_by_one;
-    cp.walk([&](const trace::Access& a) { one_by_one.push_back(a); });
-    for (std::size_t batch : {std::size_t{1}, std::size_t{7},
-                              trace::kTraceBatch}) {
-      std::vector<trace::Access> batched;
-      cp.walk_batched(
-          [&](const trace::Access* a, std::size_t n) {
-            batched.insert(batched.end(), a, a + n);
-          },
-          batch);
-      ASSERT_EQ(batched.size(), one_by_one.size())
-          << c.name << " batch=" << batch;
-      for (std::size_t i = 0; i < batched.size(); ++i) {
-        ASSERT_EQ(batched[i].addr, one_by_one[i].addr)
-            << c.name << " batch=" << batch << " i=" << i;
-        ASSERT_EQ(batched[i].site, one_by_one[i].site)
-            << c.name << " batch=" << batch << " i=" << i;
-        ASSERT_EQ(static_cast<int>(batched[i].mode),
-                  static_cast<int>(one_by_one[i].mode))
-            << c.name << " batch=" << batch << " i=" << i;
-      }
     }
   }
 }

@@ -1,11 +1,11 @@
 // The analytic capacity sweep must be indistinguishable from simulation on
 // model-exact programs: the symbolic stack-distance histogram bit-identical
 // to the trace profiler's, the miss-vs-capacity curve bit-identical to
-// simulate_sweep at every capacity — including every crossing point and the
-// capacities straddling it — per-site attribution included. Inexact
-// programs must be flagged (Confidence::kApproximate) so the sweep driver
-// routes them to the simulation fallback, and the Governor must truncate
-// the evaluation into a valid best-so-far partial curve.
+// simulate_sweep_streamed at every capacity — including every crossing
+// point and the capacities straddling it — per-site attribution included.
+// Inexact programs must be flagged (Confidence::kApproximate) so the sweep
+// driver routes them to the simulation fallback, and the Governor must
+// truncate the evaluation into a valid best-so-far partial curve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "analysis/sweep_driver.hpp"
+#include "cachesim/parallel_stack.hpp"
 #include "cachesim/sim.hpp"
-#include "cachesim/sweep.hpp"
 #include "ir/gallery.hpp"
 #include "model/analyzer.hpp"
 #include "model/bound_partition.hpp"
@@ -96,7 +96,7 @@ TEST(SymbolicSweepTest, CurveMatchesSimulationAtEveryCapacityAndCrossing) {
         configs.push_back(
             {cap_list[base + i], 1, 0, cachesim::Replacement::kLru});
       }
-      const auto simulated = cachesim::simulate_sweep(cp, configs);
+      const auto simulated = cachesim::simulate_sweep_streamed(cp, configs);
       for (std::size_t i = 0; i < n; ++i) {
         const std::int64_t cap = cap_list[base + i];
         const auto got = sweep.result_at(cap);

@@ -1,10 +1,10 @@
-// The run-compressed trace (walk_runs) against the per-access trace
-// (walk_batched): decompressing every run group iteration-major must
-// reproduce the access stream record for record, on the gallery kernels
-// and on generated programs. Also pins the group contract the bulk
-// simulation engines rely on — uniform counts within a group, bounded
-// group width when compressed — and the generic fallback for statement
-// bodies wider than the leaf flattener accepts.
+// The run-compressed trace (walk_runs) against the naive tree-interpreting
+// reference (NaiveInterpreter): decompressing every run group
+// iteration-major must reproduce the access stream record for record, on
+// the gallery kernels and on generated programs. Also pins the group
+// contract the bulk simulation engines rely on — uniform counts within a
+// group, bounded group width when compressed — and the generic fallback
+// for statement bodies wider than the leaf flattener accepts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,19 +13,11 @@
 
 #include "fuzz/generator.hpp"
 #include "ir/gallery.hpp"
+#include "naive_interpreter.hpp"
 #include "trace/walker.hpp"
 
 namespace sdlo::trace {
 namespace {
-
-std::vector<Access> reference_trace(const CompiledProgram& cp) {
-  std::vector<Access> out;
-  out.reserve(static_cast<std::size_t>(cp.total_accesses()));
-  cp.walk_batched([&](const Access* a, std::size_t n) {
-    out.insert(out.end(), a, a + n);
-  });
-  return out;
-}
 
 struct RunStats {
   std::uint64_t groups = 0;
@@ -33,10 +25,11 @@ struct RunStats {
   std::uint64_t max_count = 0;
 };
 
-/// Decompresses walk_runs and checks it against walk_batched in exact
-/// program order, validating every group's invariants along the way.
-RunStats expect_runs_match(const CompiledProgram& cp) {
-  const auto ref = reference_trace(cp);
+/// Decompresses walk_runs and checks it against the naive interpreter in
+/// exact program order, validating every group's invariants along the way.
+RunStats expect_runs_match(const ir::Program& prog, const sym::Env& env) {
+  const CompiledProgram cp(prog, env);
+  const auto ref = reference::NaiveInterpreter(prog, env).run();
   RunStats stats;
   std::size_t pos = 0;
   cp.walk_runs([&](const Run* g, std::size_t nrefs) {
@@ -86,8 +79,8 @@ TEST(TraceRuns, GalleryProgramsDecompressExactly) {
                    {3, 4, 5, 6}, {}});
   for (auto& c : cases) {
     SCOPED_TRACE(c.name);
-    CompiledProgram cp(c.g.prog, c.g.make_env(c.bounds, c.tiles));
-    const auto stats = expect_runs_match(cp);
+    const auto stats =
+        expect_runs_match(c.g.prog, c.g.make_env(c.bounds, c.tiles));
     // Every gallery kernel has an innermost loop worth compressing.
     EXPECT_GT(stats.compressed_groups, 0u) << c.name;
   }
@@ -110,8 +103,7 @@ TEST(TraceRuns, GeneratedProgramsDecompressExactly) {
   for (int i = 0; i < 200; ++i) {
     const auto gp = gen.generate();
     SCOPED_TRACE("generated program index " + std::to_string(gp.index));
-    CompiledProgram cp(gp.prog, gp.env);
-    const auto stats = expect_runs_match(cp);
+    const auto stats = expect_runs_match(gp.prog, gp.env);
     compressed_total += stats.compressed_groups;
   }
   // The distribution must actually exercise the compressed path.
@@ -138,9 +130,8 @@ TEST(TraceRuns, WideBodyFallsBackToStatementGroups) {
   prog.validate();
 
   const sym::Env env{{"N", 7}};
-  CompiledProgram cp(prog, env);
   ASSERT_GT(stmt.accesses.size(), kMaxLeafRefs);
-  const auto stats = expect_runs_match(cp);
+  const auto stats = expect_runs_match(prog, env);
   EXPECT_EQ(stats.compressed_groups, 0u);
   EXPECT_EQ(stats.max_count, 1u);
   EXPECT_EQ(stats.groups, 7u);  // one group per iteration of i

@@ -78,6 +78,7 @@
 // program is delta-debugged down to a minimal counterexample and written
 // to --artifact-dir as a replayable `.sdlo` artifact; `--replay` re-runs
 // the oracles (and, if still failing, the reducer) on such an artifact.
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -251,15 +252,29 @@ int cmd_advise(const std::string& text, const std::string& source_name,
 
 int cmd_trace(const ir::Program& prog, const sym::Env& env,
               std::int64_t limit) {
+  if (limit < 0) throw Error("--limit must be non-negative");
   trace::CompiledProgram cp(prog, env);
-  std::int64_t shown = 0;
-  cp.walk([&](const trace::Access& a) {
-    if (shown++ >= limit) return;
-    std::cout << a.addr << (a.mode == ir::AccessMode::kWrite ? " W" : " R")
-              << " site=" << a.site << "\n";
+  const std::uint64_t total = cp.total_accesses();
+  const std::uint64_t shown =
+      std::min(total, static_cast<std::uint64_t>(limit));
+  // Walk only the run groups that cover the first `shown` accesses.
+  const std::uint64_t groups =
+      shown == 0 ? 0 : cp.group_of_access(shown - 1) + 1;
+  std::uint64_t printed = 0;
+  cp.walk_runs_range(0, groups, [&](const trace::Run* g, std::size_t nrefs) {
+    for (std::uint64_t v = 0; v < g[0].count && printed < shown; ++v) {
+      for (std::size_t r = 0; r < nrefs && printed < shown; ++r) {
+        std::cout << g[r].at(v)
+                  << (g[r].mode == ir::AccessMode::kWrite ? " W" : " R")
+                  << " site=" << g[r].site << "\n";
+        ++printed;
+      }
+    }
   });
-  if (shown > limit) {
-    std::cout << "... (" << with_commas(shown - limit) << " more)\n";
+  if (total > shown) {
+    std::cout << "... ("
+              << with_commas(static_cast<std::int64_t>(total - shown))
+              << " more)\n";
   }
   return 0;
 }
@@ -465,7 +480,7 @@ int main(int argc, char** argv) {
               "curve, no trace walk; falls back to simulation when the "
               "model is not exact)")
         .flag("sites", "per-site miss breakdown (sweep)")
-        .flag("limit", "max trace records to print (trace)")
+        .flag("limit", "max trace records to print (trace; >= 0)")
         .flag("seed", "base seed for fuzz (program i uses seed+i)")
         .flag("count", "number of programs to fuzz (default 500)")
         .flag("time-budget", "stop fuzzing after SEC seconds (0 = off)")
@@ -486,9 +501,9 @@ int main(int argc, char** argv) {
         .flag("top", "max recommendations shown (advise; 0 = all)")
         .flag("only",
               "comma-separated oracle families to run (fuzz): roundtrip, "
-              "walker, model, symbolic, profile, sweep, partitioned, "
-              "set-assoc, lint, parallel, budgeted, dependence, advise, "
-              "serve (unknown names exit 1 listing the valid families)")
+              "walker, model, symbolic, profile, sweep, set-assoc, lint, "
+              "parallel, budgeted, dependence, advise, serve (unknown "
+              "names exit 1 listing the valid families)")
         .flag("socket", "Unix-domain socket path (serve/client)")
         .flag("workers", "serve: worker threads (default 4)")
         .flag("max-active",
