@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   auto g = ir::two_index_tiled();
   const auto an = model::analyze(g.prog);
   parallel::CostCalibration cal;  // default coefficients; shapes only
-  model::PredictOptions popts;
+  model::SymbolicSweepOptions popts;
   popts.enum_limit = 1 << 16;
 
   const std::vector<std::vector<std::int64_t>> tile_sets{

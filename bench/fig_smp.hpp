@@ -40,7 +40,7 @@ inline int run_smp_figure(const char* title, std::int64_t default_range,
 
   // --- Calibrate machine coefficients from two real runs. ---------------
   const std::int64_t cn = cli.get_int("calibrate_n", 256);
-  model::PredictOptions popts;
+  model::SymbolicSweepOptions popts;
   popts.enum_limit = 1 << 16;  // probe-first: plenty for figure shapes
 
   auto run_once = [&](const kernels::TwoIndexTiles& tl,

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   auto g = ir::two_index_tiled();
   const auto an = model::analyze(g.prog);
   parallel::CostCalibration cal;  // default machine coefficients
-  model::PredictOptions popts;
+  model::SymbolicSweepOptions popts;
   popts.enum_limit = 1 << 16;
 
   // Tile for the per-processor slice (the paper's reduction: each CPU

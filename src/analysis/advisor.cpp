@@ -99,6 +99,10 @@ const char* engine_name(bool simulated) {
 AdvisorReport advise(const ir::Program& prog, const sym::Env& env,
                      const AdvisorOptions& opts, const ir::SourceMap* locs) {
   SDLO_CHECK(prog.validated(), "advise requires validate()");
+  if (opts.capacity < 1) {
+    throw Error("--cap must be at least 1 element (got " +
+                std::to_string(opts.capacity) + ")");
+  }
   AdvisorReport report;
   report.capacity = opts.capacity;
 

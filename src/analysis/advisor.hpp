@@ -29,7 +29,8 @@ namespace sdlo::analysis {
 
 /// Tuning knobs of the advisor.
 struct AdvisorOptions {
-  /// Cache capacity (elements) the candidates are scored at.
+  /// Cache capacity (elements) the candidates are scored at; below 1
+  /// advise() throws sdlo::Error.
   std::int64_t capacity = 8192;
   /// Line size (elements) for the false-sharing fusion; < 2 disables it.
   std::int64_t line_elems = 0;
@@ -42,7 +43,8 @@ struct AdvisorOptions {
   bool try_tiling = true;
   /// Simulation fallback is skipped when the concrete trace exceeds this.
   std::int64_t max_sim_accesses = 4'000'000;
-  model::PredictOptions predict;
+  /// Options of the model evaluation every candidate is scored with.
+  model::SymbolicSweepOptions predict;
   /// Optional deadline/memory/cancellation governor; polled between
   /// candidates and threaded through the simulation fallback.
   const Governor* governor = nullptr;

@@ -11,7 +11,7 @@ namespace sdlo::analysis {
 ApplicabilityResult check_applicability(const model::Analysis& an,
                                         const sym::Env* env,
                                         std::int64_t capacity,
-                                        const model::PredictOptions& popts,
+                                        const model::SymbolicSweepOptions& sopts,
                                         std::size_t max_union_boxes) {
   const ir::Program& prog = *an.prog;
   ApplicabilityResult out;
@@ -61,30 +61,28 @@ ApplicabilityResult check_applicability(const model::Analysis& an,
     }
   }
 
-  // Concrete classification: which partitions the numeric predictor had to
-  // interpolate under this environment and capacity.
-  if (env != nullptr && capacity > 0) {
+  if (env == nullptr) return out;
+  // Concrete classification, from one evaluation of the model. The sweep
+  // is capacity-free: it resolves each partition exactly or not at all
+  // (AP105). The prediction queries it at the capacity: an inexact
+  // partition whose probed depths straddle the capacity is interpolated
+  // (AP103).
+  const model::SymbolicSweep sweep = model::symbolic_sweep(an, *env, sopts);
+  out.sweep = sweep.confidence;
+  for (const auto& pc : sweep.parts) {
+    if (pc.exact) continue;
+    site_at(an.parts[pc.part_index].part.target).sweep_inexact = true;
+  }
+  if (capacity > 0) {
     const model::MissPrediction pred =
-        model::predict_misses(an, *env, capacity, popts);
+        model::predict_at(an, sweep, *env, capacity);
     out.numeric = pred.confidence;
     for (const auto& oc : pred.outcomes) {
-      if (!oc.approximated) continue;
+      if (!oc.approximated || oc.depth_min > capacity ||
+          oc.depth_max <= capacity) {
+        continue;
+      }
       site_at(an.parts[oc.part_index].part.target).interpolated = true;
-    }
-  }
-
-  // Analytic-sweep classification: which partitions the symbolic capacity
-  // sweep cannot resolve exactly under this environment (capacity-free —
-  // the sweep answers every capacity at once or none).
-  if (env != nullptr) {
-    model::SymbolicSweepOptions sopts;
-    sopts.enum_limit = popts.enum_limit;
-    sopts.probe_samples = popts.probe_samples;
-    const model::SymbolicSweep sweep = model::symbolic_sweep(an, *env, sopts);
-    out.sweep = sweep.confidence;
-    for (const auto& pc : sweep.parts) {
-      if (pc.exact) continue;
-      site_at(an.parts[pc.part_index].part.target).sweep_inexact = true;
     }
   }
   return out;

@@ -15,10 +15,11 @@
 //                    inclusion–exclusion budget and fell back to an
 //                    over-approximating sum, so Table-1 style symbolic rows
 //                    for this site are upper bounds (AP102, warning);
-//   * interpolated — under the supplied environment and capacity the
-//                    enumeration limit was exceeded while the depth range
-//                    straddles the capacity, so predict_misses used
-//                    statistical interpolation (AP103, warning);
+//   * interpolated — under the supplied environment the analytic sweep
+//                    cannot resolve a partition of the site exactly and
+//                    its probed depth range straddles the supplied
+//                    capacity, so the prediction at that capacity
+//                    interpolated statistically (AP103, warning);
 //   * sibling      — reuse crosses sibling subtrees (auxiliary branches of
 //                    Figs. 4–5; AP104, note);
 //   * sweep-inexact — under the supplied environment the analytic capacity
@@ -66,15 +67,16 @@ struct ApplicabilityResult {
 };
 
 /// Classifies every access site of the analyzed program. When `env` is
-/// non-null, additionally evaluates the analytic capacity sweep to detect
-/// sweep-inexact sites (AP105); when `capacity` is also positive, runs the
-/// concrete prediction to detect interpolation fallbacks (AP103).
+/// non-null, additionally evaluates the analytic capacity sweep once, under
+/// `sopts`, to detect sweep-inexact sites (AP105); when `capacity` is also
+/// positive, queries that sweep at the capacity (model::predict_at) to
+/// detect interpolation fallbacks (AP103).
 /// `max_union_boxes` bounds the inclusion–exclusion expansion of
 /// model::symbolic_union (2^boxes intersections); windows that exceed it
 /// are classified inexact (AP102).
 ApplicabilityResult check_applicability(
     const model::Analysis& an, const sym::Env* env, std::int64_t capacity,
-    const model::PredictOptions& popts = {},
+    const model::SymbolicSweepOptions& sopts = {},
     std::size_t max_union_boxes = 12);
 
 }  // namespace sdlo::analysis

@@ -1,6 +1,7 @@
 #include "analysis/lint.hpp"
 
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "analysis/verifier.hpp"
@@ -111,6 +112,14 @@ void emit_parallel_diags(const std::vector<LoopParallelism>& loops,
   }
 }
 
+/// Option errors are usage errors, thrown before any diagnostic is made.
+void check_options(const LintOptions& opts) {
+  if (opts.capacity < 0) {
+    throw Error("--cap must be at least 0 (0 skips the capacity checks; got " +
+                std::to_string(opts.capacity) + ")");
+  }
+}
+
 LintReport lint_validated(const ir::Program& prog, const ir::SourceMap* locs,
                           const LintOptions& opts, LintReport rep) {
   rep.verified = true;
@@ -130,6 +139,7 @@ LintReport lint_validated(const ir::Program& prog, const ir::SourceMap* locs,
 
 LintReport lint_program(const ir::Program& prog, const ir::SourceMap* locs,
                         const LintOptions& opts) {
+  check_options(opts);
   LintReport rep;
   const sym::Env* env = opts.env.empty() ? nullptr : &opts.env;
   const bool well_formed =
@@ -149,6 +159,7 @@ LintReport lint_program(const ir::Program& prog, const ir::SourceMap* locs,
 }
 
 LintReport lint_text(const std::string& text, const LintOptions& opts) {
+  check_options(opts);
   ir::ParsedProgram parsed;
   try {
     parsed = ir::parse_program_located(text, /*validate=*/false);

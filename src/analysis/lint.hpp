@@ -28,7 +28,7 @@ struct LintOptions {
   /// AP103, PS202) are skipped.
   sym::Env env;
   /// Cache capacity in elements for the interpolation check (AP103);
-  /// 0 → no concrete prediction is run.
+  /// 0 → no concrete prediction is run; negative throws sdlo::Error.
   std::int64_t capacity = 0;
   /// Cache line size in elements for false-sharing analysis (PS202);
   /// 0 → skipped.
@@ -36,7 +36,8 @@ struct LintOptions {
   /// Inclusion–exclusion budget forwarded to check_applicability; windows
   /// with more boxes are over-approximated and flagged AP102.
   std::size_t max_union_boxes = 12;
-  model::PredictOptions predict;
+  /// Options of the model's one evaluation (AP103 and AP105 share it).
+  model::SymbolicSweepOptions predict;
 };
 
 struct LintReport {

@@ -23,6 +23,10 @@ int MissesOutcome::exit_code() const {
 
 MissesOutcome run_misses(const ir::Program& prog, const sym::Env& env,
                          const MissesOptions& opts, const Governor* gov) {
+  if (opts.capacity < 1) {
+    throw Error("--cap must be at least 1 element (got " +
+                std::to_string(opts.capacity) + ")");
+  }
   MissesOutcome oc;
   const auto an = model::analyze(prog);
   oc.pred = model::predict_misses(an, env, opts.capacity);

@@ -24,6 +24,7 @@
 namespace sdlo::analysis {
 
 struct MissesOptions {
+  /// Cache capacity in elements; below 1 run_misses throws sdlo::Error.
   std::int64_t capacity = 8192;
   /// Cross-check the model against the sweep-engine simulator.
   bool simulate = false;

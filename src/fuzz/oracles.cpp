@@ -91,6 +91,18 @@ void compare_results(OracleReport& report, const std::string& oracle,
   add_mismatch(report, oracle, os.str());
 }
 
+/// A model prediction in SimResult shape, for compare_results.
+SimResult prediction_as_sim(const model::MissPrediction& pred) {
+  SimResult r;
+  r.accesses = static_cast<std::uint64_t>(pred.total_accesses);
+  r.misses = static_cast<std::uint64_t>(pred.misses);
+  r.misses_by_site.reserve(pred.misses_by_site.size());
+  for (const auto m : pred.misses_by_site) {
+    r.misses_by_site.push_back(static_cast<std::uint64_t>(m));
+  }
+  return r;
+}
+
 void check_roundtrip(OracleReport& report, const ir::Program& prog) {
   const std::string text = ir::to_code_string(prog);
   try {
@@ -141,8 +153,9 @@ void check_model(OracleReport& report, const ir::Program& prog,
                  const OracleOptions& opts) {
   const auto an = model::analyze(prog);
   const auto prof = cachesim::profile_stack_distances(cp);
+  const model::SymbolicSweep sweep = model::symbolic_sweep(an, env);
   for (const std::int64_t cap : opts.capacities) {
-    const auto pred = model::predict_misses(an, env, cap);
+    const auto pred = model::predict_at(an, sweep, env, cap);
     if (static_cast<std::uint64_t>(pred.misses) != prof.misses(cap)) {
       std::ostringstream os;
       os << "cap=" << cap << ": model predicts " << pred.misses
@@ -153,16 +166,26 @@ void check_model(OracleReport& report, const ir::Program& prog,
   // Per-site agreement against the arena LRU cache at one mid capacity.
   const std::int64_t cap = opts.per_site_capacity;
   const auto sim = cachesim::simulate_lru(cp, cap);
-  const auto pred = model::predict_misses(an, env, cap);
-  SimResult pred_as_sim;
-  pred_as_sim.accesses = static_cast<std::uint64_t>(pred.total_accesses);
-  pred_as_sim.misses = static_cast<std::uint64_t>(pred.misses);
-  pred_as_sim.misses_by_site.reserve(pred.misses_by_site.size());
-  for (const auto m : pred.misses_by_site) {
-    pred_as_sim.misses_by_site.push_back(static_cast<std::uint64_t>(m));
-  }
   compare_results(report, "model-vs-lru-per-site",
-                  "cap=" + std::to_string(cap), pred_as_sim, sim);
+                  "cap=" + std::to_string(cap),
+                  prediction_as_sim(model::predict_at(an, sweep, env, cap)),
+                  sim);
+
+  // A tiny enumeration budget pushes partitions onto the probe path. Each
+  // prediction must then still be bit-identical to the profiler, per site
+  // included, or be marked approximate: a partition the sweep could not
+  // make exact must never be reported exact.
+  model::SymbolicSweepOptions tiny;
+  tiny.enum_limit = 16;
+  const model::SymbolicSweep probed = model::symbolic_sweep(an, env, tiny);
+  for (const std::int64_t c : opts.capacities) {
+    const auto pred = model::predict_at(an, probed, env, c);
+    if (pred.confidence == model::Confidence::kApproximate) continue;
+    compare_results(report, "model-tiny-budget-vs-profile",
+                    "enum_limit=" + std::to_string(tiny.enum_limit) +
+                        " cap=" + std::to_string(c),
+                    prediction_as_sim(pred), prof.result(c));
+  }
 }
 
 void check_symbolic_sweep(OracleReport& report, const ir::Program& prog,

@@ -5,9 +5,10 @@
 // on the constrained TCE loop class. The repo carries several independent
 // implementations of that semantics:
 //
-//   model::predict_misses        symbolic analysis + coordinate enumeration
 //   model::symbolic_sweep        analytic full-curve stack-distance
 //                                histogram (no trace walk)
+//   model::predict_at            the sweep read at one capacity, with
+//                                probe estimates for inexact partitions
 //   cachesim::simulate_lru       arena LRU cache fed by the trace walker
 //   cachesim::simulate_lru_lines line-granular variant of the above
 //   cachesim::profile_stack_distances / ProfileResult::result
@@ -68,7 +69,10 @@ struct OracleOptions {
 
   bool check_roundtrip = true;  ///< parse(print(p)) structural equality
   bool check_walker = true;     ///< walk_runs group contract and counts
-  bool check_model = true;      ///< model vs exact stack-distance profile
+  /// Model predictions vs the exact stack-distance profile: bit-identical
+  /// at the default enumeration budget, and bit-identical or marked
+  /// approximate at a budget of 16 combinations.
+  bool check_model = true;
   /// Analytic capacity sweep: when model::symbolic_sweep answers with
   /// Confidence::kExact its histogram must be bit-identical to the trace
   /// profiler's and its curve must match simulate_sweep_streamed at the

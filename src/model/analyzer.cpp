@@ -1,11 +1,10 @@
 #include "model/analyzer.hpp"
 
-#include <algorithm>
+#include <optional>
 #include <set>
 
 #include "model/bound_partition.hpp"
 #include "support/check.hpp"
-#include "support/checked_math.hpp"
 #include "support/rng.hpp"
 #include "support/string_util.hpp"
 
@@ -72,157 +71,71 @@ std::int32_t site_index(const ir::Program& prog,
 
 MissPrediction predict_misses(const Analysis& an, const sym::Env& env,
                               std::int64_t capacity,
-                              const PredictOptions& opts) {
+                              const SymbolicSweepOptions& opts) {
+  return predict_at(an, symbolic_sweep(an, env, opts), env, capacity);
+}
+
+MissPrediction predict_at(const Analysis& an, const SymbolicSweep& sweep,
+                          const sym::Env& env, std::int64_t capacity) {
   SDLO_EXPECTS(capacity > 0);
-  const ir::Program& prog = *an.prog;
-  const sym::Env full_env = an.symtab.bind_extents(env);
+  SDLO_EXPECTS(sweep.completeness == Completeness::kComplete);
+  const cachesim::SimResult exact = sweep.result_at(capacity);
 
   MissPrediction out;
   out.capacity = capacity;
-  out.total_accesses = sym::evaluate(prog.total_accesses(), env);
-  std::int32_t nsites = 0;
-  for (ir::NodeId s : prog.statements_in_order()) {
-    nsites += static_cast<std::int32_t>(prog.statement(s).accesses.size());
-  }
-  out.misses_by_site.assign(static_cast<std::size_t>(nsites), 0);
+  out.total_accesses = sweep.total_accesses;
+  out.confidence = sweep.confidence;
+  out.misses = static_cast<std::int64_t>(exact.misses);
+  out.misses_by_site.assign(exact.misses_by_site.begin(),
+                            exact.misses_by_site.end());
 
-  for (std::size_t pi = 0; pi < an.parts.size(); ++pi) {
-    const PartitionAnalysis& pa = an.parts[pi];
+  std::optional<sym::Env> full_env;  // bound only if some partition straddles
+  for (const PartitionCurve& pc : sweep.parts) {
     PartitionOutcome oc;
-    oc.part_index = pi;
-    oc.count = sym::evaluate(pa.part.count, full_env);
-    if (oc.count == 0) continue;
-
-    const auto site =
-        static_cast<std::size_t>(site_index(prog, pa.part.target));
-
-    if (pa.part.divergence == Divergence::kCold) {
+    oc.part_index = pc.part_index;
+    oc.count = pc.count;
+    if (pc.cold) {
       oc.depth_min = oc.depth_max = kInfDistance;
-      oc.misses = oc.count;
-      out.misses += oc.misses;
-      out.misses_by_site[site] += oc.misses;
-      out.outcomes.push_back(oc);
-      continue;
-    }
-
-    BoundPartition bp = bind_partition(pa, full_env);
-
-    // Total number of coordinate combinations.
-    std::int64_t combos = 1;
-    bool dead = false;
-    for (const auto& [lo, hi] : bp.domains) {
-      if (hi < lo) {
-        dead = true;  // e.g. pivot of an extent-1 loop (count says 0 too)
-        break;
-      }
-      combos = sat_mul(combos, hi - lo + 1);
-    }
-    if (dead) continue;
-
-    if (combos <= opts.enum_limit) {
-      // Exact: enumerate every coordinate assignment; each represents
-      // count/combos target instances.
-      const std::int64_t weight = oc.count / combos;
-      SDLO_CHECK(weight * combos == oc.count,
-                 "coordinate domains must divide the partition count");
-      std::vector<std::int64_t> values;
-      values.reserve(bp.domains.size());
-      for (const auto& [lo, hi] : bp.domains) {
-        (void)hi;
-        values.push_back(lo);
-      }
-      oc.depth_min = kInfDistance;
-      oc.depth_max = 0;
-      std::int64_t miss_combos = 0;
-      for (;;) {
-        const std::int64_t depth = bp.depth_at(values);
-        oc.depth_min = std::min(oc.depth_min, depth);
-        oc.depth_max = std::max(oc.depth_max, depth);
-        if (depth > capacity) ++miss_combos;
-        // Advance mixed-radix counter.
-        std::size_t k = 0;
-        for (; k < values.size(); ++k) {
-          if (values[k] < bp.domains[k].second) {
-            ++values[k];
-            break;
-          }
-          values[k] = bp.domains[k].first;
-        }
-        if (k == values.size()) break;
-      }
-      oc.misses = miss_combos * weight;
-      oc.enumerated = true;
+      oc.misses = pc.count;
+    } else if (pc.exact) {
+      oc.depth_min = pc.depth_counts.begin()->first;
+      oc.depth_max = pc.depth_counts.rbegin()->first;
+      oc.misses = static_cast<std::int64_t>(
+          cachesim::misses_from_histogram(pc.depth_counts, 0, capacity));
+      oc.enumerated = !pc.probed;
     } else {
-      // Probe corners + center + random interior points.
-      std::vector<std::vector<std::int64_t>> probes;
-      const std::size_t k = bp.domains.size();
-      if (k <= 12) {
-        for (std::size_t mask = 0; mask < (std::size_t{1} << k); ++mask) {
-          std::vector<std::int64_t> v(k);
-          for (std::size_t i = 0; i < k; ++i) {
-            v[i] = (mask & (std::size_t{1} << i)) ? bp.domains[i].second
-                                                  : bp.domains[i].first;
-          }
-          probes.push_back(std::move(v));
-        }
-      }
-      {
-        std::vector<std::int64_t> mid(k);
-        for (std::size_t i = 0; i < k; ++i) {
-          mid[i] = (bp.domains[i].first + bp.domains[i].second) / 2;
-        }
-        probes.push_back(std::move(mid));
-      }
-      SplitMix64 rng(0x5d10c0ffee ^ pi);
-      for (int r = 0; r < opts.probe_samples; ++r) {
-        std::vector<std::int64_t> v(k);
-        for (std::size_t i = 0; i < k; ++i) {
-          v[i] = rng.range(bp.domains[i].first, bp.domains[i].second);
-        }
-        probes.push_back(std::move(v));
-      }
-      oc.depth_min = kInfDistance;
-      oc.depth_max = 0;
-      for (const auto& pv : probes) {
-        const std::int64_t depth = bp.depth_at(pv);
-        oc.depth_min = std::min(oc.depth_min, depth);
-        oc.depth_max = std::max(oc.depth_max, depth);
-      }
-      if (oc.depth_min == oc.depth_max) {
-        // Constant depth across all probes (translation-invariant window).
-        oc.misses = (oc.depth_min > capacity) ? oc.count : 0;
-      } else if (oc.depth_min > capacity) {
-        oc.misses = oc.count;
-      } else if (oc.depth_max <= capacity) {
-        oc.misses = 0;
-      } else {
-        // Straddling and too large to enumerate: statistical estimate
-        // (generalizes the paper's min/max interpolation).
-        oc.approximated = true;
+      // Not in the sweep's histogram: estimate it from the probes.
+      oc.approximated = true;
+      oc.depth_min = pc.probe_min;
+      oc.depth_max = pc.probe_max;
+      if (pc.probe_min > capacity) {
+        oc.misses = pc.count;
+      } else if (pc.probe_max > capacity) {
+        // Straddling: statistical estimate (generalizes the paper's
+        // min/max interpolation), continuing the probes' random stream.
+        if (!full_env) full_env = an.symtab.bind_extents(env);
+        BoundPartition bp =
+            bind_partition(an.parts[pc.part_index], *full_env);
+        SplitMix64 rng(pc.trial_seed);
         const int trials = 65536;
         int miss_trials = 0;
-        std::vector<std::int64_t> v(k);
+        std::vector<std::int64_t> v(bp.domains.size());
         for (int t = 0; t < trials; ++t) {
-          for (std::size_t i = 0; i < k; ++i) {
+          for (std::size_t i = 0; i < v.size(); ++i) {
             v[i] = rng.range(bp.domains[i].first, bp.domains[i].second);
           }
           if (bp.depth_at(v) > capacity) ++miss_trials;
         }
         oc.misses = static_cast<std::int64_t>(
-            static_cast<double>(oc.count) *
+            static_cast<double>(pc.count) *
             (static_cast<double>(miss_trials) / trials));
       }
+      out.misses += oc.misses;
+      out.misses_by_site[static_cast<std::size_t>(pc.site)] += oc.misses;
     }
-    out.misses += oc.misses;
-    out.misses_by_site[site] += oc.misses;
-    if (oc.approximated) out.confidence = Confidence::kApproximate;
     out.outcomes.push_back(oc);
   }
   return out;
-}
-
-const char* confidence_name(Confidence c) {
-  return c == Confidence::kExact ? "exact" : "approximate";
 }
 
 std::vector<SymbolicRow> symbolic_report(const Analysis& an) {

@@ -5,11 +5,14 @@
 //                      all symbolically, once per program.
 //   predict_misses()   binds a concrete size environment and cache capacity
 //                      and produces the predicted miss count (the
-//                      "#Predicted misses" column of Tables 2/3), exactly:
-//                      partitions whose stack distance varies across
-//                      instances are resolved by enumerating the relevant
-//                      coordinates (the generalization of §5.2's
-//                      varying-distance treatment).
+//                      "#Predicted misses" column of Tables 2/3). It is a
+//                      query on the model's one evaluator, symbolic_sweep()
+//                      (symbolic_sweep.hpp): the sweep builds every
+//                      partition's exact stack-distance histogram (the
+//                      generalization of §5.2's varying-distance
+//                      treatment), and the prediction reads it at one
+//                      capacity. predict_at() runs the same query on a
+//                      sweep the caller already holds.
 //   symbolic_report()  renders per-partition symbolic stack distances (the
 //                      content of Table 1), for use by the tile-size search
 //                      of §6 (including its unknown-loop-bounds mode).
@@ -25,6 +28,7 @@
 #include "model/coords.hpp"
 #include "model/distance.hpp"
 #include "model/partition.hpp"
+#include "model/symbolic_sweep.hpp"
 #include "model/window.hpp"
 
 namespace sdlo::model {
@@ -55,27 +59,28 @@ Analysis analyze(const ir::Program& prog);
 struct PartitionOutcome {
   std::size_t part_index = 0;
   std::int64_t count = 0;      ///< accesses in this partition
-  std::int64_t depth_min = 0;  ///< kInfDistance for cold partitions
+  /// Extremes of the partition's stack depths: its histogram's first and
+  /// last depth, the probed extremes when approximated, kInfDistance for
+  /// cold partitions.
+  std::int64_t depth_min = 0;
   std::int64_t depth_max = 0;
   std::int64_t misses = 0;
-  bool enumerated = false;     ///< coordinates were enumerated exactly
-  bool approximated = false;   ///< interpolation fallback (never exact)
+  /// The histogram came from (reduced) coordinate enumeration; a spike
+  /// from agreeing probes does not count.
+  bool enumerated = false;
+  /// The sweep could not make the partition exact, so `misses` is an
+  /// estimate: the probe classification when every probed depth lies on
+  /// one side of the capacity, a Monte Carlo interpolation when they
+  /// straddle it. Never exact.
+  bool approximated = false;
 };
-
-/// Confidence verdict of a concrete prediction: kExact when every partition
-/// was resolved by closed form or exhaustive coordinate enumeration,
-/// kApproximate when at least one fell back to statistical interpolation
-/// (the analysis passes of analysis/applicability.hpp report *which*).
-enum class Confidence : std::uint8_t { kExact, kApproximate };
-
-/// "exact" / "approximate".
-const char* confidence_name(Confidence c);
 
 /// Concrete miss prediction.
 struct MissPrediction {
   std::int64_t capacity = 0;
   std::int64_t total_accesses = 0;
   std::int64_t misses = 0;
+  /// The sweep's confidence: kApproximate iff some outcome is approximated.
   Confidence confidence = Confidence::kExact;
   /// Misses per access site, indexed like trace::CompiledProgram sites
   /// (statements in program order, accesses within statements).
@@ -90,20 +95,22 @@ struct MissPrediction {
   }
 };
 
-/// Tuning knobs for the coordinate-resolution strategy.
-struct PredictOptions {
-  /// Maximum number of coordinate combinations enumerated exactly.
-  std::int64_t enum_limit = std::int64_t{1} << 21;
-  /// Corner/interior samples used to detect constant-depth partitions.
-  int probe_samples = 16;
-};
-
-/// Predicts misses of a fully-associative LRU cache of `capacity` elements
-/// under the concrete environment `env` (binding every user symbol). An
-/// access is a miss iff its stack depth exceeds the capacity.
+/// Predicts misses of a fully-associative LRU cache of `capacity` (> 0)
+/// elements under the concrete environment `env` (binding every user
+/// symbol). An access is a miss iff its stack depth exceeds the capacity.
+/// Equivalent to predict_at(an, symbolic_sweep(an, env, opts), env,
+/// capacity).
 MissPrediction predict_misses(const Analysis& an, const sym::Env& env,
                               std::int64_t capacity,
-                              const PredictOptions& opts = {});
+                              const SymbolicSweepOptions& opts = {});
+
+/// The prediction as a query on a complete sweep of `an` under `env`:
+/// exact partitions read their histograms at `capacity` (so the total and
+/// per-site misses of an exact sweep equal sweep.result_at(capacity)),
+/// approximate ones are estimated from their probes. Lets a caller that
+/// needs both the curve and a point (lint) evaluate the model once.
+MissPrediction predict_at(const Analysis& an, const SymbolicSweep& sweep,
+                          const sym::Env& env, std::int64_t capacity);
 
 /// Global access-site index matching trace::CompiledProgram numbering.
 std::int32_t site_index(const ir::Program& prog, const ir::AccessSite& site);

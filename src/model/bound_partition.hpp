@@ -1,12 +1,10 @@
 // Concrete (environment-bound) form of an analyzed partition.
 //
-// Both numeric evaluators — predict_misses (one capacity) and
-// symbolic_sweep (every capacity at once) — walk the same structure: the
-// partition's window boxes with the size environment substituted in and
-// every interval bound compiled to an affine function of the partition's
-// coordinate vector. This module is that shared binding step, extracted
-// from the original predict_misses implementation so the two engines
-// cannot drift.
+// The model's evaluator, symbolic_sweep, and the Monte Carlo estimate that
+// predict_at runs on a partition the sweep cannot make exact walk the same
+// structure: the partition's window boxes with the size environment
+// substituted in and every interval bound compiled to an affine function of
+// the partition's coordinate vector. This module is that binding step.
 #pragma once
 
 #include <cstdint>

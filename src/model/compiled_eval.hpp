@@ -1,7 +1,7 @@
 // Fast numeric evaluation of bound partitions.
 //
-// predict_misses() may evaluate a partition's stack depth for up to millions
-// of coordinate assignments. Going through sym::evaluate with a std::map
+// symbolic_sweep() may evaluate a partition's stack depth (or one term of it)
+// for up to millions of coordinate assignments. Going through sym::evaluate with a std::map
 // environment per combination costs microseconds; this module precompiles
 // every interval bound into an affine form over the partition's coordinate
 // vector (bounds are affine by construction: they are point coordinates

@@ -5,6 +5,7 @@
 #include <map>
 #include <vector>
 
+#include "model/analyzer.hpp"
 #include "model/bound_partition.hpp"
 #include "support/check.hpp"
 #include "support/checked_math.hpp"
@@ -516,9 +517,10 @@ SymbolicSweep symbolic_sweep(const Analysis& an, const sym::Env& env,
       }
     } else {
       // Too large even after reduction: probe corners + center + random
-      // interior points (same doctrine and seed as predict_misses). A
-      // constant-depth profile is a translation-invariant window the
-      // per-axis check could not certify; anything else is inexact.
+      // interior points. A constant-depth profile is a translation-
+      // invariant window the per-axis check could not certify; anything
+      // else is inexact, and a capacity query (predict_at) estimates it
+      // from the probe extremes and the continued random stream.
       std::vector<std::vector<std::int64_t>> probes;
       const std::size_t k = bp.domains.size();
       if (k <= 12) {
@@ -553,6 +555,10 @@ SymbolicSweep symbolic_sweep(const Analysis& an, const sym::Env& env,
         depth_min = std::min(depth_min, depth);
         depth_max = std::max(depth_max, depth);
       }
+      pc.probed = true;
+      pc.probe_min = depth_min;
+      pc.probe_max = depth_max;
+      pc.trial_seed = rng.state();
       if (depth_min == depth_max) {
         pc.depth_counts[depth_min] = static_cast<std::uint64_t>(pc.count);
       } else {
@@ -565,6 +571,10 @@ SymbolicSweep symbolic_sweep(const Analysis& an, const sym::Env& env,
     out.parts.push_back(std::move(pc));
   }
   return out;
+}
+
+const char* confidence_name(Confidence c) {
+  return c == Confidence::kExact ? "exact" : "approximate";
 }
 
 }  // namespace sdlo::model

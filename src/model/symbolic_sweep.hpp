@@ -1,12 +1,10 @@
-// Fully symbolic capacity sweep (ROADMAP item 2).
+// The model's one evaluator: the fully symbolic capacity sweep.
 //
-// predict_misses() answers one capacity per call; simulate_sweep_streamed()
-// answers every capacity but must walk the trace. This module closes the
-// gap: from the symbolic analysis alone it builds, per reuse partition, the
-// exact *stack-distance histogram* — how many of the partition's accesses
-// have each stack depth — and aggregates them into the same ProfileResult
-// shape the trace profiler produces. The full miss-vs-capacity curve then
-// falls out analytically:
+// From the symbolic analysis alone (analyzer.hpp) it builds, per reuse
+// partition, the exact *stack-distance histogram* — how many of the
+// partition's accesses have each stack depth — and aggregates them into the
+// same ProfileResult shape the trace profiler produces. The full
+// miss-vs-capacity curve then falls out analytically:
 //
 //   misses(C) = cold + sum_{depth > C} histogram[depth]
 //
@@ -19,16 +17,24 @@
 // symbolic locality analysis and Gysi et al.'s analytical cache model, grown
 // out of the paper's §5 partition machinery.
 //
-// Exactness doctrine (same as predict_misses, plus one sound reduction):
-// a partition's histogram is exact when its dependent coordinates can be
-// exhaustively enumerated within `enum_limit`, after first dropping every
-// *translation-invariant* axis (bound_partition.hpp: shifting the axis
-// provably translates each array's whole box union, so the depth cannot
-// change — the enumeration collapses by that axis's full extent, exactly).
-// Partitions that still exceed the limit are probed; a constant-depth probe
-// profile yields an exact spike, anything else marks the partition — and
-// the sweep — Confidence::kApproximate. Callers (analysis/sweep_driver)
-// then fall back to simulation rather than report an inexact curve.
+// Every numeric model query reads this sweep: `sdlo sweep --engine
+// symbolic` prints its curve, and predict_misses() / predict_at()
+// (analyzer.hpp) answer one capacity from it — the "#Predicted misses"
+// column of Tables 2/3, `sdlo misses`, advisor scoring, lint and the §7 SMP
+// estimate.
+//
+// Exactness doctrine: a partition's histogram is exact when its dependent
+// coordinates can be exhaustively enumerated within `enum_limit`, after
+// first dropping every *translation-invariant* axis (bound_partition.hpp:
+// shifting the axis provably translates each array's whole box union, so
+// the depth cannot change — the enumeration collapses by that axis's full
+// extent, exactly). Partitions that still exceed the limit are probed at
+// their corners, center and `probe_samples` random points; a
+// constant-depth probe profile yields an exact spike, anything else marks
+// the partition — and the sweep — Confidence::kApproximate and keeps only
+// the probe extremes. Such a partition never contributes to the histogram:
+// the sweep driver falls back to simulation rather than report an inexact
+// curve, and a capacity query estimates it from the probes.
 #pragma once
 
 #include <cstdint>
@@ -36,19 +42,32 @@
 #include <vector>
 
 #include "cachesim/results.hpp"
-#include "model/analyzer.hpp"
 #include "support/governor.hpp"
+#include "symbolic/expr.hpp"
 
 namespace sdlo::model {
 
-/// Tuning knobs; the defaults match PredictOptions so the two engines agree
-/// on which programs are model-exact.
+struct Analysis;  // analyzer.hpp
+
+/// Confidence verdict of the sweep and of every query on it: kExact when
+/// every partition was resolved by closed form or (reduced) exhaustive
+/// enumeration, kApproximate when at least one could not be made exact (the
+/// analysis passes of analysis/applicability.hpp report *which*).
+enum class Confidence : std::uint8_t { kExact, kApproximate };
+
+/// "exact" / "approximate".
+const char* confidence_name(Confidence c);
+
+/// Tuning knobs of the model's one evaluator; every caller that evaluates
+/// the model (the sweep driver, predict_misses, lint, the advisor, the SMP
+/// estimate) takes this struct, so they agree on which programs are
+/// model-exact by construction.
 struct SymbolicSweepOptions {
   /// Maximum number of dependent-coordinate combinations enumerated
   /// exactly (after the invariance reduction).
   std::int64_t enum_limit = std::int64_t{1} << 21;
-  /// Corner/interior samples used to detect constant-depth partitions that
-  /// are too large to enumerate.
+  /// Random interior samples (beside corners and center) used to detect
+  /// constant-depth partitions that are too large to enumerate.
   int probe_samples = 16;
 };
 
@@ -59,6 +78,11 @@ struct PartitionCurve {
   std::int64_t count = 0;      ///< accesses in this partition
   bool cold = false;           ///< infinite distance: always misses
   bool exact = true;           ///< histogram below is the exact histogram
+  /// Resolved by the probe test rather than by enumeration. When `exact`,
+  /// every probe agreed and depth_counts is that one spike; otherwise the
+  /// partition has no histogram and only the probe fields below describe
+  /// it.
+  bool probed = false;
   /// Coordinate axes dropped by the translation-invariance reduction.
   std::size_t axes_dropped = 0;
   /// Dependent-coordinate combinations actually enumerated (0 when the
@@ -67,6 +91,13 @@ struct PartitionCurve {
   /// depth -> number of accesses at that depth (empty when cold or
   /// inexact; cold accesses are carried by `cold` + `count`).
   std::map<std::int64_t, std::uint64_t> depth_counts;
+  /// Smallest and largest probed depth (probed partitions only).
+  std::int64_t probe_min = 0;
+  std::int64_t probe_max = 0;
+  /// State of the partition's probe random stream after the probes: a
+  /// capacity query's Monte Carlo estimate continues it with
+  /// SplitMix64(trial_seed) (probed partitions only).
+  std::uint64_t trial_seed = 0;
 };
 
 /// The analytic sweep: per-partition curves plus their aggregation in the
@@ -82,7 +113,8 @@ struct SymbolicSweep {
   Completeness completeness = Completeness::kComplete;
   std::vector<PartitionCurve> parts;
 
-  // Aggregates (element granularity; depths count distinct elements).
+  // Aggregates over the exact partitions (element granularity; depths
+  // count distinct elements).
   std::uint64_t cold = 0;
   std::map<std::int64_t, std::uint64_t> histogram;
   std::vector<std::uint64_t> cold_by_site;

@@ -43,7 +43,7 @@ SmpEstimate estimate_smp(const model::Analysis& an,
                          const std::vector<std::int64_t>& tiles,
                          int processors, std::int64_t capacity,
                          const CostCalibration& cal,
-                         const model::PredictOptions& popts) {
+                         const model::SymbolicSweepOptions& popts) {
   SDLO_EXPECTS(processors >= 1);
   const auto pos_it = std::find(g.bounds.begin(), g.bounds.end(),
                                 partitioned_bound);

@@ -66,6 +66,6 @@ SmpEstimate estimate_smp(const model::Analysis& an,
                          const std::vector<std::int64_t>& tiles,
                          int processors, std::int64_t capacity,
                          const CostCalibration& cal,
-                         const model::PredictOptions& popts = {});
+                         const model::SymbolicSweepOptions& popts = {});
 
 }  // namespace sdlo::parallel

@@ -34,6 +34,9 @@ class SplitMix64 {
     return lo + static_cast<std::int64_t>(below(span));
   }
 
+  /// Current state: SplitMix64(state()) continues this stream exactly.
+  std::uint64_t state() const { return state_; }
+
   /// Uniform double in [0, 1).
   double uniform() {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;

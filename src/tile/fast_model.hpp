@@ -1,7 +1,8 @@
 // Closed-form miss model for tile-size search (§6).
 //
-// predict_misses() is pointwise exact but enumerates coordinates, which is
-// too slow inside a search loop that scores thousands of tile-size tuples.
+// predict_misses() is exact but builds a partition's whole stack-distance
+// histogram (symbolic_sweep.hpp) for every environment, which is too slow
+// inside a search loop that scores thousands of tile-size tuples.
 // The paper instead evaluates the *symbolic* stack-distance expressions of
 // each partition (Table 1) and classifies whole partitions against the cache
 // size, interpolating linearly when a partition's distance straddles the

@@ -450,7 +450,7 @@ TEST(Applicability, PredictMissesCarriesConfidenceVerdict) {
   const sym::Env env = {{"N", 64}};
   EXPECT_EQ(model::predict_misses(an, env, 70).confidence,
             model::Confidence::kExact);
-  model::PredictOptions tiny;
+  model::SymbolicSweepOptions tiny;
   tiny.enum_limit = 1;
   EXPECT_EQ(model::predict_misses(an, env, 70, tiny).confidence,
             model::Confidence::kApproximate);

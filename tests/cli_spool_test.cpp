@@ -7,7 +7,9 @@
 // sibling behind (the RAII guard + temp-and-rename contract). These run the
 // real binary as a subprocess so the cleanup is exercised through process
 // exit, not just stack unwind. `sdlo trace --limit` is pinned here too: its
-// first lines are walk()'s first accesses and its tail count is exact.
+// first lines are walk()'s first accesses and its tail count is exact. So
+// is `--cap` validation: an out-of-range capacity is a usage error naming
+// the flag, never an internal precondition failure.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -59,10 +61,12 @@ int run_sweep(const std::string& env_prefix, const std::string& extra) {
 }
 
 /// Runs `sdlo args` and returns its stdout; `exit_code` receives the
-/// process exit code (-1 if it did not exit normally).
-std::string capture(const std::string& args, int& exit_code) {
+/// process exit code (-1 if it did not exit normally). `redirect` routes
+/// the streams: by default stderr is discarded.
+std::string capture(const std::string& args, int& exit_code,
+                    const std::string& redirect = "2>/dev/null") {
   const std::string cmd =
-      "\"" + std::string(SDLO_CLI_PATH) + "\" " + args + " 2>/dev/null";
+      "\"" + std::string(SDLO_CLI_PATH) + "\" " + args + " " + redirect;
   exit_code = -1;
   FILE* pipe = ::popen(cmd.c_str(), "r");
   if (pipe == nullptr) return "";
@@ -73,6 +77,11 @@ std::string capture(const std::string& args, int& exit_code) {
   const int rc = ::pclose(pipe);
   if (rc != -1 && WIFEXITED(rc)) exit_code = WEXITSTATUS(rc);
   return out;
+}
+
+/// Runs `sdlo args` and returns its stderr (stdout discarded).
+std::string capture_stderr(const std::string& args, int& exit_code) {
+  return capture(args, exit_code, "2>&1 >/dev/null");
 }
 
 /// Runs `sdlo sweep prog --set N=48 extra_flags --json` and returns its
@@ -226,6 +235,33 @@ TEST(CliTrace, NegativeLimitIsAUsageError) {
       "trace " + program_file() + " --set N=12 --limit -1", rc);
   EXPECT_EQ(rc, 1);
   EXPECT_TRUE(out.empty()) << out;
+}
+
+TEST(CliCapacity, MissesAndAdviseRejectANonPositiveCapacity) {
+  for (const std::string verb : {"misses", "advise"}) {
+    for (const std::string cap : {"0", "-3"}) {
+      int rc = -1;
+      const std::string err = capture_stderr(
+          verb + " " + program_file() + " --set N=8 --cap " + cap, rc);
+      EXPECT_EQ(rc, 1) << verb << " --cap " << cap;
+      EXPECT_NE(err.find("--cap must be at least 1"), std::string::npos)
+          << verb << " --cap " << cap << ": " << err;
+      EXPECT_EQ(err.find("Precondition"), std::string::npos) << err;
+    }
+  }
+}
+
+TEST(CliCapacity, LintRejectsANegativeCapacityAndTakesZeroAsNone) {
+  int rc = -1;
+  const std::string err =
+      capture_stderr("lint " + program_file() + " --set N=8 --cap -3", rc);
+  EXPECT_EQ(rc, 1);
+  EXPECT_NE(err.find("--cap must be at least 0"), std::string::npos) << err;
+
+  const std::string out =
+      capture("lint " + program_file() + " --set N=8 --cap 0", rc);
+  EXPECT_EQ(rc, 0);
+  EXPECT_NE(out.find("error(s)"), std::string::npos) << out;
 }
 
 TEST(CliSpool, CleanupOfProgramFile) {

@@ -15,6 +15,7 @@
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
 #include "model/analyzer.hpp"
+#include "model/symbolic_sweep.hpp"
 #include "trace/walker.hpp"
 
 namespace sdlo::model {
@@ -211,6 +212,46 @@ TEST(ModelPrediction, CapacitySweepMonotone) {
       EXPECT_LE(pred.misses, prev) << cap;
     }
     prev = pred.misses;
+  }
+}
+
+TEST(ModelPrediction, IsTheSweepReadAtEveryCrossingPoint) {
+  // predict_misses is a query on symbolic_sweep: on the five gallery
+  // kernels its total and per-site counts equal the sweep's curve at every
+  // capacity where the curve changes, and on both sides of each.
+  const std::vector<Case> cases = {
+      Case{Prog::kMatmul, {8, 8, 8}, {}, 0},
+      Case{Prog::kMatmulTiled, {8, 8, 8}, {4, 2, 4}, 0},
+      Case{Prog::kTwoIndexFused, {6, 7, 8, 9}, {}, 0},
+      Case{Prog::kTwoIndexUnfused, {6, 7, 8, 9}, {}, 0},
+      Case{Prog::kTwoIndexTiled, {8, 8, 8, 8}, {4, 2, 4, 2}, 0},
+  };
+  for (const Case& c : cases) {
+    auto g = make(c.prog);
+    const auto env = g.make_env(c.bounds, c.tiles);
+    const auto an = analyze(g.prog);
+    const SymbolicSweep sweep = symbolic_sweep(an, env);
+    ASSERT_EQ(sweep.confidence, Confidence::kExact) << prog_name(c.prog);
+    std::vector<std::int64_t> caps;
+    for (const std::int64_t d : sweep.crossing_points()) {
+      for (const std::int64_t cap : {d - 1, d, d + 1}) {
+        if (cap >= 1) caps.push_back(cap);
+      }
+    }
+    ASSERT_FALSE(caps.empty()) << prog_name(c.prog);
+    for (const std::int64_t cap : caps) {
+      const auto pred = predict_misses(an, env, cap);
+      const auto want = sweep.result_at(cap);
+      EXPECT_EQ(pred.confidence, Confidence::kExact);
+      EXPECT_EQ(static_cast<std::uint64_t>(pred.misses), want.misses)
+          << prog_name(c.prog) << " cap " << cap;
+      ASSERT_EQ(pred.misses_by_site.size(), want.misses_by_site.size());
+      for (std::size_t s = 0; s < want.misses_by_site.size(); ++s) {
+        EXPECT_EQ(static_cast<std::uint64_t>(pred.misses_by_site[s]),
+                  want.misses_by_site[s])
+            << prog_name(c.prog) << " cap " << cap << " site " << s;
+      }
+    }
   }
 }
 

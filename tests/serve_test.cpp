@@ -368,6 +368,32 @@ TEST(ServeService, MalformedAndInvalidRequestsBecomeTypedErrorResponses) {
   EXPECT_NE(oversize.error.find("bytes"), std::string::npos);
 }
 
+TEST(ServeService, OutOfRangeCapacityIsATypedErrorWithTheCliText) {
+  // The CLI prints the driver's message and exits 1; the daemon answers
+  // with the same text in a typed error response.
+  serve::Service svc;
+  std::string want;
+  try {
+    analysis::MissesOptions mo;
+    mo.capacity = 0;
+    analysis::run_misses(ir::parse_program(kProgram), {{"N", 12}}, mo);
+  } catch (const Error& e) {
+    want = e.what();
+  }
+  EXPECT_NE(want.find("--cap must be at least 1"), std::string::npos);
+  for (const std::string verb : {"misses", "advise"}) {
+    const auto resp = svc.handle_line(
+        analysis_request("c", verb, kProgram, 12, ",\"cap\":0"));
+    EXPECT_EQ(resp.status, serve::Status::kError) << verb;
+    EXPECT_TRUE(resp.payload.empty()) << verb;
+    EXPECT_EQ(resp.error, want) << verb;
+  }
+  // lint takes 0 as "no capacity checks".
+  const auto lint = svc.handle_line(
+      analysis_request("l", "lint", kProgram, 12, ",\"cap\":0"));
+  EXPECT_EQ(lint.status, serve::Status::kOk) << lint.error;
+}
+
 TEST(ServeService, LintStatusMirrorsTheCliExit) {
   serve::Service svc;
   // A reference to an unbound index is a lint error: full report payload,

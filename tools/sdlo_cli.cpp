@@ -29,7 +29,8 @@
 //
 // Symbols are bound with repeated --set NAME=VALUE flags. `misses` prints
 // the model's prediction and, with --simulate, cross-checks it against the
-// sweep engine's simulator. `sweep` answers every capacity from one pass
+// sweep engine's simulator. A --cap below 1 (misses, advise) or below 0
+// (lint) is a usage error: exit 1 with a message naming --cap. `sweep` answers every capacity from one pass
 // (analysis/sweep_driver.hpp, the same driver the daemon runs) — at line
 // granularity with --line, and with a per-site miss breakdown under
 // --sites. The pass is the streamed marker-stack engine
@@ -471,7 +472,9 @@ int cmd_client(const std::string& socket_path, const std::string& source,
 int main(int argc, char** argv) {
   try {
     CommandLine cli(argc, argv);
-    cli.flag("cap", "cache capacity in elements (misses)")
+    cli.flag("cap",
+             "cache capacity in elements: >= 1 for misses and advise, "
+             ">= 0 for lint (0 skips its capacity checks)")
         .flag("set", "bind a symbol: --set N=512 (repeatable)")
         .flag("simulate", "cross-check the model with the simulator")
         .flag("line", "line size in elements for sweep (default 1)")
