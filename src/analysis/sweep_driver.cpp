@@ -41,7 +41,7 @@ std::vector<std::int64_t> sweep_ladder(std::int64_t line,
 
 namespace {
 
-/// The simulated engine: one streamed walk over the ladder, on a pool when
+/// The simulated engine: the streamed sweep over the ladder, on a pool when
 /// threads > 1, teeing the spool when one is requested.
 void simulate_ladder(const trace::CompiledProgram& cp,
                      const SweepDriverOptions& opts, const Governor* gov,
@@ -74,7 +74,10 @@ void simulate_ladder(const trace::CompiledProgram& cp,
       oc.completeness = Completeness::kTruncated;
     }
   }
-  if (writer && writer->groups() == cp.group_count()) {
+  // The tee walk and the chunk walks stop independently on a governor
+  // trip, so a spool is kept only for a complete result.
+  if (writer && oc.completeness == Completeness::kComplete &&
+      writer->groups() == cp.group_count()) {
     writer->finish(cp.num_sites(), cp.address_space_size());
     oc.spool_bytes = std::filesystem::file_size(opts.spool_path);
     guard->release();

@@ -5,8 +5,10 @@
 //
 //   simulated  — trace-walking: the streamed marker-stack sweep
 //                (cachesim::simulate_sweep_streamed), O(trace); one chunk
-//                by default, time-partitioned across a pool with
-//                `threads` > 1, optionally teeing the trace to a spool;
+//                by default; with `threads` > 1, one time chunk per
+//                thread, each a pool task walking its own group range
+//                while this thread merges finished chunks in order;
+//                optionally teeing the trace to a spool on one more walk;
 //   symbolic   — analytic: model::symbolic_sweep evaluates the partition
 //                machinery's stack-distance histogram, O(model), no trace
 //                walk — but only *exact* on the model-exact subset.
@@ -22,11 +24,12 @@
 // would blow the same deadline — and surfaces instead as a best-so-far
 // partial curve marked truncated (exit code 2).
 //
-// A spool (`spool_path`) is the run-compressed trace (SDLOSPL2) written on
-// the simulated engine's single walk. The file survives only a run that
-// generated every group: truncation leaves the writer unfinished so its
-// temp file is discarded, and any failure after the finish is unwound by
-// an RAII guard — no half-written spool is ever left behind.
+// A spool (`spool_path`) is the run-compressed trace (SDLOSPL2) written by
+// the simulated engine's tee walk, which runs on the calling thread beside
+// the chunk walks. The file survives only a complete run: truncation
+// leaves the writer unfinished so its temp file is discarded, and any
+// failure after the finish is unwound by an RAII guard — no half-written
+// spool is ever left behind.
 #pragma once
 
 #include <cstdint>

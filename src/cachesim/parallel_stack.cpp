@@ -1,10 +1,10 @@
 #include "cachesim/parallel_stack.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <exception>
 #include <limits>
 #include <memory>
@@ -31,7 +31,7 @@ constexpr std::uint64_t kNoPos = std::numeric_limits<std::uint64_t>::max();
 /// table (one uint64 timestamp per line).
 constexpr std::uint64_t kMergeBytesPerLine = 8;
 
-/// Internal control-flow exception: thrown by a governed chunk walk at a
+/// Internal control-flow exception: thrown by a governed walk at a
 /// run-group boundary. Never escapes this translation unit.
 struct AbortWalk {};
 
@@ -131,11 +131,11 @@ class BoundaryMerge {
   std::int64_t active_ = 0;            // live timestamps
 };
 
-/// One worker's chunk: the per-chunk engine plus its recorded holes.
+/// One chunk's profile for one line size: the per-chunk engine plus its
+/// recorded holes.
 struct ChunkProfile {
   std::unique_ptr<MarkerStackEngine> engine;
   std::vector<Hole> holes;
-  bool complete = true;  // consumed its whole group range
 };
 
 /// The incremental half of the rolling frontier: folds chunks into the
@@ -212,68 +212,6 @@ struct FrontierBoard {
   std::vector<char> done;
   std::size_t done_count = 0;
   std::exception_ptr first_error;
-};
-
-/// Thrown by the streamed generator when a chunk's consumer vanished (a
-/// pool fault dropped its task) — generation cannot usefully continue.
-/// Never escapes this translation unit.
-struct AbortStream {};
-
-/// One in-flight batch of generated run groups, copied out of the
-/// generator's buffers: `runs` holds the concatenated group bodies,
-/// `widths` one ref count per group.
-struct StreamWindow {
-  std::vector<Run> runs;
-  std::vector<std::uint32_t> widths;
-};
-
-/// Bounded ready-window ring between the streamed generator and one
-/// chunk's profiling task: the generator blocks when `limit` windows are
-/// in flight (back-pressure), the consumer blocks until a window is ready.
-class WindowQueue {
- public:
-  /// Blocks while the ring is full. Returns false when the consumer can no
-  /// longer make progress — some pool task already failed, or this chunk's
-  /// task was dropped and the pool went idle — so the generator aborts the
-  /// stream instead of waiting on a consumer that will never come.
-  bool push(StreamWindow&& w, std::size_t limit, parallel::ThreadPool& pool) {
-    std::unique_lock lock(mu_);
-    while (q_.size() >= limit) {
-      if (cv_.wait_for(lock, std::chrono::milliseconds(2),
-                       [&] { return q_.size() < limit; })) {
-        break;
-      }
-      if (pool.has_error() || pool.idle()) return false;
-    }
-    q_.push_back(std::move(w));
-    cv_.notify_all();
-    return true;
-  }
-
-  /// Blocks until a window is ready; false once closed and drained.
-  bool pop(StreamWindow& w) {
-    std::unique_lock lock(mu_);
-    cv_.wait(lock, [&] { return !q_.empty() || closed_; });
-    if (q_.empty()) return false;
-    w = std::move(q_.front());
-    q_.pop_front();
-    cv_.notify_all();
-    return true;
-  }
-
-  void close() {
-    {
-      std::scoped_lock lock(mu_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<StreamWindow> q_;
-  bool closed_ = false;
 };
 
 /// One configuration simulated by a real cache model: a hashed-table
@@ -414,8 +352,6 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
                                      const StreamOptions& sopt,
                                      const Governor* gov) {
   const PartitionOptions& opt = sopt.partition;
-  SDLO_EXPECTS(sopt.window_groups > 0);
-  SDLO_EXPECTS(sopt.ring_windows > 0);
   std::vector<SimResult> out(configs.size());
 
   const std::uint64_t total_groups = prog.group_count();
@@ -455,7 +391,7 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
         for (CacheUnit& u : units) u.consume_runs(g, n);
       });
     } catch (const AbortWalk&) {
-      // The units (and the tee) hold exactly the generated prefix; the
+      // The units (and the tee) hold exactly the walked prefix; the
       // caller decides whether to finish() the spool.
       complete = false;
     }
@@ -494,24 +430,19 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
   chunks = std::min(chunks, end_group);
   // One chunk has no reuse crossing a chunk boundary: no holes, no merge.
   bool single = chunks == 1;
-
-  // A 1-thread pool gains nothing from the ring (the generator IS the
-  // bottleneck thread); the fused path is then strictly better.
+  // A 1-thread pool runs the chunks one after another anyway; the inline
+  // path does the same with only one chunk's tables live.
   bool pooled = pool != nullptr && pool->num_threads() > 1 && chunks > 1;
 
-  // Reserve the dense tables up front — the fused path holds only ONE
+  // Reserve the dense tables up front — the inline path holds only ONE
   // chunk's tables at a time, its key memory advantage — plus, with more
-  // than one chunk, the merge table and, pooled, a nominal estimate for
-  // the in-flight window rings.
+  // than one chunk, the merge table.
   auto reserve_tables = [&]() {
     std::uint64_t bytes = 0;
     for (std::int64_t line : split.lines_seen) {
       const std::uint64_t fp = prog.footprint_lines(line);
       bytes += (pooled ? chunks : 1) * fp * kStackBytesPerLine +
                (single ? 0 : fp * kMergeBytesPerLine);
-    }
-    if (pooled) {
-      bytes += chunks * sopt.ring_windows * sopt.window_groups * sizeof(Run);
     }
     return MemoryReservation(gov != nullptr ? gov->memory : nullptr, bytes);
   };
@@ -534,7 +465,6 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
   for (std::size_t slot : split.sa_slots) {
     sa_units.emplace_back(configs[slot], slot, num_sites);
   }
-  shared_walk(sa_units, false);
 
   std::vector<StreamLine> lines(split.lines_seen.size());
   for (std::size_t l = 0; l < lines.size(); ++l) {
@@ -547,79 +477,96 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
     }
   }
 
+  // Raised when the caller stops waiting for the remaining chunks (an
+  // unwinding error, or a frontier that stopped early), so running walks
+  // return at their next poll instead of finishing work nobody merges.
+  std::atomic<bool> abandon{false};
+
+  // Profiles chunk cc: walks its own group range [bounds[cc],
+  // bounds[cc+1]) — O(plan depth) to seek — into fresh engines, one per
+  // line size (a one-chunk plan records no holes). Polls the governor at
+  // group boundaries; returns false when the walk stopped early.
+  auto profile_chunk = [&](std::size_t cc, std::vector<ChunkProfile>& prof) {
+    prof.clear();
+    prof.resize(lines.size());
+    for (std::size_t l = 0; l < lines.size(); ++l) {
+      prof[l].engine = std::make_unique<MarkerStackEngine>(
+          lines[l].caps, lines[l].line, num_sites, lines[l].fp,
+          single ? nullptr : &prof[l].holes);
+    }
+    std::uint64_t tick = 0;
+    try {
+      prog.walk_runs_range(
+          bounds[cc], bounds[cc + 1] - bounds[cc],
+          [&](const Run* g, std::size_t n) {
+            if (++tick >= interval) {
+              tick = 0;
+              if (abandon.load(std::memory_order_relaxed) ||
+                  governor_should_stop(gov)) {
+                throw AbortWalk{};
+              }
+            }
+            for (ChunkProfile& p : prof) p.engine->consume_runs(g, n);
+          });
+    } catch (const AbortWalk&) {
+      return false;
+    }
+    return true;
+  };
+
   bool truncated = capped;
   double merge_seconds = 0;
   double wait_seconds = 0;
   std::uint64_t merged_chunks = 0;
   std::uint64_t overlapped = 0;
 
-  if (pooled) {
-    // Pipelined path: the caller generates (and tees) groups into bounded
-    // per-chunk window rings; one pool task per chunk feeds every line
-    // size's engines for that chunk; the caller then advances the rolling
-    // merge frontier while later chunks are still profiling.
-    std::vector<std::vector<ChunkProfile>> profiles(lines.size());
-    for (std::size_t l = 0; l < lines.size(); ++l) {
-      profiles[l].resize(nchunks);
-      for (std::size_t cc = 0; cc < nchunks; ++cc) {
-        profiles[l][cc].engine = std::make_unique<MarkerStackEngine>(
-            lines[l].caps, lines[l].line, num_sites, lines[l].fp,
-            &profiles[l][cc].holes);
+  // Folds chunk cc into every line size's frontier (a one-chunk plan has
+  // nothing to fold: its engines are the result).
+  auto merge = [&](std::size_t cc, std::vector<ChunkProfile>& prof,
+                   std::size_t profiled_now) {
+    if (!single) {
+      WallTimer t;
+      for (std::size_t l = 0; l < lines.size(); ++l) {
+        lines[l].merger->merge_chunk(prof[l]);
       }
+      merge_seconds += t.seconds();
     }
-    std::deque<WindowQueue> queues(nchunks);
-    std::vector<char> gen_complete(nchunks, 0);
+    ++merged_chunks;
+    if (opt.merge_observer) opt.merge_observer(cc, profiled_now, nchunks);
+  };
+
+  if (pooled) {
+    // One pool task per chunk, each walking its own group range; the
+    // caller walks the trace once for the tee and the set-associative
+    // units meanwhile, then advances the rolling merge frontier while
+    // later chunks are still profiling.
+    std::vector<std::vector<ChunkProfile>> profiles(nchunks);
     std::vector<char> chunk_complete(nchunks, 0);
     FrontierBoard board;
     board.done.assign(nchunks, 0);
 
-    // If anything below throws (e.g. an injected tee write failure), the
-    // workers must not outlive the queues and profiles they reference:
-    // close every ring and drain the pool before unwinding. Idempotent on
-    // the normal path, which closes and waits explicitly.
+    // If anything below throws (a failed submit, an injected tee write
+    // failure), the workers must not outlive the profiles they fill: stop
+    // them and drain the pool before unwinding. Idempotent on the normal
+    // path, which waits explicitly.
     struct PoolDrain {
-      std::deque<WindowQueue>& queues;
+      std::atomic<bool>& abandon;
       parallel::ThreadPool* pool;
       ~PoolDrain() {
-        for (auto& q : queues) q.close();
+        abandon.store(true, std::memory_order_relaxed);
         try {
           pool->wait_idle();
         } catch (...) {  // NOLINT(bugprone-empty-catch)
           // First error already consumed by the explicit wait_idle.
         }
       }
-    } drain{queues, pool};
+    } drain{abandon, pool};
 
     for (std::size_t cc = 0; cc < nchunks; ++cc) {
       pool->submit([&, cc] {
         try {
-          bool stopped = false;
-          std::uint64_t tick = 0;
-          StreamWindow w;
-          while (queues[cc].pop(w)) {
-            // After a governor trip keep draining (discarding) so the
-            // generator's push never stalls on this chunk's full ring.
-            if (stopped) continue;
-            std::size_t off = 0;
-            for (std::uint32_t width : w.widths) {
-              if (gov != nullptr && ++tick >= interval) {
-                tick = 0;
-                if (gov->should_stop()) {
-                  stopped = true;
-                  break;
-                }
-              }
-              for (std::size_t l = 0; l < lines.size(); ++l) {
-                profiles[l][cc].engine->consume_runs(w.runs.data() + off,
-                                                     width);
-              }
-              off += width;
-            }
-          }
-          // pop() returned false only after close(), so gen_complete[cc]
-          // is final (the queue mutex orders the generator's write).
           chunk_complete[cc] =
-              static_cast<char>(!stopped && gen_complete[cc] != 0);
+              static_cast<char>(profile_chunk(cc, profiles[cc]));
         } catch (...) {
           std::scoped_lock lock(board.mu);
           if (!board.first_error) {
@@ -634,161 +581,61 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
         board.cv.notify_all();
       });
     }
+    shared_walk(sa_units, tee != nullptr);
 
-    // Generator: one walk over the program, teeing and windowing.
-    {
-      StreamWindow w;
-      std::size_t c = 0;
-      std::uint64_t gidx = 0;
-      std::uint64_t tick = 0;
-      auto flush_window = [&]() {
-        if (w.widths.empty()) return true;
-        const bool ok = queues[c].push(std::move(w), sopt.ring_windows, *pool);
-        w = StreamWindow{};
-        return ok;
-      };
-      try {
-        prog.walk_runs_range(0, end_group, [&](const Run* g, std::size_t n) {
-          while (c + 1 < nchunks && gidx == bounds[c + 1]) {
-            if (!flush_window()) throw AbortStream{};
-            gen_complete[c] = 1;
-            queues[c].close();
-            ++c;
-          }
-          if (gov != nullptr && ++tick >= interval) {
-            tick = 0;
-            if (gov->should_stop()) throw AbortWalk{};
-          }
-          tee_group(g, n);
-          w.runs.insert(w.runs.end(), g, g + n);
-          w.widths.push_back(static_cast<std::uint32_t>(n));
-          ++gidx;
-          if (w.widths.size() >= sopt.window_groups) {
-            if (!flush_window()) throw AbortStream{};
-          }
-        });
-        if (!flush_window()) throw AbortStream{};
-        gen_complete[c] = 1;
-        // Trailing empty chunks (collapsed bounds) were fully generated
-        // too — they hold nothing.
-        for (std::size_t cc = c + 1; cc < nchunks; ++cc) gen_complete[cc] = 1;
-      } catch (const AbortWalk&) {
-        // Governor trip: chunk c stays gen-incomplete; the merged result
-        // is the exact prefix the workers consumed.
-      } catch (const AbortStream&) {
-        // Consumer vanished; the pool error (if any) surfaces at
-        // wait_idle below.
-      }
-      for (std::size_t cc = 0; cc < nchunks; ++cc) queues[cc].close();
-    }
-
-    // Rolling frontier: fold chunks in trace order as they finish.
+    // Rolling frontier: fold chunks in trace order as they finish. It stops
+    // at the first chunk that failed, or that a pool fault dropped (such a
+    // task never signals, so the pool going idle gives it away); any
+    // failure is rethrown below.
     for (std::size_t cc = 0; cc < nchunks; ++cc) {
       std::size_t profiled_now = 0;
-      bool aborted = false;
+      bool ready = false;
       {
         WallTimer wait_timer;
         std::unique_lock lock(board.mu);
-        while (board.done[cc] == 0 && board.first_error == nullptr) {
-          const bool signalled = board.cv.wait_for(
-              lock, std::chrono::milliseconds(2), [&] {
-                return board.done[cc] != 0 || board.first_error != nullptr;
-              });
-          if (signalled) break;
-          if (pool->idle() && board.done[cc] == 0 &&
-              board.first_error == nullptr) {
-            chunk_complete[cc] = 0;
-            board.done[cc] = 1;
-            ++board.done_count;
-          }
+        while (!board.cv.wait_for(lock, std::chrono::milliseconds(2), [&] {
+          return board.done[cc] != 0 || board.first_error != nullptr;
+        })) {
+          if (pool->idle()) break;
         }
-        aborted = board.first_error != nullptr && board.done[cc] == 0;
+        ready = board.done[cc] != 0 && board.first_error == nullptr;
         profiled_now = board.done_count;
         wait_seconds += wait_timer.seconds();
       }
-      if (aborted) break;
-
-      WallTimer merge_timer;
-      const bool complete = chunk_complete[cc] != 0;
-      for (std::size_t l = 0; l < lines.size(); ++l) {
-        lines[l].merger->merge_chunk(profiles[l][cc]);
+      if (!ready) {
+        truncated = true;
+        break;
       }
-      merge_seconds += merge_timer.seconds();
-      ++merged_chunks;
+
+      merge(cc, profiles[cc], profiled_now);
       if (profiled_now < nchunks) ++overlapped;
-      if (opt.merge_observer) opt.merge_observer(cc, profiled_now, nchunks);
-      if (!complete) {
+      if (chunk_complete[cc] == 0) {
         truncated = true;
         break;
       }
     }
+    abandon.store(true, std::memory_order_relaxed);
     pool->wait_idle();
     {
       std::scoped_lock lock(board.mu);
       if (board.first_error) std::rethrow_exception(board.first_error);
     }
   } else {
-    // Fused single pass: generate, tee and profile in lockstep on one
-    // thread, merging each chunk at its boundary — only one chunk's dense
-    // tables are ever live. A single chunk records no holes and skips the
-    // merge: its engine's buckets are the result.
-    std::vector<ChunkProfile> cur(lines.size());
-    auto new_chunk = [&] {
-      for (std::size_t l = 0; l < lines.size(); ++l) {
-        cur[l].engine = std::make_unique<MarkerStackEngine>(
-            lines[l].caps, lines[l].line, num_sites, lines[l].fp,
-            single ? nullptr : &cur[l].holes);
-        cur[l].complete = true;
-      }
-    };
-    std::size_t c = 0;
-    auto merge_cur = [&](bool complete, std::size_t profiled_now) {
-      if (!single) {
-        WallTimer t;
-        for (std::size_t l = 0; l < lines.size(); ++l) {
-          lines[l].merger->merge_chunk(cur[l]);
-        }
-        merge_seconds += t.seconds();
-      }
-      ++merged_chunks;
-      if (opt.merge_observer) opt.merge_observer(c, profiled_now, nchunks);
-      if (!complete) truncated = true;
-    };
-    new_chunk();
-    std::uint64_t gidx = 0;
-    std::uint64_t tick = 0;
-    bool tripped = false;
-    try {
-      prog.walk_runs_range(0, end_group, [&](const Run* g, std::size_t n) {
-        while (c + 1 < nchunks && gidx == bounds[c + 1]) {
-          merge_cur(true, c + 1);
-          ++c;
-          new_chunk();
-        }
-        if (gov != nullptr && ++tick >= interval) {
-          tick = 0;
-          if (gov->should_stop()) throw AbortWalk{};
-        }
-        tee_group(g, n);
-        for (std::size_t l = 0; l < lines.size(); ++l) {
-          cur[l].engine->consume_runs(g, n);
-        }
-        ++gidx;
-      });
-    } catch (const AbortWalk&) {
-      tripped = true;
-    }
-    merge_cur(!tripped, c + 1);
-    ++c;
-    if (!tripped) {
-      for (; c < nchunks; ++c) {
-        new_chunk();
-        merge_cur(true, c + 1);
+    // Inline: the chunks run in chunk order on this thread, each merged
+    // right after it is profiled — only one chunk's tables are ever live.
+    shared_walk(sa_units, tee != nullptr);
+    std::vector<ChunkProfile> prof;
+    for (std::size_t cc = 0; cc < nchunks; ++cc) {
+      const bool complete = profile_chunk(cc, prof);
+      merge(cc, prof, cc + 1);
+      if (!complete) {
+        truncated = true;
+        break;
       }
     }
     if (single) {
       for (std::size_t l = 0; l < lines.size(); ++l) {
-        const MarkerStackEngine& e = *cur[l].engine;
+        const MarkerStackEngine& e = *prof[l].engine;
         fold_segments(e.buckets(), e.cold_by_site(), e.accesses(),
                       truncated ? Completeness::kTruncated
                                 : Completeness::kComplete,

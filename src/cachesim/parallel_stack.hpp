@@ -6,8 +6,11 @@
 // chunks of roughly equal access counts (chunk boundaries are always run
 // group boundaries, located analytically with group_of_access), and each
 // chunk is profiled independently with its own MarkerStackEngine and dense
-// tables. The trace is generated once; each group feeds the engine of the
-// chunk it falls in (and, optionally, a tee spool writer).
+// tables. Each chunk walks its own group range with
+// CompiledProgram::walk_runs_range, which seeks to the range's first group
+// in O(plan depth), so chunks profile concurrently with no producer
+// between them. An optional tee spool writer gets one more walk of the
+// whole range, on the caller.
 //
 // Within a chunk every reuse whose source also lies in the chunk has its
 // exact global stack depth — the reuse window is a contiguous slice of the
@@ -54,8 +57,9 @@
 // per-configuration simulate_lru_lines reference.
 //
 // Governance: the dense tables are reserved against the memory budget up
-// front. When the reservation is denied, the engine degrades a rung at a
-// time, bit-identically:
+// front (per chunk on a pool, one chunk's worth inline, plus the merge
+// table when there is more than one chunk). When the reservation is
+// denied, the engine degrades a rung at a time, bit-identically:
 //   1. a multi-chunk plan retries as one chunk with no pool, which needs
 //      only the stack tables (fp * kStackBytesPerLine per line size);
 //   2. when that is denied too — or the sweep-dense-alloc failpoint injects
@@ -64,10 +68,11 @@
 //      all fed from one serial walk.
 // Set-associative configurations, which the inclusion property does not
 // cover, always take that serial shared walk over real SetAssocCache
-// models. A deadline or cancellation trips the walk at a group boundary;
-// the merged result is then the bit-exact simulation of the longest
-// contiguous prefix profiled (chunks after the earliest incomplete one are
-// discarded), marked Completeness::kTruncated. PartitionOptions::max_groups
+// models. Every chunk walk polls the governor, so a deadline or
+// cancellation stops it at a group boundary; the merged result is then the
+// bit-exact simulation of the longest contiguous prefix profiled (the
+// frontier merges through the earliest incomplete chunk and discards the
+// rest), marked Completeness::kTruncated. PartitionOptions::max_groups
 // caps the walk at a deterministic prefix for tests, independent of
 // timing.
 #pragma once
@@ -127,38 +132,33 @@ struct PartitionOptions {
       merge_observer;
 };
 
-/// Configuration of the pipelined (generate-once) sweep driver.
+/// Configuration of the streamed sweep driver.
 struct StreamOptions {
   /// Chunking, stats and test hooks.
   PartitionOptions partition;
-  /// When non-null, every generated run group is also appended here — the
-  /// spool write rides the single generation pass instead of costing a
-  /// pass of its own. The caller keeps ownership and decides whether to
-  /// finish() the writer (a truncated run leaves a valid spool of exactly
-  /// the generated prefix).
+  /// When non-null, every run group is also appended here, in program
+  /// order, by one walk on the calling thread (on a pool, while the
+  /// workers profile). The caller keeps ownership and decides whether to
+  /// finish() the writer (a governor trip leaves a valid spool of exactly
+  /// the walked prefix).
   trace::SpoolWriter* tee = nullptr;
-  /// Run groups batched per in-flight window on the pooled path.
-  std::uint64_t window_groups = 4096;
-  /// Bounded ring depth: windows a chunk's queue may hold before the
-  /// generator blocks (back-pressure instead of unbounded buffering).
-  std::size_t ring_windows = 4;
 };
 
-/// The one multi-configuration simulation entry point: walks the compiled
-/// program ONCE, teeing each run group to the optional spool writer while
-/// feeding every requested line size's per-chunk engines, then resolves
-/// holes with the rolling-frontier merge. Results are exact and returned
-/// in `configs` order, bit-identical to per-configuration simulate_lru /
-/// simulate_lru_lines / simulate_set_assoc.
+/// The one multi-configuration simulation entry point: profiles the
+/// compiled program's time chunks, each walking its own group range and
+/// feeding every requested line size's engine for that chunk, then
+/// resolves holes with the rolling-frontier merge. Results are exact and
+/// returned in `configs` order, bit-identical to per-configuration
+/// simulate_lru / simulate_lru_lines / simulate_set_assoc.
 ///
-/// With a pool of >= 2 threads the generator (caller thread) hands groups
-/// to per-chunk profiling tasks through a bounded ring of ready windows —
-/// group g+1 is generated and spooled while group g is profiled. Otherwise
-/// a fused single-pass path feeds engines directly during generation,
-/// holding only ONE chunk's tables at a time; with one chunk it needs no
-/// hole list and no merge table (the lowest-memory exact path). When the
-/// memory budget denies the dense tables, the run degrades as the file
-/// comment describes; the tee still completes on every rung.
+/// With a pool of >= 2 threads each chunk is one pool task, and the
+/// caller merges chunk c as soon as chunks 0..c are done, while later
+/// chunks still profile. Otherwise the caller runs the chunks inline in
+/// chunk order and merges each right after it, holding only ONE chunk's
+/// tables at a time; with one chunk it needs no hole list and no merge
+/// table (the lowest-memory exact path). When the memory budget denies
+/// the dense tables, the run degrades as the file comment describes; the
+/// tee still completes on every rung.
 std::vector<SimResult> simulate_sweep_streamed(
     const trace::CompiledProgram& prog,
     const std::vector<SweepConfig>& configs,

@@ -31,6 +31,7 @@
 #include "ir/printer.hpp"
 #include "model/analyzer.hpp"
 #include "model/symbolic_sweep.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
@@ -316,8 +317,9 @@ void check_spool_groups(OracleReport& report,
 // The one sweep engine against the per-configuration references. One mixed
 // config list — fully-associative entries per line size plus
 // set-associative entries under both policies — runs at several chunk
-// counts, so the hole-merge pass that reconstructs cross-chunk reuse
-// depths is pinned to the naive simulators, misses_by_site included.
+// counts, inline and on a pool, so the hole-merge pass that reconstructs
+// cross-chunk reuse depths is pinned to the naive simulators,
+// misses_by_site included.
 // Chunk counts cover single-group chunks on small traces (the count is
 // clamped to the group count). A teed run must also write the exact bytes
 // spool_program does, and the spool must stream the program's groups back.
@@ -350,11 +352,16 @@ void check_sweep(OracleReport& report, const trace::CompiledProgram& cp,
                       want[i]);
     }
   };
+  // Each chunk count runs inline and again on one shared 2-thread pool,
+  // where the chunks walk their group ranges concurrently.
+  parallel::ThreadPool pool(2);
   for (const int chunks : {1, 2, 5, 17}) {
     cachesim::StreamOptions sopt;
     sopt.partition.chunks = chunks;
     compare_all(cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt),
                 " chunks=" + std::to_string(chunks));
+    compare_all(cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt),
+                " chunks=" + std::to_string(chunks) + " pooled");
   }
 
   // The name must be unique across *processes* too: ctest runs several

@@ -79,10 +79,10 @@ struct OracleOptions {
   /// capacity ladder plus every crossing point (misses_by_site included).
   bool check_symbolic = true;
   bool check_profile = true;    ///< profiler vs reference_profile, lru-lines
-  /// The streamed sweep engine at chunk counts {1, 2, 5, 17} against
-  /// simulate_lru_lines / simulate_set_assoc, a teed run's spool bytes
-  /// against spool_program, and SpooledTrace's groups against the
-  /// program's own walk_runs.
+  /// The streamed sweep engine at chunk counts {1, 2, 5, 17}, inline and
+  /// on a 2-thread pool, against simulate_lru_lines / simulate_set_assoc,
+  /// a teed run's spool bytes against spool_program, and SpooledTrace's
+  /// groups against the program's own walk_runs.
   bool check_sweep = true;
   bool check_set_assoc = true;  ///< set-associative edge geometries
   bool check_lint = true;       ///< generated programs lint error-free

@@ -58,11 +58,6 @@ bool ThreadPool::idle() const {
   return in_flight_ == 0;
 }
 
-bool ThreadPool::has_error() const {
-  std::scoped_lock lock(mu_);
-  return first_error_ != nullptr;
-}
-
 void ThreadPool::run_task(std::function<void()>& task) {
   try {
     failpoints::hit(failpoints::kPoolTask);

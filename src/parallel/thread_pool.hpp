@@ -65,12 +65,6 @@ class ThreadPool {
   /// blocking forever on a completion that will never be signalled.
   bool idle() const;
 
-  /// Snapshot: true when some task of the current batch has already failed
-  /// (the exception wait_idle() will rethrow). Producers feeding bounded
-  /// queues consumed by pool tasks poll this to stop generating into a
-  /// batch that can no longer complete.
-  bool has_error() const;
-
  private:
   void worker_loop(std::stop_token st);
   void run_task(std::function<void()>& task);

@@ -20,11 +20,11 @@ CommandLine::CommandLine(int argc, const char* const* argv) {
     std::string body = arg.substr(2);
     auto eq = body.find('=');
     if (eq != std::string::npos) {
-      values_[body.substr(0, eq)] = body.substr(eq + 1);
+      values_[body.substr(0, eq)].push_back(body.substr(eq + 1));
     } else if (i + 1 < argc && !starts_with(argv[i + 1], "--")) {
-      values_[body] = argv[++i];
+      values_[body].push_back(argv[++i]);
     } else {
-      values_[body] = "true";
+      values_[body].push_back("true");
     }
   }
 }
@@ -75,27 +75,34 @@ std::int64_t CommandLine::get_int(const std::string& name,
                                   std::int64_t def) const {
   require_registered(name);
   auto it = values_.find(name);
-  return it == values_.end() ? def : parse_int(it->second);
+  return it == values_.end() ? def : parse_int(it->second.back());
 }
 
 double CommandLine::get_double(const std::string& name, double def) const {
   require_registered(name);
   auto it = values_.find(name);
-  return it == values_.end() ? def : std::stod(it->second);
+  return it == values_.end() ? def : std::stod(it->second.back());
 }
 
 std::string CommandLine::get_string(const std::string& name,
                                     const std::string& def) const {
   require_registered(name);
   auto it = values_.find(name);
-  return it == values_.end() ? def : it->second;
+  return it == values_.end() ? def : it->second.back();
+}
+
+std::vector<std::string> CommandLine::get_all(const std::string& name) const {
+  require_registered(name);
+  auto it = values_.find(name);
+  return it == values_.end() ? std::vector<std::string>{} : it->second;
 }
 
 bool CommandLine::get_bool(const std::string& name, bool def) const {
   require_registered(name);
   auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second.back();
+  return v == "true" || v == "1" || v == "yes";
 }
 
 }  // namespace sdlo

@@ -1,7 +1,9 @@
 // Minimal command-line flag parser for the bench and example binaries.
 //
-// Supports `--name=value`, `--name value`, and boolean `--name`. Unknown
-// flags raise ParseError so typos in bench invocations fail loudly.
+// Supports `--name=value`, `--name value`, and boolean `--name`. A flag
+// given more than once keeps every value in order (get_all); the scalar
+// getters read the last one. Unknown flags raise ParseError so typos in
+// bench invocations fail loudly.
 //
 // Every sdlo binary shares one exit-code taxonomy (ExitCode below):
 // 0 = success, 1 = any error (bad usage, parse failure, oracle mismatch,
@@ -58,6 +60,8 @@ class CommandLine {
   std::string get_string(const std::string& name,
                          const std::string& def) const;
   bool get_bool(const std::string& name, bool def) const;
+  /// Every value given for a repeatable flag, in command-line order.
+  std::vector<std::string> get_all(const std::string& name) const;
 
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
@@ -69,7 +73,7 @@ class CommandLine {
   void require_registered(const std::string& name) const;
 
   std::string program_;
-  std::map<std::string, std::string> values_;
+  std::map<std::string, std::vector<std::string>> values_;  // in order
   std::map<std::string, std::string> registered_;
   std::vector<std::string> positional_;
   bool finished_ = false;

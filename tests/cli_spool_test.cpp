@@ -8,8 +8,9 @@
 // real binary as a subprocess so the cleanup is exercised through process
 // exit, not just stack unwind. `sdlo trace --limit` is pinned here too: its
 // first lines are walk()'s first accesses and its tail count is exact. So
-// is `--cap` validation: an out-of-range capacity is a usage error naming
-// the flag, never an internal precondition failure.
+// is `--cap` and `--threads` validation: an out-of-range value is a usage
+// error naming the flag, never an internal precondition failure or a
+// silent default. A repeated `--set` binds every symbol it names.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -262,6 +263,50 @@ TEST(CliCapacity, LintRejectsANegativeCapacityAndTakesZeroAsNone) {
       capture("lint " + program_file() + " --set N=8 --cap 0", rc);
   EXPECT_EQ(rc, 0);
   EXPECT_NE(out.find("error(s)"), std::string::npos) << out;
+}
+
+TEST(CliSet, RepeatedSetBindsEverySymbol) {
+  const std::string path =
+      (fs::temp_directory_path() /
+       ("sdlo_cli_set_prog_" + std::to_string(::getpid()) + ".sdlo"))
+          .string();
+  {
+    std::ofstream out(path);
+    out << "for i<NI>, j<NJ> {\n  S1: A[i,j] += B[j,i]\n}\n";
+  }
+  int rc = -1;
+  const std::string positional =
+      capture("sweep " + path + " NI=12 NJ=5 --json", rc);
+  ASSERT_EQ(rc, 0);
+  const std::string flags =
+      capture("sweep " + path + " --set NI=12 --set NJ=5 --json", rc);
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(flags, positional);
+  // Mixed forms bind too, and the later binding of a name wins.
+  const std::string mixed = capture(
+      "sweep " + path + " --set NI=3 NJ=5 --set=NI=12 --json", rc);
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(mixed, positional);
+  const std::string err =
+      capture_stderr("sweep " + path + " --set NJ=5 --json", rc);
+  EXPECT_EQ(rc, 1);
+  EXPECT_NE(err.find("NI"), std::string::npos) << err;
+  fs::remove(path);
+}
+
+TEST(CliThreads, OutOfRangeThreadsIsAUsageError) {
+  // 257 is one past the cap: with the check missing it would start 257
+  // threads, few enough to be harmless.
+  for (const std::string threads : {"0", "-1", "257"}) {
+    int rc = -1;
+    const std::string err = capture_stderr(
+        "sweep " + program_file() + " --set N=8 --threads " + threads, rc);
+    EXPECT_EQ(rc, 1) << "--threads " << threads;
+    EXPECT_NE(err.find("--threads must be between 1 and 256"),
+              std::string::npos)
+        << "--threads " << threads << ": " << err;
+  }
+  EXPECT_EQ(run_sweep("", "--threads 256 --json"), 0);
 }
 
 TEST(CliSpool, CleanupOfProgramFile) {

@@ -1,13 +1,13 @@
-// Tests for the pipelined (generate-once) streamed sweep driver and the
-// rolling merge frontier: simulate_sweep_streamed must be bit-identical to
-// the per-configuration reference simulators on both its paths (fused
-// single-pass and pooled window ring), the tee spool it writes while
-// sweeping must be byte-identical to a standalone spool_program of the
-// same trace, the frontier must demonstrably merge chunks while later
-// chunks are still profiling, a one-chunk plan must need only the stack
-// tables (and a denied multi-chunk plan must retry as one), and a governed
-// cancellation mid-frontier must yield the bit-exact simulation of a
-// contiguous trace prefix.
+// Tests for the streamed sweep driver and the rolling merge frontier:
+// simulate_sweep_streamed must be bit-identical to the per-configuration
+// reference simulators on both its paths (inline chunk-at-a-time, and one
+// pool task per chunk, each walking its own group range), the tee spool it
+// writes while sweeping must be byte-identical to a standalone
+// spool_program of the same trace, the frontier must demonstrably merge
+// chunks while later chunks are still profiling, a one-chunk plan must
+// need only the stack tables (and a denied multi-chunk plan must retry as
+// one), and a governed cancellation mid-frontier must yield the bit-exact
+// simulation of a contiguous trace prefix.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +20,7 @@
 #include "cachesim/lru_cache.hpp"
 #include "cachesim/marker_stack.hpp"
 #include "cachesim/parallel_stack.hpp"
+#include "cachesim/sim.hpp"
 #include "cachesim/sweep.hpp"
 #include "fuzz/oracles.hpp"
 #include "ir/gallery.hpp"
@@ -101,34 +102,54 @@ TEST(StreamedSweep, FusedMatchesSequentialAcrossChunkLadder) {
     sopt.partition.stats = &stats;
     const auto got =
         cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt);
-    expect_same(got, want, "fused chunks=" + std::to_string(chunks));
-    // Without a pool, every chunk is merged on the generating thread.
+    expect_same(got, want, "inline chunks=" + std::to_string(chunks));
+    // Without a pool, every chunk is profiled and merged on this thread.
     EXPECT_EQ(stats.merged_chunks, stats.chunks)
         << "chunks=" << chunks;
     EXPECT_EQ(stats.spool_write_seconds, 0.0) << "no tee configured";
   }
 }
 
-TEST(StreamedSweep, PooledRingMatchesSequential) {
+TEST(StreamedSweep, PooledChunkLadderMatchesOneChunk) {
+  // Every chunk walks its own group range concurrently with the others;
+  // more chunks than threads queue on the pool. Each run must equal the
+  // one-chunk run and the per-configuration simulate_lru_lines reference,
+  // per site, at line 1 and line 8.
   const auto g = ir::two_index_tiled();
   const CompiledProgram cp(g.prog,
                            g.make_env({16, 16, 16, 16}, {4, 8, 8, 4}));
-  const auto configs = standard_configs();
-  const auto want = fuzz::reference_sweep(cp, configs);
-  parallel::ThreadPool pool(3);
-  // A tiny window with a shallow ring forces real generator back-pressure.
-  for (std::uint64_t window : {1u, 7u, 4096u}) {
-    PartitionStats stats;
-    StreamOptions sopt;
-    sopt.partition.chunks = 5;
-    sopt.partition.stats = &stats;
-    sopt.window_groups = window;
-    sopt.ring_windows = 2;
-    const auto got =
-        cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt);
-    expect_same(got, want, "pooled window=" + std::to_string(window));
-    EXPECT_EQ(stats.merged_chunks, stats.chunks)
-        << "window=" << window;
+  std::vector<SweepConfig> configs;
+  for (std::int64_t line : {1, 8}) {
+    for (std::int64_t lines : {1, 2, 3, 16, 64, 250}) {
+      configs.push_back({lines * line, line, 0, cachesim::Replacement::kLru});
+    }
+  }
+  std::vector<SimResult> reference;
+  for (const SweepConfig& c : configs) {
+    reference.push_back(
+        cachesim::simulate_lru_lines(cp, c.capacity_elems, c.line_elems));
+  }
+  StreamOptions one;
+  one.partition.chunks = 1;
+  const auto one_chunk =
+      cachesim::simulate_sweep_streamed(cp, configs, nullptr, one);
+  expect_same(one_chunk, reference, "one chunk");
+  for (const int threads : {2, 4}) {
+    parallel::ThreadPool pool(threads);
+    for (const int chunks : {2, 3, 4, 7, 16}) {
+      const std::string what = "threads=" + std::to_string(threads) +
+                               " chunks=" + std::to_string(chunks);
+      PartitionStats stats;
+      StreamOptions sopt;
+      sopt.partition.chunks = chunks;
+      sopt.partition.stats = &stats;
+      const auto got =
+          cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt);
+      expect_same(got, one_chunk, what + " vs one chunk");
+      expect_same(got, reference, what + " vs simulate_lru_lines");
+      EXPECT_EQ(stats.chunks, static_cast<std::uint64_t>(chunks)) << what;
+      EXPECT_EQ(stats.merged_chunks, stats.chunks) << what;
+    }
   }
 }
 
@@ -144,7 +165,7 @@ TEST(StreamedSweep, TeeSpoolIsByteIdenticalToSpoolProgram) {
 
   for (const bool pooled : {false, true}) {
     const std::string tee_path = temp_path(
-        std::string("sdlo_stream_tee") + (pooled ? "_pooled" : "_fused") +
+        std::string("sdlo_stream_tee") + (pooled ? "_pooled" : "_inline") +
         ".spl");
     std::unique_ptr<parallel::ThreadPool> pool;
     if (pooled) pool = std::make_unique<parallel::ThreadPool>(2);
@@ -157,7 +178,7 @@ TEST(StreamedSweep, TeeSpoolIsByteIdenticalToSpoolProgram) {
       sopt.tee = &writer;
       const auto got = cachesim::simulate_sweep_streamed(
           cp, configs, pool.get(), sopt);
-      expect_same(got, want, pooled ? "tee pooled" : "tee fused");
+      expect_same(got, want, pooled ? "tee pooled" : "tee inline");
       ASSERT_EQ(writer.groups(), cp.group_count());
       ASSERT_EQ(writer.accesses(), cp.total_accesses());
       EXPECT_GT(stats.spool_write_seconds, 0.0);
@@ -220,9 +241,10 @@ TEST(StreamedSweep, FrontierMergesWhileLaterChunksProfile) {
 }
 
 TEST(StreamedSweep, StreamedOverlapsOnThePooledPath) {
-  // Same property through the pipelined driver: generated windows flow to
-  // workers while earlier chunks merge. Identity is asserted every
-  // attempt; the overlap flag is retried like above.
+  // Same property with only two configurations, so each chunk's profile is
+  // cheap next to its walk: workers still walk later chunks while earlier
+  // ones merge. Identity is asserted every attempt; the overlap flag is
+  // retried like above.
   const ir::Program p = ir::parse_program(R"(
     for r<4> {
       for z<1> { S1: A[z] += A[z] }
@@ -242,7 +264,6 @@ TEST(StreamedSweep, StreamedOverlapsOnThePooledPath) {
     StreamOptions sopt;
     sopt.partition.chunks = 16;
     sopt.partition.stats = &stats;
-    sopt.window_groups = 1024;
     const auto got =
         cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt);
     expect_same(got, want, "attempt=" + std::to_string(attempt));
@@ -308,7 +329,6 @@ TEST(StreamedSweep, CancellationMidFrontierYieldsExactPrefix) {
     gov.cancel.cancel_after(50);
     StreamOptions sopt;
     sopt.partition.chunks = 4;
-    sopt.window_groups = 8;
     const auto got = cachesim::simulate_sweep_streamed(
         cp, configs, pool.get(), sopt, &gov);
     ASSERT_EQ(got.size(), configs.size());
@@ -340,7 +360,7 @@ TEST(StreamedSweep, CancellationMidFrontierYieldsExactPrefix) {
         cachesim::simulate_sweep_streamed(cp, configs, nullptr, replay);
     expect_same(got, want,
                 std::string("prefix replay ") +
-                    (pooled ? "pooled" : "fused"));
+                    (pooled ? "pooled" : "inline"));
   }
 }
 
@@ -434,12 +454,13 @@ TEST(StreamedSweep, DeniedMultiChunkPlanRetriesAsOneChunk) {
 }
 
 TEST(StreamedSweep, TeeWriteFailureUnwindsCleanlyOnThePooledPath) {
-  // An injected spool-write failure mid-generation must unwind through the
-  // window rings without deadlocking the pool or leaving a partial file,
-  // and the pool must remain usable afterwards. The writer only touches
-  // the disk on 256 KiB buffer flushes, so the trace must be large enough
-  // (and encoded verbosely enough — alternating statements defeat the delta
-  // encoding) that a flush happens mid-walk.
+  // An injected spool-write failure makes the caller's tee walk throw
+  // while the workers are still profiling their chunks: the unwind must
+  // stop and drain them without deadlocking the pool or leaving a partial
+  // file, and the pool must remain usable afterwards. The writer only
+  // touches the disk on 256 KiB buffer flushes, so the trace must be large
+  // enough (and encoded verbosely enough — alternating statements defeat
+  // the delta encoding) that a flush happens mid-walk.
   const ir::Program p = ir::parse_program(R"(
     for i<256> { for j<256> {
       for a<2> { S1: A[i,a] += A[i,a] }
@@ -477,9 +498,9 @@ TEST(StreamedSweep, TeeWriteFailureUnwindsCleanlyOnThePooledPath) {
 }
 
 TEST(StreamedSweep, DroppedPoolTaskSurfacesWithoutDeadlock) {
-  // The pool-task failpoint makes a worker die before consuming its ring:
-  // the generator must notice (via has_error/idle polling) instead of
-  // blocking forever on the full ring, and the failure must surface.
+  // The pool-task failpoint makes every chunk task die before it walks:
+  // the frontier must notice (via idle polling) instead of waiting forever
+  // for a chunk that never signals, and the failure must surface.
   const auto g = ir::matmul();
   const CompiledProgram cp(g.prog, g.make_env({12, 12, 12}, {}));
   std::vector<SweepConfig> configs{{16, 1, 0, cachesim::Replacement::kLru}};
@@ -489,8 +510,6 @@ TEST(StreamedSweep, DroppedPoolTaskSurfacesWithoutDeadlock) {
       failpoints::Spec{failpoints::Action::kThrow, 0});
   StreamOptions sopt;
   sopt.partition.chunks = 4;
-  sopt.window_groups = 2;
-  sopt.ring_windows = 1;
   EXPECT_THROW(
       cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt),
       InjectedFault);

@@ -34,11 +34,12 @@
 // (analysis/sweep_driver.hpp, the same driver the daemon runs) — at line
 // granularity with --line, and with a per-site miss breakdown under
 // --sites. The pass is the streamed marker-stack engine
-// (cachesim/parallel_stack.hpp); --threads T > 1 profiles T time chunks on
-// a pool while the hole merge rolls forward behind them, bit-identical to
-// one thread. --spool FILE tees the run-compressed trace (SDLOSPL2) to
-// FILE on that same pass; the file is kept only when every group was
-// generated, and any failure or deadline truncation removes it. With
+// (cachesim/parallel_stack.hpp); --threads T > 1 (at most 256) profiles T
+// time chunks on a pool, each walking its own range of the trace, while
+// the hole merge rolls forward behind them, bit-identical to one thread.
+// --spool FILE tees the run-compressed trace (SDLOSPL2) to FILE on one
+// more walk; the file is kept only for a complete run, and any failure or
+// deadline truncation removes it. With
 // --engine symbolic the curve is computed analytically from the miss model
 // with no trace walk; programs the model cannot resolve exactly fall back
 // to simulation, and both text and JSON output name the engine that
@@ -121,16 +122,34 @@ std::string read_input(const std::string& path) {
   return os.str();
 }
 
-sym::Env parse_sets(const std::vector<std::string>& positional) {
-  // --set flags arrive as positional "NAME=VALUE" after the CommandLine
-  // pass; parse them here.
+/// Binds every positional "NAME=VALUE", then every --set NAME=VALUE in
+/// order: a --set overrides a positional binding, a later --set an
+/// earlier one.
+sym::Env parse_sets(const std::vector<std::string>& positional,
+                    const std::vector<std::string>& set_flags) {
   sym::Env env;
-  for (const auto& p : positional) {
-    auto eq = p.find('=');
-    if (eq == std::string::npos) continue;
-    env[p.substr(0, eq)] = parse_int(p.substr(eq + 1));
+  for (const auto* list : {&positional, &set_flags}) {
+    for (const auto& p : *list) {
+      auto eq = p.find('=');
+      if (eq == std::string::npos) continue;
+      env[p.substr(0, eq)] = parse_int(p.substr(eq + 1));
+    }
   }
   return env;
+}
+
+/// The --threads value of `sdlo sweep`: 1 when absent, otherwise checked
+/// against [1, kMaxThreads] so a typo never silently runs serial or starts
+/// an unbounded number of OS threads.
+int parse_threads(const CommandLine& cli) {
+  constexpr std::int64_t kMaxThreads = 256;
+  const std::int64_t threads = cli.get_int("threads", 1);
+  if (threads < 1 || threads > kMaxThreads) {
+    throw Error("--threads must be between 1 and " +
+                std::to_string(kMaxThreads) + ", got " +
+                std::to_string(threads));
+  }
+  return static_cast<int>(threads);
 }
 
 /// The CLI's resource governor, built from --deadline / --mem-budget. The
@@ -496,11 +515,12 @@ int main(int argc, char** argv) {
         .flag("mem-budget",
               "dense-table memory ceiling in MB (degrades to hashed)")
         .flag("threads",
-              "worker threads for sweep: > 1 profiles time chunks in "
-              "parallel (bit-identical)")
+              "worker threads for sweep, 1-256: > 1 profiles time chunks "
+              "in parallel (bit-identical)")
         .flag("spool",
-              "tee the run-compressed trace to FILE on the sweep's one "
-              "pass (simulated engine only; removed on any failure)")
+              "tee the run-compressed trace to FILE on one more walk "
+              "beside the sweep (simulated engine only; removed on any "
+              "failure or truncation)")
         .flag("top", "max recommendations shown (advise; 0 = all)")
         .flag("only",
               "comma-separated oracle families to run (fuzz): roundtrip, "
@@ -570,15 +590,7 @@ int main(int argc, char** argv) {
                    "[NAME=VALUE...] [flags]\n";
       return to_int(ExitCode::kError);
     }
-    sym::Env env = parse_sets(pos);
-    // --set NAME=VALUE also lands in the "set" flag slot; accept both.
-    const std::string set_flag = cli.get_string("set", "");
-    if (!set_flag.empty()) {
-      auto eq = set_flag.find('=');
-      if (eq != std::string::npos) {
-        env[set_flag.substr(0, eq)] = parse_int(set_flag.substr(eq + 1));
-      }
-    }
+    const sym::Env env = parse_sets(pos, cli.get_all("set"));
 
     if (verb == "lint") {
       // lint parses for itself: parse failures become diagnostics, and
@@ -607,7 +619,7 @@ int main(int argc, char** argv) {
           analysis::parse_sweep_engine(cli.get_string("engine", "simulate"));
       opts.line_elems = cli.get_int("line", 1);
       opts.sites = cli.get_bool("sites", false);
-      opts.threads = static_cast<int>(cli.get_int("threads", 1));
+      opts.threads = parse_threads(cli);
       opts.spool_path = cli.get_string("spool", "");
       return cmd_sweep(prog, env, opts, governor.get(), json);
     }
