@@ -2,14 +2,13 @@
 // versus processor count, for equal tile sizes {32,64,128,256} and the
 // model-predicted tile, at a given loop range.
 //
-// Substitution note (see DESIGN.md): the build machine exposes one hardware
-// core, so the speedup curves are regenerated from the paper's own §7 cost
-// models. Machine coefficients (seconds/flop, seconds/miss) are calibrated
-// from two real single-thread kernel runs with model-known miss counts; the
+// Substitution note (see DESIGN.md): by default the speedup curves are
+// printed from the paper's own §7 cost models, not from wall-clock times.
+// Machine coefficients (seconds/flop, seconds/miss) are calibrated from two
+// real single-thread kernel runs with model-known miss counts; the
 // per-processor miss counts entering the cost models come from the exact
 // sequential stack-distance model applied to each processor's slice. Pass
-// --measure to additionally time real threaded runs (meaningful on a
-// multicore host).
+// --measure to also time real threaded runs on the host's cores.
 #pragma once
 
 #include <iostream>

@@ -1,5 +1,6 @@
 #include "analysis/sweep_driver.hpp"
 
+#include <bit>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -31,6 +32,7 @@ int SweepOutcome::exit_code() const {
 
 std::vector<std::int64_t> sweep_ladder(std::int64_t line,
                                        std::uint64_t space) {
+  SDLO_EXPECTS(line > 0);
   std::vector<std::int64_t> caps;
   for (std::int64_t cap = line;
        cap <= static_cast<std::int64_t>(space) * 2; cap *= 2) {
@@ -89,6 +91,11 @@ void simulate_ladder(const trace::CompiledProgram& cp,
 
 SweepOutcome run_sweep(const ir::Program& prog, const sym::Env& env,
                        const SweepDriverOptions& opts, const Governor* gov) {
+  if (opts.line_elems < 1 ||
+      !std::has_single_bit(static_cast<std::uint64_t>(opts.line_elems))) {
+    throw Error("--line must be a positive power of two elements (got " +
+                std::to_string(opts.line_elems) + ")");
+  }
   if (opts.engine == SweepEngine::kSymbolic && !opts.spool_path.empty()) {
     throw Error(
         "--spool tees the simulated trace walk; it cannot be combined with "

@@ -99,13 +99,15 @@ struct SweepOutcome {
 
 /// The sweep verb's power-of-two capacity ladder: line, 2*line, ... up to
 /// twice the address space (so the last row is always fully resident).
+/// `line` must be positive.
 std::vector<std::int64_t> sweep_ladder(std::int64_t line,
                                        std::uint64_t space);
 
 /// Runs the requested engine with the fallback policy above. `gov` governs
 /// whichever engine runs (the symbolic evaluation loop polls it exactly
-/// like the trace walk does). Throws sdlo::Error when a spool is requested
-/// with the symbolic engine.
+/// like the trace walk does). Throws sdlo::Error when line_elems is not a
+/// positive power of two, or when a spool is requested with the symbolic
+/// engine.
 SweepOutcome run_sweep(const ir::Program& prog, const sym::Env& env,
                        const SweepDriverOptions& opts = {},
                        const Governor* gov = nullptr);

@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "support/check.hpp"
-#include "support/simd.hpp"
 
 namespace sdlo::cachesim {
 
@@ -15,9 +14,20 @@ using trace::Run;
 /// Lines prefetched ahead of the current element in strided loops.
 constexpr std::size_t kPrefetchAhead = 8;
 
-/// Line indices batch-generated per simd::run_lines call in the strided
+/// Line indices batch-generated per fill_lines call in the strided
 /// per-element paths.
 constexpr std::size_t kLineBatch = 512;
+
+/// out[i] = (base + i*stride) >> shift for i in [0, n): the line-index
+/// sequence of a constant-stride run. Addresses wrap mod 2^64, matching
+/// trace::Run::at.
+void fill_lines(std::uint64_t base, std::int64_t stride, int shift,
+                std::uint64_t* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = base >> shift;
+    base += static_cast<std::uint64_t>(stride);
+  }
+}
 
 }  // namespace
 
@@ -245,15 +255,15 @@ void MarkerStackEngine::consume_single(const Run& run) {
     return;
   }
   // Every element lands on a fresh line: batch-generate the line index
-  // sequence through the SIMD shim, then step over the flat buffer with
-  // the address table prefetched ahead.
+  // sequence, then step over the flat buffer with the address table
+  // prefetched ahead.
   std::uint64_t lines[kLineBatch];
   std::uint64_t v = 0;
   while (v < count) {
     const std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(kLineBatch, count - v));
-    simd::run_lines(run.base + v * static_cast<std::uint64_t>(run.stride),
-                    run.stride, shift_, lines, n);
+    fill_lines(run.base + v * static_cast<std::uint64_t>(run.stride),
+               run.stride, shift_, lines, n);
     step_lines(lines, n, run.site);
     v += n;
   }
@@ -336,7 +346,7 @@ bool MarkerStackEngine::consume_disjoint_group(const Run* g,
   // Iterations 1..count-1: only the moving refs need stack surgery.
   if (n_moving == 1) {
     // One moving ref: its per-iteration line sequence is a flat strided
-    // buffer — generate it through the SIMD shim and step in batches.
+    // buffer — generate it in batches and step over each.
     std::size_t mr = 0;
     while (!moving[mr]) ++mr;
     std::uint64_t lines[kLineBatch];
@@ -344,7 +354,7 @@ bool MarkerStackEngine::consume_disjoint_group(const Run* g,
     while (v < count) {
       const std::size_t n = static_cast<std::size_t>(
           std::min<std::uint64_t>(kLineBatch, count - v));
-      simd::run_lines(g[mr].at(v), g[mr].stride, shift_, lines, n);
+      fill_lines(g[mr].at(v), g[mr].stride, shift_, lines, n);
       step_lines(lines, n, g[mr].site);
       v += n;
     }

@@ -37,9 +37,9 @@
 //    iteration >= 1: simulate iterations 0 and 1 per element, then
 //    bulk-account the remaining count-2 repeats;
 //  * a disjoint mixed group — see consume_disjoint_group.
-// Anything else decompresses to exact per-element steps, with the line
-// index sequence batch-generated through the SIMD shim (support/simd.hpp)
-// so the stack walk runs over a flat prefetchable buffer.
+// Anything else decompresses to exact per-element steps; a strided run's
+// line index sequence is batch-generated into a flat buffer so the stack
+// walk can prefetch ahead of it.
 #pragma once
 
 #include <cstdint>

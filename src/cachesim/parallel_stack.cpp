@@ -16,7 +16,6 @@
 #include "cachesim/set_assoc_cache.hpp"
 #include "support/check.hpp"
 #include "support/failpoints.hpp"
-#include "support/simd.hpp"
 #include "support/timer.hpp"
 
 namespace sdlo::cachesim {
@@ -49,22 +48,12 @@ class BoundaryMerge {
     tree_.assign(window_ + 1, 0);
   }
 
-  /// Bulk-gathers the current timestamps of `n` hole lines (the dense-table
-  /// gather of the SIMD shim). Valid for one chunk's hole list because hole
-  /// lines are distinct within a chunk — a chunk's hole is the FIRST touch
-  /// of its line — and resolve() only ever deletes the resolved line
-  /// itself, so no earlier resolution can move another hole's timestamp.
-  void gather_positions(const std::uint64_t* lines, std::uint64_t* out,
-                        std::size_t n) const {
-    simd::gather_u64(pos_of_.data(), lines, out, n);
-  }
-
   /// When `line` was last touched by an earlier chunk: returns the number
   /// of live timestamps at or after its own (its own included, so >= 1)
   /// and deletes the line, so later holes never count it again. Returns 0
-  /// when the line is unseen — a true cold access. `p` is the line's
-  /// gathered timestamp (gather_positions), equal to pos_of_[line].
-  std::uint64_t resolve(std::uint64_t line, std::uint64_t p) {
+  /// when the line is unseen — a true cold access.
+  std::uint64_t resolve(std::uint64_t line) {
+    const std::uint64_t p = pos_of_[static_cast<std::size_t>(line)];
     if (p == kNoPos) return 0;
     const std::int64_t cnt =
         active_ - (p == 0 ? 0 : prefix_sum(static_cast<std::size_t>(p) - 1));
@@ -101,15 +90,11 @@ class BoundaryMerge {
 
   void compact() {
     // Renumber live timestamps to 0..n-1 preserving order; grow the window
-    // if the live set uses more than half of it. The occupancy scan of the
-    // dense table goes through the SIMD shim.
+    // if the live set uses more than half of it.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> by_time;
     by_time.reserve(static_cast<std::size_t>(active_));
-    const std::size_t n = pos_of_.size();
-    for (std::size_t line = simd::find_not_equal(pos_of_.data(), n, 0, kNoPos);
-         line < n;
-         line = simd::find_not_equal(pos_of_.data(), n, line + 1, kNoPos)) {
-      by_time.emplace_back(pos_of_[line], line);
+    for (std::size_t line = 0; line < pos_of_.size(); ++line) {
+      if (pos_of_[line] != kNoPos) by_time.emplace_back(pos_of_[line], line);
     }
     std::sort(by_time.begin(), by_time.end());
     if (by_time.size() * 2 >= window_) {
@@ -158,14 +143,9 @@ class FrontierMerger {
   /// and frees its engine and hole list.
   void merge_chunk(ChunkProfile& p) {
     accesses_ += p.engine->accesses();
-    const std::size_t nh = p.holes.size();
-    hole_lines_.resize(nh);
-    hole_pos_.resize(nh);
-    for (std::size_t j = 0; j < nh; ++j) hole_lines_[j] = p.holes[j].line;
-    merge_.gather_positions(hole_lines_.data(), hole_pos_.data(), nh);
-    for (std::size_t j = 0; j < nh; ++j) {
+    for (std::size_t j = 0; j < p.holes.size(); ++j) {
       const Hole& h = p.holes[j];
-      const std::uint64_t cnt = merge_.resolve(h.line, hole_pos_[j]);
+      const std::uint64_t cnt = merge_.resolve(h.line);
       if (cnt == 0) {
         ++cold_by_site_[static_cast<std::size_t>(h.site)];
         continue;
@@ -178,8 +158,10 @@ class FrontierMerger {
       ++buckets_[static_cast<std::size_t>(h.site) * ks_ + seg];
     }
     for (std::uint64_t l : p.engine->recency_order()) merge_.append(l);
-    simd::add_u64(buckets_.data(), p.engine->buckets().data(),
-                  buckets_.size());
+    const std::vector<std::uint64_t>& chunk_buckets = p.engine->buckets();
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      buckets_[i] += chunk_buckets[i];
+    }
     p.engine.reset();
     std::vector<Hole>().swap(p.holes);
   }
@@ -200,8 +182,6 @@ class FrontierMerger {
   std::vector<std::uint64_t> cold_by_site_;
   std::uint64_t accesses_ = 0;
   BoundaryMerge merge_;
-  std::vector<std::uint64_t> hole_lines_;  // gather scratch
-  std::vector<std::uint64_t> hole_pos_;
 };
 
 /// Per-group completion board shared between the workers and the merging

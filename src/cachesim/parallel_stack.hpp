@@ -51,10 +51,10 @@
 // runs with no hole sink and no merge table, and its buckets fold straight
 // into the results (fold_segments).
 //
-// The merged result — per-site segment buckets summed across chunks (via
-// simd::add_u64) plus the resolved holes — is bit-identical to the
-// one-chunk run, including misses_by_site, at every capacity, and to the
-// per-configuration simulate_lru_lines reference.
+// The merged result — per-site segment buckets summed across chunks plus
+// the resolved holes — is bit-identical to the one-chunk run, including
+// misses_by_site, at every capacity, and to the per-configuration
+// simulate_lru_lines reference.
 //
 // Governance: the dense tables are reserved against the memory budget up
 // front (per chunk on a pool, one chunk's worth inline, plus the merge

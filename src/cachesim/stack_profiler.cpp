@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "support/check.hpp"
-#include "support/simd.hpp"
 
 namespace sdlo::cachesim {
 
@@ -47,14 +46,10 @@ void StackDistanceProfiler::compact() {
   if (dense_last_pos_.empty()) {
     for (const auto& [addr, pos] : last_pos_) by_time.emplace_back(pos, addr);
   } else {
-    // Occupancy scan of the dense table through the SIMD shim: jump from
-    // one live slot to the next instead of testing every slot.
-    const std::size_t n = dense_last_pos_.size();
-    for (std::size_t addr =
-             simd::find_not_equal(dense_last_pos_.data(), n, 0, kNoPos);
-         addr < n; addr = simd::find_not_equal(dense_last_pos_.data(), n,
-                                               addr + 1, kNoPos)) {
-      by_time.emplace_back(dense_last_pos_[addr], addr);
+    for (std::size_t addr = 0; addr < dense_last_pos_.size(); ++addr) {
+      if (dense_last_pos_[addr] != kNoPos) {
+        by_time.emplace_back(dense_last_pos_[addr], addr);
+      }
     }
   }
   std::sort(by_time.begin(), by_time.end());

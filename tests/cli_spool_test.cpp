@@ -61,13 +61,14 @@ int run_sweep(const std::string& env_prefix, const std::string& extra) {
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
-/// Runs `sdlo args` and returns its stdout; `exit_code` receives the
-/// process exit code (-1 if it did not exit normally). `redirect` routes
-/// the streams: by default stderr is discarded.
+/// Runs `prefix sdlo args` and returns its stdout; `exit_code` receives
+/// the process exit code (-1 if it did not exit normally). `redirect`
+/// routes the streams: by default stderr is discarded.
 std::string capture(const std::string& args, int& exit_code,
-                    const std::string& redirect = "2>/dev/null") {
-  const std::string cmd =
-      "\"" + std::string(SDLO_CLI_PATH) + "\" " + args + " " + redirect;
+                    const std::string& redirect = "2>/dev/null",
+                    const std::string& prefix = "") {
+  const std::string cmd = prefix + "\"" + std::string(SDLO_CLI_PATH) +
+                          "\" " + args + " " + redirect;
   exit_code = -1;
   FILE* pipe = ::popen(cmd.c_str(), "r");
   if (pipe == nullptr) return "";
@@ -80,9 +81,10 @@ std::string capture(const std::string& args, int& exit_code,
   return out;
 }
 
-/// Runs `sdlo args` and returns its stderr (stdout discarded).
-std::string capture_stderr(const std::string& args, int& exit_code) {
-  return capture(args, exit_code, "2>&1 >/dev/null");
+/// Runs `prefix sdlo args` and returns its stderr (stdout discarded).
+std::string capture_stderr(const std::string& args, int& exit_code,
+                           const std::string& prefix = "") {
+  return capture(args, exit_code, "2>&1 >/dev/null", prefix);
 }
 
 /// Runs `sdlo sweep prog --set N=48 extra_flags --json` and returns its
@@ -307,6 +309,22 @@ TEST(CliThreads, OutOfRangeThreadsIsAUsageError) {
         << "--threads " << threads << ": " << err;
   }
   EXPECT_EQ(run_sweep("", "--threads 256 --json"), 0);
+}
+
+TEST(CliLine, NonPowerOfTwoLineIsAUsageError) {
+  // 0 and negative sizes once looped in the capacity ladder until memory
+  // ran out; timeout turns such a regression into a failure.
+  for (const std::string line : {"0", "-8", "3"}) {
+    int rc = -1;
+    const std::string err = capture_stderr(
+        "sweep " + program_file() + " --set N=16 --line " + line, rc,
+        "timeout 10 ");
+    EXPECT_EQ(rc, 1) << "--line " << line;
+    EXPECT_NE(err.find("--line must be a positive power of two"),
+              std::string::npos)
+        << "--line " << line << ": " << err;
+    EXPECT_EQ(err.find(".cpp"), std::string::npos) << err;
+  }
 }
 
 TEST(CliSpool, CleanupOfProgramFile) {

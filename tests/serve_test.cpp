@@ -394,6 +394,22 @@ TEST(ServeService, OutOfRangeCapacityIsATypedErrorWithTheCliText) {
   EXPECT_EQ(lint.status, serve::Status::kOk) << lint.error;
 }
 
+TEST(ServeService, NonPowerOfTwoLineIsATypedErrorWithoutSourcePaths) {
+  serve::Service svc;
+  const auto resp = svc.handle_line(
+      analysis_request("s", "sweep", kProgram, 12, ",\"line\":3"));
+  EXPECT_EQ(resp.status, serve::Status::kError);
+  EXPECT_TRUE(resp.payload.empty());
+  EXPECT_NE(resp.error.find("--line must be a positive power of two"),
+            std::string::npos)
+      << resp.error;
+  EXPECT_EQ(resp.error.find(".cpp"), std::string::npos) << resp.error;
+  // An absent or zero line keeps the element-granular default.
+  const auto zero = svc.handle_line(
+      analysis_request("z", "sweep", kProgram, 12, ",\"line\":0"));
+  EXPECT_EQ(zero.status, serve::Status::kOk) << zero.error;
+}
+
 TEST(ServeService, LintStatusMirrorsTheCliExit) {
   serve::Service svc;
   // A reference to an unbound index is a lint error: full report payload,

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cachesim/lru_cache.hpp"
@@ -114,41 +115,72 @@ TEST(StreamedSweep, PooledChunkLadderMatchesOneChunk) {
   // Every chunk walks its own group range concurrently with the others;
   // more chunks than threads queue on the pool. Each run must equal the
   // one-chunk run and the per-configuration simulate_lru_lines reference,
-  // per site, at line 1 and line 8.
+  // per site, at line 1 and line 8. Besides the tiled two-index, the
+  // inputs are column walks of 600 elements at stride 16: longer than the
+  // engine's 512-line batch, a fresh line per element at line 8, alone
+  // (the per-element single-run path) and beside a pinned read (the
+  // one-moving-ref group path). Every multi-chunk run of the tiled matmul
+  // appends more than 1024 timestamps to the hole merge, so its table
+  // compacts mid-run while later holes still resolve at shallow depths.
   const auto g = ir::two_index_tiled();
-  const CompiledProgram cp(g.prog,
-                           g.make_env({16, 16, 16, 16}, {4, 8, 8, 4}));
+  const auto mt = ir::matmul_tiled();
+  std::vector<std::pair<std::string, CompiledProgram>> inputs;
+  inputs.emplace_back("two-index",
+                      CompiledProgram(g.prog, g.make_env({16, 16, 16, 16},
+                                                         {4, 8, 8, 4})));
+  inputs.emplace_back(
+      "tiled matmul",
+      CompiledProgram(mt.prog, mt.make_env({16, 16, 16}, {4, 8, 4})));
+  const sym::Env columns{{"N", 16}, {"M", 600}};
+  inputs.emplace_back(
+      "column walk",
+      CompiledProgram(
+          ir::parse_program("for i<N>, j<M> {\n  S1: A[j,i] = 0\n}\n"),
+          columns));
+  inputs.emplace_back(
+      "column walk beside a pinned read",
+      CompiledProgram(
+          ir::parse_program("for i<N>, j<M> {\n  S1: A[j,i] = B[i]\n}\n"),
+          columns));
   std::vector<SweepConfig> configs;
   for (std::int64_t line : {1, 8}) {
     for (std::int64_t lines : {1, 2, 3, 16, 64, 250}) {
       configs.push_back({lines * line, line, 0, cachesim::Replacement::kLru});
     }
   }
-  std::vector<SimResult> reference;
-  for (const SweepConfig& c : configs) {
-    reference.push_back(
-        cachesim::simulate_lru_lines(cp, c.capacity_elems, c.line_elems));
-  }
-  StreamOptions one;
-  one.partition.chunks = 1;
-  const auto one_chunk =
-      cachesim::simulate_sweep_streamed(cp, configs, nullptr, one);
-  expect_same(one_chunk, reference, "one chunk");
-  for (const int threads : {2, 4}) {
-    parallel::ThreadPool pool(threads);
-    for (const int chunks : {2, 3, 4, 7, 16}) {
-      const std::string what = "threads=" + std::to_string(threads) +
-                               " chunks=" + std::to_string(chunks);
-      PartitionStats stats;
-      StreamOptions sopt;
-      sopt.partition.chunks = chunks;
-      sopt.partition.stats = &stats;
-      const auto got =
-          cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt);
-      expect_same(got, one_chunk, what + " vs one chunk");
-      expect_same(got, reference, what + " vs simulate_lru_lines");
-      EXPECT_EQ(stats.chunks, static_cast<std::uint64_t>(chunks)) << what;
-      EXPECT_EQ(stats.merged_chunks, stats.chunks) << what;
+  for (const auto& [name, cp] : inputs) {
+    std::vector<SimResult> reference;
+    for (const SweepConfig& c : configs) {
+      reference.push_back(
+          cachesim::simulate_lru_lines(cp, c.capacity_elems, c.line_elems));
+    }
+    StreamOptions one;
+    one.partition.chunks = 1;
+    const auto one_chunk =
+        cachesim::simulate_sweep_streamed(cp, configs, nullptr, one);
+    expect_same(one_chunk, reference, name + " one chunk");
+    StreamOptions inline_five;
+    inline_five.partition.chunks = 5;
+    expect_same(
+        cachesim::simulate_sweep_streamed(cp, configs, nullptr, inline_five),
+        reference, name + " inline chunks=5");
+    for (const int threads : {2, 4}) {
+      parallel::ThreadPool pool(threads);
+      for (const int chunks : {2, 3, 4, 5, 7, 16}) {
+        const std::string what = name + " threads=" +
+                                 std::to_string(threads) +
+                                 " chunks=" + std::to_string(chunks);
+        PartitionStats stats;
+        StreamOptions sopt;
+        sopt.partition.chunks = chunks;
+        sopt.partition.stats = &stats;
+        const auto got =
+            cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt);
+        expect_same(got, one_chunk, what + " vs one chunk");
+        expect_same(got, reference, what + " vs simulate_lru_lines");
+        EXPECT_EQ(stats.chunks, static_cast<std::uint64_t>(chunks)) << what;
+        EXPECT_EQ(stats.merged_chunks, stats.chunks) << what;
+      }
     }
   }
 }

@@ -30,8 +30,10 @@
 // Symbols are bound with repeated --set NAME=VALUE flags. `misses` prints
 // the model's prediction and, with --simulate, cross-checks it against the
 // sweep engine's simulator. A --cap below 1 (misses, advise) or below 0
-// (lint) is a usage error: exit 1 with a message naming --cap. `sweep` answers every capacity from one pass
-// (analysis/sweep_driver.hpp, the same driver the daemon runs) — at line
+// (lint) is a usage error: exit 1 with a message naming --cap, and so is
+// a sweep --line that is not a positive power of two. `sweep` answers
+// every capacity from one pass (analysis/sweep_driver.hpp, the same
+// driver the daemon runs) — at line
 // granularity with --line, and with a per-site miss breakdown under
 // --sites. The pass is the streamed marker-stack engine
 // (cachesim/parallel_stack.hpp); --threads T > 1 (at most 256) profiles T
