@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "analysis/parallel_safety.hpp"
+#include "analysis/verbs.hpp"
 #include "cachesim/parallel_stack.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
@@ -99,10 +100,7 @@ const char* engine_name(bool simulated) {
 AdvisorReport advise(const ir::Program& prog, const sym::Env& env,
                      const AdvisorOptions& opts, const ir::SourceMap* locs) {
   SDLO_CHECK(prog.validated(), "advise requires validate()");
-  if (opts.capacity < 1) {
-    throw Error("--cap must be at least 1 element (got " +
-                std::to_string(opts.capacity) + ")");
-  }
+  require_cap(opts.capacity, 1);
   AdvisorReport report;
   report.capacity = opts.capacity;
 

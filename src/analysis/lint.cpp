@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "analysis/verbs.hpp"
 #include "analysis/verifier.hpp"
 #include "support/cli.hpp"
 #include "support/string_util.hpp"
@@ -112,14 +113,6 @@ void emit_parallel_diags(const std::vector<LoopParallelism>& loops,
   }
 }
 
-/// Option errors are usage errors, thrown before any diagnostic is made.
-void check_options(const LintOptions& opts) {
-  if (opts.capacity < 0) {
-    throw Error("--cap must be at least 0 (0 skips the capacity checks; got " +
-                std::to_string(opts.capacity) + ")");
-  }
-}
-
 LintReport lint_validated(const ir::Program& prog, const ir::SourceMap* locs,
                           const LintOptions& opts, LintReport rep) {
   rep.verified = true;
@@ -139,7 +132,7 @@ LintReport lint_validated(const ir::Program& prog, const ir::SourceMap* locs,
 
 LintReport lint_program(const ir::Program& prog, const ir::SourceMap* locs,
                         const LintOptions& opts) {
-  check_options(opts);
+  require_cap(opts.capacity, 0);  // a usage error, before any diagnostic
   LintReport rep;
   const sym::Env* env = opts.env.empty() ? nullptr : &opts.env;
   const bool well_formed =
@@ -159,7 +152,7 @@ LintReport lint_program(const ir::Program& prog, const ir::SourceMap* locs,
 }
 
 LintReport lint_text(const std::string& text, const LintOptions& opts) {
-  check_options(opts);
+  require_cap(opts.capacity, 0);  // a usage error, before any diagnostic
   ir::ParsedProgram parsed;
   try {
     parsed = ir::parse_program_located(text, /*validate=*/false);

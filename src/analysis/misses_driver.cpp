@@ -1,7 +1,6 @@
 #include "analysis/misses_driver.hpp"
 
-#include <string>
-
+#include "analysis/verbs.hpp"
 #include "cachesim/parallel_stack.hpp"
 #include "ir/printer.hpp"
 #include "support/cli.hpp"
@@ -23,10 +22,7 @@ int MissesOutcome::exit_code() const {
 
 MissesOutcome run_misses(const ir::Program& prog, const sym::Env& env,
                          const MissesOptions& opts, const Governor* gov) {
-  if (opts.capacity < 1) {
-    throw Error("--cap must be at least 1 element (got " +
-                std::to_string(opts.capacity) + ")");
-  }
+  require_cap(opts.capacity, 1);
   MissesOutcome oc;
   const auto an = model::analyze(prog);
   oc.pred = model::predict_misses(an, env, opts.capacity);

@@ -1,15 +1,8 @@
-// Shared driver + renderers for the `misses` and `analyze` verbs.
-//
-// Historically the miss-prediction report was assembled inline in the CLI.
-// The serve daemon (DESIGN.md §16) promises responses *byte-identical* to
-// the equivalent CLI invocation — the only maintainable way to keep that
-// promise is a single emitter both front ends call, so the logic moved
-// here: run_misses() produces the outcome, render_misses_{text,json}()
-// produce exactly the bytes `sdlo misses` prints, and render_analyze_json
-// is the machine-readable twin of the `analyze` partition table (shared by
-// `sdlo analyze --json` and the daemon's analyze verb). The fuzz `serve`
-// oracle cross-checks the daemon against these emitters on every generated
-// program.
+// Driver + renderers of the `misses` verb, and the JSON report of the
+// `analyze` verb: run_misses() produces the outcome and
+// render_misses_{text,json}() the exact bytes `sdlo misses` prints.
+// analysis::run_verb (analysis/verbs.hpp) calls them for both the CLI and
+// the serve daemon.
 #pragma once
 
 #include <cstdint>

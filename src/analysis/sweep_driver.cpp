@@ -1,11 +1,11 @@
 #include "analysis/sweep_driver.hpp"
 
-#include <bit>
 #include <filesystem>
 #include <memory>
 #include <optional>
 #include <utility>
 
+#include "analysis/verbs.hpp"
 #include "cachesim/parallel_stack.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/check.hpp"
@@ -91,11 +91,7 @@ void simulate_ladder(const trace::CompiledProgram& cp,
 
 SweepOutcome run_sweep(const ir::Program& prog, const sym::Env& env,
                        const SweepDriverOptions& opts, const Governor* gov) {
-  if (opts.line_elems < 1 ||
-      !std::has_single_bit(static_cast<std::uint64_t>(opts.line_elems))) {
-    throw Error("--line must be a positive power of two elements (got " +
-                std::to_string(opts.line_elems) + ")");
-  }
+  require_line(opts.line_elems);
   if (opts.engine == SweepEngine::kSymbolic && !opts.spool_path.empty()) {
     throw Error(
         "--spool tees the simulated trace walk; it cannot be combined with "

@@ -55,8 +55,6 @@ struct SweepDriverOptions {
   /// Line size in elements (power of two). The symbolic engine only
   /// answers line_elems == 1 (the paper's element model).
   std::int64_t line_elems = 1;
-  /// Include the per-site miss breakdown in renderings.
-  bool sites = false;
   /// Worker threads of the simulated engine: > 1 profiles that many time
   /// chunks on a pool (bit-identical to one thread).
   int threads = 1;
@@ -121,8 +119,8 @@ void render_sweep_text(const SweepOutcome& oc, std::ostream& os, bool sites);
 ///    "accesses":..., "completeness":..., "rows":[{"capacity":...,
 ///    "misses":...[, "misses_by_site":[...]]}]}
 /// plus "fallback_reason" when fell_back, "crossings" for the symbolic
-/// engine and "spool":{"path":...,"bytes":...} when a spool was kept.
-/// `sites` matches SweepDriverOptions::sites.
+/// engine and "spool":{"path":...,"bytes":...} when a spool was kept;
+/// "misses_by_site" when `sites` is set.
 void render_sweep_json(const SweepOutcome& oc, std::ostream& os, bool sites);
 
 }  // namespace sdlo::analysis

@@ -20,9 +20,8 @@
 #include "analysis/advisor.hpp"
 #include "analysis/dependence.hpp"
 #include "analysis/lint.hpp"
-#include "analysis/misses_driver.hpp"
 #include "analysis/parallel_safety.hpp"
-#include "analysis/sweep_driver.hpp"
+#include "analysis/verbs.hpp"
 #include "cachesim/marker_stack.hpp"
 #include "cachesim/parallel_stack.hpp"
 #include "cachesim/sim.hpp"
@@ -925,7 +924,8 @@ std::uint64_t dataflow_fingerprint(const ir::Program& prog,
     }
     // The statement grammar ends every instance with exactly one write,
     // which consumes the reads accumulated since the previous write.
-    std::uint64_t h = mix64(0x5d1f00d5ULL + static_cast<std::uint64_t>(a.site));
+    std::uint64_t h =
+        mix64(std::uint64_t{0x5d1f00d5} + static_cast<std::uint64_t>(a.site));
     for (const std::uint64_t r : reads) h = mix64(h ^ r);
     mem[a.addr] = h;
     reads.clear();
@@ -1013,7 +1013,7 @@ std::optional<std::string> framed_payload(const serve::Response& r,
 
 /// Serve-vs-CLI equivalence (DESIGN.md §16): an in-process serve::Service
 /// must answer every analysis verb, framed and decoded as a client sees
-/// it, with the exact bytes of the shared CLI emitter, and a repeated
+/// it, with the exact bytes `sdlo <verb> --json` prints, and a repeated
 /// request must hit the memo cache and return the same bytes again.
 void check_serve_equivalence(OracleReport& report, const ir::Program& prog,
                              const sym::Env& env, const OracleOptions& opts) {
@@ -1022,20 +1022,17 @@ void check_serve_equivalence(OracleReport& report, const ir::Program& prog,
   serve::Service service(sopts);
   const std::string text = ir::to_code_string(prog);
 
-  std::ostringstream envs;
-  envs << "{";
-  bool first = true;
+  std::string envs;
   for (const auto& [name, value] : env) {
-    envs << (first ? "" : ",") << "\"" << serve::json_escape(name)
-         << "\":" << value;
-    first = false;
+    envs += (envs.empty() ? "{\"" : ",\"") + serve::json_escape(name) +
+            "\":" + std::to_string(value);
   }
-  envs << "}";
+  envs += envs.empty() ? "{}" : "}";
   const auto request_line = [&](const std::string& verb,
                                 const std::string& extra) {
     return "{\"id\":\"" + verb + "\",\"verb\":\"" + verb +
            "\",\"program\":\"" + serve::json_escape(text) +
-           "\",\"env\":" + envs.str() + extra + "}";
+           "\",\"env\":" + envs + extra + "}";
   };
   const auto chomp = [](std::string s) {
     if (!s.empty() && s.back() == '\n') s.pop_back();
@@ -1048,60 +1045,37 @@ void check_serve_equivalence(OracleReport& report, const ir::Program& prog,
     std::string expected;
   };
   std::vector<Case> cases;
-  {
+  // Each case asks one question twice: as the request line a client sends
+  // (the verb plus `extra` members) and as the VerbRequest `sdlo <verb>`
+  // builds from the same flags, whose --json bytes run_verb prints.
+  const auto add = [&](const std::string& label, analysis::VerbRequest req,
+                       const std::string& extra) {
+    req.program = text;
+    req.env = env;
     std::ostringstream os;
-    analysis::render_analyze_json(prog, os);
-    cases.push_back({"analyze", request_line("analyze", ""),
+    analysis::run_verb(req, /*json=*/true, nullptr, os);
+    cases.push_back({label, request_line(analysis::verb_name(req.verb), extra),
                      chomp(os.str())});
-  }
-  const std::string cap =
-      ",\"cap\":" + std::to_string(opts.per_site_capacity);
-  const auto add_misses = [&](bool simulate, const std::string& extra) {
-    analysis::MissesOptions mo;
-    mo.capacity = opts.per_site_capacity;
-    mo.simulate = simulate;
-    std::ostringstream os;
-    analysis::render_misses_json(analysis::run_misses(prog, env, mo), os);
-    cases.push_back({simulate ? "misses simulate" : "misses",
-                     request_line("misses", cap + extra), chomp(os.str())});
   };
-  add_misses(false, "");
-  {
-    analysis::LintOptions lo;
-    lo.env = env;
-    std::ostringstream os;
-    analysis::render_json(analysis::lint_text(text, lo), os);
-    cases.push_back({"lint", request_line("lint", ""), chomp(os.str())});
-  }
-  const auto add_sweep = [&](const std::string& label,
-                             const analysis::SweepDriverOptions& so,
-                             const std::string& extra) {
-    std::ostringstream os;
-    analysis::render_sweep_json(analysis::run_sweep(prog, env, so), os,
-                                so.sites);
-    cases.push_back({label, request_line("sweep", extra), chomp(os.str())});
-  };
+  using analysis::Verb;
+  const std::int64_t cap = opts.per_site_capacity;
+  const std::string cap_member = ",\"cap\":" + std::to_string(cap);
+  add("analyze", {.verb = Verb::kAnalyze}, "");
+  add("misses", {.verb = Verb::kMisses, .cap = cap}, cap_member);
+  add("lint", {.verb = Verb::kLint}, "");
   if (report.accesses <= kServeSweepAccessBudget) {
-    add_misses(true, ",\"simulate\":true");
-    add_sweep("sweep", analysis::SweepDriverOptions{}, "");
-    analysis::SweepDriverOptions symbolic;
-    symbolic.engine = analysis::SweepEngine::kSymbolic;
-    add_sweep("sweep engine=symbolic", symbolic,
-              ",\"engine\":\"symbolic\"");
-    analysis::SweepDriverOptions sites;
-    sites.sites = true;
-    add_sweep("sweep sites", sites, ",\"sites\":true");
-    analysis::SweepDriverOptions line;
-    line.line_elems = 4;
-    add_sweep("sweep line=4", line, ",\"line\":4");
+    add("misses simulate",
+        {.verb = Verb::kMisses, .cap = cap, .simulate = true},
+        cap_member + ",\"simulate\":true");
+    add("sweep", {.verb = Verb::kSweep}, "");
+    add("sweep engine=symbolic", {.verb = Verb::kSweep, .engine = "symbolic"},
+        ",\"engine\":\"symbolic\"");
+    add("sweep sites", {.verb = Verb::kSweep, .sites = true},
+        ",\"sites\":true");
+    add("sweep line=4", {.verb = Verb::kSweep, .line = 4}, ",\"line\":4");
   }
   if (report.accesses <= kAdviseAccessBudget) {
-    const ir::ParsedProgram pp = ir::parse_program_located(text);
-    const analysis::AdvisorReport rep =
-        analysis::advise(pp.prog, env, analysis::AdvisorOptions{}, &pp.locs);
-    std::ostringstream os;
-    analysis::render_advice_json(rep, os, 0);
-    cases.push_back({"advise", request_line("advise", ""), chomp(os.str())});
+    add("advise", {.verb = Verb::kAdvise}, "");
   }
 
   for (const Case& c : cases) {

@@ -107,9 +107,9 @@ struct OracleOptions {
   /// (b) the claimed per-site miss counts to match the exact profiler.
   bool check_advise = true;
   /// Serve-vs-CLI differential oracle: an in-process serve::Service must
-  /// answer every analysis verb with a payload byte-identical to the
-  /// shared CLI emitter's document, and a repeated request must hit the
-  /// memo cache and return the *same bytes* again.
+  /// answer every analysis verb with a payload byte-identical to what
+  /// analysis::run_verb prints for `sdlo <verb> --json`, and a repeated
+  /// request must hit the memo cache and return the *same bytes* again.
   bool check_serve = true;
   /// Optional resource governor: the battery polls it between oracle
   /// families and, when it trips, returns the partial report with

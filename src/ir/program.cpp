@@ -310,7 +310,7 @@ std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
 
 std::uint64_t hash_string(std::uint64_t h, const std::string& s) {
   h = hash_mix(h, s.size());
-  for (unsigned char c : s) h = hash_mix(h, c);
+  for (const char c : s) h = hash_mix(h, static_cast<unsigned char>(c));
   return h;
 }
 

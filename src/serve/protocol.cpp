@@ -17,11 +17,7 @@ const char* status_name(Status s) {
 }
 
 Verb parse_verb(const std::string& name) {
-  if (name == "analyze") return Verb::kAnalyze;
-  if (name == "misses") return Verb::kMisses;
-  if (name == "sweep") return Verb::kSweep;
-  if (name == "lint") return Verb::kLint;
-  if (name == "advise") return Verb::kAdvise;
+  if (analysis::parse_verb(name)) return Verb::kAnalysis;
   if (name == "batch") return Verb::kBatch;
   if (name == "stats") return Verb::kStats;
   if (name == "ping") return Verb::kPing;
@@ -42,25 +38,28 @@ Request parse_request_object(const JsonValue& obj, bool allow_batch) {
   r.id_token = json_id_token(obj.find("id"));
   const JsonValue* verb = obj.find("verb");
   if (verb == nullptr) throw Error("request is missing 'verb'");
-  r.verb = parse_verb(verb->as_string("verb"));
+  const std::string name = verb->as_string("verb");
+  r.verb = parse_verb(name);
+  analysis::VerbRequest& c = r.call;
+  if (r.verb == Verb::kAnalysis) c.verb = *analysis::parse_verb(name);
   if (const JsonValue* v = obj.find("program")) {
-    r.program = v->as_string("program");
+    c.program = v->as_string("program");
   }
   if (const JsonValue* v = obj.find("env")) {
-    for (const auto& [name, value] : v->as_object("env")) {
-      r.env[name] = value.as_int("env." + name);
+    for (const auto& [sym_name, value] : v->as_object("env")) {
+      c.env[sym_name] = value.as_int("env." + sym_name);
     }
   }
-  if (const JsonValue* v = obj.find("cap")) r.cap = v->as_int("cap");
-  if (const JsonValue* v = obj.find("line")) r.line = v->as_int("line");
+  if (const JsonValue* v = obj.find("cap")) c.cap = v->as_int("cap");
+  if (const JsonValue* v = obj.find("line")) c.line = v->as_int("line");
   if (const JsonValue* v = obj.find("simulate")) {
-    r.simulate = v->as_bool("simulate");
+    c.simulate = v->as_bool("simulate");
   }
-  if (const JsonValue* v = obj.find("sites")) r.sites = v->as_bool("sites");
+  if (const JsonValue* v = obj.find("sites")) c.sites = v->as_bool("sites");
   if (const JsonValue* v = obj.find("engine")) {
-    r.engine = v->as_string("engine");
+    c.engine = v->as_string("engine");
   }
-  if (const JsonValue* v = obj.find("top")) r.top = v->as_int("top");
+  if (const JsonValue* v = obj.find("top")) c.top = v->as_int("top");
   if (const JsonValue* v = obj.find("deadline")) {
     r.deadline_sec = v->as_double("deadline");
   }

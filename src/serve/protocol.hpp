@@ -12,14 +12,19 @@
 //            |"batch"|"stats"|"ping"|"shutdown",
 //    "program": "<textual IR>",   analysis verbs
 //    "env": {"N": 512, ...},      symbol bindings (integers)
-//    "cap": 8192,                 misses/lint/advise capacity (elements)
-//    "line": 4,                   line size in elements
+//    "cap": 4096,                 misses/lint/advise capacity (elements)
+//    "line": 4,                   sweep/lint/advise line size (elements)
 //    "simulate": true,            misses: cross-check with the simulator
 //    "sites": true,               sweep: per-site breakdown
 //    "engine": "symbolic",        sweep engine (default "simulate")
 //    "top": 3,                    advise: max recommendations
 //    "deadline": 0.5,             per-request wall-clock ceiling (seconds)
 //    "requests": [...]}           batch: sub-request objects (no nesting)
+//
+// The analysis fields are the flags of `sdlo <verb>`: an absent field
+// takes the CLI's default, and a present one must be valid — one
+// analysis::run_verb (analysis/verbs.hpp) sits behind both front doors, so
+// `"cap":-5` is the error `sdlo misses --cap -5` prints, never a default.
 //
 // Response envelope (one line):
 //
@@ -43,8 +48,8 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/verbs.hpp"
 #include "serve/json.hpp"
-#include "symbolic/expr.hpp"
 
 namespace sdlo::serve {
 
@@ -55,12 +60,10 @@ enum class Status : std::uint8_t { kOk, kError, kTruncated, kRejected };
 /// "ok" / "error" / "truncated" / "rejected".
 const char* status_name(Status s);
 
-/// Protocol verbs. The analysis verbs map 1:1 onto CLI verbs; the control
-/// verbs (stats/ping/shutdown) are daemon-only and bypass admission.
-enum class Verb : std::uint8_t {
-  kAnalyze, kMisses, kSweep, kLint, kAdvise, kBatch, kStats, kPing,
-  kShutdown
-};
+/// Protocol verbs. kAnalysis is any of the five analysis verbs, which
+/// Request::call names; the control verbs (stats/ping/shutdown) are
+/// daemon-only and bypass admission.
+enum class Verb : std::uint8_t { kAnalysis, kBatch, kStats, kPing, kShutdown };
 
 /// Parses a verb name; throws sdlo::Error listing the valid verbs.
 Verb parse_verb(const std::string& name);
@@ -72,16 +75,9 @@ bool is_control_verb(Verb v);
 struct Request {
   std::string id_token = "null";  ///< raw JSON token echoed in the response
   Verb verb = Verb::kPing;
-  std::string program;            ///< textual IR (analysis verbs)
-  sym::Env env;
-  /// -1 = absent: the verb's CLI default applies (8192 for misses/advise,
-  /// 0 for lint), so a field-less request matches a flag-less invocation.
-  std::int64_t cap = -1;
-  std::int64_t line = 0;          ///< 0 = verb default
-  bool simulate = false;          ///< misses
-  bool sites = false;             ///< sweep
-  std::string engine = "simulate";  ///< sweep
-  std::int64_t top = 0;           ///< advise
+  /// Analysis verbs: the question, exactly as `sdlo <verb>` builds it from
+  /// its flags; analysis::run_verb checks and runs it.
+  analysis::VerbRequest call;
   double deadline_sec = 0;        ///< 0 = server default
   std::vector<Request> batch;     ///< kBatch sub-requests
 };

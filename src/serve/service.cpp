@@ -4,10 +4,7 @@
 #include <functional>
 #include <sstream>
 
-#include "analysis/advisor.hpp"
-#include "analysis/lint.hpp"
-#include "analysis/misses_driver.hpp"
-#include "analysis/sweep_driver.hpp"
+#include "analysis/verbs.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "ir/program.hpp"
@@ -30,31 +27,29 @@ std::string chomp(std::string s) {
   return s;
 }
 
-const char* verb_tag(Verb v) {
-  switch (v) {
-    case Verb::kAnalyze: return "analyze";
-    case Verb::kMisses: return "misses";
-    case Verb::kSweep: return "sweep";
-    case Verb::kLint: return "lint";
-    case Verb::kAdvise: return "advise";
-    default: return "?";
-  }
-}
-
-/// Serializes every response-relevant request knob (deadline deliberately
-/// excluded: a cache hit is instantaneous and complete, so the same work
-/// under a different deadline shares the entry).
-std::string config_fingerprint(const Request& req) {
+/// Serializes every knob of a resolved request. The deadline is not a
+/// knob: a cache hit is instantaneous and complete, so the same work under
+/// a different deadline shares the entry.
+std::string config_fingerprint(const analysis::VerbRequest& r) {
+  const auto knob = [](const std::optional<std::int64_t>& v) {
+    return v ? std::to_string(*v) : std::string("-");
+  };
   std::ostringstream os;
-  os << verb_tag(req.verb) << ';';
-  for (const auto& [name, value] : req.env) {
+  os << analysis::verb_name(r.verb) << ';';
+  for (const auto& [name, value] : r.env) {
     os << name << '=' << value << ',';
   }
-  os << ";cap=" << req.cap << ";line=" << req.line
-     << ";sim=" << (req.simulate ? 1 : 0)
-     << ";sites=" << (req.sites ? 1 : 0) << ";engine=" << req.engine
-     << ";top=" << req.top;
+  os << ";cap=" << knob(r.cap) << ";line=" << knob(r.line)
+     << ";sim=" << (r.simulate ? 1 : 0) << ";sites=" << (r.sites ? 1 : 0)
+     << ";engine=" << r.engine << ";top=" << r.top;
   return os.str();
+}
+
+/// The response status of a run_verb exit code.
+Status status_of(int exit_code) {
+  if (exit_code == to_int(ExitCode::kOk)) return Status::kOk;
+  if (exit_code == to_int(ExitCode::kTruncated)) return Status::kTruncated;
+  return Status::kError;
 }
 
 Status worst_status(const std::vector<Response>& batch) {
@@ -102,34 +97,31 @@ void Service::release() { active_.fetch_sub(1, std::memory_order_acq_rel); }
 
 void Service::dispatch(const Request& req, const Governor* gov,
                        Response& resp) {
-  if (req.program.empty()) throw Error("request is missing 'program'");
-  if (req.program.size() > opts_.max_program_bytes) {
+  if (req.call.program.empty()) throw Error("request is missing 'program'");
+  if (req.call.program.size() > opts_.max_program_bytes) {
     throw Error("program exceeds " +
                 std::to_string(opts_.max_program_bytes) + " bytes");
   }
+  // Resolved first: a bad knob is an error before any work, and a request
+  // that spells out a default shares the entry of one that leaves it out.
+  const analysis::VerbRequest call = analysis::resolve(req.call);
 
   // Cache key. analyze/misses/sweep key on the *canonicalized* program
   // (structural_hash + printer round trip), so formatting differences
   // share an entry. lint and advise key on the raw text: their payloads
   // carry SourceLoc positions, which canonicalization would falsify — and
   // lint must accept text that does not parse at all.
-  const std::string config = config_fingerprint(req);
-  const bool textual = req.verb == Verb::kLint || req.verb == Verb::kAdvise;
-  ir::Program prog;
-  std::uint64_t hash = 0;
-  std::string key;
-  if (textual) {
-    hash = mix_config_hash(std::hash<std::string>{}(req.program), config);
-    key = config;
-    key.push_back('\0');
-    key += req.program;
-  } else {
-    prog = ir::parse_program(req.program);
-    hash = mix_config_hash(ir::structural_hash(prog), config);
-    key = config;
-    key.push_back('\0');
-    key += ir::to_code_string(prog);
-  }
+  std::string key = config_fingerprint(call);
+  const bool textual = call.verb == analysis::Verb::kLint ||
+                       call.verb == analysis::Verb::kAdvise;
+  const ir::Program prog =
+      textual ? ir::Program{} : ir::parse_program(call.program);
+  const std::uint64_t hash = mix_config_hash(
+      textual ? std::hash<std::string>{}(call.program)
+              : ir::structural_hash(prog),
+      key);
+  key.push_back('\0');
+  key += textual ? call.program : ir::to_code_string(prog);
   if (auto cached = cache_.lookup(hash, key)) {
     resp.payload = std::move(*cached);
     resp.cached = true;
@@ -137,70 +129,17 @@ void Service::dispatch(const Request& req, const Governor* gov,
     return;
   }
 
+  // The CLI's own path: a lint that finds errors keeps its report as the
+  // payload, exactly as `sdlo lint` prints it and exits 1.
   std::ostringstream os;
-  Status status = Status::kOk;
-  switch (req.verb) {
-    case Verb::kAnalyze: {
-      analysis::render_analyze_json(prog, os, gov);
-      break;
-    }
-    case Verb::kMisses: {
-      analysis::MissesOptions mo;
-      mo.capacity = req.cap >= 0 ? req.cap : 8192;
-      mo.simulate = req.simulate;
-      const auto oc = analysis::run_misses(prog, req.env, mo, gov);
-      analysis::render_misses_json(oc, os);
-      if (oc.truncated()) status = Status::kTruncated;
-      break;
-    }
-    case Verb::kSweep: {
-      analysis::SweepDriverOptions so;
-      so.engine = analysis::parse_sweep_engine(req.engine);
-      so.line_elems = req.line > 0 ? req.line : 1;
-      so.sites = req.sites;
-      const auto oc = analysis::run_sweep(prog, req.env, so, gov);
-      analysis::render_sweep_json(oc, os, so.sites);
-      if (oc.truncated()) status = Status::kTruncated;
-      break;
-    }
-    case Verb::kLint: {
-      analysis::LintOptions lo;
-      lo.env = req.env;
-      lo.capacity = req.cap >= 0 ? req.cap : 0;
-      lo.line_elems = req.line;
-      const auto rep = analysis::lint_text(req.program, lo);
-      analysis::render_json(rep, os);
-      if (!rep.ok()) {
-        // Mirrors `sdlo lint` exiting 1: the payload is a full, valid
-        // report — the *program* has errors, so the status says error.
-        status = Status::kError;
-        resp.error = "lint found " + std::to_string(rep.num_errors()) +
-                     " error(s)";
-      }
-      break;
-    }
-    case Verb::kAdvise: {
-      const ir::ParsedProgram pp = ir::parse_program_located(req.program);
-      analysis::AdvisorOptions ao;
-      ao.capacity = req.cap >= 0 ? req.cap : 8192;
-      ao.line_elems = req.line;
-      ao.governor = gov;
-      const auto rep = analysis::advise(pp.prog, req.env, ao, &pp.locs);
-      analysis::render_advice_json(rep, os,
-                                   static_cast<std::size_t>(req.top));
-      if (rep.completeness == Completeness::kTruncated) {
-        status = Status::kTruncated;
-      }
-      break;
-    }
-    default:
-      throw Error("verb cannot be dispatched");
-  }
+  const analysis::VerbResult res =
+      analysis::run_verb(call, /*json=*/true, gov, os);
   resp.payload = chomp(os.str());
-  resp.status = status;
+  resp.status = status_of(res.exit_code);
+  resp.error = res.error;
   // Only complete, successful responses are memoized: a truncated payload
   // reflects this request's budget, not the next one's.
-  if (status == Status::kOk) cache_.insert(hash, key, resp.payload);
+  if (resp.status == Status::kOk) cache_.insert(hash, key, resp.payload);
 }
 
 Response Service::run_single(const Request& req,

@@ -2,11 +2,12 @@
 //
 // Service owns everything about request execution that is not a socket:
 // admission control, the per-request Governor (deadline, shared memory
-// budget, cancellation), the memo cache, the metrics, and the verb
-// dispatch onto the *same* drivers and JSON emitters the CLI uses — which
-// is how the daemon keeps its headline promise that a response payload is
-// byte-identical to the equivalent `sdlo <verb> --json` invocation (the
-// fuzz `serve` oracle enforces it, memo-cache hits included).
+// budget, cancellation), the memo cache and the metrics. It runs every
+// analysis verb through analysis::run_verb, the function behind `sdlo
+// <verb>` too — which is how the daemon keeps its headline promise that a
+// response payload is byte-identical to the equivalent `sdlo <verb>
+// --json` invocation, and a bad knob the same error (the fuzz `serve`
+// oracle enforces the bytes, memo-cache hits included).
 //
 // Admission control sheds load instead of queueing it unboundedly: a
 // request is admitted only while fewer than `max_active` requests are in
@@ -97,14 +98,11 @@ class Service {
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
   MemoCache& cache() { return cache_; }
-  MemoryBudget* memory_budget() {
-    return opts_.memory_budget_bytes > 0 ? &budget_ : nullptr;
-  }
   const ServiceOptions& options() const { return opts_; }
 
  private:
-  /// Dispatches one analysis verb; may throw (run() owns the taxonomy).
-  /// On success fills payload and status.
+  /// Answers one analysis verb from the memo cache or run_verb; may throw
+  /// (run() owns the taxonomy). Fills payload, status and error.
   void dispatch(const Request& req, const Governor* gov, Response& resp);
   Response run_single(const Request& req, const CancellationToken& cancel,
                       double queue_seconds);

@@ -12,10 +12,14 @@
 #include <string>
 #include <vector>
 
+#include "analysis/advisor.hpp"
 #include "analysis/applicability.hpp"
 #include "analysis/diagnostics.hpp"
 #include "analysis/lint.hpp"
+#include "analysis/misses_driver.hpp"
 #include "analysis/parallel_safety.hpp"
+#include "analysis/sweep_driver.hpp"
+#include "analysis/verbs.hpp"
 #include "analysis/verifier.hpp"
 #include "ir/gallery.hpp"
 #include "ir/parser.hpp"
@@ -683,6 +687,28 @@ TEST(Render, JsonEscapesControlAndQuoteCharacters) {
   EXPECT_NE(out.find("\\\"x\\\""), std::string::npos) << out;
   EXPECT_NE(out.find("tab\\there"), std::string::npos) << out;
   EXPECT_NE(out.find("\\u0001"), std::string::npos) << out;
+}
+
+TEST(Verbs, ResolveFillsTheDriverDefaultsOnce) {
+  // The daemon keys its memo cache on the resolved request and run_verb
+  // resolves again, so resolving must fill each default exactly once.
+  const VerbRequest misses = resolve({.verb = Verb::kMisses});
+  EXPECT_EQ(misses.cap, MissesOptions{}.capacity);
+  EXPECT_EQ(resolve({.verb = Verb::kAdvise}).cap, AdvisorOptions{}.capacity);
+  EXPECT_EQ(resolve({.verb = Verb::kLint}).cap, LintOptions{}.capacity);
+  EXPECT_EQ(resolve({.verb = Verb::kSweep}).line,
+            SweepDriverOptions{}.line_elems);
+  // No line size means no false-sharing check, so lint keeps it absent.
+  EXPECT_FALSE(resolve({.verb = Verb::kLint}).line.has_value());
+  for (const Verb v : {Verb::kAnalyze, Verb::kMisses, Verb::kSweep,
+                       Verb::kLint, Verb::kAdvise}) {
+    const VerbRequest once = resolve({.verb = v});
+    const VerbRequest twice = resolve(once);
+    EXPECT_EQ(twice.cap, once.cap) << verb_name(v);
+    EXPECT_EQ(twice.line, once.line) << verb_name(v);
+    EXPECT_EQ(parse_verb(verb_name(v)), v);
+  }
+  EXPECT_FALSE(parse_verb("trace").has_value());
 }
 
 }  // namespace

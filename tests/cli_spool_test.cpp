@@ -10,7 +10,9 @@
 // first lines are walk()'s first accesses and its tail count is exact. So
 // is `--cap` and `--threads` validation: an out-of-range value is a usage
 // error naming the flag, never an internal precondition failure or a
-// silent default. A repeated `--set` binds every symbol it names.
+// silent default. A repeated `--set` binds every symbol it names. Every
+// analysis verb answers the CLI and the daemon alike: the same --json
+// bytes for the same question, and the same message for a bad knob.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,8 +21,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "ir/parser.hpp"
+#include "serve/json.hpp"
+#include "serve/protocol.hpp"
+#include "serve/service.hpp"
 #include "support/string_util.hpp"
 #include "trace/spool.hpp"
 #include "trace/walker.hpp"
@@ -312,18 +318,85 @@ TEST(CliThreads, OutOfRangeThreadsIsAUsageError) {
 }
 
 TEST(CliLine, NonPowerOfTwoLineIsAUsageError) {
-  // 0 and negative sizes once looped in the capacity ladder until memory
-  // ran out; timeout turns such a regression into a failure.
-  for (const std::string line : {"0", "-8", "3"}) {
+  // 0 and negative sizes once looped in the sweep's capacity ladder until
+  // memory ran out, and lint and advise took them as "no line"; timeout
+  // turns such a regression into a failure.
+  for (const std::string verb : {"sweep", "lint", "advise"}) {
+    for (const std::string line : {"0", "-8", "3"}) {
+      int rc = -1;
+      const std::string err = capture_stderr(
+          verb + " " + program_file() + " --set N=16 --line " + line, rc,
+          "timeout 10 ");
+      EXPECT_EQ(rc, 1) << verb << " --line " << line;
+      EXPECT_NE(err.find("--line must be a positive power of two"),
+                std::string::npos)
+          << verb << " --line " << line << ": " << err;
+      EXPECT_EQ(err.find(".cpp"), std::string::npos) << err;
+    }
+  }
+}
+
+/// The program file's text, for daemon requests.
+std::string program_text() {
+  std::ifstream in(program_file());
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// One daemon request for `verb` on the program at N=16; `extra` holds
+/// further members, each with its leading comma.
+std::string daemon_request(const std::string& verb,
+                           const std::string& extra = "") {
+  return "{\"id\":1,\"verb\":\"" + verb + "\",\"program\":\"" +
+         sdlo::serve::json_escape(program_text()) +
+         "\",\"env\":{\"N\":16}" + extra + "}";
+}
+
+TEST(CliServeParity, AnOutOfRangeKnobIsTheSameErrorFromBothFrontDoors) {
+  struct Case {
+    std::string verb, knob, value;
+  };
+  const std::vector<Case> cases = {
+      {"misses", "cap", "0"},  {"misses", "cap", "-5"},
+      {"advise", "cap", "0"},  {"advise", "cap", "-5"},
+      {"lint", "cap", "-5"},   {"sweep", "line", "0"},
+      {"sweep", "line", "-8"}, {"sweep", "line", "3"},
+      {"lint", "line", "0"},   {"lint", "line", "-8"},
+      {"lint", "line", "3"},   {"advise", "line", "0"},
+      {"advise", "line", "-8"}, {"advise", "line", "3"},
+      {"advise", "top", "-1"},
+  };
+  sdlo::serve::Service service;
+  for (const Case& c : cases) {
+    const std::string what = c.verb + " " + c.knob + " " + c.value;
     int rc = -1;
     const std::string err = capture_stderr(
-        "sweep " + program_file() + " --set N=16 --line " + line, rc,
-        "timeout 10 ");
-    EXPECT_EQ(rc, 1) << "--line " << line;
-    EXPECT_NE(err.find("--line must be a positive power of two"),
-              std::string::npos)
-        << "--line " << line << ": " << err;
-    EXPECT_EQ(err.find(".cpp"), std::string::npos) << err;
+        c.verb + " " + program_file() + " --set N=16 --" + c.knob + " " +
+            c.value,
+        rc, "timeout 10 ");
+    EXPECT_EQ(rc, 1) << what;
+    const sdlo::serve::Response resp = service.handle_line(daemon_request(
+        c.verb, ",\"" + c.knob + "\":" + c.value));
+    EXPECT_EQ(resp.status, sdlo::serve::Status::kError) << what;
+    EXPECT_TRUE(resp.payload.empty()) << what << ": " << resp.payload;
+    EXPECT_FALSE(resp.error.empty()) << what;
+    EXPECT_EQ(err, "sdlo: " + resp.error + "\n") << what;
+  }
+}
+
+TEST(CliServeParity, FlaglessJsonIsTheDaemonPayload) {
+  sdlo::serve::Service service;
+  for (const std::string verb :
+       {"analyze", "misses", "sweep", "lint", "advise"}) {
+    int rc = -1;
+    const std::string out =
+        capture(verb + " " + program_file() + " --set N=16 --json", rc);
+    const sdlo::serve::Response resp =
+        service.handle_line(daemon_request(verb));
+    EXPECT_EQ(rc, sdlo::serve::status_exit_code(resp.status)) << verb;
+    ASSERT_FALSE(resp.payload.empty()) << verb << ": " << resp.error;
+    EXPECT_EQ(out, resp.payload + "\n") << verb;
   }
 }
 

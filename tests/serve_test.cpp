@@ -25,6 +25,7 @@
 
 #include "analysis/lint.hpp"
 #include "analysis/misses_driver.hpp"
+#include "analysis/verbs.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "serve/client.hpp"
@@ -123,14 +124,16 @@ TEST(ServeJson, EscapeCoversQuotesAndControls) {
 TEST(ServeProtocol, RequestDefaultsMatchFlaglessCli) {
   const auto req = serve::parse_request(analysis_request("r1", "misses",
                                                          kProgram));
-  EXPECT_EQ(req.verb, serve::Verb::kMisses);
+  EXPECT_EQ(req.verb, serve::Verb::kAnalysis);
   EXPECT_EQ(req.id_token, "\"r1\"");
-  EXPECT_EQ(req.cap, -1);  // absent: the verb's CLI default applies
-  EXPECT_EQ(req.line, 0);
-  EXPECT_FALSE(req.simulate);
-  EXPECT_EQ(req.engine, "simulate");
+  EXPECT_EQ(req.call.verb, analysis::Verb::kMisses);
+  // Absent knobs stay absent: run_verb gives them the CLI's defaults.
+  EXPECT_FALSE(req.call.cap.has_value());
+  EXPECT_FALSE(req.call.line.has_value());
+  EXPECT_FALSE(req.call.simulate);
+  EXPECT_EQ(req.call.engine, "simulate");
   EXPECT_EQ(req.deadline_sec, 0.0);
-  EXPECT_EQ(req.env.at("N"), 12);
+  EXPECT_EQ(req.call.env.at("N"), 12);
 }
 
 TEST(ServeProtocol, IdTokenIsEchoedVerbatim) {
@@ -404,10 +407,18 @@ TEST(ServeService, NonPowerOfTwoLineIsATypedErrorWithoutSourcePaths) {
             std::string::npos)
       << resp.error;
   EXPECT_EQ(resp.error.find(".cpp"), std::string::npos) << resp.error;
-  // An absent or zero line keeps the element-granular default.
+  // A present line must be valid: 0 is the same error, not the default.
   const auto zero = svc.handle_line(
       analysis_request("z", "sweep", kProgram, 12, ",\"line\":0"));
-  EXPECT_EQ(zero.status, serve::Status::kOk) << zero.error;
+  EXPECT_EQ(zero.status, serve::Status::kError);
+  EXPECT_TRUE(zero.payload.empty());
+  EXPECT_NE(zero.error.find("--line must be a positive power of two"),
+            std::string::npos)
+      << zero.error;
+  // An absent line keeps the element-granular default.
+  const auto absent =
+      svc.handle_line(analysis_request("a", "sweep", kProgram, 12));
+  EXPECT_EQ(absent.status, serve::Status::kOk) << absent.error;
 }
 
 TEST(ServeService, LintStatusMirrorsTheCliExit) {

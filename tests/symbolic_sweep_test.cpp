@@ -264,7 +264,6 @@ TEST(SweepDriverTest, SymbolicEngineJsonGolden) {
   const sym::Env env = g.make_env({4, 4, 4}, {});
   analysis::SweepDriverOptions opts;
   opts.engine = analysis::SweepEngine::kSymbolic;
-  opts.sites = true;
   const auto oc = analysis::run_sweep(g.prog, env, opts);
   EXPECT_EQ(oc.engine, "symbolic");
   EXPECT_FALSE(oc.fell_back);

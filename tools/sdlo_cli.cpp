@@ -4,12 +4,12 @@
 // or stdin and runs the analysis pipeline on it:
 //
 //   sdlo analyze  prog.sdlo                      # partitions + distances
-//   sdlo lint     prog.sdlo [--set N=512] [--cap 8192] [--line 8] [--json]
-//   sdlo misses   prog.sdlo --cap 8192 --set N=512 [--simulate] [--json]
+//   sdlo lint     prog.sdlo [--set N=512] [--cap 4096] [--line 8] [--json]
+//   sdlo misses   prog.sdlo --cap 4096 --set N=512 [--simulate] [--json]
 //   sdlo sweep    prog.sdlo --set N=512 [--engine symbolic] [--line 4]
 //                 [--sites] [--json] [--threads T] [--spool FILE]
 //   sdlo trace    prog.sdlo --set N=8 [--limit 100]
-//   sdlo advise   prog.sdlo --set N=512 [--cap 8192] [--line 8] [--top K]
+//   sdlo advise   prog.sdlo --set N=512 [--cap 4096] [--line 8] [--top K]
 //                 [--json]
 //   sdlo fuzz     [--seed S] [--count N] [--time-budget SEC]
 //                 [--artifact-dir DIR] [--replay artifact.sdlo]
@@ -27,61 +27,33 @@
 // degrades the dense engines to their hashed fallbacks, bit-identically.
 // Exit codes: 0 ok, 1 error, 2 truncated by budget.
 //
-// Symbols are bound with repeated --set NAME=VALUE flags. `misses` prints
-// the model's prediction and, with --simulate, cross-checks it against the
-// sweep engine's simulator. A --cap below 1 (misses, advise) or below 0
-// (lint) is a usage error: exit 1 with a message naming --cap, and so is
-// a sweep --line that is not a positive power of two. `sweep` answers
-// every capacity from one pass (analysis/sweep_driver.hpp, the same
-// driver the daemon runs) — at line
-// granularity with --line, and with a per-site miss breakdown under
-// --sites. The pass is the streamed marker-stack engine
-// (cachesim/parallel_stack.hpp); --threads T > 1 (at most 256) profiles T
-// time chunks on a pool, each walking its own range of the trace, while
-// the hole merge rolls forward behind them, bit-identical to one thread.
-// --spool FILE tees the run-compressed trace (SDLOSPL2) to FILE on one
-// more walk; the file is kept only for a complete run, and any failure or
-// deadline truncation removes it. With
-// --engine symbolic the curve is computed analytically from the miss model
-// with no trace walk; programs the model cannot resolve exactly fall back
-// to simulation, and both text and JSON output name the engine that
-// actually answered (plus the fallback reason), so scripts can detect a
-// silent fallback. --spool with --engine symbolic is a usage error.
+// The five analysis verbs have one front door, shared with the daemon
+// (analysis/verbs.hpp): main() turns the flags into an
+// analysis::VerbRequest — a flag left out stays absent and takes the
+// driver's default — and analysis::run_verb checks every knob and runs
+// the verb, so `sdlo serve` answers with the same bytes and the same
+// errors. A --cap below 1 (misses, advise) or below 0 (lint), a --line
+// (sweep, lint, advise) that is not a positive power of two, an advise
+// --top below 0 and a sweep --threads outside 1-256 are usage errors:
+// exit 1 with a message naming the flag. What each verb computes is
+// documented beside its driver: model/analyzer.hpp (analyze),
+// analysis/misses_driver.hpp (misses), analysis/sweep_driver.hpp (sweep:
+// engines, fallback, --threads, --spool), analysis/lint.hpp (lint, which
+// exits 1 with the error count on stderr when the program has errors) and
+// analysis/advisor.hpp (advise). This file keeps the flag parsing and the
+// CLI-only verbs: trace, fuzz, serve and client. Symbols are bound with
+// repeated --set NAME=VALUE flags.
 //
-// `lint` runs the static-analysis passes of src/analysis (well-formedness,
-// model applicability, parallelization safety) and prints the diagnostics
-// as compiler-style text or, with --json, as the stable JSON report
-// documented in the README. Exit status 0 means no error-severity
-// diagnostic. An env (--set) enables the concrete-size checks, --cap the
-// interpolation check, --line the false-sharing check.
+// `serve` runs the analysis daemon (src/serve, DESIGN.md §16): NDJSON
+// requests over a Unix-domain socket, answered through the same
+// analysis::run_verb. `client` sends one request line (or a stream from
+// stdin), retries `rejected` responses with backoff, prints the payload
+// (the whole response line with --envelope) and exits with the response
+// status mapped through the exit-code taxonomy.
 //
-// `advise` runs the dependence/reuse analysis and the transformation
-// advisor (analysis/advisor.hpp): it enumerates interchange and tiling
-// candidates, rejects the ones the direction vectors prove illegal, scores
-// the survivors with the miss model (simulation fallback when approximate)
-// at --cap, and prints a ranked report with predicted miss deltas, the
-// DP3xx dependence findings, per-site locality verdicts, and the fused
-// PS202/PS204 padding/privatization notes. --top limits the list; --json
-// emits the stable schema documented in the README.
-//
-// `serve` runs the long-lived analysis daemon (src/serve, DESIGN.md §16):
-// newline-delimited JSON requests over a Unix-domain socket, scheduled on a
-// shared thread pool under per-request governance (deadline, shared memory
-// budget, cancellation on client disconnect), with admission-control load
-// shedding, a structural-hash memo cache, and response payloads
-// byte-identical to the equivalent CLI --json invocations. `client` is the
-// bundled synchronous client: it sends one request line (or a stream from
-// stdin), retries `rejected` responses with exponential backoff honoring
-// the server's retry_after_ms hint, prints the payload (or, with
-// --envelope, the full response line) and exits with the response status
-// mapped through the shared exit-code taxonomy.
-//
-// `fuzz` runs the differential fuzzing subsystem (src/fuzz): generates
-// random constrained-class programs and cross-checks every implementation
-// of the miss semantics against every other. On a mismatch the offending
-// program is delta-debugged down to a minimal counterexample and written
-// to --artifact-dir as a replayable `.sdlo` artifact; `--replay` re-runs
-// the oracles (and, if still failing, the reducer) on such an artifact.
+// `fuzz` runs the differential oracles of src/fuzz on generated programs;
+// a mismatch is reduced to a minimal counterexample and written to
+// --artifact-dir as a `.sdlo` artifact that `--replay` re-checks.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -89,27 +61,27 @@
 #include <memory>
 #include <sstream>
 
-#include "analysis/advisor.hpp"
-#include "analysis/lint.hpp"
-#include "analysis/misses_driver.hpp"
-#include "analysis/sweep_driver.hpp"
+#include "analysis/verbs.hpp"
 #include "fuzz/generator.hpp"
 #include "fuzz/oracles.hpp"
 #include "fuzz/reducer.hpp"
 #include "ir/parser.hpp"
-#include "ir/printer.hpp"
-#include "model/analyzer.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "support/cli.hpp"
 #include "support/governor.hpp"
 #include "support/string_util.hpp"
-#include "support/table.hpp"
 #include "trace/walker.hpp"
 
 namespace {
 
 using namespace sdlo;
+
+constexpr const char* kVerbUsage =
+    "sdlo {analyze|lint|misses|sweep|trace|advise} <file|-> "
+    "[NAME=VALUE...] [flags]\n";
+constexpr const char* kClientUsage =
+    "sdlo client --socket PATH {REQUEST-JSON|-} [--envelope] [--retries N]\n";
 
 std::string read_input(const std::string& path) {
   if (path == "-") {
@@ -140,20 +112,6 @@ sym::Env parse_sets(const std::vector<std::string>& positional,
   return env;
 }
 
-/// The --threads value of `sdlo sweep`: 1 when absent, otherwise checked
-/// against [1, kMaxThreads] so a typo never silently runs serial or starts
-/// an unbounded number of OS threads.
-int parse_threads(const CommandLine& cli) {
-  constexpr std::int64_t kMaxThreads = 256;
-  const std::int64_t threads = cli.get_int("threads", 1);
-  if (threads < 1 || threads > kMaxThreads) {
-    throw Error("--threads must be between 1 and " +
-                std::to_string(kMaxThreads) + ", got " +
-                std::to_string(threads));
-  }
-  return static_cast<int>(threads);
-}
-
 /// The CLI's resource governor, built from --deadline / --mem-budget. The
 /// MemoryBudget must outlive every governed call, so it lives here.
 struct CliGovernor {
@@ -179,97 +137,6 @@ CliGovernor make_governor(double deadline_sec, std::int64_t mem_budget_mb) {
     g.active = true;
   }
   return g;
-}
-
-int cmd_analyze(const ir::Program& prog, const Governor* gov, bool json) {
-  // Symbolic analysis has no meaningful partial result, so the governor is
-  // honored through the throwing path: a tripped deadline surfaces as
-  // BudgetExceeded and the process exits 2 without a report.
-  if (json) {
-    // The shared emitter, so `sdlo analyze --json` and the serve daemon's
-    // analyze verb are byte-identical by construction.
-    analysis::render_analyze_json(prog, std::cout, gov);
-    return 0;
-  }
-  if (gov != nullptr) gov->check("analyze");
-  std::cout << ir::to_code_string(prog) << "\n";
-  const auto an = model::analyze(prog);
-  if (gov != nullptr) gov->check("analyze");
-  TextTable t({"Partition", "#References", "Stack distance"});
-  for (const auto& row : model::symbolic_report(an)) {
-    t.add_row({row.description, sym::to_string(row.count),
-               row.infinite ? "inf" : sym::to_string(row.total)});
-  }
-  t.print(std::cout);
-  return 0;
-}
-
-int cmd_misses(const ir::Program& prog, const sym::Env& env,
-               std::int64_t cap, bool simulate, const Governor* gov,
-               bool json) {
-  analysis::MissesOptions opts;
-  opts.capacity = cap;
-  opts.simulate = simulate;
-  const analysis::MissesOutcome oc =
-      analysis::run_misses(prog, env, opts, gov);
-  if (json) {
-    analysis::render_misses_json(oc, std::cout);
-  } else {
-    analysis::render_misses_text(oc, std::cout);
-  }
-  return oc.exit_code();
-}
-
-int cmd_sweep(const ir::Program& prog, const sym::Env& env,
-              const analysis::SweepDriverOptions& opts, const Governor* gov,
-              bool json) {
-  const analysis::SweepOutcome oc = analysis::run_sweep(prog, env, opts, gov);
-  if (json) {
-    analysis::render_sweep_json(oc, std::cout, opts.sites);
-  } else {
-    analysis::render_sweep_text(oc, std::cout, opts.sites);
-  }
-  return oc.exit_code();
-}
-
-int cmd_lint(const std::string& text, const std::string& source_name,
-             const sym::Env& env, std::int64_t cap, std::int64_t line,
-             bool json) {
-  analysis::LintOptions opts;
-  opts.env = env;
-  opts.capacity = cap;
-  opts.line_elems = line;
-  const analysis::LintReport rep = analysis::lint_text(text, opts);
-  if (json) {
-    analysis::render_json(rep, std::cout);
-  } else {
-    analysis::render_text(rep, std::cout, source_name);
-  }
-  return rep.ok() ? 0 : 1;
-}
-
-int cmd_advise(const std::string& text, const std::string& source_name,
-               const sym::Env& env, std::int64_t cap, std::int64_t line,
-               std::int64_t top, const Governor* gov, bool json) {
-  // Parses for itself to keep source positions: the DP3xx findings carry
-  // the SourceLoc of the dependence's source access.
-  const ir::ParsedProgram pp = ir::parse_program_located(text);
-  analysis::AdvisorOptions opts;
-  opts.capacity = cap;
-  opts.line_elems = line;
-  opts.governor = gov;
-  const analysis::AdvisorReport rep =
-      analysis::advise(pp.prog, env, opts, &pp.locs);
-  if (json) {
-    analysis::render_advice_json(rep, std::cout,
-                                 static_cast<std::size_t>(top));
-  } else {
-    analysis::render_advice_text(rep, std::cout, source_name,
-                                 static_cast<std::size_t>(top));
-  }
-  return to_int(rep.completeness == Completeness::kTruncated
-                    ? ExitCode::kTruncated
-                    : ExitCode::kOk);
 }
 
 int cmd_trace(const ir::Program& prog, const sym::Env& env,
@@ -492,13 +359,20 @@ int cmd_client(const std::string& socket_path, const std::string& source,
 
 int main(int argc, char** argv) {
   try {
+    std::string families;
+    for (const std::string& f : fuzz::oracle_family_names()) {
+      families += (families.empty() ? "" : ", ") + f;
+    }
     CommandLine cli(argc, argv);
     cli.flag("cap",
              "cache capacity in elements: >= 1 for misses and advise, "
              ">= 0 for lint (0 skips its capacity checks)")
         .flag("set", "bind a symbol: --set N=512 (repeatable)")
         .flag("simulate", "cross-check the model with the simulator")
-        .flag("line", "line size in elements for sweep (default 1)")
+        .flag("line",
+              "line size in elements, a positive power of two: sweep "
+              "(default 1), lint and advise (default: no false-sharing "
+              "check)")
         .flag("engine",
               "sweep engine: simulate (default) or symbolic (analytic "
               "curve, no trace walk; falls back to simulation when the "
@@ -524,11 +398,10 @@ int main(int argc, char** argv) {
               "beside the sweep (simulated engine only; removed on any "
               "failure or truncation)")
         .flag("top", "max recommendations shown (advise; 0 = all)")
-        .flag("only",
-              "comma-separated oracle families to run (fuzz): roundtrip, "
-              "walker, model, symbolic, profile, sweep, set-assoc, lint, "
-              "parallel, budgeted, dependence, advise, serve (unknown "
-              "names exit 1 listing the valid families)")
+        .flag("only", "comma-separated oracle families to run (fuzz): " +
+                          families +
+                          " (unknown names exit 1 listing the valid "
+                          "families)")
         .flag("socket", "Unix-domain socket path (serve/client)")
         .flag("workers", "serve: worker threads (default 4)")
         .flag("max-active",
@@ -545,21 +418,18 @@ int main(int argc, char** argv) {
 
     const auto& pos = cli.positional();
     if (pos.empty()) {
-      std::cerr << "usage: sdlo {analyze|lint|misses|sweep|trace|advise} <file|-> "
-                   "[NAME=VALUE...] [flags]\n"
-                   "       sdlo fuzz [--seed S] [--count N] "
+      std::cerr << "usage: " << kVerbUsage
+                << "       sdlo fuzz [--seed S] [--count N] "
                    "[--time-budget SEC] [--artifact-dir DIR] "
                    "[--replay artifact.sdlo]\n"
                    "       sdlo serve --socket PATH [--workers N] "
                    "[--max-active N] [--cache-entries N]\n"
-                   "       sdlo client --socket PATH {REQUEST-JSON|-} "
-                   "[--envelope] [--retries N]\n";
+                << "       " << kClientUsage;
       return to_int(ExitCode::kError);
     }
     const std::string& verb = pos[0];
     const CliGovernor governor = make_governor(
         cli.get_double("deadline", 0), cli.get_int("mem-budget", 0));
-    const bool json = cli.get_bool("json", false);
     if (verb == "fuzz") {
       const std::string replay = cli.get_string("replay", "");
       const std::string artifact_dir = cli.get_string("artifact-dir", "");
@@ -579,8 +449,7 @@ int main(int argc, char** argv) {
     }
     if (verb == "client") {
       if (pos.size() < 2) {
-        std::cerr << "usage: sdlo client --socket PATH {REQUEST-JSON|-} "
-                     "[--envelope] [--retries N]\n";
+        std::cerr << "usage: " << kClientUsage;
         return to_int(ExitCode::kError);
       }
       return cmd_client(cli.get_string("socket", ""), pos[1],
@@ -588,45 +457,33 @@ int main(int argc, char** argv) {
                         cli.get_int("retries", -1));
     }
     if (pos.size() < 2) {
-      std::cerr << "usage: sdlo {analyze|lint|misses|sweep|trace|advise} <file|-> "
-                   "[NAME=VALUE...] [flags]\n";
+      std::cerr << "usage: " << kVerbUsage;
       return to_int(ExitCode::kError);
     }
     const sym::Env env = parse_sets(pos, cli.get_all("set"));
-
-    if (verb == "lint") {
-      // lint parses for itself: parse failures become diagnostics, and
-      // out-of-class programs must be reported, not thrown.
-      return cmd_lint(read_input(pos[1]),
-                      pos[1] == "-" ? "<stdin>" : pos[1], env,
-                      cli.get_int("cap", 0), cli.get_int("line", 0), json);
-    }
-    if (verb == "advise") {
-      return cmd_advise(read_input(pos[1]),
-                        pos[1] == "-" ? "<stdin>" : pos[1], env,
-                        cli.get_int("cap", 8192), cli.get_int("line", 0),
-                        cli.get_int("top", 0), governor.get(), json);
-    }
-    ir::Program prog = ir::parse_program(read_input(pos[1]));
-
-    if (verb == "analyze") return cmd_analyze(prog, governor.get(), json);
-    if (verb == "misses") {
-      return cmd_misses(prog, env, cli.get_int("cap", 8192),
-                        cli.get_bool("simulate", false), governor.get(),
-                        json);
-    }
-    if (verb == "sweep") {
-      analysis::SweepDriverOptions opts;
-      opts.engine =
-          analysis::parse_sweep_engine(cli.get_string("engine", "simulate"));
-      opts.line_elems = cli.get_int("line", 1);
-      opts.sites = cli.get_bool("sites", false);
-      opts.threads = parse_threads(cli);
-      opts.spool_path = cli.get_string("spool", "");
-      return cmd_sweep(prog, env, opts, governor.get(), json);
-    }
     if (verb == "trace") {
-      return cmd_trace(prog, env, cli.get_int("limit", 50));
+      return cmd_trace(ir::parse_program(read_input(pos[1])), env,
+                       cli.get_int("limit", 50));
+    }
+    if (const auto v = analysis::parse_verb(verb)) {
+      analysis::VerbRequest req;
+      req.verb = *v;
+      req.program = read_input(pos[1]);
+      req.env = env;
+      if (cli.has("cap")) req.cap = cli.get_int("cap", 0);
+      if (cli.has("line")) req.line = cli.get_int("line", 0);
+      req.simulate = cli.get_bool("simulate", req.simulate);
+      req.sites = cli.get_bool("sites", req.sites);
+      req.engine = cli.get_string("engine", req.engine);
+      req.top = cli.get_int("top", req.top);
+      req.threads = cli.get_int("threads", req.threads);
+      req.spool_path = cli.get_string("spool", "");
+      req.source_name = pos[1] == "-" ? "<stdin>" : pos[1];
+      const analysis::VerbResult res =
+          analysis::run_verb(req, cli.get_bool("json", false),
+                             governor.get(), std::cout);
+      if (!res.error.empty()) std::cerr << "sdlo: " << res.error << "\n";
+      return res.exit_code;
     }
     std::cerr << "unknown command: " << verb << "\n";
     return to_int(ExitCode::kError);
