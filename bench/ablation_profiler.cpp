@@ -1,7 +1,8 @@
 // Ablation A1: exact stack-distance profiler (Fenwick over last-access
 // times, the Almasi et al. technique) versus a naive O(n) list scan, and
 // versus the plain LRU simulator, in ns/access. Demonstrates why the
-// efficient profiler is the right substrate for capacity sweeps.
+// Fenwick profiler, not a list scan, is the per-access histogram reference
+// the tests check the sweep engines against.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -48,8 +49,8 @@ void BM_FenwickProfiler(benchmark::State& state) {
   const auto trace = make_trace(1 << 16,
                                 static_cast<std::uint64_t>(state.range(0)));
   for (auto _ : state) {
-    cachesim::StackDistanceProfiler p(static_cast<std::size_t>(
-        state.range(0)));
+    cachesim::StackDistanceProfiler p(
+        static_cast<std::uint64_t>(state.range(0)));
     std::int64_t acc = 0;
     for (auto a : trace) acc += p.access(a);
     benchmark::DoNotOptimize(acc);

@@ -57,8 +57,8 @@ struct SimResult {
 struct ProfileResult {
   std::uint64_t accesses = 0;
   std::uint64_t cold = 0;
-  /// kTruncated when a Governor stopped the walk early; the histogram is
-  /// then the exact profile of the consumed trace prefix.
+  /// kTruncated when a Governor stopped the symbolic sweep that produced
+  /// it early (the trace profiler always runs to completion).
   Completeness completeness = Completeness::kComplete;
   /// Line granularity the trace was profiled at (depths are in lines).
   std::int64_t line_elems = 1;

@@ -1,6 +1,8 @@
-// Convenience drivers: run a CompiledProgram's trace through a cache
-// simulator or the stack-distance profiler and collect statistics. These
-// produce the "#Actual misses" columns of Tables 2 and 3.
+// Per-access reference drivers: each feeds every access of a
+// CompiledProgram's walk() to one cache simulator or to the stack-distance
+// profiler, with no run-group shortcut. They produce the "#Actual misses"
+// columns of Tables 2 and 3, and they are what tests and the fuzz battery
+// check the streamed sweep engine and the symbolic sweep against.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +13,6 @@
 #include "cachesim/results.hpp"
 #include "cachesim/set_assoc_cache.hpp"
 #include "cachesim/stack_profiler.hpp"
-#include "support/governor.hpp"
 #include "trace/walker.hpp"
 
 namespace sdlo::cachesim {
@@ -36,22 +37,11 @@ SimResult simulate_lru_lines(const trace::CompiledProgram& prog,
                              std::int64_t capacity_elems,
                              std::int64_t line_elems);
 
-/// Profiles the trace at `line_elems` granularity (a power of two dividing
-/// nothing in particular — addresses are grouped into lines), recording
-/// global and per-site depth histograms in one walk of the run-compressed
-/// trace, bulk-accounting same-line repeats and steady-state pinned groups.
-/// The result is bit-identical to feeding every access of walk() to
-/// StackDistanceProfiler::access; tests and the fuzz battery use it as the
-/// reference for the streamed engine and the symbolic sweep.
-///
-/// `gov`, when non-null, governs the walk: the profiler polls every
-/// `gov->poll_interval` run groups and, when the deadline or cancellation
-/// trips, returns the exact profile of the consumed prefix marked
-/// kTruncated. `gov->memory` additionally gates the dense last-access
-/// table: when the reservation is denied the profiler falls back to the
-/// hashed table (bit-identical results, just slower).
+/// Profiles the trace at `line_elems` granularity (a power of two):
+/// addresses are grouped into lines and every access of walk() is fed to
+/// StackDistanceProfiler::access, recording global and per-site depth
+/// histograms in one walk.
 ProfileResult profile_stack_distances(const trace::CompiledProgram& prog,
-                                      std::int64_t line_elems = 1,
-                                      const Governor* gov = nullptr);
+                                      std::int64_t line_elems = 1);
 
 }  // namespace sdlo::cachesim

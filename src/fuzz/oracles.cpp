@@ -2,7 +2,6 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -25,7 +24,6 @@
 #include "cachesim/marker_stack.hpp"
 #include "cachesim/parallel_stack.hpp"
 #include "cachesim/sim.hpp"
-#include "cachesim/stack_profiler.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "model/analyzer.hpp"
@@ -186,23 +184,15 @@ void check_model(OracleReport& report, const ir::Program& prog,
                         " cap=" + std::to_string(c),
                     prediction_as_sim(pred), prof.result(c));
   }
-}
 
-void check_symbolic_sweep(OracleReport& report, const ir::Program& prog,
-                          const sym::Env& env,
-                          const trace::CompiledProgram& cp,
-                          const OracleOptions& opts) {
-  const auto an = model::analyze(prog);
-  const auto sweep = model::symbolic_sweep(an, env);
   if (sweep.confidence != model::Confidence::kExact) {
     // Not model-exact: the sweep driver falls back to simulation, so there
-    // is no analytic curve to enroll. (The numeric-prediction oracle still
-    // covers the interpolated paths.)
+    // is no analytic curve to enroll. (The predictions above still cover
+    // the interpolated paths.)
     return;
   }
   // The analytic stack-distance histogram must be bit-identical to the
   // trace profiler's — global and per-site, cold counts included.
-  const auto prof = cachesim::profile_stack_distances(cp);
   const auto got = sweep.profile();
   if (got.accesses != prof.accesses || got.cold != prof.cold ||
       got.histogram != prof.histogram ||
@@ -234,33 +224,20 @@ void check_symbolic_sweep(OracleReport& report, const ir::Program& prog,
     }
     const auto swept = cachesim::simulate_sweep_streamed(cp, configs);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::int64_t cap = cap_list[base + i];
+      const std::int64_t c = cap_list[base + i];
       compare_results(report, "symbolic-sweep-vs-sweep",
-                      "cap=" + std::to_string(cap), sweep.result_at(cap),
+                      "cap=" + std::to_string(c), sweep.result_at(c),
                       swept[i]);
     }
   }
 }
 
-bool same_profile(const cachesim::ProfileResult& a,
-                  const cachesim::ProfileResult& b) {
-  return a.accesses == b.accesses && a.cold == b.cold &&
-         a.histogram == b.histogram && a.cold_by_site == b.cold_by_site &&
-         a.histogram_by_site == b.histogram_by_site;
-}
-
 void check_profile(OracleReport& report, const trace::CompiledProgram& cp,
                    const OracleOptions& opts) {
+  // The Fenwick profiler against the LruCache simulator: two independent
+  // per-access implementations of the same LRU semantics.
   for (const std::int64_t line : opts.line_sizes) {
     const auto prof = cachesim::profile_stack_distances(cp, line);
-    // The run-fed profiler must reproduce the per-access profile exactly —
-    // histograms, cold counts, and the per-site breakdowns.
-    if (!same_profile(prof, reference_profile(cp, line))) {
-      std::ostringstream os;
-      os << "line=" << line
-         << ": run-fed profile differs from per-access profile";
-      add_mismatch(report, "profile-runs-vs-per-access", os.str());
-    }
     for (const std::int64_t cl : opts.capacity_lines) {
       const std::int64_t cap = cl * line;
       std::ostringstream where;
@@ -430,10 +407,10 @@ void check_set_assoc_edges(OracleReport& report,
 }
 
 // Budget-degradation oracle: a zero-byte memory budget denies every dense
-// address-table reservation, forcing the sweep engine and the profiler
-// onto their hashed fallbacks. Degradation must be invisible in the
-// results: bit-identical counts, misses_by_site included, and no spurious
-// truncation (no deadline is set).
+// address-table reservation, forcing the sweep engine onto its hashed
+// fallback. Degradation must be invisible in the results: bit-identical
+// counts, misses_by_site included, and no spurious truncation (no deadline
+// is set).
 void check_budgeted_degradation(OracleReport& report,
                                 const trace::CompiledProgram& cp,
                                 const OracleOptions& opts) {
@@ -478,17 +455,6 @@ void check_budgeted_degradation(OracleReport& report,
   expect_dense(cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt,
                                                  &one_chunk_gov),
                "budgeted-one-chunk-vs-dense");
-  // The profiler's hashed last-access table must match the dense one too.
-  for (const std::int64_t line : opts.line_sizes) {
-    const auto d = cachesim::profile_stack_distances(cp, line);
-    const auto h = cachesim::profile_stack_distances(cp, line, &gov);
-    if (!same_profile(d, h) || h.completeness != Completeness::kComplete) {
-      std::ostringstream os;
-      os << "line=" << line
-         << ": memory-budgeted (hashed) profile differs from dense profile";
-      add_mismatch(report, "budgeted-profile-vs-dense", os.str());
-    }
-  }
 }
 
 // Every generated program is in the constrained class by construction, so
@@ -1116,19 +1082,6 @@ void check_serve_equivalence(OracleReport& report, const ir::Program& prog,
 
 }  // namespace
 
-cachesim::ProfileResult reference_profile(const trace::CompiledProgram& cp,
-                                          std::int64_t line_elems) {
-  const int shift =
-      std::countr_zero(static_cast<std::uint64_t>(line_elems));
-  cachesim::StackDistanceProfiler profiler(
-      static_cast<std::size_t>(cp.footprint_lines(line_elems)));
-  profiler.enable_site_tracking(cp.num_sites());
-  cp.walk([&](const trace::Access& a) {
-    profiler.access(a.addr >> shift, a.site);
-  });
-  return profiler.result(line_elems, Completeness::kComplete);
-}
-
 std::vector<SimResult> reference_sweep(
     const trace::CompiledProgram& cp,
     const std::vector<cachesim::SweepConfig>& configs) {
@@ -1171,9 +1124,6 @@ OracleReport check_program(const ir::Program& prog, const sym::Env& env,
   if (opts.check_model && !out_of_budget()) {
     check_model(report, prog, env, cp, opts);
   }
-  if (opts.check_symbolic && !out_of_budget()) {
-    check_symbolic_sweep(report, prog, env, cp, opts);
-  }
   if (opts.check_profile && !out_of_budget()) check_profile(report, cp, opts);
   if (opts.check_sweep && !out_of_budget()) check_sweep(report, cp, opts);
   if (opts.check_set_assoc && !out_of_budget()) {
@@ -1208,11 +1158,10 @@ struct FamilyEntry {
   bool OracleOptions::*flag;
 };
 
-constexpr std::array<FamilyEntry, 13> kFamilies = {{
+constexpr std::array<FamilyEntry, 12> kFamilies = {{
     {"roundtrip", &OracleOptions::check_roundtrip},
     {"walker", &OracleOptions::check_walker},
     {"model", &OracleOptions::check_model},
-    {"symbolic", &OracleOptions::check_symbolic},
     {"profile", &OracleOptions::check_profile},
     {"sweep", &OracleOptions::check_sweep},
     {"set-assoc", &OracleOptions::check_set_assoc},

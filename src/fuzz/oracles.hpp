@@ -12,7 +12,8 @@
 //   cachesim::simulate_lru       arena LRU cache fed by the trace walker
 //   cachesim::simulate_lru_lines line-granular variant of the above
 //   cachesim::profile_stack_distances / ProfileResult::result
-//                                one-pass exact stack-distance histogram
+//                                per-access Fenwick stack-distance
+//                                histogram: the exact trace-side reference
 //   cachesim::simulate_sweep_streamed
 //                                the one sweep engine: per-chunk
 //                                marker-augmented LRU stacks + exact hole
@@ -22,12 +23,13 @@
 //   cachesim::simulate_set_assoc set-associative geometry (edge cases of
 //                                which must degenerate to the above)
 //
-// The engines that consume the run-compressed trace (the streamed sweep
-// and the profiler) are enrolled as first-class oracles: each must match
-// the per-access references — reference_sweep() over the naive simulators
-// fed from walk(), and reference_profile() — bit for bit, misses_by_site
-// included, so every bulk fast path is differentially pinned to the naive
-// semantics. The tests use the same two references.
+// The streamed sweep consumes the run-compressed trace and is enrolled as
+// a first-class oracle: it must match reference_sweep() — the naive
+// simulators fed from walk() — bit for bit, misses_by_site included, so
+// every bulk fast path is differentially pinned to the naive semantics.
+// The profiler walks every access too, and is itself checked against the
+// LruCache simulator; the model is checked against the profiler. The tests
+// use the same references.
 //
 // check_program() cross-checks all of them on one program across a
 // capacity / line-size / associativity ladder and reports every
@@ -71,14 +73,13 @@ struct OracleOptions {
   bool check_walker = true;     ///< walk_runs group contract and counts
   /// Model predictions vs the exact stack-distance profile: bit-identical
   /// at the default enumeration budget, and bit-identical or marked
-  /// approximate at a budget of 16 combinations.
+  /// approximate at a budget of 16 combinations. When model::symbolic_sweep
+  /// answers with Confidence::kExact its histogram must also be
+  /// bit-identical to the profiler's and its curve must match
+  /// simulate_sweep_streamed at the capacity ladder plus every crossing
+  /// point (misses_by_site included).
   bool check_model = true;
-  /// Analytic capacity sweep: when model::symbolic_sweep answers with
-  /// Confidence::kExact its histogram must be bit-identical to the trace
-  /// profiler's and its curve must match simulate_sweep_streamed at the
-  /// capacity ladder plus every crossing point (misses_by_site included).
-  bool check_symbolic = true;
-  bool check_profile = true;    ///< profiler vs reference_profile, lru-lines
+  bool check_profile = true;    ///< profiler vs simulate_lru_lines
   /// The streamed sweep engine at chunk counts {1, 2, 5, 17}, inline and
   /// on a 2-thread pool, against simulate_lru_lines / simulate_set_assoc,
   /// a teed run's spool bytes against spool_program, and SpooledTrace's
@@ -91,9 +92,9 @@ struct OracleOptions {
   /// cross-iteration conflicts; loops flagged unsafe are excluded.
   bool check_parallel = true;
   /// Budget-degradation oracle: a zero memory budget forces the sweep
-  /// engine and the profiler onto their hashed fallbacks, and a budget of
-  /// only the stack tables forces a multi-chunk sweep down to one chunk;
-  /// both must be bit-identical to the unbudgeted dense runs.
+  /// engine onto its hashed fallback, and a budget of only the stack
+  /// tables forces a multi-chunk sweep down to one chunk; both must be
+  /// bit-identical to the unbudgeted dense runs.
   bool check_budgeted = true;
   /// Brute-force dependence oracle: replay the trace recording every
   /// observed (src site, dst site, kind, direction vector) tuple and
@@ -141,12 +142,6 @@ struct OracleReport {
 
   bool ok() const { return mismatches.empty(); }
 };
-
-/// The per-access reference profile: every access of `cp.walk()` fed to
-/// StackDistanceProfiler::access at `line_elems` granularity, with no bulk
-/// accounting. profile_stack_distances must match it bit for bit.
-cachesim::ProfileResult reference_profile(const trace::CompiledProgram& cp,
-                                          std::int64_t line_elems = 1);
 
 /// Every configuration simulated on its own by the per-access reference
 /// simulators (simulate_lru_lines, simulate_set_assoc), in `configs`

@@ -97,24 +97,4 @@ std::string to_code_string(const Program& p) {
   return os.str();
 }
 
-void print_tree(const Program& p, std::ostream& os) {
-  auto walk = [&](NodeId n, int depth, auto&& self) -> void {
-    const std::string indent(static_cast<std::size_t>(depth) * 2, ' ');
-    if (p.is_statement(n)) {
-      os << indent << "stmt " << p.statement(n).label << " [seq "
-         << p.seq_no(n) << "]:";
-      for (const auto& a : p.statement(n).accesses) {
-        os << " " << ref_to_string(a)
-           << (a.mode == AccessMode::kWrite ? "(w)" : "(r)");
-      }
-      os << "\n";
-    } else {
-      os << indent << (n == Program::kRoot ? "root" : band_header(p, n))
-         << " [seq " << p.seq_no(n) << "]\n";
-      for (NodeId c : p.children(n)) self(c, depth + 1, self);
-    }
-  };
-  walk(Program::kRoot, 0, walk);
-}
-
 }  // namespace sdlo::ir

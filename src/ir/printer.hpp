@@ -1,5 +1,5 @@
-// Pretty-printer for Program trees, rendering both a code-like view
-// (Figs. 2/6 of the paper) and a parse-tree view (Fig. 7).
+// Pretty-printer for Program trees, rendering a code-like view (Figs. 2/6
+// of the paper).
 #pragma once
 
 #include <iosfwd>
@@ -18,9 +18,6 @@ void print_code(const Program& p, std::ostream& os);
 
 /// print_code into a string.
 std::string to_code_string(const Program& p);
-
-/// Renders the loop-structure tree with one node per line (Fig. 7 view).
-void print_tree(const Program& p, std::ostream& os);
 
 /// Renders one reference, e.g. "B[mT+mI,nT+nI]".
 std::string ref_to_string(const ArrayRef& ref);

@@ -58,7 +58,6 @@ struct Spec {
 /// Every registered injection site. Arming an unlisted name is allowed
 /// (sites are matched by string), but these are the ones the code hits.
 inline constexpr const char* kSweepDenseAlloc = "sweep-dense-alloc";
-inline constexpr const char* kProfilerDenseAlloc = "profiler-dense-alloc";
 inline constexpr const char* kPoolSubmit = "pool-submit";
 inline constexpr const char* kPoolTask = "pool-task";
 inline constexpr const char* kArtifactWrite = "artifact-write";
@@ -69,10 +68,10 @@ inline constexpr const char* kServeRead = "serve-read";
 inline constexpr const char* kServeWrite = "serve-write";
 inline constexpr const char* kServeEnqueue = "serve-enqueue";
 
-inline constexpr std::array<const char*, 11> kAllSites = {
-    kSweepDenseAlloc, kProfilerDenseAlloc, kPoolSubmit, kPoolTask,
-    kArtifactWrite,   kOracleStep,         kSpoolWrite, kServeAccept,
-    kServeRead,       kServeWrite,         kServeEnqueue};
+inline constexpr std::array<const char*, 10> kAllSites = {
+    kSweepDenseAlloc, kPoolSubmit,  kPoolTask,   kArtifactWrite,
+    kOracleStep,      kSpoolWrite,  kServeAccept, kServeRead,
+    kServeWrite,      kServeEnqueue};
 
 /// True when any failpoint is armed (env or scoped). The disarmed fast
 /// path is a single relaxed atomic load.

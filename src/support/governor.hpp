@@ -1,6 +1,6 @@
 // Resource-governed execution: deadlines, memory budgets and cooperative
-// cancellation for the long-running drivers (sweep engine, stack-distance
-// profiler, tile search, fuzzing battery, SMP calibration).
+// cancellation for the long-running drivers (sweep engine, symbolic sweep,
+// tile search, fuzzing battery, SMP calibration).
 //
 // All of these drivers used to run open-loop: no time ceiling, no memory
 // ceiling, no way to stop one from the outside. The governor closes the

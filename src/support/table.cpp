@@ -10,18 +10,11 @@ namespace sdlo {
 TextTable::TextTable(std::vector<std::string> header)
     : header_(std::move(header)) {
   SDLO_EXPECTS(!header_.empty());
-  align_.assign(header_.size(), Align::kRight);
-  align_[0] = Align::kLeft;
 }
 
 void TextTable::add_row(std::vector<std::string> cells) {
   SDLO_EXPECTS(cells.size() == header_.size());
   rows_.push_back(std::move(cells));
-}
-
-void TextTable::set_align(std::size_t col, Align a) {
-  SDLO_EXPECTS(col < align_.size());
-  align_[col] = a;
 }
 
 void TextTable::print(std::ostream& os) const {
@@ -39,9 +32,9 @@ void TextTable::print(std::ostream& os) const {
     for (std::size_t c = 0; c < row.size(); ++c) {
       const std::size_t pad = width[c] - row[c].size();
       os << ' ';
-      if (align_[c] == Align::kRight) os << std::string(pad, ' ');
+      if (c != 0) os << std::string(pad, ' ');
       os << row[c];
-      if (align_[c] == Align::kLeft) os << std::string(pad, ' ');
+      if (c == 0) os << std::string(pad, ' ');
       os << " |";
     }
     os << "\n";

@@ -7,10 +7,8 @@
 
 namespace sdlo {
 
-/// Column alignment for TextTable.
-enum class Align { kLeft, kRight };
-
-/// Accumulates rows of strings and renders an aligned ASCII table, e.g.
+/// Accumulates rows of strings and renders an aligned ASCII table (column 0
+/// left-aligned, the rest right-aligned), e.g.
 ///
 ///   TextTable t({"Loop Bounds", "Predicted", "Actual"});
 ///   t.add_row({"(256,256)", "1,048,576", "1,066,774"});
@@ -22,9 +20,6 @@ class TextTable {
   /// Adds one row; must have the same arity as the header.
   void add_row(std::vector<std::string> cells);
 
-  /// Sets per-column alignment (default: left for col 0, right otherwise).
-  void set_align(std::size_t col, Align a);
-
   /// Renders with a header rule and column padding.
   void print(std::ostream& os) const;
 
@@ -32,12 +27,10 @@ class TextTable {
   void print_csv(std::ostream& os) const;
 
   std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_cols() const { return header_.size(); }
 
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
-  std::vector<Align> align_;
 };
 
 }  // namespace sdlo

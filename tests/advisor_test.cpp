@@ -144,7 +144,6 @@ TEST(AdvisorOracle, GalleryAdviceIsLegalAndHonest) {
   opts.check_roundtrip = false;
   opts.check_walker = false;
   opts.check_model = false;
-  opts.check_symbolic = false;
   opts.check_profile = false;
   opts.check_sweep = false;
   opts.check_set_assoc = false;

@@ -201,7 +201,6 @@ TEST(DependenceOracle, MatchesTraceReplayOnGeneratedPrograms) {
   opts.check_roundtrip = false;
   opts.check_walker = false;
   opts.check_model = false;
-  opts.check_symbolic = false;
   opts.check_profile = false;
   opts.check_sweep = false;
   opts.check_set_assoc = false;

@@ -3,7 +3,6 @@
 #include "support/check.hpp"
 #include <gtest/gtest.h>
 
-#include "kernels/matmul.hpp"
 #include "kernels/matrix.hpp"
 #include "kernels/two_index.hpp"
 
@@ -28,52 +27,6 @@ TEST(Matrix, PatternIsDeterministic) {
   EXPECT_EQ(Matrix::max_abs_diff(a, b), 0.0);
   b.fill_pattern(43);
   EXPECT_GT(Matrix::max_abs_diff(a, b), 0.0);
-}
-
-class MatmulTest : public ::testing::TestWithParam<
-                       std::tuple<std::int64_t, std::int64_t, std::int64_t>> {
-};
-
-TEST_P(MatmulTest, TiledMatchesNaive) {
-  const auto [ti, tj, tk] = GetParam();
-  const std::int64_t n = 24;
-  Matrix a(n, n);
-  Matrix b(n, n);
-  a.fill_pattern(1);
-  b.fill_pattern(2);
-  Matrix c_ref(n, n);
-  Matrix c_tiled(n, n);
-  matmul_naive(a, b, c_ref);
-  matmul_tiled(a, b, c_tiled, ti, tj, tk);
-  EXPECT_LT(Matrix::max_abs_diff(c_ref, c_tiled), 1e-11);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Tiles, MatmulTest,
-    ::testing::Values(std::tuple{1, 1, 1}, std::tuple{24, 24, 24},
-                      std::tuple{8, 4, 6}, std::tuple{2, 12, 3}));
-
-TEST(MatmulParallel, MatchesSequential) {
-  const std::int64_t n = 16;
-  Matrix a(n, n);
-  Matrix b(n, n);
-  a.fill_pattern(5);
-  b.fill_pattern(6);
-  Matrix c_seq(n, n);
-  Matrix c_par(n, n);
-  matmul_tiled(a, b, c_seq, 4, 4, 4);
-  parallel::ThreadPool pool(4);
-  matmul_tiled(a, b, c_par, 4, 4, 4, &pool);
-  EXPECT_EQ(Matrix::max_abs_diff(c_seq, c_par), 0.0);
-}
-
-TEST(Matmul, RejectsBadShapes) {
-  Matrix a(4, 4);
-  Matrix b(3, 4);
-  Matrix c(4, 4);
-  EXPECT_THROW(matmul_naive(a, b, c), Error);
-  Matrix b2(4, 4);
-  EXPECT_THROW(matmul_tiled(a, b2, c, 3, 2, 2), Error);  // 4 % 3 != 0
 }
 
 class TwoIndexFixture : public ::testing::Test {

@@ -267,7 +267,6 @@ TEST(Failpoints, ConfigureAndClear) {
   EXPECT_THROW(failpoints::hit(failpoints::kOracleStep), InjectedFault);
   // Unarmed sites stay transparent even while others are armed.
   EXPECT_NO_THROW(failpoints::hit(failpoints::kPoolTask));
-  EXPECT_FALSE(failpoints::fail_alloc(failpoints::kProfilerDenseAlloc));
   failpoints::clear();
   EXPECT_NO_THROW(failpoints::hit(failpoints::kOracleStep));
   EXPECT_FALSE(failpoints::fail_alloc(failpoints::kSweepDenseAlloc));

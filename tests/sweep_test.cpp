@@ -237,7 +237,8 @@ ir::ArrayRef make_ref(std::string array, std::vector<std::string> vars,
 }
 
 /// The run-fed sweep engine — at one chunk and across chunk boundaries —
-/// and the run-fed profiler must agree with the per-access references.
+/// must agree with the per-access references, and the profiler with the
+/// LruCache simulator.
 void expect_runs_match_reference(const trace::CompiledProgram& cp,
                                  const std::string& name) {
   const std::vector<cachesim::SweepConfig> configs{
@@ -261,17 +262,16 @@ void expect_runs_match_reference(const trace::CompiledProgram& cp,
                       " chunks=" + std::to_string(chunks));
     }
   }
-  // The profiler's restricted bulk set must reproduce the per-access
-  // profile exactly, histogram for histogram.
+  // The Fenwick profiler must agree with the LruCache simulator, so each
+  // shape cross-checks the two per-access references.
   for (std::int64_t line : {1, 4}) {
-    const auto pr = cachesim::profile_stack_distances(cp, line);
-    const auto pa = fuzz::reference_profile(cp, line);
-    const std::string what = name + " profile line=" + std::to_string(line);
-    EXPECT_EQ(pr.accesses, pa.accesses) << what;
-    EXPECT_EQ(pr.cold, pa.cold) << what;
-    EXPECT_EQ(pr.histogram, pa.histogram) << what;
-    EXPECT_EQ(pr.cold_by_site, pa.cold_by_site) << what;
-    EXPECT_EQ(pr.histogram_by_site, pa.histogram_by_site) << what;
+    const auto prof = cachesim::profile_stack_distances(cp, line);
+    for (std::int64_t cap : {line, 3 * line, 16 * line, 1024 * line}) {
+      expect_same(prof.result(cap),
+                  cachesim::simulate_lru_lines(cp, cap, line),
+                  name + " profile cap=" + std::to_string(cap) +
+                      " line=" + std::to_string(line));
+    }
   }
 }
 
@@ -372,7 +372,7 @@ TEST(SweepTest, DeterministicCancelTruncatesToExactPrefix) {
   }
 }
 
-TEST(SweepTest, ExpiredDeadlineTruncatesSweepAndProfiler) {
+TEST(SweepTest, ExpiredDeadlineTruncatesSweep) {
   const auto cases = gallery_cases();
   const auto cp = compile(cases[1]);  // matmul_tiled
   Governor gov;
@@ -381,18 +381,13 @@ TEST(SweepTest, ExpiredDeadlineTruncatesSweepAndProfiler) {
   const auto swept = cachesim::simulate_sweep_streamed(
       cp, {{64, 1, 0, cachesim::Replacement::kLru}}, nullptr, {}, &gov);
   EXPECT_EQ(swept[0].completeness, Completeness::kTruncated);
-
-  const auto prof = cachesim::profile_stack_distances(cp, 1, &gov);
-  EXPECT_EQ(prof.completeness, Completeness::kTruncated);
-  const auto full = cachesim::profile_stack_distances(cp, 1);
-  EXPECT_EQ(full.completeness, Completeness::kComplete);
-  EXPECT_LT(prof.accesses, full.accesses);
+  EXPECT_LT(swept[0].accesses, cp.total_accesses());
 }
 
 TEST(SweepTest, ZeroMemoryBudgetDegradesBitIdentically) {
-  // A zero budget denies every dense-table reservation; the engines must
-  // fall back to their hashed implementations with identical results and
-  // no truncation (a memory downgrade is not a partial answer).
+  // A zero budget denies every dense-table reservation; the engine must
+  // fall back to its hashed implementation with identical results and no
+  // truncation (a memory downgrade is not a partial answer).
   for (const auto& c : gallery_cases()) {
     const auto cp = compile(c);
     const std::vector<cachesim::SweepConfig> configs{
@@ -416,12 +411,6 @@ TEST(SweepTest, ZeroMemoryBudgetDegradesBitIdentically) {
     }
     EXPECT_EQ(stats.chunks, 0u) << c.name << ": the dense path ran";
     EXPECT_EQ(zero.used(), 0u);  // every denial released nothing
-
-    const auto prof_dense = cachesim::profile_stack_distances(cp, 1);
-    const auto prof_hashed = cachesim::profile_stack_distances(cp, 1, &gov);
-    EXPECT_EQ(prof_hashed.accesses, prof_dense.accesses) << c.name;
-    EXPECT_EQ(prof_hashed.cold, prof_dense.cold) << c.name;
-    EXPECT_EQ(prof_hashed.histogram, prof_dense.histogram) << c.name;
   }
 }
 
@@ -448,14 +437,6 @@ TEST(SweepTest, DenseAllocFailpointDegradesBitIdentically) {
       expect_same(hashed[i], dense[i], "failpoint sweep");
       EXPECT_EQ(hashed[i].completeness, Completeness::kComplete);
     }
-  }
-  const auto prof_want = cachesim::profile_stack_distances(cp, 1);
-  {
-    failpoints::ScopedFailpoint fp(failpoints::kProfilerDenseAlloc,
-                                   {failpoints::Action::kFailAlloc, 0});
-    const auto prof = cachesim::profile_stack_distances(cp, 1);
-    EXPECT_EQ(prof.histogram, prof_want.histogram);
-    EXPECT_EQ(prof.cold, prof_want.cold);
   }
 }
 

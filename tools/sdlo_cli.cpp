@@ -238,7 +238,8 @@ int cmd_fuzz(std::uint64_t seed, std::int64_t count,
   fuzz::apply_family_filter(oopts, only);
   for (std::int64_t i = 0; i < count; ++i) {
     if (budget.expired()) {
-      std::cout << "time budget reached after " << checked << " programs\n";
+      std::cout << "time budget reached after " << checked << " programs\n"
+                << std::flush;
       break;
     }
     if (governor_should_stop(gov)) {
@@ -268,7 +269,8 @@ int cmd_fuzz(std::uint64_t seed, std::int64_t count,
     if ((i + 1) % 200 == 0) {
       std::cout << "  " << (i + 1) << "/" << count << " programs, "
                 << with_commas(static_cast<std::int64_t>(total_accesses))
-                << " accesses cross-checked\n";
+                << " accesses cross-checked\n"
+                << std::flush;  // a redirected run shows progress live
     }
   }
   std::cout << "fuzzed " << checked << " programs (" << skipped
