@@ -27,6 +27,9 @@ struct Score {
   bool simulated = false;
 };
 
+/// The simulation fallback is skipped when the concrete trace exceeds this.
+constexpr std::int64_t kMaxSimAccesses = 4'000'000;
+
 /// Scores one program variant: the model first; when it is approximate and
 /// the concrete trace is affordable, the exact trace-walking sweep engine
 /// at the one capacity (Governor-threaded — a truncated walk is discarded,
@@ -43,7 +46,7 @@ Score score_program(const ir::Program& prog, const sym::Env& env,
   if (pred.confidence == model::Confidence::kApproximate) {
     std::optional<std::int64_t> total =
         sym::try_evaluate(prog.total_accesses(), env);
-    if (total && *total <= opts.max_sim_accesses) {
+    if (total && *total <= kMaxSimAccesses) {
       trace::CompiledProgram cp(prog, env);
       const cachesim::SimResult r = cachesim::simulate_sweep_streamed(
           cp, {{opts.capacity, 1, 0, cachesim::Replacement::kLru}}, nullptr,
@@ -169,7 +172,7 @@ AdvisorReport advise(const ir::Program& prog, const sym::Env& env,
   // Tiling candidates: single perfect nests only (tile_nest's contract).
   const std::vector<ir::NodeId>& top = prog.children(ir::Program::kRoot);
   ir::NodeId nest = -1;
-  if (opts.try_tiling && top.size() == 1 && !prog.is_statement(top[0]) &&
+  if (top.size() == 1 && !prog.is_statement(top[0]) &&
       !prog.band_loops(top[0]).empty() && prog.children(top[0]).size() == 1 &&
       prog.is_statement(prog.children(top[0])[0]))
     nest = top[0];

@@ -40,9 +40,6 @@ struct AdvisorOptions {
   std::size_t max_candidates = 64;
   /// Tile sizes tried for single perfect nests (must divide the extent).
   std::vector<std::int64_t> tile_sizes = {4, 8, 16, 32, 64};
-  bool try_tiling = true;
-  /// Simulation fallback is skipped when the concrete trace exceeds this.
-  std::int64_t max_sim_accesses = 4'000'000;
   /// Options of the model evaluation every candidate is scored with.
   model::SymbolicSweepOptions predict;
   /// Optional deadline/memory/cancellation governor; polled between

@@ -113,11 +113,20 @@ void emit_parallel_diags(const std::vector<LoopParallelism>& loops,
   }
 }
 
-LintReport lint_validated(const ir::Program& prog, const ir::SourceMap* locs,
-                          const LintOptions& opts, LintReport rep) {
+// Maps `violations` (what prog.try_validate() returned) and the size
+// checks to diagnostics; a program in the class, and so validated, then
+// runs the model and parallel-safety passes.
+LintReport lint_checked(const ir::Program& prog,
+                        const std::vector<ir::ClassViolation>& violations,
+                        const ir::SourceMap* locs, const LintOptions& opts) {
+  LintReport rep;
+  const sym::Env* env = opts.env.empty() ? nullptr : &opts.env;
+  if (!verify_program(prog, violations, locs, env, rep.diagnostics)) {
+    sort_diagnostics(rep.diagnostics);
+    return rep;
+  }
   rep.verified = true;
   const model::Analysis an = model::analyze(prog);
-  const sym::Env* env = opts.env.empty() ? nullptr : &opts.env;
   rep.applicability = check_applicability(an, env, opts.capacity,
                                           opts.predict, opts.max_union_boxes);
   append_applicability_diagnostics(*rep.applicability, locs, opts.capacity,
@@ -133,22 +142,10 @@ LintReport lint_validated(const ir::Program& prog, const ir::SourceMap* locs,
 LintReport lint_program(const ir::Program& prog, const ir::SourceMap* locs,
                         const LintOptions& opts) {
   require_cap(opts.capacity, 0);  // a usage error, before any diagnostic
-  LintReport rep;
-  const sym::Env* env = opts.env.empty() ? nullptr : &opts.env;
-  const bool well_formed =
-      verify_program(prog, locs, env, rep.diagnostics);
-  if (!well_formed) {
-    sort_diagnostics(rep.diagnostics);
-    return rep;
-  }
-  if (prog.validated()) {
-    return lint_validated(prog, locs, opts, std::move(rep));
-  }
-  // The verifier proved the tree is in the constrained class; validate a
-  // copy to unlock the model queries.
-  ir::Program validated = prog;
-  validated.validate();
-  return lint_validated(validated, locs, opts, std::move(rep));
+  if (prog.validated()) return lint_checked(prog, {}, locs, opts);
+  ir::Program checked = prog;
+  const std::vector<ir::ClassViolation> violations = checked.try_validate();
+  return lint_checked(checked, violations, locs, opts);
 }
 
 LintReport lint_text(const std::string& text, const LintOptions& opts) {
@@ -169,7 +166,9 @@ LintReport lint_text(const std::string& text, const LintOptions& opts) {
                                          e.loc, "", std::move(msg)});
     return rep;
   }
-  return lint_program(parsed.prog, &parsed.locs, opts);
+  const std::vector<ir::ClassViolation> violations =
+      parsed.prog.try_validate();
+  return lint_checked(parsed.prog, violations, &parsed.locs, opts);
 }
 
 // ---------------------------------------------------------------------------

@@ -107,12 +107,18 @@ VerbRequest resolve(VerbRequest req) {
 }
 
 VerbResult run_verb(const VerbRequest& request, bool json,
-                    const Governor* gov, std::ostream& os) {
+                    const Governor* gov, std::ostream& os,
+                    const ir::Program* parsed) {
   const VerbRequest req = resolve(request);
+  std::optional<ir::Program> own;
+  const auto program = [&]() -> const ir::Program& {
+    return parsed != nullptr ? *parsed
+                             : own.emplace(ir::parse_program(req.program));
+  };
   VerbResult res;
   switch (req.verb) {
     case Verb::kAnalyze: {
-      const ir::Program prog = ir::parse_program(req.program);
+      const ir::Program& prog = program();
       if (json) render_analyze_json(prog, os, gov);
       else render_analyze_text(prog, gov, os);
       break;
@@ -122,7 +128,7 @@ VerbResult run_verb(const VerbRequest& request, bool json,
       opts.capacity = *req.cap;
       opts.simulate = req.simulate;
       const MissesOutcome oc =
-          run_misses(ir::parse_program(req.program), req.env, opts, gov);
+          run_misses(program(), req.env, opts, gov);
       if (json) render_misses_json(oc, os);
       else render_misses_text(oc, os);
       res.exit_code = oc.exit_code();
@@ -135,7 +141,7 @@ VerbResult run_verb(const VerbRequest& request, bool json,
       opts.threads = static_cast<int>(req.threads);
       opts.spool_path = req.spool_path;
       const SweepOutcome oc =
-          run_sweep(ir::parse_program(req.program), req.env, opts, gov);
+          run_sweep(program(), req.env, opts, gov);
       if (json) render_sweep_json(oc, os, req.sites);
       else render_sweep_text(oc, os, req.sites);
       res.exit_code = oc.exit_code();

@@ -10,6 +10,7 @@
 #include <ostream>
 #include <string>
 
+#include "ir/program.hpp"
 #include "support/governor.hpp"
 #include "symbolic/expr.hpp"
 
@@ -61,9 +62,11 @@ struct VerbResult {
 /// document when `json`, else the human report. A program that does not
 /// parse and a failing driver throw sdlo::Error (BudgetExceeded where the
 /// verb has no partial result). Lint finding errors returns exit code 1
-/// with its report printed.
+/// with its report printed. A caller that already parsed `req.program`
+/// passes the result as `parsed`; analyze, misses and sweep then run on
+/// it instead of parsing the text again.
 VerbResult run_verb(const VerbRequest& req, bool json, const Governor* gov,
-                    std::ostream& os);
+                    std::ostream& os, const ir::Program* parsed = nullptr);
 
 /// The cap and line rules, shared with the drivers' own checks: each
 /// throws the usage error naming its flag when `cap` < `min` or `line` is

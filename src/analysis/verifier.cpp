@@ -7,247 +7,157 @@
 #include <utility>
 
 #include "support/checked_math.hpp"
-#include "support/string_util.hpp"
 
 namespace sdlo::analysis {
 
 namespace {
 
 using ir::NodeId;
-using sym::Expr;
 
-class Verifier {
- public:
-  Verifier(const ir::Program& prog, const ir::SourceMap* locs,
-           const sym::Env* env, std::vector<Diagnostic>& out)
-      : prog_(prog), locs_(locs), env_(env), out_(out) {}
-
-  bool run() {
-    const std::size_t errors_before = count_severity(out_, Severity::kError);
-    std::vector<std::pair<std::string, NodeId>> path;
-    walk(ir::Program::kRoot, path);
-    if (num_statements_ == 0) {
-      emit(kWF006EmptyStructure, Severity::kError, SourceLoc{}, "",
-           "program contains no statements");
-    }
-    if (env_ != nullptr) check_env();
-    return count_severity(out_, Severity::kError) == errors_before;
+const char* rule_id(ir::ClassRule rule) {
+  switch (rule) {
+    case ir::ClassRule::kUnboundSubscriptVar:
+      return kWF001UnboundSubscriptVar;
+    case ir::ClassRule::kDuplicateVarOnPath:
+      return kWF002DuplicateVarOnPath;
+    case ir::ClassRule::kExtentConflict:
+      return kWF003ExtentConflict;
+    case ir::ClassRule::kSubscriptStructureConflict:
+      return kWF004SubscriptStructureConflict;
+    case ir::ClassRule::kVarTwiceInReference:
+      return kWF005VarTwiceInReference;
+    case ir::ClassRule::kEmptyStructure:
+      break;
   }
+  return kWF006EmptyStructure;
+}
 
- private:
-  void emit(const char* id, Severity sev, SourceLoc loc, std::string object,
-            std::string message) {
-    out_.push_back(Diagnostic{id, sev, loc, std::move(object),
-                              std::move(message)});
-  }
+// Concrete-size checks: every extent symbol bound (WF008), extents
+// positive (WF009), array footprints and the total access count
+// representable in int64 (WF007). They read the first declaration of each
+// loop variable and the first reference to each array, in node order (the
+// parser's program order), so they run on out-of-class programs too.
+void check_env(const ir::Program& prog, const ir::SourceMap* locs,
+               const sym::Env& env, std::vector<Diagnostic>& out) {
+  const auto emit = [&](const char* id, Severity sev, SourceLoc loc,
+                        const std::string& object, std::string message) {
+    out.push_back(Diagnostic{id, sev, loc, object, std::move(message)});
+  };
+  const auto num_nodes = static_cast<NodeId>(prog.num_nodes());
 
-  SourceLoc node_loc(NodeId n) const {
-    return locs_ != nullptr ? locs_->node_loc(n) : SourceLoc{};
-  }
-  SourceLoc access_loc(const ir::AccessSite& s) const {
-    return locs_ != nullptr ? locs_->access_loc(s) : SourceLoc{};
-  }
-
-  // One pre-order walk collects every structural fact the checks need.
-  void walk(NodeId n, std::vector<std::pair<std::string, NodeId>>& path) {
-    if (prog_.is_statement(n)) {
-      ++num_statements_;
-      check_statement(n, path);
-      return;
-    }
-    const std::size_t pushed = enter_band(n, path);
-    if (n != ir::Program::kRoot && prog_.children(n).empty()) {
-      emit(kWF006EmptyStructure, Severity::kError, node_loc(n), "",
-           "band node with no children");
-    }
-    for (NodeId c : prog_.children(n)) walk(c, path);
-    path.resize(path.size() - pushed);
-  }
-
-  std::size_t enter_band(NodeId n,
-                         std::vector<std::pair<std::string, NodeId>>& path) {
-    std::size_t pushed = 0;
-    for (const auto& l : prog_.band_loops(n)) {
-      for (const auto& p : path) {
-        if (p.first == l.var) {
-          emit(kWF002DuplicateVarOnPath, Severity::kError, node_loc(n), l.var,
-               "loop variable '" + l.var +
-                   "' repeated along one nesting path");
-        }
-      }
-      const auto it = var_extent_.find(l.var);
-      if (it == var_extent_.end()) {
-        var_extent_.emplace(l.var, std::make_pair(l.extent, n));
-        var_order_.push_back(l.var);
-      } else if (!it->second.first.equals(l.extent)) {
-        emit(kWF003ExtentConflict, Severity::kError, node_loc(n), l.var,
-             "loop variable '" + l.var + "' re-declared with extent " +
-                 sym::to_string(l.extent) + " (previously " +
-                 sym::to_string(it->second.first) + ")");
-      }
-      path.emplace_back(l.var, n);
-      ++pushed;
-    }
-    return pushed;
-  }
-
-  void check_statement(NodeId n,
-                       const std::vector<std::pair<std::string, NodeId>>& path) {
-    std::set<std::string> on_path;
-    for (const auto& p : path) on_path.insert(p.first);
-    const ir::Statement& stmt = prog_.statement(n);
-    for (std::size_t a = 0; a < stmt.accesses.size(); ++a) {
-      const ir::ArrayRef& ref = stmt.accesses[a];
-      const ir::AccessSite site{n, static_cast<int>(a)};
-      const SourceLoc at = access_loc(site);
-      if (!is_identifier(ref.array)) {
-        emit(kWF006EmptyStructure, Severity::kError, at, ref.array,
-             "array name '" + ref.array + "' is not an identifier");
-      }
-      std::set<std::string> used;
-      for (const auto& sub : ref.subscripts) {
-        if (sub.vars.empty()) {
-          emit(kWF006EmptyStructure, Severity::kError, at, ref.array,
-               "empty subscript in reference to '" + ref.array + "'");
-        }
-        for (const auto& v : sub.vars) {
-          if (on_path.count(v) == 0) {
-            emit(kWF001UnboundSubscriptVar, Severity::kError, at, v,
-                 "subscript variable '" + v + "' of array '" + ref.array +
-                     "' is not an enclosing loop of statement " + stmt.label);
-          }
-          if (!used.insert(v).second) {
-            emit(kWF005VarTwiceInReference, Severity::kError, at, v,
-                 "variable '" + v + "' used twice in one reference to '" +
-                     ref.array + "'");
-          }
-        }
-      }
-      const auto it = shape_.find(ref.array);
-      if (it == shape_.end()) {
-        shape_.emplace(ref.array, ref.subscripts);
-        array_order_.push_back(ref.array);
-        first_ref_.emplace(ref.array, site);
-      } else if (!(it->second == ref.subscripts)) {
-        emit(kWF004SubscriptStructureConflict, Severity::kError, at,
-             ref.array,
-             "array '" + ref.array +
-                 "' referenced with two different subscript structures; the "
-                 "model's element-identity rule requires a single structure");
-      }
-      access_terms_.emplace_back(n, stmt.accesses.size());
-    }
-  }
-
-  // Concrete-size checks: every extent symbol bound (WF008), extents
-  // positive (WF009), array footprints and the total access count
-  // representable in int64 (WF007).
-  void check_env() {
-    std::set<std::string> reported_unbound;
-    std::map<std::string, std::int64_t> extent_value;
-    for (const auto& var : var_order_) {
-      const auto& [extent, band] = var_extent_.at(var);
+  std::map<std::string, std::int64_t> value;  // positive extents
+  std::set<std::string> declared;
+  std::set<std::string> reported_unbound;
+  for (NodeId n = 0; n < num_nodes; ++n) {
+    if (prog.is_statement(n)) continue;
+    const SourceLoc at = locs != nullptr ? locs->node_loc(n) : SourceLoc{};
+    for (const auto& [var, extent] : prog.band_loops(n)) {
+      if (!declared.insert(var).second) continue;
       bool bound = true;
       for (const auto& s : sym::symbols_of(extent)) {
-        if (env_->count(s) != 0) continue;
+        if (env.count(s) != 0) continue;
         bound = false;
         if (reported_unbound.insert(s).second) {
-          emit(kWF008UnboundSymbol, Severity::kError, node_loc(band), s,
+          emit(kWF008UnboundSymbol, Severity::kError, at, s,
                "environment does not bind symbol '" + s +
                    "' used in the extent of loop '" + var + "'");
         }
       }
       if (!bound) continue;
       try {
-        const std::int64_t v = sym::evaluate(extent, *env_);
-        extent_value.emplace(var, v);
-        if (v <= 0) {
-          emit(kWF009NonPositiveExtent, Severity::kWarning, node_loc(band),
-               var,
+        const std::int64_t v = sym::evaluate(extent, env);
+        if (v > 0) {
+          value.emplace(var, v);
+        } else {
+          emit(kWF009NonPositiveExtent, Severity::kWarning, at, var,
                "extent " + sym::to_string(extent) + " of loop '" + var +
                    "' evaluates to " + std::to_string(v) +
                    " under this environment (loop body never executes)");
         }
       } catch (const Error& e) {
-        emit(kWF007FootprintOverflow, Severity::kError, node_loc(band), var,
+        emit(kWF007FootprintOverflow, Severity::kError, at, var,
              "extent " + sym::to_string(extent) + " of loop '" + var +
                  "' does not evaluate: " + e.what());
       }
     }
+  }
 
-    const auto value_of = [&](const std::string& var)
-        -> std::optional<std::int64_t> {
-      const auto it = extent_value.find(var);
-      if (it == extent_value.end() || it->second <= 0) return std::nullopt;
-      return it->second;
-    };
+  // Product of the extents of `vars`; nullopt at the first one without a
+  // positive value. Throws ContractViolation when the product overflows.
+  const auto product = [&](const std::vector<std::string>& vars)
+      -> std::optional<std::int64_t> {
+    std::int64_t p = 1;
+    for (const auto& v : vars) {
+      const auto it = value.find(v);
+      if (it == value.end()) return std::nullopt;
+      p = checked_mul(p, it->second);
+    }
+    return p;
+  };
 
-    for (const auto& array : array_order_) {
-      std::int64_t footprint = 1;
-      bool computable = true;
+  std::set<std::string> referenced;
+  for (NodeId n = 0; n < num_nodes; ++n) {
+    if (!prog.is_statement(n)) continue;
+    const auto& accesses = prog.statement(n).accesses;
+    for (std::size_t a = 0; a < accesses.size(); ++a) {
+      const ir::ArrayRef& ref = accesses[a];
+      if (!referenced.insert(ref.array).second) continue;
+      std::vector<std::string> vars;
+      for (const auto& sub : ref.subscripts) {
+        vars.insert(vars.end(), sub.vars.begin(), sub.vars.end());
+      }
       try {
-        for (const auto& sub : shape_.at(array)) {
-          for (const auto& v : sub.vars) {
-            const auto ev = value_of(v);
-            if (!ev) {
-              computable = false;
-              break;
-            }
-            footprint = checked_mul(footprint, *ev);
-          }
-          if (!computable) break;
-        }
+        (void)product(vars);
       } catch (const ContractViolation&) {
+        const ir::AccessSite site{n, static_cast<int>(a)};
         emit(kWF007FootprintOverflow, Severity::kError,
-             access_loc(first_ref_.at(array)), array,
-             "footprint of array '" + array +
+             locs != nullptr ? locs->access_loc(site) : SourceLoc{},
+             ref.array,
+             "footprint of array '" + ref.array +
                  "' overflows int64 under this environment");
       }
     }
-
-    try {
-      std::int64_t total = 0;
-      for (const auto& [stmt, accesses] : access_terms_) {
-        std::int64_t instances = 1;
-        bool computable = true;
-        for (const auto& pl : prog_.path_loops(stmt)) {
-          const auto ev = value_of(pl.var);
-          if (!ev) {
-            computable = false;
-            break;
-          }
-          instances = checked_mul(instances, *ev);
-        }
-        if (!computable) continue;
-        total = checked_add(
-            total,
-            checked_mul(instances, static_cast<std::int64_t>(accesses)));
-      }
-    } catch (const ContractViolation&) {
-      emit(kWF007FootprintOverflow, Severity::kError, SourceLoc{}, "program",
-           "total access count overflows int64 under this environment");
-    }
   }
 
-  const ir::Program& prog_;
-  const ir::SourceMap* locs_;
-  const sym::Env* env_;
-  std::vector<Diagnostic>& out_;
-
-  std::size_t num_statements_ = 0;
-  std::map<std::string, std::pair<Expr, NodeId>> var_extent_;
-  std::vector<std::string> var_order_;
-  std::map<std::string, std::vector<ir::Subscript>> shape_;
-  std::vector<std::string> array_order_;
-  std::map<std::string, ir::AccessSite> first_ref_;
-  std::vector<std::pair<NodeId, std::size_t>> access_terms_;
-};
+  try {
+    std::int64_t total = 0;
+    for (NodeId n = 0; n < num_nodes; ++n) {
+      if (!prog.is_statement(n)) continue;
+      std::vector<std::string> vars;
+      for (const auto& pl : prog.path_loops(n)) vars.push_back(pl.var);
+      if (const auto instances = product(vars)) {
+        total = checked_add(
+            total, checked_mul(*instances,
+                               static_cast<std::int64_t>(
+                                   prog.statement(n).accesses.size())));
+      }
+    }
+  } catch (const ContractViolation&) {
+    emit(kWF007FootprintOverflow, Severity::kError, SourceLoc{}, "program",
+         "total access count overflows int64 under this environment");
+  }
+}
 
 }  // namespace
 
-bool verify_program(const ir::Program& prog, const ir::SourceMap* locs,
-                    const sym::Env* env, std::vector<Diagnostic>& out) {
-  return Verifier(prog, locs, env, out).run();
+bool verify_program(const ir::Program& prog,
+                    const std::vector<ir::ClassViolation>& violations,
+                    const ir::SourceMap* locs, const sym::Env* env,
+                    std::vector<Diagnostic>& out) {
+  for (const ir::ClassViolation& v : violations) {
+    SourceLoc at;
+    if (locs != nullptr && v.access >= 0) {
+      at = locs->access_loc(ir::AccessSite{v.node, v.access});
+    } else if (locs != nullptr && v.node >= 0) {
+      at = locs->node_loc(v.node);
+    }
+    out.push_back(
+        Diagnostic{rule_id(v.rule), Severity::kError, at, v.object, v.message});
+  }
+  const std::size_t errors_before = count_severity(out, Severity::kError);
+  if (env != nullptr) check_env(prog, locs, *env, out);
+  return violations.empty() &&
+         count_severity(out, Severity::kError) == errors_before;
 }
 
 }  // namespace sdlo::analysis

@@ -1,14 +1,13 @@
 // Pass 1: well-formedness verifier (DESIGN.md §10, IDs WF001–WF009).
 //
-// Re-states the constrained-class rules that ir::Program::validate() enforces
-// by throwing — subscript variables bound by an enclosing loop, unique
-// loop-variable naming along each path, globally consistent extents, a single
-// subscript structure per array — as *collected* diagnostics over a possibly
-// unvalidated tree, so a lint run reports every violation at once with
-// source positions instead of stopping at the first. When an environment is
-// supplied it additionally checks that every extent symbol is bound (WF008),
-// that extents are positive (WF009), and that array footprints and the total
-// access count fit in int64 using support/checked_math.hpp (WF007).
+// ir::Program::try_validate() is the one check of the constrained-class
+// rules; it collects every violation. The verifier maps each to its
+// WF001–WF006 diagnostic with the source position of the node or access
+// site at fault, so a lint run reports every violation at once. When an
+// environment is supplied it additionally checks that every extent symbol
+// is bound (WF008), that extents are positive (WF009), and that array
+// footprints and the total access count fit in int64 using
+// support/checked_math.hpp (WF007) — also on out-of-class programs.
 #pragma once
 
 #include <vector>
@@ -20,13 +19,15 @@
 
 namespace sdlo::analysis {
 
-/// Runs the well-formedness checks on `prog` (validated or not), appending
-/// findings to `out`. `locs` (may be null) supplies source positions;
-/// `env` (may be null) enables the concrete-size checks WF007–WF009.
+/// Appends the diagnostics of `violations` (what prog.try_validate()
+/// returned) and, when `env` is non-null, of the concrete-size checks
+/// WF007–WF009 to `out`. `locs` (may be null) supplies source positions.
 ///
-/// Returns true when no error-severity diagnostic was appended; in that case
-/// the program is in the constrained class and validate() succeeds on it.
-bool verify_program(const ir::Program& prog, const ir::SourceMap* locs,
-                    const sym::Env* env, std::vector<Diagnostic>& out);
+/// Returns true when no error-severity diagnostic was appended; then the
+/// program is in the constrained class and sizes fit under `env`.
+bool verify_program(const ir::Program& prog,
+                    const std::vector<ir::ClassViolation>& violations,
+                    const ir::SourceMap* locs, const sym::Env* env,
+                    std::vector<Diagnostic>& out);
 
 }  // namespace sdlo::analysis

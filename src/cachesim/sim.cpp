@@ -6,17 +6,7 @@ namespace sdlo::cachesim {
 
 SimResult simulate_lru(const trace::CompiledProgram& prog,
                        std::int64_t capacity) {
-  LruCache cache(capacity, prog.address_space_size());
-  SimResult r;
-  r.misses_by_site.assign(static_cast<std::size_t>(prog.num_sites()), 0);
-  prog.walk([&](const trace::Access& a) {
-    ++r.accesses;
-    if (!cache.access(a.addr)) {
-      ++r.misses;
-      ++r.misses_by_site[static_cast<std::size_t>(a.site)];
-    }
-  });
-  return r;
+  return simulate_lru_lines(prog, capacity, 1);
 }
 
 SimResult simulate_set_assoc(const trace::CompiledProgram& prog,

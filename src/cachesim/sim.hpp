@@ -18,7 +18,7 @@
 namespace sdlo::cachesim {
 
 /// Simulates the full trace against a fully-associative LRU cache of
-/// `capacity` elements.
+/// `capacity` elements: simulate_lru_lines at one element per line.
 SimResult simulate_lru(const trace::CompiledProgram& prog,
                        std::int64_t capacity);
 

@@ -24,6 +24,7 @@
 #include "cachesim/marker_stack.hpp"
 #include "cachesim/parallel_stack.hpp"
 #include "cachesim/sim.hpp"
+#include "fuzz/naive_interpreter.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "model/analyzer.hpp"
@@ -491,64 +492,6 @@ struct ElemTouches {
                                               ///< access to it is a read
 };
 
-struct SubtreeExec {
-  const ir::Program& prog;
-  const std::map<std::string, std::int64_t>& extents;
-  std::map<std::string, std::int64_t> binding;
-  std::int64_t iter = 0;  ///< current value of the candidate loop
-  std::map<std::string, std::map<std::int64_t, ElemTouches>> touches;
-  std::map<std::string, std::set<std::int64_t>> seen_this_iter;
-
-  std::int64_t element_of(const ir::ArrayRef& ref) const {
-    std::int64_t elem = 0;
-    for (const auto& sub : ref.subscripts) {
-      for (const auto& v : sub.vars) {
-        elem = elem * extents.at(v) + binding.at(v);
-      }
-    }
-    return elem;
-  }
-
-  void touch(const ir::ArrayRef& ref) {
-    const std::int64_t elem = element_of(ref);
-    ElemTouches& t = touches[ref.array][elem];
-    if (seen_this_iter[ref.array].insert(elem).second &&
-        ref.mode == ir::AccessMode::kRead) {
-      t.first_touch_read.push_back(iter);
-    }
-    auto& list =
-        ref.mode == ir::AccessMode::kWrite ? t.writers : t.readers;
-    if (list.empty() || list.back() != iter) list.push_back(iter);
-  }
-
-  void run(ir::NodeId n) {
-    if (prog.is_statement(n)) {
-      for (const auto& ref : prog.statement(n).accesses) touch(ref);
-      return;
-    }
-    run_loops(n, 0);
-  }
-
-  // Enumerates the band's loops not already bound, then the children.
-  void run_loops(ir::NodeId band, std::size_t k) {
-    const auto& loops = prog.band_loops(band);
-    if (k == loops.size()) {
-      for (ir::NodeId c : prog.children(band)) run(c);
-      return;
-    }
-    const std::string& var = loops[k].var;
-    if (binding.count(var) != 0) {  // outer context or the candidate loop
-      run_loops(band, k + 1);
-      return;
-    }
-    for (std::int64_t v = 0; v < extents.at(var); ++v) {
-      binding[var] = v;
-      run_loops(band, k + 1);
-    }
-    binding.erase(var);
-  }
-};
-
 // Per-candidate ceiling on brute-forced subtree trace slots.
 constexpr std::uint64_t kParallelOracleBudget = 200'000;
 
@@ -557,12 +500,11 @@ constexpr std::uint64_t kParallelOracleBudget = 200'000;
 // (the lint verdict gates which loops the parallel oracle exercises).
 void check_parallel_claims(OracleReport& report, const ir::Program& prog,
                            const sym::Env& env) {
-  const auto verdicts = analysis::analyze_parallel_safety(prog);
-  std::map<std::string, std::int64_t> extents;
+  NaiveInterpreter interp(prog, env);
   for (const auto& var : prog.variables()) {
-    extents[var] = sym::evaluate(prog.extent_of(var), env);
-    if (extents[var] <= 0) return;  // degenerate space: nothing executes
+    if (interp.extent(var) <= 0) return;  // degenerate: nothing executes
   }
+  const auto verdicts = analysis::analyze_parallel_safety(prog);
 
   for (const auto& lp : verdicts) {
     if (!lp.doall_safe) continue;  // unsafe loops: excluded from the oracle
@@ -576,40 +518,39 @@ void check_parallel_claims(OracleReport& report, const ir::Program& prog,
 
     // Cost guard: across all outer contexts the brute force touches every
     // subtree trace slot exactly once; skip oversized candidates.
-    std::uint64_t cost = 0;
-    std::vector<ir::NodeId> pending{lp.band};
-    while (!pending.empty()) {
-      const ir::NodeId n = pending.back();
-      pending.pop_back();
-      if (!prog.is_statement(n)) {
-        for (ir::NodeId c : prog.children(n)) pending.push_back(c);
-        continue;
-      }
-      std::uint64_t instances = 1;
-      for (const auto& pl : prog.path_loops(n)) {
-        instances *= static_cast<std::uint64_t>(extents.at(pl.var));
-      }
-      cost += instances * prog.statement(n).accesses.size();
-    }
-    if (cost > kParallelOracleBudget) continue;
+    if (interp.subtree_accesses(lp.band) > kParallelOracleBudget) continue;
 
     const std::set<std::string> privatized(lp.privatized.begin(),
                                            lp.privatized.end());
 
-    // Enumerate outer contexts with a mixed-radix counter.
+    // Enumerate outer contexts with a mixed-radix counter; under each,
+    // execute the band subtree once per iteration of the candidate.
     std::vector<std::int64_t> ov(outer.size(), 0);
     for (;;) {
-      SubtreeExec exec{prog, extents, {}, 0, {}, {}};
-      for (std::size_t i = 0; i < outer.size(); ++i) {
-        exec.binding[outer[i]] = ov[i];
+      std::map<std::string, std::map<std::int64_t, ElemTouches>> touches;
+      std::vector<std::int64_t> bound = ov;
+      bound.push_back(0);
+      for (std::int64_t it = 0; it < interp.extent(lp.var); ++it) {
+        bound.back() = it;
+        std::map<std::string, std::set<std::int64_t>> seen_this_iter;
+        interp.run(
+            [&](ir::NodeId stmt, int access, std::int32_t, std::int64_t elem,
+                const std::vector<std::int64_t>&) {
+              const ir::ArrayRef& ref =
+                  prog.statement(stmt)
+                      .accesses[static_cast<std::size_t>(access)];
+              ElemTouches& t = touches[ref.array][elem];
+              if (seen_this_iter[ref.array].insert(elem).second &&
+                  ref.mode == ir::AccessMode::kRead) {
+                t.first_touch_read.push_back(it);
+              }
+              auto& list = ref.mode == ir::AccessMode::kWrite ? t.writers
+                                                              : t.readers;
+              if (list.empty() || list.back() != it) list.push_back(it);
+            },
+            lp.band, bound);
       }
-      for (std::int64_t it = 0; it < extents.at(lp.var); ++it) {
-        exec.iter = it;
-        exec.binding[lp.var] = it;
-        exec.seen_this_iter.clear();
-        exec.run(lp.band);
-      }
-      for (const auto& [array, elems] : exec.touches) {
+      for (const auto& [array, elems] : touches) {
         const bool priv = privatized.count(array) != 0;
         for (const auto& [elem, t] : elems) {
           std::string why;
@@ -647,7 +588,7 @@ void check_parallel_claims(OracleReport& report, const ir::Program& prog,
       // Advance the outer context.
       std::size_t k = 0;
       for (; k < ov.size(); ++k) {
-        if (++ov[k] < extents.at(outer[k])) break;
+        if (++ov[k] < interp.extent(outer[k])) break;
         ov[k] = 0;
       }
       if (k == ov.size()) break;
@@ -674,55 +615,6 @@ struct DepEvent {
   std::vector<std::int64_t> vals;
 };
 
-// Replays the whole program in execution order, appending per-(array,
-// element) access histories.
-struct DepExec {
-  const ir::Program& prog;
-  const std::map<std::string, std::int64_t>& extents;
-  const std::map<ir::NodeId, std::int32_t>& site_base;
-  std::map<std::string, std::int64_t> binding;
-  std::map<std::string, std::map<std::int64_t, std::vector<DepEvent>>> hist;
-  std::uint64_t pairs = 0;  ///< incremental sum of history-pair counts
-
-  std::int64_t element_of(const ir::ArrayRef& ref) const {
-    std::int64_t elem = 0;
-    for (const auto& sub : ref.subscripts)
-      for (const auto& v : sub.vars)
-        elem = elem * extents.at(v) + binding.at(v);
-    return elem;
-  }
-
-  void run(ir::NodeId n) {
-    if (prog.is_statement(n)) {
-      const ir::Statement& stmt = prog.statement(n);
-      std::vector<std::int64_t> vals;
-      for (const auto& pl : prog.path_loops(n)) vals.push_back(binding.at(pl.var));
-      for (int ai = 0; ai < static_cast<int>(stmt.accesses.size()); ++ai) {
-        const ir::ArrayRef& ref = stmt.accesses[static_cast<std::size_t>(ai)];
-        std::vector<DepEvent>& h = hist[ref.array][element_of(ref)];
-        pairs += h.size();
-        h.push_back({site_base.at(n) + ai, n, ref.mode, vals});
-      }
-      return;
-    }
-    run_loops(n, 0);
-  }
-
-  void run_loops(ir::NodeId band, std::size_t k) {
-    const auto& loops = prog.band_loops(band);
-    if (k == loops.size()) {
-      for (ir::NodeId c : prog.children(band)) run(c);
-      return;
-    }
-    const std::string& var = loops[k].var;
-    for (std::int64_t v = 0; v < extents.at(var); ++v) {
-      binding[var] = v;
-      run_loops(band, k + 1);
-    }
-    binding.erase(var);
-  }
-};
-
 int dep_kind_index(ir::AccessMode src, ir::AccessMode dst) {
   const bool sw = src == ir::AccessMode::kWrite;
   const bool dw = dst == ir::AccessMode::kWrite;
@@ -734,29 +626,29 @@ int dep_kind_index(ir::AccessMode src, ir::AccessMode dst) {
 
 void check_dependence_claims(OracleReport& report, const ir::Program& prog,
                              const sym::Env& env) {
-  std::map<std::string, std::int64_t> extents;
+  NaiveInterpreter interp(prog, env);
   for (const auto& var : prog.variables()) {
-    extents[var] = sym::evaluate(prog.extent_of(var), env);
-    if (extents[var] <= 0) return;  // degenerate space: nothing executes
+    if (interp.extent(var) <= 0) return;  // degenerate: nothing executes
   }
 
   // Cost guard on the replay itself.
-  std::uint64_t cost = 0;
-  std::map<ir::NodeId, std::int32_t> site_base;
-  std::int32_t next_site = 0;
-  for (ir::NodeId sn : prog.statements_in_order()) {
-    site_base[sn] = next_site;
-    next_site += static_cast<std::int32_t>(prog.statement(sn).accesses.size());
-    std::uint64_t instances = 1;
-    for (const auto& pl : prog.path_loops(sn))
-      instances *= static_cast<std::uint64_t>(extents.at(pl.var));
-    cost += instances * prog.statement(sn).accesses.size();
+  if (interp.subtree_accesses(ir::Program::kRoot) > kDependenceAccessBudget) {
+    return;
   }
-  if (cost > kDependenceAccessBudget) return;
 
-  DepExec exec{prog, extents, site_base, {}, {}, 0};
-  exec.run(ir::Program::kRoot);
-  if (exec.pairs > kDependencePairBudget) return;
+  // Replay the whole program in execution order, appending per-(array,
+  // element) access histories.
+  std::map<std::string, std::map<std::int64_t, std::vector<DepEvent>>> hist;
+  std::uint64_t pairs = 0;  // incremental sum of history-pair counts
+  interp.run([&](ir::NodeId stmt, int access, std::int32_t site,
+                 std::int64_t elem, const std::vector<std::int64_t>& vals) {
+    const ir::ArrayRef& ref =
+        prog.statement(stmt).accesses[static_cast<std::size_t>(access)];
+    std::vector<DepEvent>& h = hist[ref.array][elem];
+    pairs += h.size();
+    h.push_back({site, stmt, ref.mode, vals});
+  });
+  if (pairs > kDependencePairBudget) return;
 
   // Common-loop prefix length per statement pair.
   std::map<std::pair<ir::NodeId, ir::NodeId>, std::size_t> common_len;
@@ -774,7 +666,7 @@ void check_dependence_claims(OracleReport& report, const ir::Program& prog,
 
   // Observed set: every ordered same-element pair with at least one write.
   std::set<std::string> observed;
-  for (const auto& [array, elems] : exec.hist) {
+  for (const auto& [array, elems] : hist) {
     (void)array;
     for (const auto& [elem, h] : elems) {
       (void)elem;
@@ -804,8 +696,8 @@ void check_dependence_claims(OracleReport& report, const ir::Program& prog,
   std::set<std::string> expected;
   std::map<std::string, const analysis::Dependence*> owner;
   for (const analysis::Dependence& d : da.deps) {
-    const std::int32_t src = site_base.at(d.src.stmt) + d.src.access;
-    const std::int32_t dst = site_base.at(d.dst.stmt) + d.dst.access;
+    const std::int32_t src = interp.site_of(d.src);
+    const std::int32_t dst = interp.site_of(d.dst);
     const int kind = d.kind == analysis::DepKind::kFlow   ? 0
                      : d.kind == analysis::DepKind::kAnti ? 1
                                                           : 2;
@@ -828,7 +720,7 @@ void check_dependence_claims(OracleReport& report, const ir::Program& prog,
         return;
       }
       for (char c : {'<', '=', '>'}) {
-        if (c != '=' && extents.at(d.loops[t].var) < 2) continue;
+        if (c != '=' && interp.extent(d.loops[t].var) < 2) continue;
         dirs[t] = c;
         expand(t + 1);
         dirs[t] = '=';

@@ -9,8 +9,9 @@
 //                                histogram (no trace walk)
 //   model::predict_at            the sweep read at one capacity, with
 //                                probe estimates for inexact partitions
-//   cachesim::simulate_lru       arena LRU cache fed by the trace walker
-//   cachesim::simulate_lru_lines line-granular variant of the above
+//   cachesim::simulate_lru_lines arena LRU cache fed by the trace walker,
+//                                at line granularity (simulate_lru is
+//                                its one-element-line case)
 //   cachesim::profile_stack_distances / ProfileResult::result
 //                                per-access Fenwick stack-distance
 //                                histogram: the exact trace-side reference
@@ -30,6 +31,12 @@
 // The profiler walks every access too, and is itself checked against the
 // LruCache simulator; the model is checked against the profiler. The tests
 // use the same references.
+//
+// The static-analysis claims are brute-forced on fuzz::NaiveInterpreter
+// (naive_interpreter.hpp), the one naive interpreter of the IR: each loop
+// lint calls DOALL-safe has its subtree executed per outer context and
+// candidate iteration, and the dependence analysis's direction vectors
+// are compared with a replay of the whole program.
 //
 // check_program() cross-checks all of them on one program across a
 // capacity / line-size / associativity ladder and reports every

@@ -279,10 +279,13 @@ std::vector<State> enumerate(const State& base) {
   return out;
 }
 
+/// Hard cap on predicate evaluations (each one typically re-simulates).
+constexpr std::size_t kMaxEvaluations = 20'000;
+
 }  // namespace
 
 Reduction reduce(const ir::Program& prog, const sym::Env& env,
-                 const FailurePredicate& fails, const ReducerOptions& opts) {
+                 const FailurePredicate& fails) {
   SDLO_CHECK(fails(prog, env),
              "reduce() requires a failing (program, env) to start from");
   Reduction result;
@@ -307,7 +310,7 @@ Reduction reduce(const ir::Program& prog, const sym::Env& env,
   for (;;) {
     bool improved = false;
     for (State& candidate : enumerate(state)) {
-      if (evaluations >= opts.max_evaluations) break;
+      if (evaluations >= kMaxEvaluations) break;
       if (try_state(candidate)) {
         state = std::move(candidate);
         ++result.steps;
@@ -315,7 +318,7 @@ Reduction reduce(const ir::Program& prog, const sym::Env& env,
         break;
       }
     }
-    if (!improved || evaluations >= opts.max_evaluations) break;
+    if (!improved || evaluations >= kMaxEvaluations) break;
   }
 
   auto final_prog = rebuild(state);

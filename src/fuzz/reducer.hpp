@@ -40,11 +40,6 @@ namespace sdlo::fuzz {
 using FailurePredicate =
     std::function<bool(const ir::Program&, const sym::Env&)>;
 
-struct ReducerOptions {
-  /// Hard cap on predicate evaluations (each one typically re-simulates).
-  std::size_t max_evaluations = 20'000;
-};
-
 /// Outcome of a reduction run.
 struct Reduction {
   ir::Program prog;          ///< minimized program (still failing)
@@ -53,12 +48,12 @@ struct Reduction {
   std::size_t steps = 0;        ///< shrinking steps that were kept
 };
 
-/// Shrinks `prog`/`env` while `fails` holds. Precondition: fails(prog, env)
-/// is true (throws ContractViolation otherwise — reducing a passing program
-/// is always a caller bug).
+/// Shrinks `prog`/`env` while `fails` holds, spending at most 20,000
+/// predicate evaluations. Precondition: fails(prog, env) is true (throws
+/// ContractViolation otherwise — reducing a passing program is always a
+/// caller bug).
 Reduction reduce(const ir::Program& prog, const sym::Env& env,
-                 const FailurePredicate& fails,
-                 const ReducerOptions& opts = {});
+                 const FailurePredicate& fails);
 
 /// Renders a replayable counterexample artifact: `# set NAME=VALUE` comment
 /// lines for the environment followed by the ir::Printer program text. The

@@ -95,100 +95,137 @@ std::vector<PathLoop> Program::path_loops(NodeId n) const {
   return out;
 }
 
-void Program::collect_statements(NodeId n, std::vector<NodeId>& out) const {
-  if (is_statement(n)) {
-    out.push_back(n);
-    return;
-  }
-  for (NodeId c : node(n).children) collect_statements(c, out);
-}
-
 const std::vector<NodeId>& Program::statements_in_order() const {
   SDLO_CHECK(validated_, "Program must be validated first");
   return stmt_order_;
 }
 
-void Program::validate() {
-  SDLO_CHECK(!validated_, "validate() called twice");
-
+void Program::clear_derived() {
   stmt_order_.clear();
-  collect_statements(kRoot, stmt_order_);
-  if (stmt_order_.empty()) {
-    throw UnsupportedProgram("program contains no statements");
-  }
+  var_extent_.clear();
+  var_order_.clear();
+  array_order_.clear();
+  array_shape_.clear();
+  array_refs_.clear();
+  array_vars_.clear();
+}
 
-  // Bands must not be empty leaves; loop vars unique along each path and
-  // globally extent-consistent.
-  for (NodeId n = 0; n < static_cast<NodeId>(nodes_.size()); ++n) {
-    if (is_statement(n)) continue;
-    if (node(n).children.empty() && n != kRoot) {
-      throw UnsupportedProgram("band node with no children");
-    }
-    for (const auto& l : node(n).loops) {
-      auto [it, inserted] = var_extent_.emplace(l.var, l.extent);
-      if (inserted) {
-        var_order_.push_back(l.var);
-      } else if (!it->second.equals(l.extent)) {
-        throw UnsupportedProgram("loop variable '" + l.var +
-                                 "' re-declared with a different extent");
-      }
-    }
+std::vector<ClassViolation> Program::try_validate() {
+  SDLO_CHECK(!validated_, "validate() called twice");
+  std::vector<ClassViolation> out;
+  std::vector<std::string> path;
+  check_node(kRoot, path, out);
+  if (stmt_order_.empty()) {
+    out.push_back(ClassViolation{ClassRule::kEmptyStructure, -1, -1, "",
+                                 "program contains no statements"});
   }
-  for (NodeId s : stmt_order_) {
-    std::set<std::string> on_path;
-    for (const auto& pl : path_loops(s)) {
-      if (!on_path.insert(pl.var).second) {
-        throw UnsupportedProgram("loop variable '" + pl.var +
-                                 "' repeated along one nesting path");
+  if (out.empty()) {
+    validated_ = true;
+  } else {
+    clear_derived();
+  }
+  return out;
+}
+
+void Program::validate() {
+  const std::vector<ClassViolation> violations = try_validate();
+  if (!violations.empty()) {
+    throw UnsupportedProgram(violations.front().message);
+  }
+}
+
+// Pre-order walk: loop variables unique along each path (`path` holds the
+// enclosing ones) and globally extent-consistent; bands other than the
+// root have children.
+void Program::check_node(NodeId n, std::vector<std::string>& path,
+                         std::vector<ClassViolation>& out) {
+  if (is_statement(n)) {
+    stmt_order_.push_back(n);
+    check_statement(n, path, out);
+    return;
+  }
+  const std::size_t depth = path.size();
+  for (const auto& l : node(n).loops) {
+    for (const auto& enclosing : path) {
+      if (enclosing == l.var) {
+        out.push_back(ClassViolation{
+            ClassRule::kDuplicateVarOnPath, n, -1, l.var,
+            "loop variable '" + l.var + "' repeated along one nesting path"});
       }
     }
-    // Each reference: subscript vars enclose the statement, each used once.
-    for (std::size_t a = 0; a < statement(s).accesses.size(); ++a) {
-      const ArrayRef& ref = statement(s).accesses[a];
-      if (!is_identifier(ref.array)) {
-        throw UnsupportedProgram("array name must be an identifier");
+    const auto [it, inserted] = var_extent_.emplace(l.var, l.extent);
+    if (inserted) {
+      var_order_.push_back(l.var);
+    } else if (!it->second.equals(l.extent)) {
+      out.push_back(ClassViolation{
+          ClassRule::kExtentConflict, n, -1, l.var,
+          "loop variable '" + l.var + "' re-declared with extent " +
+              sym::to_string(l.extent) + " (previously " +
+              sym::to_string(it->second) + ")"});
+    }
+    path.push_back(l.var);
+  }
+  if (n != kRoot && node(n).children.empty()) {
+    out.push_back(ClassViolation{ClassRule::kEmptyStructure, n, -1, "",
+                                 "band node with no children"});
+  }
+  for (NodeId c : node(n).children) check_node(c, path, out);
+  path.resize(depth);
+}
+
+// Each reference: subscript variables enclose the statement, each used
+// once, and every reference to an array shares one subscript structure.
+void Program::check_statement(NodeId s, const std::vector<std::string>& path,
+                              std::vector<ClassViolation>& out) {
+  const Statement& stmt = statement(s);
+  for (std::size_t a = 0; a < stmt.accesses.size(); ++a) {
+    const ArrayRef& ref = stmt.accesses[a];
+    const auto violation = [&](ClassRule rule, const std::string& object,
+                               std::string message) {
+      out.push_back(ClassViolation{rule, s, static_cast<int>(a), object,
+                                   std::move(message)});
+    };
+    if (!is_identifier(ref.array)) {
+      violation(ClassRule::kEmptyStructure, ref.array,
+                "array name '" + ref.array + "' is not an identifier");
+    }
+    std::set<std::string> used;
+    for (const auto& sub : ref.subscripts) {
+      if (sub.vars.empty()) {
+        violation(ClassRule::kEmptyStructure, ref.array,
+                  "empty subscript in reference to '" + ref.array + "'");
       }
-      std::set<std::string> used;
+      for (const auto& v : sub.vars) {
+        if (std::find(path.begin(), path.end(), v) == path.end()) {
+          violation(ClassRule::kUnboundSubscriptVar, v,
+                    "subscript variable '" + v + "' of array '" + ref.array +
+                        "' is not an enclosing loop of statement " +
+                        stmt.label);
+        }
+        if (!used.insert(v).second) {
+          violation(ClassRule::kVarTwiceInReference, v,
+                    "variable '" + v + "' used twice in one reference to '" +
+                        ref.array + "'");
+        }
+      }
+    }
+    const auto [it, inserted] = array_shape_.emplace(ref.array, ref.subscripts);
+    if (inserted) {
+      array_order_.push_back(ref.array);
+      std::vector<std::string> vars;
       for (const auto& sub : ref.subscripts) {
-        if (sub.vars.empty()) {
-          throw UnsupportedProgram("empty subscript in reference to '" +
-                                   ref.array + "'");
-        }
-        for (const auto& v : sub.vars) {
-          if (on_path.count(v) == 0) {
-            throw UnsupportedProgram(
-                "subscript variable '" + v + "' of array '" + ref.array +
-                "' is not an enclosing loop of statement " +
-                statement(s).label);
-          }
-          if (!used.insert(v).second) {
-            throw UnsupportedProgram("variable '" + v +
-                                     "' used twice in one reference to '" +
-                                     ref.array + "'");
-          }
-        }
+        vars.insert(vars.end(), sub.vars.begin(), sub.vars.end());
       }
-      // Record / check the per-array common structure.
-      auto [it, inserted] = array_shape_.emplace(ref.array, ref.subscripts);
-      if (inserted) {
-        array_order_.push_back(ref.array);
-        std::vector<std::string> vars;
-        for (const auto& sub : ref.subscripts) {
-          vars.insert(vars.end(), sub.vars.begin(), sub.vars.end());
-        }
-        array_vars_[ref.array] = std::move(vars);
-      } else if (!(it->second ==
-                   std::vector<Subscript>(ref.subscripts))) {
-        throw UnsupportedProgram(
-            "array '" + ref.array +
-            "' referenced with two different subscript structures; the "
-            "model's element-identity rule requires a single structure");
-      }
-      array_refs_[ref.array].push_back(
-          AccessSite{s, static_cast<int>(a)});
+      array_vars_[ref.array] = std::move(vars);
+    } else if (!(it->second == ref.subscripts)) {
+      violation(ClassRule::kSubscriptStructureConflict, ref.array,
+                "array '" + ref.array +
+                    "' referenced with two different subscript structures; "
+                    "the model's element-identity rule requires a single "
+                    "structure");
     }
+    array_refs_[ref.array].push_back(AccessSite{s, static_cast<int>(a)});
   }
-  validated_ = true;
 }
 
 const Expr& Program::extent_of(const std::string& var) const {

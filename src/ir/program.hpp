@@ -93,6 +93,27 @@ struct AccessSite {
   }
 };
 
+/// The constrained-class rules, numbered as the lint diagnostics
+/// WF001–WF006 that report them (DESIGN.md §10).
+enum class ClassRule : std::uint8_t {
+  kUnboundSubscriptVar = 1,     ///< subscript variable not an enclosing loop
+  kDuplicateVarOnPath,          ///< loop variable repeated along one path
+  kExtentConflict,              ///< loop variable re-declared, other extent
+  kSubscriptStructureConflict,  ///< array referenced with two structures
+  kVarTwiceInReference,         ///< variable used twice in one reference
+  kEmptyStructure,              ///< no statement, childless band, empty
+                                ///< subscript or non-identifier array name
+};
+
+/// One violation of a constrained-class rule.
+struct ClassViolation {
+  ClassRule rule = ClassRule::kEmptyStructure;
+  NodeId node = -1;    ///< offending band or statement; -1: whole program
+  int access = -1;     ///< access index within statement `node`, or -1
+  std::string object;  ///< the loop variable or array at fault, or ""
+  std::string message;
+};
+
 /// The imperfectly nested loop tree. Build with add_band/add_statement, then
 /// call validate() once; analysis queries require a validated program.
 class Program {
@@ -128,9 +149,13 @@ class Program {
 
   // ----- validated-class queries ------------------------------------------
 
-  /// Checks the constrained-class rules and freezes derived tables; throws
-  /// UnsupportedProgram on violation. Must be called before the queries
-  /// below, and after the last mutation.
+  /// The one check of the constrained-class rules: collects every
+  /// violation, in program (pre-)order; when there is none, freezes the
+  /// derived tables and the program is validated. Must be called before
+  /// the queries below, and after the last mutation.
+  std::vector<ClassViolation> try_validate();
+  /// try_validate(), throwing UnsupportedProgram with the first
+  /// violation's message.
   void validate();
   bool validated() const { return validated_; }
 
@@ -167,7 +192,11 @@ class Program {
 
   const Node& node(NodeId n) const;
   Node& node(NodeId n);
-  void collect_statements(NodeId n, std::vector<NodeId>& out) const;
+  void check_node(NodeId n, std::vector<std::string>& path,
+                  std::vector<ClassViolation>& out);
+  void check_statement(NodeId n, const std::vector<std::string>& path,
+                       std::vector<ClassViolation>& out);
+  void clear_derived();
 
   std::vector<Node> nodes_;
   bool validated_ = false;

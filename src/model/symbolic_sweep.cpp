@@ -54,6 +54,10 @@ std::vector<std::int64_t> SymbolicSweep::crossing_points() const {
 
 namespace {
 
+/// Random interior samples (beside corners and center) used to detect
+/// constant-depth partitions that are too large to enumerate.
+constexpr int kProbeSamples = 16;
+
 /// Merges one completed partition curve into the sweep aggregates. Called
 /// only after the partition finished evaluating, so a Governor stop never
 /// leaves a half-merged histogram behind.
@@ -541,7 +545,7 @@ SymbolicSweep symbolic_sweep(const Analysis& an, const sym::Env& env,
         probes.push_back(std::move(mid));
       }
       SplitMix64 rng(0x5d10c0ffee ^ pi);
-      for (int r = 0; r < opts.probe_samples; ++r) {
+      for (int r = 0; r < kProbeSamples; ++r) {
         std::vector<std::int64_t> v(k);
         for (std::size_t i = 0; i < k; ++i) {
           v[i] = rng.range(bp.domains[i].first, bp.domains[i].second);

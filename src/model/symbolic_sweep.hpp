@@ -29,7 +29,7 @@
 // shifting the axis provably translates each array's whole box union, so
 // the depth cannot change — the enumeration collapses by that axis's full
 // extent, exactly). Partitions that still exceed the limit are probed at
-// their corners, center and `probe_samples` random points; a
+// their corners, center and 16 random points; a
 // constant-depth probe profile yields an exact spike, anything else marks
 // the partition — and the sweep — Confidence::kApproximate and keeps only
 // the probe extremes. Such a partition never contributes to the histogram:
@@ -66,9 +66,6 @@ struct SymbolicSweepOptions {
   /// Maximum number of dependent-coordinate combinations enumerated
   /// exactly (after the invariance reduction).
   std::int64_t enum_limit = std::int64_t{1} << 21;
-  /// Random interior samples (beside corners and center) used to detect
-  /// constant-depth partitions that are too large to enumerate.
-  int probe_samples = 16;
 };
 
 /// One partition's slice of the analytic curve.

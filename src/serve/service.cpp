@@ -132,8 +132,8 @@ void Service::dispatch(const Request& req, const Governor* gov,
   // The CLI's own path: a lint that finds errors keeps its report as the
   // payload, exactly as `sdlo lint` prints it and exits 1.
   std::ostringstream os;
-  const analysis::VerbResult res =
-      analysis::run_verb(call, /*json=*/true, gov, os);
+  const analysis::VerbResult res = analysis::run_verb(
+      call, /*json=*/true, gov, os, textual ? nullptr : &prog);
   resp.payload = chomp(os.str());
   resp.status = status_of(res.exit_code);
   resp.error = res.error;

@@ -12,13 +12,18 @@ namespace sdlo::tile {
 
 namespace {
 
+/// Candidates carried into each refinement round, and the rounds (each
+/// explores neighbouring divisor values).
+constexpr std::size_t kBeam = 8;
+constexpr int kRefineRounds = 3;
+
 /// Candidate tile values for one dimension: powers of two in
-/// [min_tile, min(max_tile, bound)] dividing the bound, ascending.
+/// [1, min(max_tile, bound)] dividing the bound, ascending.
 std::vector<std::int64_t> value_ladder(std::int64_t bound,
                                        const SearchOptions& opts) {
   std::vector<std::int64_t> out;
   for (std::int64_t v = 1; v <= bound && v <= opts.max_tile; v *= 2) {
-    if (v >= opts.min_tile && bound % v == 0) out.push_back(v);
+    if (bound % v == 0) out.push_back(v);
   }
   SDLO_CHECK(!out.empty(), "no admissible tile values for this bound");
   return out;
@@ -115,13 +120,12 @@ std::vector<std::vector<std::int64_t>> make_ladders(
 
 Scorer::Scorer(const ir::GalleryProgram& g, const FastMissModel& fast,
                std::vector<std::int64_t> bounds, std::int64_t capacity,
-               parallel::ThreadPool* pool, const Governor* gov)
+               parallel::ThreadPool* pool)
     : g_(g),
       fast_(fast),
       bounds_(std::move(bounds)),
       capacity_(capacity),
-      pool_(pool),
-      gov_(gov) {}
+      pool_(pool) {}
 
 FastMissModel::Score Scorer::evaluate(
     const std::vector<std::int64_t>& tiles) const {
@@ -150,31 +154,6 @@ std::uint64_t Scorer::simulated_misses(
   const auto r = cachesim::simulate_sweep_streamed(
       cp, {{capacity_, 1, 0, cachesim::Replacement::kLru}});
   return sim_memo_.emplace(tiles, r[0].misses).first->second;
-}
-
-Scorer::GroundedScore Scorer::grounded_misses(
-    const std::vector<std::int64_t>& tiles) {
-  const auto it = sim_memo_.find(tiles);
-  if (it != sim_memo_.end()) {
-    ++cache_hits_;
-    return {static_cast<double>(it->second), model::Confidence::kExact};
-  }
-  // Out of budget before starting: answer from the fast model instead of
-  // walking the trace.
-  if (governor_should_stop(gov_)) {
-    return {(*this)(tiles).misses, model::Confidence::kApproximate};
-  }
-  trace::CompiledProgram cp(g_.prog, g_.make_env(bounds_, tiles));
-  const auto r = cachesim::simulate_sweep_streamed(
-      cp, {{capacity_, 1, 0, cachesim::Replacement::kLru}}, nullptr, {},
-      gov_);
-  if (r[0].completeness == Completeness::kTruncated) {
-    // A prefix miss count is a lower bound, not a ranking-safe estimate:
-    // discard it and fall back to the model.
-    return {(*this)(tiles).misses, model::Confidence::kApproximate};
-  }
-  sim_memo_.emplace(tiles, r[0].misses);
-  return {static_cast<double>(r[0].misses), model::Confidence::kExact};
 }
 
 void Scorer::prefetch(const std::vector<std::vector<std::int64_t>>& tuples) {
@@ -232,7 +211,7 @@ SearchResult search_tiles(const ir::GalleryProgram& g,
 
   const auto ladders = make_ladders(g, eff_bounds, opts);
   const GridLayout layout(ladders);
-  Scorer score(g, fast, eff_bounds, capacity, opts.pool, opts.governor);
+  Scorer score(g, fast, eff_bounds, capacity, opts.pool);
 
   // Coarse pass: score the whole power-of-two grid (in parallel when a pool
   // is available), remembering each tuple's fitting set for crossing
@@ -277,7 +256,7 @@ SearchResult search_tiles(const ir::GalleryProgram& g,
   }
   pool.push_back(Candidate{tuples[best_flat], grid[best_flat].misses});
   sort_and_dedupe(pool);
-  if (pool.size() > opts.beam) pool.resize(opts.beam);
+  if (pool.size() > kBeam) pool.resize(kBeam);
 
   // Refinement: explore divisor neighbours of each candidate. Each round
   // batches every neighbour through the scorer (memoized, so revisited
@@ -286,7 +265,7 @@ SearchResult search_tiles(const ir::GalleryProgram& g,
   // of everything scored so far, so stopping here yields a valid (if less
   // refined) best candidate.
   Completeness completeness = Completeness::kComplete;
-  for (int round = 0; round < opts.refine_rounds; ++round) {
+  for (int round = 0; round < kRefineRounds; ++round) {
     if (governor_should_stop(opts.governor)) {
       completeness = Completeness::kTruncated;
       break;
@@ -311,7 +290,7 @@ SearchResult search_tiles(const ir::GalleryProgram& g,
       next.push_back(Candidate{std::move(t), m});
     }
     sort_and_dedupe(next);
-    if (next.size() > opts.beam) next.resize(opts.beam);
+    if (next.size() > kBeam) next.resize(kBeam);
     pool = std::move(next);
   }
 
@@ -346,7 +325,7 @@ SearchResult exhaustive_tiles(const ir::GalleryProgram& g,
   sort_and_dedupe(all);
   SearchResult r;
   r.best = all.front();
-  if (all.size() > opts.beam) all.resize(opts.beam);
+  if (all.size() > kBeam) all.resize(kBeam);
   r.candidates = std::move(all);
   r.evaluations = score.evaluations();
   r.cache_hits = score.cache_hits();

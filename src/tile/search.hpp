@@ -48,12 +48,6 @@ struct Candidate {
 struct SearchOptions {
   /// Largest tile value considered per dimension (paper: 512).
   std::int64_t max_tile = 512;
-  /// Smallest tile value considered.
-  std::int64_t min_tile = 1;
-  /// Candidates carried into refinement.
-  std::size_t beam = 8;
-  /// Refinement rounds (each explores neighbouring divisor values).
-  int refine_rounds = 3;
   /// When true, bounds are replaced by a large virtual value (the
   /// unknown-loop-bounds mode of §6 / Table 4).
   bool unknown_bounds = false;
@@ -87,18 +81,9 @@ struct SearchResult {
 /// over the pool.
 class Scorer {
  public:
-  /// A miss estimate together with how it was obtained: kExact when it is
-  /// a full cache simulation, kApproximate when a budget forced the fast
-  /// model (or a truncated simulation was discarded) instead.
-  struct GroundedScore {
-    double misses = 0;
-    model::Confidence confidence = model::Confidence::kExact;
-  };
-
   Scorer(const ir::GalleryProgram& g, const FastMissModel& fast,
          std::vector<std::int64_t> bounds, std::int64_t capacity,
-         parallel::ThreadPool* pool = nullptr,
-         const Governor* gov = nullptr);
+         parallel::ThreadPool* pool = nullptr);
 
   /// Score of one tile tuple, memoized on the tuple.
   const FastMissModel::Score& operator()(
@@ -114,13 +99,6 @@ class Scorer {
   /// columns of the ablation benches to ground the modeled ranking.
   /// Memoized on the tuple (separately from the fast-model memo).
   std::uint64_t simulated_misses(const std::vector<std::int64_t>& tiles);
-
-  /// Budget-aware grounding: simulated misses (kExact) while the scorer's
-  /// governor allows it; once the deadline/cancellation trips — or the
-  /// simulation itself comes back truncated — degrades to the memoized
-  /// fast-model score marked kApproximate instead of burning the remaining
-  /// budget on full trace walks.
-  GroundedScore grounded_misses(const std::vector<std::int64_t>& tiles);
 
   /// Fast-model evaluations actually performed.
   std::size_t evaluations() const { return evaluations_; }
@@ -147,7 +125,6 @@ class Scorer {
   std::vector<std::int64_t> bounds_;
   std::int64_t capacity_;
   parallel::ThreadPool* pool_;
-  const Governor* gov_;
   std::unordered_map<std::vector<std::int64_t>, FastMissModel::Score,
                      TupleHash>
       memo_;

@@ -74,9 +74,7 @@ CompiledProgram::CompiledProgram(const ir::Program& prog,
   // loops). The per-op counts drive the analytic range walk.
   total_accesses_ = 0;
   total_groups_ = 0;
-  top_accesses_.reserve(top_.size());
   for (const auto& op : top_) {
-    top_accesses_.push_back(op.accesses);
     total_accesses_ += op.accesses;
     total_groups_ += op.groups;
   }

@@ -83,11 +83,7 @@ class CompiledProgram {
   /// const: concurrent walks of the same CompiledProgram are safe.
   template <typename GroupSink>
   void walk_runs(GroupSink&& sink) const {
-    std::vector<std::int64_t> values(static_cast<std::size_t>(num_slots_),
-                                     0);
-    std::vector<Run> group;
-    group.reserve(kMaxLeafRefs);
-    for (const auto& op : top_) run_runs(op, values, group, sink);
+    walk_runs_range(0, total_groups_, sink);
   }
 
   /// Calls `sink(const Access&)` for every access in program order: each
@@ -135,12 +131,6 @@ class CompiledProgram {
 
   /// Total number of accesses the walk will produce.
   std::uint64_t total_accesses() const { return total_accesses_; }
-
-  /// Accesses produced by each top-level op (cached at compile time; the
-  /// natural sharding unit for future trace partitioning).
-  const std::vector<std::uint64_t>& top_level_access_counts() const {
-    return top_accesses_;
-  }
 
   /// Base address of an array.
   std::uint64_t array_base(const std::string& array) const;
@@ -200,12 +190,12 @@ class CompiledProgram {
     std::uint64_t emit = 0;  // groups still to emit
   };
 
+  /// Emits the one run group of a statement op or a flattened leaf loop.
   template <typename GroupSink>
-  void run_runs(const PlanOp& op, std::vector<std::int64_t>& values,
-                std::vector<Run>& group, GroupSink& sink) const {
+  void emit_group(const PlanOp& op, const std::vector<std::int64_t>& values,
+                  std::vector<Run>& group, GroupSink& sink) const {
+    group.clear();
     if (op.extent < 0) {
-      if (op.refs.empty()) return;
-      group.clear();
       for (const auto& ref : op.refs) {
         std::uint64_t addr = ref.base;
         for (const auto& [slot, stride] : ref.terms) {
@@ -214,13 +204,9 @@ class CompiledProgram {
         }
         group.push_back(Run{addr, 0, 1, ref.mode, ref.site});
       }
-      sink(static_cast<const Run*>(group.data()), group.size());
-      return;
-    }
-    if (!op.leaf_refs.empty()) {
+    } else {
       // Flattened innermost loop: one run per reference, the subscript
       // dot-product hoisted into the run base.
-      group.clear();
       for (const LeafRef& lr : op.leaf_refs) {
         std::uint64_t a = lr.base;
         for (const auto& [slot, stride] : lr.outer_terms) {
@@ -231,14 +217,8 @@ class CompiledProgram {
                             static_cast<std::uint64_t>(op.extent), lr.mode,
                             lr.site});
       }
-      sink(static_cast<const Run*>(group.data()), group.size());
-      return;
     }
-    auto& v = values[static_cast<std::size_t>(op.slot)];
-    for (v = 0; v < op.extent; ++v) {
-      for (const auto& child : op.body) run_runs(child, values, group, sink);
-    }
-    v = 0;
+    sink(static_cast<const Run*>(group.data()), group.size());
   }
 
   /// Range walk: skip whole subtrees while st.skip covers them, emit until
@@ -255,7 +235,7 @@ class CompiledProgram {
     }
     if (op.extent < 0 || !op.leaf_refs.empty()) {
       // Single-group op and st.skip < op.groups == 1, so st.skip == 0.
-      run_runs(op, values, group, sink);
+      emit_group(op, values, group, sink);
       --st.emit;
       return;
     }
@@ -288,7 +268,6 @@ class CompiledProgram {
   std::uint64_t next_base_ = 0;
   std::uint64_t total_accesses_ = 0;
   std::uint64_t total_groups_ = 0;
-  std::vector<std::uint64_t> top_accesses_;
   // Sorted by name; binary-searched (the fuzzer compiles thousands of
   // programs, so the compile path avoids node-based maps).
   std::vector<std::pair<std::string, std::uint64_t>> base_of_;

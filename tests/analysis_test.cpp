@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -251,7 +252,7 @@ TEST(Verifier, WF006EmptyStructures) {
   {
     ir::Program p;
     std::vector<Diagnostic> ds;
-    EXPECT_FALSE(verify_program(p, nullptr, nullptr, ds));
+    EXPECT_FALSE(verify_program(p, p.try_validate(), nullptr, nullptr, ds));
     EXPECT_EQ(count_id(ds, kWF006EmptyStructure), 1u);
   }
   // A childless band (unreachable through the parser).
@@ -259,7 +260,7 @@ TEST(Verifier, WF006EmptyStructures) {
     ir::Program p;
     p.add_band(ir::Program::kRoot, {{"i", Expr::symbol("N")}});
     std::vector<Diagnostic> ds;
-    EXPECT_FALSE(verify_program(p, nullptr, nullptr, ds));
+    EXPECT_FALSE(verify_program(p, p.try_validate(), nullptr, nullptr, ds));
     EXPECT_GE(count_id(ds, kWF006EmptyStructure), 1u);
   }
   // Non-identifier array name and an empty subscript.
@@ -271,7 +272,7 @@ TEST(Verifier, WF006EmptyStructures) {
         {"1bad", {ir::Subscript{{}}}, ir::AccessMode::kWrite});
     p.add_statement(ir::Program::kRoot, s);
     std::vector<Diagnostic> ds;
-    EXPECT_FALSE(verify_program(p, nullptr, nullptr, ds));
+    EXPECT_FALSE(verify_program(p, p.try_validate(), nullptr, nullptr, ds));
     EXPECT_EQ(count_id(ds, kWF006EmptyStructure), 2u);
   }
 }
@@ -332,6 +333,65 @@ TEST(Verifier, ReportsEveryViolationAtOnce) {
   EXPECT_TRUE(has_id(rep, kWF001UnboundSubscriptVar));
   EXPECT_TRUE(has_id(rep, kWF004SubscriptStructureConflict));
   EXPECT_TRUE(has_id(rep, kWF005VarTwiceInReference));
+}
+
+// The two front doors state one class: ir::parse_program throws
+// UnsupportedProgram exactly when lint reports a WF001–WF006 error, with
+// the first such diagnostic's message ("" stands for neither).
+std::string first_class_error(const LintReport& rep) {
+  for (const auto& d : rep.diagnostics) {
+    if (d.id >= std::string(kWF001UnboundSubscriptVar) &&
+        d.id <= std::string(kWF006EmptyStructure)) {
+      return d.message;
+    }
+  }
+  return "";
+}
+
+std::string unsupported_message(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const UnsupportedProgram& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Verifier, ParserAndLintAgreeOnTheClass) {
+  const std::vector<std::pair<std::string, sym::Env>> programs{
+      {"for i<N> { S1: W[i] = A[i,q] }", {}},
+      {"for i<N> { for i<N> { S1: W[i] = 0 } }", {}},
+      {"for i<N> { S1: W[i] = 0 }\nfor i<M> { S2: X[i] = 0 }\n", {}},
+      {"for i<N>, j<M> {\n  S1: W[i] = A[i,j]\n  S2: X[j] = A[i]\n}\n", {}},
+      {"for i<N> { S1: W[i] = A[i+i] }", {}},
+      {"for i<N> {\n  S1: W[i] = A[i,q]\n  S2: X[i] = A[i] * B[i+i]\n}\n",
+       {}},
+      // In the class: size findings only, or none.
+      {"for a<N>, b<N>, c<N>, d<N> { S1: W[a,b,c,d] = 0 }", {{"N", 100'000}}},
+      {"for a<N>, b<N>, c<N>, d<N>, e<N> { S1: s = t }", {{"N", 100'000}}},
+      {"for i<N> { S1: W[i] = 0 }", {{"M", 4}}},
+      {"for i<N-5> { S1: W[i] = 0 }", {{"N", 3}}},
+      {"for i<N>, j<N>, k<N> { S1: C[i,k] += A[i,j] * B[j,k] }", {}},
+  };
+  for (const auto& [text, env] : programs) {
+    LintOptions opts;
+    opts.env = env;
+    EXPECT_EQ(unsupported_message([&] { (void)ir::parse_program(text); }),
+              first_class_error(lint_text(text, opts)))
+        << text;
+  }
+  // The WF006 trees the parser cannot produce, through validate().
+  std::vector<ir::Program> trees(3);
+  trees[1].add_band(ir::Program::kRoot, {{"i", Expr::symbol("N")}});
+  trees[2].add_statement(
+      ir::Program::kRoot,
+      ir::Statement{"S1",
+                    {{"1bad", {ir::Subscript{{}}}, ir::AccessMode::kWrite}}});
+  for (ir::Program& tree : trees) {
+    const std::string want = first_class_error(lint_program(tree, nullptr));
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(unsupported_message([&] { tree.validate(); }), want);
+  }
 }
 
 // ---------------------------------------------------------------------------

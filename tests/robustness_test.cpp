@@ -54,11 +54,15 @@ trace::CompiledProgram small_program() {
   return trace::CompiledProgram(g.prog, g.make_env({8, 8, 8}, {4, 4, 4}));
 }
 
-std::string serve_socket_path(const std::string& tag) {
+// Per-process scratch paths: ctest runs the test cases concurrently.
+std::string scratch_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() /
-          ("sdlo_robust_serve_" + std::to_string(::getpid()) + "_" + tag +
-           ".sock"))
+          ("sdlo_robust_" + std::to_string(::getpid()) + "_" + name))
       .string();
+}
+
+std::string serve_socket_path(const std::string& tag) {
+  return scratch_path("serve_" + tag + ".sock");
 }
 
 constexpr const char* kServeProgram =
@@ -115,10 +119,7 @@ std::vector<Operation> operations() {
                                        opts);
                  }});
   ops.push_back({"spool-roundtrip", [] {
-                   const auto path =
-                       (std::filesystem::temp_directory_path() /
-                        "sdlo_robustness_spool.spl")
-                           .string();
+                   const auto path = scratch_path("spool.spl");
                    const auto cp = small_program();
                    trace::spool_program(path, cp);
                    const trace::SpooledTrace spool(path);
@@ -160,8 +161,8 @@ std::vector<Operation> operations() {
                    tile::search_tiles(g, fast, {16, 16, 16}, 256, opts);
                  }});
   ops.push_back({"artifact-write", [] {
-                   const auto dir = std::filesystem::temp_directory_path() /
-                                    "sdlo_robustness_test";
+                   const std::filesystem::path dir =
+                       scratch_path("artifacts");
                    std::filesystem::create_directories(dir);
                    const auto path = (dir / "artifact.sdlo").string();
                    const auto g = ir::matmul_tiled();

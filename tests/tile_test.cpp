@@ -130,38 +130,6 @@ TEST(Search, ReportsEvaluationCount) {
   }
 }
 
-TEST(Search, GroundedScoreIsExactWhenUngoverned) {
-  auto g = ir::matmul_tiled();
-  const auto an = model::analyze(g.prog);
-  FastMissModel fast(an);
-  Scorer score(g, fast, {16, 16, 16}, 96);
-  const std::vector<std::int64_t> tiles{4, 4, 4};
-  const auto gs = score.grounded_misses(tiles);
-  EXPECT_EQ(gs.confidence, model::Confidence::kExact);
-  trace::CompiledProgram cp(g.prog, g.make_env({16, 16, 16}, tiles));
-  EXPECT_DOUBLE_EQ(gs.misses,
-                   static_cast<double>(cachesim::simulate_lru(cp, 96).misses));
-  // Memoized: a second call is exact too (and a cache hit).
-  EXPECT_EQ(score.grounded_misses(tiles).confidence,
-            model::Confidence::kExact);
-}
-
-TEST(Search, GroundedScoreDegradesToModelUnderBudget) {
-  // With the governor already tripped, grounding must not walk the trace:
-  // it answers from the fast model and downgrades its confidence.
-  auto g = ir::matmul_tiled();
-  const auto an = model::analyze(g.prog);
-  FastMissModel fast(an);
-  Governor gov;
-  gov.cancel.request_cancel();
-  Scorer score(g, fast, {16, 16, 16}, 96, nullptr, &gov);
-  const std::vector<std::int64_t> tiles{4, 4, 4};
-  const auto gs = score.grounded_misses(tiles);
-  EXPECT_EQ(gs.confidence, model::Confidence::kApproximate);
-  EXPECT_DOUBLE_EQ(gs.misses,
-                   fast.score(g.make_env({16, 16, 16}, tiles), 96).misses);
-}
-
 TEST(Search, GovernedSearchReturnsTruncatedBestSoFar) {
   auto g = ir::matmul_tiled();
   const auto an = model::analyze(g.prog);

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "fuzz/generator.hpp"
+#include "fuzz/naive_interpreter.hpp"
 #include "ir/gallery.hpp"
-#include "naive_interpreter.hpp"
 #include "trace/walker.hpp"
 
 namespace sdlo::trace {
@@ -29,7 +29,7 @@ struct RunStats {
 /// exact program order, validating every group's invariants along the way.
 RunStats expect_runs_match(const ir::Program& prog, const sym::Env& env) {
   const CompiledProgram cp(prog, env);
-  const auto ref = reference::NaiveInterpreter(prog, env).run();
+  const auto ref = fuzz::NaiveInterpreter(prog, env).trace();
   RunStats stats;
   std::size_t pos = 0;
   cp.walk_runs([&](const Run* g, std::size_t nrefs) {

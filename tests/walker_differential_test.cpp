@@ -4,16 +4,15 @@
 // lowering (strides, slot reuse, site numbering).
 #include <gtest/gtest.h>
 
+#include "fuzz/naive_interpreter.hpp"
 #include "ir/gallery.hpp"
-#include "naive_interpreter.hpp"
 #include "trace/walker.hpp"
 
 namespace sdlo::trace {
 namespace {
 
 void expect_identical(const ir::Program& prog, const sym::Env& env) {
-  reference::NaiveInterpreter ref(prog, env);
-  const auto want = ref.run();
+  const auto want = fuzz::NaiveInterpreter(prog, env).trace();
   std::vector<Access> got;
   CompiledProgram cp(prog, env);
   cp.walk([&](const Access& a) { got.push_back(a); });
