@@ -7,6 +7,7 @@
 #include "analysis/lint.hpp"
 #include "analysis/misses_driver.hpp"
 #include "analysis/sweep_driver.hpp"
+#include "analysis/verifier.hpp"
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "model/analyzer.hpp"
@@ -38,6 +39,16 @@ void render_analyze_text(const ir::Program& prog, const Governor* gov,
                row.infinite ? "inf" : sym::to_string(row.total)});
   }
   t.print(os);
+}
+
+/// Throws the first error of the verifier's environment checks: the
+/// drivers assume every extent is bound and every size fits in int64.
+void require_env(const ir::Program& prog, const sym::Env& env) {
+  std::vector<Diagnostic> diags;
+  if (verify_program(prog, {}, nullptr, &env, diags)) return;
+  for (const Diagnostic& d : diags) {
+    if (d.severity == Severity::kError) throw Error(d.id + ": " + d.message);
+  }
 }
 
 }  // namespace
@@ -127,8 +138,9 @@ VerbResult run_verb(const VerbRequest& request, bool json,
       MissesOptions opts;
       opts.capacity = *req.cap;
       opts.simulate = req.simulate;
-      const MissesOutcome oc =
-          run_misses(program(), req.env, opts, gov);
+      const ir::Program& prog = program();
+      require_env(prog, req.env);
+      const MissesOutcome oc = run_misses(prog, req.env, opts, gov);
       if (json) render_misses_json(oc, os);
       else render_misses_text(oc, os);
       res.exit_code = oc.exit_code();
@@ -140,8 +152,9 @@ VerbResult run_verb(const VerbRequest& request, bool json,
       opts.line_elems = *req.line;
       opts.threads = static_cast<int>(req.threads);
       opts.spool_path = req.spool_path;
-      const SweepOutcome oc =
-          run_sweep(program(), req.env, opts, gov);
+      const ir::Program& prog = program();
+      require_env(prog, req.env);
+      const SweepOutcome oc = run_sweep(prog, req.env, opts, gov);
       if (json) render_sweep_json(oc, os, req.sites);
       else render_sweep_text(oc, os, req.sites);
       res.exit_code = oc.exit_code();
@@ -169,6 +182,7 @@ VerbResult run_verb(const VerbRequest& request, bool json,
       // Parses with source positions: the DP3xx findings carry the
       // SourceLoc of the dependence's source access.
       const ir::ParsedProgram pp = ir::parse_program_located(req.program);
+      require_env(pp.prog, req.env);
       AdvisorOptions opts;
       opts.capacity = *req.cap;
       opts.line_elems = req.line.value_or(opts.line_elems);

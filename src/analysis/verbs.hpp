@@ -41,6 +41,8 @@ struct VerbRequest {
   std::int64_t threads = 1;            ///< sweep
   std::string spool_path{};            ///< sweep
   std::string source_name{};           ///< lint and advise text reports
+
+  bool operator==(const VerbRequest&) const = default;
 };
 
 /// `req` with an absent cap (misses, lint, advise) or sweep line set to
@@ -61,10 +63,13 @@ struct VerbResult {
 /// the verb under `gov` and prints its report to `os`: the one-line JSON
 /// document when `json`, else the human report. A program that does not
 /// parse and a failing driver throw sdlo::Error (BudgetExceeded where the
-/// verb has no partial result). Lint finding errors returns exit code 1
-/// with its report printed. A caller that already parsed `req.program`
-/// passes the result as `parsed`; analyze, misses and sweep then run on
-/// it instead of parsing the text again.
+/// verb has no partial result). misses, sweep and advise first run the
+/// verifier's environment checks (WF007-WF009): an unbound symbol or a
+/// size that overflows int64 throws the first error's `WF00x: ...` text.
+/// Lint finding errors returns exit code 1 with its report printed. A
+/// caller that already parsed `req.program` passes the result as
+/// `parsed`; analyze, misses and sweep then run on it instead of parsing
+/// the text again.
 VerbResult run_verb(const VerbRequest& req, bool json, const Governor* gov,
                     std::ostream& os, const ir::Program* parsed = nullptr);
 

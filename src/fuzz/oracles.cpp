@@ -846,8 +846,7 @@ void check_advise_claims(OracleReport& report, const ir::Program& prog,
 }
 
 /// Full sweeps and simulated misses are the most expensive serve requests;
-/// bound the trace so the serve oracle stays a small fraction of the
-/// battery.
+/// bound the trace of a program whose end-to-end case may be one of them.
 constexpr std::uint64_t kServeSweepAccessBudget = 200'000;
 
 /// Frames `r` exactly as the daemon writes it and reads it back through the
@@ -869,106 +868,120 @@ std::optional<std::string> framed_payload(const serve::Response& r,
   }
 }
 
-/// Serve-vs-CLI equivalence (DESIGN.md §16): an in-process serve::Service
-/// must answer every analysis verb, framed and decoded as a client sees
-/// it, with the exact bytes `sdlo <verb> --json` prints, and a repeated
-/// request must hit the memo cache and return the same bytes again.
+/// Serve-vs-CLI equivalence (DESIGN.md §8, §16). Both front doors call
+/// analysis::run_verb, so only what the daemon adds is checked:
+///  - decoding: every request line below must decode into the VerbRequest
+///    `sdlo <verb>` builds from the same flags (equal once resolved);
+///  - end to end: one case per program, picked by its structural hash, is
+///    answered through an in-process serve::Service, framed and read back
+///    as a client sees it, with the bytes run_verb prints for `--json` —
+///    once as a memo miss and once more as a memo hit.
 void check_serve_equivalence(OracleReport& report, const ir::Program& prog,
                              const sym::Env& env, const OracleOptions& opts) {
-  serve::ServiceOptions sopts;
-  sopts.cache_entries = 32;
-  serve::Service service(sopts);
-  const std::string text = ir::to_code_string(prog);
+  using analysis::Verb;
+  struct Case {
+    std::string label;          ///< the verb plus the request knobs it sets
+    analysis::VerbRequest cli;  ///< what `sdlo <verb>` builds from the flags
+    std::string extra;          ///< the same knobs as request members
+    std::uint64_t budget;       ///< largest trace it runs end to end on
+  };
+  constexpr std::uint64_t kAny = ~std::uint64_t{0};
+  const std::int64_t cap = opts.per_site_capacity;
+  const std::string cap_member = ",\"cap\":" + std::to_string(cap);
+  const std::vector<Case> cases = {
+      {"analyze", {.verb = Verb::kAnalyze}, "", kAny},
+      {"misses", {.verb = Verb::kMisses, .cap = cap}, cap_member, kAny},
+      {"lint", {.verb = Verb::kLint}, "", kAny},
+      {"misses simulate",
+       {.verb = Verb::kMisses, .cap = cap, .simulate = true},
+       cap_member + ",\"simulate\":true", kServeSweepAccessBudget},
+      {"sweep", {.verb = Verb::kSweep}, "", kServeSweepAccessBudget},
+      {"sweep engine=symbolic", {.verb = Verb::kSweep, .engine = "symbolic"},
+       ",\"engine\":\"symbolic\"", kServeSweepAccessBudget},
+      {"sweep sites", {.verb = Verb::kSweep, .sites = true},
+       ",\"sites\":true", kServeSweepAccessBudget},
+      {"sweep line=4", {.verb = Verb::kSweep, .line = 4}, ",\"line\":4",
+       kServeSweepAccessBudget},
+      {"advise", {.verb = Verb::kAdvise}, "", kAdviseAccessBudget},
+  };
 
+  const std::string text = ir::to_code_string(prog);
   std::string envs;
   for (const auto& [name, value] : env) {
     envs += (envs.empty() ? "{\"" : ",\"") + serve::json_escape(name) +
             "\":" + std::to_string(value);
   }
   envs += envs.empty() ? "{}" : "}";
-  const auto request_line = [&](const std::string& verb,
-                                const std::string& extra) {
-    return "{\"id\":\"" + verb + "\",\"verb\":\"" + verb +
-           "\",\"program\":\"" + serve::json_escape(text) +
-           "\",\"env\":" + envs + extra + "}";
-  };
-  const auto chomp = [](std::string s) {
-    if (!s.empty() && s.back() == '\n') s.pop_back();
-    return s;
-  };
-
-  struct Case {
-    std::string label;  ///< the verb plus the request knobs it sets
-    std::string line;
-    std::string expected;
-  };
-  std::vector<Case> cases;
-  // Each case asks one question twice: as the request line a client sends
-  // (the verb plus `extra` members) and as the VerbRequest `sdlo <verb>`
-  // builds from the same flags, whose --json bytes run_verb prints.
-  const auto add = [&](const std::string& label, analysis::VerbRequest req,
-                       const std::string& extra) {
+  const auto cli_request = [&](const Case& c) {
+    analysis::VerbRequest req = c.cli;
     req.program = text;
     req.env = env;
-    std::ostringstream os;
-    analysis::run_verb(req, /*json=*/true, nullptr, os);
-    cases.push_back({label, request_line(analysis::verb_name(req.verb), extra),
-                     chomp(os.str())});
+    return req;
   };
-  using analysis::Verb;
-  const std::int64_t cap = opts.per_site_capacity;
-  const std::string cap_member = ",\"cap\":" + std::to_string(cap);
-  add("analyze", {.verb = Verb::kAnalyze}, "");
-  add("misses", {.verb = Verb::kMisses, .cap = cap}, cap_member);
-  add("lint", {.verb = Verb::kLint}, "");
-  if (report.accesses <= kServeSweepAccessBudget) {
-    add("misses simulate",
-        {.verb = Verb::kMisses, .cap = cap, .simulate = true},
-        cap_member + ",\"simulate\":true");
-    add("sweep", {.verb = Verb::kSweep}, "");
-    add("sweep engine=symbolic", {.verb = Verb::kSweep, .engine = "symbolic"},
-        ",\"engine\":\"symbolic\"");
-    add("sweep sites", {.verb = Verb::kSweep, .sites = true},
-        ",\"sites\":true");
-    add("sweep line=4", {.verb = Verb::kSweep, .line = 4}, ",\"line\":4");
-  }
-  if (report.accesses <= kAdviseAccessBudget) {
-    add("advise", {.verb = Verb::kAdvise}, "");
+  const auto request_line = [&](const Case& c) {
+    const std::string verb = analysis::verb_name(c.cli.verb);
+    return "{\"id\":\"" + verb + "\",\"verb\":\"" + verb +
+           "\",\"program\":\"" + serve::json_escape(text) +
+           "\",\"env\":" + envs + c.extra + "}";
+  };
+
+  std::vector<const Case*> eligible;
+  for (const Case& c : cases) {
+    if (report.accesses <= c.budget) eligible.push_back(&c);
+    try {
+      if (analysis::resolve(serve::parse_request(request_line(c)).call) !=
+          analysis::resolve(cli_request(c))) {
+        add_mismatch(report, "serve-decode",
+                     c.label + ": the request decodes to another question "
+                               "than `sdlo " +
+                         analysis::verb_name(c.cli.verb) + "` asks");
+      }
+    } catch (const Error& e) {
+      add_mismatch(report, "serve-decode", c.label + ": " + e.what());
+    }
   }
 
-  for (const Case& c : cases) {
-    if (governor_should_stop(opts.governor)) {
-      report.truncated = true;
-      return;
-    }
-    std::string problem;
-    const serve::Response r1 = service.handle_line(c.line);
-    const std::optional<std::string> p1 = framed_payload(r1, problem);
-    if (!p1) {
-      add_mismatch(report, "serve", c.label + ": " + problem);
-      continue;
-    }
-    if (*p1 != c.expected) {
-      add_mismatch(report, "serve",
-                   c.label + ": daemon payload differs from the CLI emitter ("
-                   + std::to_string(p1->size()) + " vs " +
-                   std::to_string(c.expected.size()) + " bytes; status " +
-                   serve::status_name(r1.status) +
-                   (r1.error.empty() ? "" : ", error: " + r1.error) + ")");
-      continue;
-    }
-    if (r1.status != serve::Status::kOk) continue;  // not memoized
-    const serve::Response r2 = service.handle_line(c.line);
-    const std::optional<std::string> p2 = framed_payload(r2, problem);
-    if (!r2.cached) {
-      add_mismatch(report, "serve",
-                   c.label + ": repeated request missed the memo cache");
-    } else if (!p2) {
-      add_mismatch(report, "serve", c.label + ": cached reply: " + problem);
-    } else if (*p2 != c.expected) {
-      add_mismatch(report, "serve",
-                   c.label + ": cached payload is not byte-identical");
-    }
+  if (governor_should_stop(opts.governor)) {
+    report.truncated = true;
+    return;
+  }
+  // The pick depends on the program alone, so a replayed artifact runs
+  // the case that failed.
+  const Case& c = *eligible[ir::structural_hash(prog) % eligible.size()];
+  std::ostringstream os;
+  analysis::run_verb(cli_request(c), /*json=*/true, nullptr, os);
+  std::string expected = os.str();
+  if (!expected.empty() && expected.back() == '\n') expected.pop_back();
+
+  serve::Service service;
+  const std::string line = request_line(c);
+  std::string problem;
+  const serve::Response r1 = service.handle_line(line);
+  const std::optional<std::string> p1 = framed_payload(r1, problem);
+  if (!p1) {
+    add_mismatch(report, "serve", c.label + ": " + problem);
+    return;
+  }
+  if (*p1 != expected) {
+    add_mismatch(report, "serve",
+                 c.label + ": daemon payload differs from the CLI emitter (" +
+                     std::to_string(p1->size()) + " vs " +
+                     std::to_string(expected.size()) + " bytes; status " +
+                     serve::status_name(r1.status) +
+                     (r1.error.empty() ? "" : ", error: " + r1.error) + ")");
+    return;
+  }
+  if (r1.status != serve::Status::kOk) return;  // not memoized
+  const serve::Response r2 = service.handle_line(line);
+  const std::optional<std::string> p2 = framed_payload(r2, problem);
+  if (!r2.cached) {
+    add_mismatch(report, "serve",
+                 c.label + ": repeated request missed the memo cache");
+  } else if (!p2) {
+    add_mismatch(report, "serve", c.label + ": cached reply: " + problem);
+  } else if (*p2 != expected) {
+    add_mismatch(report, "serve",
+                 c.label + ": cached payload is not byte-identical");
   }
 }
 

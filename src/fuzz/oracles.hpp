@@ -114,10 +114,13 @@ struct OracleOptions {
   /// transformed program (every read sees the same producing write) and
   /// (b) the claimed per-site miss counts to match the exact profiler.
   bool check_advise = true;
-  /// Serve-vs-CLI differential oracle: an in-process serve::Service must
-  /// answer every analysis verb with a payload byte-identical to what
-  /// analysis::run_verb prints for `sdlo <verb> --json`, and a repeated
-  /// request must hit the memo cache and return the *same bytes* again.
+  /// Serve-vs-CLI oracle, on what the daemon adds to analysis::run_verb.
+  /// Decoding ("serve-decode"): the request line of each of nine verb and
+  /// knob cases must resolve equal to the VerbRequest `sdlo <verb>` builds
+  /// from the same flags; no verb runs. End to end ("serve"): one case,
+  /// picked by the program's structural hash, answered by an in-process
+  /// serve::Service and framed as on the wire, must carry the bytes
+  /// run_verb prints for `--json`, first as a memo miss and then as a hit.
   bool check_serve = true;
   /// Optional resource governor: the battery polls it between oracle
   /// families and, when it trips, returns the partial report with

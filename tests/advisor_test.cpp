@@ -141,17 +141,7 @@ TEST(Advisor, GovernorCancellationTruncatesTheReport) {
 
 TEST(AdvisorOracle, GalleryAdviceIsLegalAndHonest) {
   fuzz::OracleOptions opts;
-  opts.check_roundtrip = false;
-  opts.check_walker = false;
-  opts.check_model = false;
-  opts.check_profile = false;
-  opts.check_sweep = false;
-  opts.check_set_assoc = false;
-  opts.check_lint = false;
-  opts.check_parallel = false;
-  opts.check_budgeted = false;
-  ASSERT_TRUE(opts.check_dependence);
-  ASSERT_TRUE(opts.check_advise);
+  fuzz::apply_family_filter(opts, "dependence,advise");
 
   struct Case {
     const char* name;

@@ -15,6 +15,7 @@
 // bytes for the same question, and the same message for a bad knob.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -344,13 +345,14 @@ std::string program_text() {
   return text.str();
 }
 
-/// One daemon request for `verb` on the program at N=16; `extra` holds
+/// One daemon request for `verb` on the program at N=`n`; `extra` holds
 /// further members, each with its leading comma.
 std::string daemon_request(const std::string& verb,
-                           const std::string& extra = "") {
+                           const std::string& extra = "",
+                           std::int64_t n = 16) {
   return "{\"id\":1,\"verb\":\"" + verb + "\",\"program\":\"" +
-         sdlo::serve::json_escape(program_text()) +
-         "\",\"env\":{\"N\":16}" + extra + "}";
+         sdlo::serve::json_escape(program_text()) + "\",\"env\":{\"N\":" +
+         std::to_string(n) + "}" + extra + "}";
 }
 
 TEST(CliServeParity, AnOutOfRangeKnobIsTheSameErrorFromBothFrontDoors) {
@@ -397,6 +399,33 @@ TEST(CliServeParity, FlaglessJsonIsTheDaemonPayload) {
     EXPECT_EQ(rc, sdlo::serve::status_exit_code(resp.status)) << verb;
     ASSERT_FALSE(resp.payload.empty()) << verb << ": " << resp.error;
     EXPECT_EQ(out, resp.payload + "\n") << verb;
+  }
+}
+
+TEST(CliServeParity, OverflowingBindingsAreAWF007ErrorFromBothFrontDoors) {
+  // At N=2000000 the matmul trace has 2.4e19 accesses: the verifier's size
+  // check must answer before a driver's int64 arithmetic overflows.
+  struct Case {
+    std::string verb, flags, members;
+  };
+  const std::vector<Case> cases = {
+      {"misses", "--cap 8192", ",\"cap\":8192"},
+      {"sweep", "--engine symbolic", ",\"engine\":\"symbolic\""},
+      {"advise", "--cap 8192", ",\"cap\":8192"},
+  };
+  sdlo::serve::Service service;
+  for (const Case& c : cases) {
+    int rc = -1;
+    const std::string err = capture_stderr(
+        c.verb + " " + program_file() + " --set N=2000000 " + c.flags, rc,
+        "timeout 10 ");
+    EXPECT_EQ(rc, 1) << c.verb;
+    EXPECT_NE(err.find("WF007"), std::string::npos) << c.verb << ": " << err;
+    EXPECT_EQ(err.find("Check failed"), std::string::npos) << err;
+    const sdlo::serve::Response resp =
+        service.handle_line(daemon_request(c.verb, c.members, 2000000));
+    EXPECT_EQ(resp.status, sdlo::serve::Status::kError) << c.verb;
+    EXPECT_EQ(err, "sdlo: " + resp.error + "\n") << c.verb;
   }
 }
 

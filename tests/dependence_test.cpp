@@ -198,17 +198,7 @@ TEST(Dependence, ConstrainedBandEmitsDp305) {
 
 TEST(DependenceOracle, MatchesTraceReplayOnGeneratedPrograms) {
   fuzz::OracleOptions opts;
-  opts.check_roundtrip = false;
-  opts.check_walker = false;
-  opts.check_model = false;
-  opts.check_profile = false;
-  opts.check_sweep = false;
-  opts.check_set_assoc = false;
-  opts.check_lint = false;
-  opts.check_parallel = false;
-  opts.check_budgeted = false;
-  opts.check_advise = false;
-  ASSERT_TRUE(opts.check_dependence);
+  fuzz::apply_family_filter(opts, "dependence");
 
   fuzz::ProgramGenerator gen(0xdeb5eed);
   for (int i = 0; i < 150; ++i) {

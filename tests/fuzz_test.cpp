@@ -98,11 +98,7 @@ TEST(FuzzSetAssocEdgeTest, GalleryMatmul) {
   const auto g = ir::matmul();
   const auto env = g.make_env({6, 6, 6}, {});
   fuzz::OracleOptions opts;
-  opts.check_roundtrip = false;
-  opts.check_walker = false;
-  opts.check_model = false;
-  opts.check_profile = false;
-  opts.check_sweep = false;  // isolate the set-assoc edge family
+  fuzz::apply_family_filter(opts, "set-assoc");
   const auto report = fuzz::check_program(g.prog, env, opts);
   EXPECT_TRUE(report.ok())
       << fuzz::describe_failure(g.prog, env, report);
@@ -110,11 +106,7 @@ TEST(FuzzSetAssocEdgeTest, GalleryMatmul) {
 
 TEST(FuzzSetAssocEdgeTest, GeneratedPrograms) {
   fuzz::OracleOptions opts;
-  opts.check_roundtrip = false;
-  opts.check_walker = false;
-  opts.check_model = false;
-  opts.check_profile = false;
-  opts.check_sweep = false;
+  fuzz::apply_family_filter(opts, "set-assoc");
   for (std::uint64_t seed = 300; seed < 310; ++seed) {
     fuzz::ProgramGenerator gen(seed);
     const auto gp = gen.generate();
@@ -253,15 +245,7 @@ TEST(FuzzOracleTest, BudgetedDegradationFamilyIsClean) {
   // must pass on gallery and generated programs.
   const auto g = ir::matmul_tiled();
   fuzz::OracleOptions opts;
-  opts.check_roundtrip = false;
-  opts.check_walker = false;
-  opts.check_model = false;
-  opts.check_profile = false;
-  opts.check_sweep = false;
-  opts.check_set_assoc = false;
-  opts.check_lint = false;
-  opts.check_parallel = false;
-  ASSERT_TRUE(opts.check_budgeted);  // on by default
+  fuzz::apply_family_filter(opts, "budgeted");
   const auto report = fuzz::check_program(
       g.prog, g.make_env({8, 8, 8}, {4, 4, 4}), opts);
   EXPECT_TRUE(report.ok())

@@ -193,14 +193,12 @@ std::vector<Operation> operations() {
   ops.push_back({"oracle-battery", [] {
                    const auto g = ir::matmul_tiled();
                    fuzz::OracleOptions opts;
-                   // Keep the matrix fast: one cheap family plus the
-                   // governed step polling.
-                   opts.check_model = false;
-                   opts.check_profile = false;
-                   opts.check_sweep = false;
-                   opts.check_set_assoc = false;
-                   opts.check_parallel = false;
-                   opts.check_budgeted = false;
+                   // Keep the matrix fast: the cheap families plus the
+                   // governed step polling. The serve family is left out:
+                   // its in-process Service reaches no failpoint site (the
+                   // serve sites are the `serve` operation's).
+                   fuzz::apply_family_filter(
+                       opts, "roundtrip,walker,lint,dependence,advise");
                    const auto report = fuzz::check_program(
                        g.prog, g.make_env({4, 4, 4}, {2, 2, 2}), opts);
                    SDLO_CHECK(report.ok(), "oracle mismatch under injection");

@@ -134,6 +134,37 @@ TEST(ServeProtocol, RequestDefaultsMatchFlaglessCli) {
   EXPECT_EQ(req.call.engine, "simulate");
   EXPECT_EQ(req.deadline_sec, 0.0);
   EXPECT_EQ(req.call.env.at("N"), 12);
+
+  // Every verb and knob case of the fuzz serve family decodes into the
+  // question `sdlo <verb>` asks with the same flags, once both resolve.
+  using analysis::Verb;
+  struct Case {
+    analysis::VerbRequest cli;
+    std::string extra;  ///< the same knobs as request members
+  };
+  const std::vector<Case> cases = {
+      {{.verb = Verb::kAnalyze}, ""},
+      {{.verb = Verb::kMisses, .cap = 21}, ",\"cap\":21"},
+      {{.verb = Verb::kLint}, ""},
+      {{.verb = Verb::kMisses, .cap = 21, .simulate = true},
+       ",\"cap\":21,\"simulate\":true"},
+      {{.verb = Verb::kSweep}, ""},
+      {{.verb = Verb::kSweep, .engine = "symbolic"},
+       ",\"engine\":\"symbolic\""},
+      {{.verb = Verb::kSweep, .sites = true}, ",\"sites\":true"},
+      {{.verb = Verb::kSweep, .line = 4}, ",\"line\":4"},
+      {{.verb = Verb::kAdvise}, ""},
+  };
+  for (Case c : cases) {
+    c.cli.program = kProgram;
+    c.cli.env = {{"N", 12}};
+    const std::string verb = analysis::verb_name(c.cli.verb);
+    const auto decoded =
+        serve::parse_request(analysis_request("r", verb, kProgram, 12,
+                                              c.extra));
+    EXPECT_TRUE(analysis::resolve(decoded.call) == analysis::resolve(c.cli))
+        << verb << c.extra;
+  }
 }
 
 TEST(ServeProtocol, IdTokenIsEchoedVerbatim) {
