@@ -42,12 +42,17 @@ void render_analyze_text(const ir::Program& prog, const Governor* gov,
 }
 
 /// Throws the first error of the verifier's environment checks: the
-/// drivers assume every extent is bound and every size fits in int64.
+/// drivers assume every extent is bound and positive and every size fits
+/// in int64. A non-positive extent is only lint's warning (the program is
+/// well-formed), but no driver can count accesses of a loop that never
+/// runs.
 void require_env(const ir::Program& prog, const sym::Env& env) {
   std::vector<Diagnostic> diags;
-  if (verify_program(prog, {}, nullptr, &env, diags)) return;
+  (void)verify_program(prog, {}, nullptr, &env, diags);
   for (const Diagnostic& d : diags) {
-    if (d.severity == Severity::kError) throw Error(d.id + ": " + d.message);
+    if (d.severity == Severity::kError || d.id == kWF009NonPositiveExtent) {
+      throw Error(d.id + ": " + d.message);
+    }
   }
 }
 

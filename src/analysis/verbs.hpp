@@ -64,8 +64,9 @@ struct VerbResult {
 /// document when `json`, else the human report. A program that does not
 /// parse and a failing driver throw sdlo::Error (BudgetExceeded where the
 /// verb has no partial result). misses, sweep and advise first run the
-/// verifier's environment checks (WF007-WF009): an unbound symbol or a
-/// size that overflows int64 throws the first error's `WF00x: ...` text.
+/// verifier's environment checks (WF007-WF009): an unbound symbol, a
+/// non-positive extent or a size that overflows int64 throws the first
+/// finding's `WF00x: ...` text.
 /// Lint finding errors returns exit code 1 with its report printed. A
 /// caller that already parsed `req.program` passes the result as
 /// `parsed`; analyze, misses and sweep then run on it instead of parsing

@@ -91,9 +91,9 @@ class MarkerStackEngine {
   /// Accesses fed so far.
   std::uint64_t accesses() const { return accesses_; }
 
-  /// Hit counts, row-major [site][segment]; row stride is segments().
+  /// Hit counts, row-major [site][segment]; row stride is caps.size() + 1.
   /// Segment s counts hits at stack depth d with caps[s-1] < d <= caps[s]
-  /// (segment segments()-1: deeper than every capacity).
+  /// (the last segment: deeper than every capacity).
   const std::vector<std::uint64_t>& buckets() const { return buckets_; }
 
   /// Cold (first-touch) accesses per site. With a hole sink attached these
@@ -101,11 +101,6 @@ class MarkerStackEngine {
   const std::vector<std::uint64_t>& cold_by_site() const {
     return cold_by_site_;
   }
-
-  /// Number of capacity segments per site row: caps().size() + 1.
-  std::size_t segments() const { return ks_; }
-
-  const std::vector<std::int64_t>& caps() const { return caps_; }
 
   /// Segment index of a stack depth: the number of capacities < depth.
   std::size_t segment_of_depth(std::uint64_t depth) const;

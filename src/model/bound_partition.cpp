@@ -257,27 +257,6 @@ std::optional<std::vector<CompiledBox>> disjoint_decomposition(
   return kept;
 }
 
-std::vector<bool> cardinality_variant_axes(const CompiledBox& box,
-                                           std::size_t naxes) {
-  std::vector<bool> variant(naxes, false);
-  std::vector<std::int64_t> net(naxes, 0);
-  const auto scan = [&](const std::pair<AffineFn, AffineFn>& bound) {
-    std::fill(net.begin(), net.end(), 0);
-    for (const auto& [idx, c] : bound.second.terms) {
-      net[static_cast<std::size_t>(idx)] += c;
-    }
-    for (const auto& [idx, c] : bound.first.terms) {
-      net[static_cast<std::size_t>(idx)] -= c;
-    }
-    for (std::size_t k = 0; k < naxes; ++k) {
-      if (net[k] != 0) variant[k] = true;
-    }
-  };
-  for (const auto& d : box.dims) scan(d);
-  for (const auto& g : box.guards) scan(g);
-  return variant;
-}
-
 std::int64_t box_cardinality(const CompiledBox& box,
                              std::span<const std::int64_t> coords) {
   for (const auto& [lo, hi] : box.guards) {
@@ -290,16 +269,6 @@ std::int64_t box_cardinality(const CompiledBox& box,
     card = sat_mul(card, len);
   }
   return card;
-}
-
-std::vector<bool> invariant_axes(const BoundPartition& bp) {
-  std::vector<bool> invariant(bp.coord_syms.size(), true);
-  for (const auto& row : invariant_axes_by_array(bp)) {
-    for (std::size_t k = 0; k < invariant.size(); ++k) {
-      invariant[k] = invariant[k] && row[k];
-    }
-  }
-  return invariant;
 }
 
 }  // namespace sdlo::model

@@ -45,26 +45,19 @@ struct BoundPartition {
 BoundPartition bind_partition(const PartitionAnalysis& pa,
                               const sym::Env& full_env);
 
-/// Indices of the coordinate axes the partition's depth provably does not
-/// depend on: axis k is *translation invariant* when, for every array and
-/// every box dimension, all of that array's boxes shift uniformly as k
-/// steps (the k-coefficient is the same in the lower and upper bound and
-/// the same across the array's boxes for that dimension), and every guard
+/// Per-array translation invariance: `out[a][k]` is true when the union
+/// cardinality of array `a`'s boxes provably does not depend on coordinate
+/// axis k — every box dimension of that array shifts uniformly as k steps
+/// (the k-coefficient is the same in the lower and upper bound and the
+/// same across the array's boxes for that dimension), and every guard
 /// interval keeps its length (equal k-coefficients in its two bounds).
-/// Shifting k then translates each array's whole box union, so the union
-/// cardinality — hence the depth — is unchanged. This is the closed-form
-/// core of the paper's translation-invariant windows, made checkable per
-/// axis; symbolic_sweep uses it to collapse enumeration axes exactly.
-std::vector<bool> invariant_axes(const BoundPartition& bp);
-
-/// Per-array refinement: `out[a][k]` is true when axis k is translation
-/// invariant for array `a` alone (same certificate as invariant_axes,
-/// restricted to that array's boxes and guards). Since the depth is the
-/// sum of per-array union cardinalities, arrays with disjoint dependent
-/// axis sets vary independently — symbolic_sweep exploits this to
-/// enumerate each connected component of axes separately and convolve the
-/// component histograms, turning a product of extents into a sum.
-/// invariant_axes() is the per-axis conjunction of these rows.
+/// Shifting k then translates the array's whole box union, so its
+/// cardinality is unchanged. This is the closed-form core of the paper's
+/// translation-invariant windows, made checkable per axis. Since the depth
+/// is the sum of per-array union cardinalities, arrays with disjoint
+/// dependent axis sets vary independently — symbolic_sweep exploits this
+/// to enumerate each connected component of axes separately and convolve
+/// the component histograms, turning a product of extents into a sum.
 std::vector<std::vector<bool>> invariant_axes_by_array(
     const BoundPartition& bp);
 
@@ -91,15 +84,6 @@ std::int64_t affine_gap_bound(
 std::optional<std::vector<CompiledBox>> disjoint_decomposition(
     const std::vector<CompiledBox>& boxes,
     const std::vector<std::pair<std::int64_t, std::int64_t>>& domains);
-
-/// Axes whose step changes the *cardinality* of one box — a dimension
-/// length or a guard length has a nonzero net coefficient. Axes that only
-/// shift the box's position are excluded: once a decomposition is
-/// certified disjoint, position cannot affect the count. This is the
-/// per-box refinement of the invariance certificate and is what lets
-/// symbolic_sweep factor a partition into near-singleton axis components.
-std::vector<bool> cardinality_variant_axes(const CompiledBox& box,
-                                           std::size_t naxes);
 
 /// Cardinality of one disjoint-decomposition box at `coords`: 0 when any
 /// guard or dimension is empty, otherwise the product of dimension

@@ -48,11 +48,6 @@ void ThreadPool::wait_idle_nothrow() {
   first_error_ = nullptr;
 }
 
-void ThreadPool::set_cancel_token(CancellationToken token) {
-  std::scoped_lock lock(mu_);
-  cancel_ = std::move(token);
-}
-
 bool ThreadPool::idle() const {
   std::scoped_lock lock(mu_);
   return in_flight_ == 0;
@@ -71,16 +66,14 @@ void ThreadPool::run_task(std::function<void()>& task) {
 void ThreadPool::worker_loop(std::stop_token st) {
   for (;;) {
     std::function<void()> task;
-    bool skip = false;
     {
       std::unique_lock lock(mu_);
       cv_.wait(lock, st, [this] { return !queue_.empty(); });
       if (queue_.empty()) return;  // stop requested and drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      skip = cancel_.cancelled();
     }
-    if (!skip) run_task(task);
+    run_task(task);
     {
       std::scoped_lock lock(mu_);
       if (--in_flight_ == 0) idle_cv_.notify_all();

@@ -9,11 +9,8 @@
 // once the pool is quiescent; later exceptions from the same batch are
 // dropped (first-error-wins, matching the per-chunk convention in the sweep
 // engine). After the rethrow the pool is idle and fully reusable.
-//
-// Cancellation: set_cancel_token() attaches a cooperative
-// CancellationToken. Once the token trips, workers drain queued tasks
-// without running them, so a governed driver that submits a long backlog
-// can stop promptly at a task boundary instead of finishing the backlog.
+// Cancellation is the tasks' own business: a governed task polls its
+// Governor, and the pool runs every task it queued.
 #pragma once
 
 #include <condition_variable>
@@ -24,8 +21,6 @@
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "support/governor.hpp"
 
 namespace sdlo::parallel {
 
@@ -51,18 +46,13 @@ class ThreadPool {
   /// pool remains usable for the next batch).
   void wait_idle();
 
-  /// Attaches a cancellation token: once it trips, still-queued tasks are
-  /// drained without running. Tasks already running finish normally. A
-  /// default-constructed (never-cancelled) token detaches governance.
-  void set_cancel_token(CancellationToken token);
-
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
   /// Snapshot: true when no task is queued or running. Used by drivers that
   /// overlap work with the pool (the rolling merge frontier) to detect that
-  /// a task they are waiting on was dropped — by a tripped cancel token
-  /// draining the queue, or by an injected submit/task fault — instead of
-  /// blocking forever on a completion that will never be signalled.
+  /// a task they are waiting on was dropped by an injected submit/task
+  /// fault, instead of blocking forever on a completion that will never be
+  /// signalled.
   bool idle() const;
 
  private:
@@ -76,7 +66,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::int64_t in_flight_ = 0;  // queued + running
   std::exception_ptr first_error_;
-  CancellationToken cancel_;  // default token: never cancelled
   std::vector<std::jthread> workers_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <sstream>
 
 namespace sdlo::serve {
 
@@ -41,69 +40,24 @@ const std::vector<JsonValue>& JsonValue::as_array(
   return array_;
 }
 
-const std::map<std::string, JsonValue>& JsonValue::as_object(
+const std::vector<JsonValue::Member>& JsonValue::as_object(
     const std::string& what) const {
   if (kind_ != Kind::kObject) kind_error(what, "an object");
   return object_;
 }
 
 const JsonValue* JsonValue::find(const std::string& key) const {
-  if (kind_ != Kind::kObject) return nullptr;
-  const auto it = object_.find(key);
-  return it == object_.end() ? nullptr : &it->second;
+  for (auto it = object_.rbegin(); it != object_.rend(); ++it) {
+    if (it->first == key) return &it->second;
+  }
+  return nullptr;
 }
-
-JsonValue JsonValue::make_null() { return JsonValue(); }
-
-JsonValue JsonValue::make_bool(bool b) {
-  JsonValue v;
-  v.kind_ = Kind::kBool;
-  v.bool_ = b;
-  return v;
-}
-
-JsonValue JsonValue::make_int(std::int64_t i) {
-  JsonValue v;
-  v.kind_ = Kind::kInt;
-  v.int_ = i;
-  return v;
-}
-
-JsonValue JsonValue::make_double(double d) {
-  JsonValue v;
-  v.kind_ = Kind::kDouble;
-  v.double_ = d;
-  return v;
-}
-
-JsonValue JsonValue::make_string(std::string s) {
-  JsonValue v;
-  v.kind_ = Kind::kString;
-  v.string_ = std::move(s);
-  return v;
-}
-
-JsonValue JsonValue::make_array(std::vector<JsonValue> a) {
-  JsonValue v;
-  v.kind_ = Kind::kArray;
-  v.array_ = std::move(a);
-  return v;
-}
-
-JsonValue JsonValue::make_object(std::map<std::string, JsonValue> o) {
-  JsonValue v;
-  v.kind_ = Kind::kObject;
-  v.object_ = std::move(o);
-  return v;
-}
-
-namespace {
 
 /// Recursive-descent JSON parser over one contiguous buffer. Depth is
 /// bounded so adversarial nesting cannot overflow a server thread's stack.
-class Parser {
+class JsonParser {
  public:
-  explicit Parser(const std::string& text) : s_(text) {}
+  explicit JsonParser(const std::string& text) : s_(text) {}
 
   JsonValue parse_document() {
     skip_ws();
@@ -150,31 +104,46 @@ class Parser {
   JsonValue parse_value(int depth) {
     if (depth > kMaxDepth) fail("nesting too deep");
     skip_ws();
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': return JsonValue::make_string(parse_string());
+    JsonValue v;
+    v.begin_ = pos_;
+    switch (peek()) {
+      case '{':
+        v.kind_ = JsonValue::Kind::kObject;
+        parse_object(depth, v.object_);
+        break;
+      case '[':
+        v.kind_ = JsonValue::Kind::kArray;
+        parse_array(depth, v.array_);
+        break;
+      case '"':
+        v.kind_ = JsonValue::Kind::kString;
+        v.string_ = parse_string();
+        break;
       case 't':
-        if (consume_literal("true")) return JsonValue::make_bool(true);
-        fail("invalid literal");
       case 'f':
-        if (consume_literal("false")) return JsonValue::make_bool(false);
-        fail("invalid literal");
+        v.kind_ = JsonValue::Kind::kBool;
+        v.bool_ = peek() == 't';
+        if (!consume_literal(v.bool_ ? "true" : "false")) {
+          fail("invalid literal");
+        }
+        break;
       case 'n':
-        if (consume_literal("null")) return JsonValue::make_null();
-        fail("invalid literal");
-      default: return parse_number();
+        if (!consume_literal("null")) fail("invalid literal");
+        break;
+      default:
+        parse_number(v);
+        break;
     }
+    v.end_ = pos_;
+    return v;
   }
 
-  JsonValue parse_object(int depth) {
+  void parse_object(int depth, std::vector<JsonValue::Member>& members) {
     expect('{');
-    std::map<std::string, JsonValue> members;
     skip_ws();
     if (peek() == '}') {
       ++pos_;
-      return JsonValue::make_object(std::move(members));
+      return;
     }
     while (true) {
       skip_ws();
@@ -182,24 +151,22 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      // Last duplicate key wins (the common lenient reading); the serve
-      // protocol never emits duplicates.
-      members[std::move(key)] = parse_value(depth + 1);
+      // Duplicates are kept in document order; find() reads the last one
+      // (the common lenient reading). The serve protocol never emits them.
+      members.emplace_back(std::move(key), parse_value(depth + 1));
       skip_ws();
       const char c = next();
       if (c == '}') break;
       if (c != ',') fail("expected ',' or '}' in object");
     }
-    return JsonValue::make_object(std::move(members));
   }
 
-  JsonValue parse_array(int depth) {
+  void parse_array(int depth, std::vector<JsonValue>& items) {
     expect('[');
-    std::vector<JsonValue> items;
     skip_ws();
     if (peek() == ']') {
       ++pos_;
-      return JsonValue::make_array(std::move(items));
+      return;
     }
     while (true) {
       items.push_back(parse_value(depth + 1));
@@ -208,7 +175,6 @@ class Parser {
       if (c == ']') break;
       if (c != ',') fail("expected ',' or ']' in array");
     }
-    return JsonValue::make_array(std::move(items));
   }
 
   unsigned parse_hex4() {
@@ -284,7 +250,9 @@ class Parser {
     }
   }
 
-  JsonValue parse_number() {
+  /// Fills `v` as a kInt when the token is an integer that fits int64,
+  /// else as a kDouble.
+  void parse_number(JsonValue& v) {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
     if (!std::isdigit(static_cast<unsigned char>(peek()))) {
@@ -319,7 +287,9 @@ class Parser {
       const auto [p, ec] =
           std::from_chars(tok.data(), tok.data() + tok.size(), i);
       if (ec == std::errc() && p == tok.data() + tok.size()) {
-        return JsonValue::make_int(i);
+        v.kind_ = JsonValue::Kind::kInt;
+        v.int_ = i;
+        return;
       }
       // Out-of-range integer: fall through to double.
     }
@@ -329,17 +299,16 @@ class Parser {
     if (ec != std::errc() || p != tok.data() + tok.size()) {
       fail("invalid number");
     }
-    return JsonValue::make_double(d);
+    v.kind_ = JsonValue::Kind::kDouble;
+    v.double_ = d;
   }
 
   const std::string& s_;
   std::size_t pos_ = 0;
 };
 
-}  // namespace
-
 JsonValue parse_json(const std::string& text) {
-  return Parser(text).parse_document();
+  return JsonParser(text).parse_document();
 }
 
 std::string json_id_token(const JsonValue* id) {

@@ -5,7 +5,9 @@
 // socket. The repo's JSON *emitters* are all hand-written streaming code
 // (lint, sweep, advise, misses) — that stays unchanged, and responses are
 // assembled by splicing those exact bytes. Only the *parsing* direction
-// needs a real JSON reader, and this is the smallest one that is strict
+// needs a real JSON reader, and this is the only one: it reads requests,
+// and it reads responses back for the client, whose payload bytes it
+// takes from the spans it records. It is the smallest reader strict
 // enough to trust in a fault-injected daemon: it rejects trailing garbage,
 // unterminated strings, bad escapes and malformed numbers with a typed
 // ParseError instead of guessing, and it never recurses deeper than a
@@ -14,9 +16,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "support/check.hpp"
@@ -27,12 +29,15 @@ namespace sdlo::serve {
 /// One parsed JSON value. Numbers keep their integer identity when the
 /// text had no fraction/exponent, because requests carry exact int64
 /// payloads (capacities, environment bindings) that must not round-trip
-/// through double.
+/// through double. Every value also records the byte span of its text in
+/// the document it was parsed from, so a reader can take a member's exact
+/// wire bytes without a second tokenizer.
 class JsonValue {
  public:
   enum class Kind : std::uint8_t {
     kNull, kBool, kInt, kDouble, kString, kArray, kObject
   };
+  using Member = std::pair<std::string, JsonValue>;
 
   JsonValue() = default;
 
@@ -40,11 +45,6 @@ class JsonValue {
   bool is_null() const { return kind_ == Kind::kNull; }
   bool is_object() const { return kind_ == Kind::kObject; }
   bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_number() const {
-    return kind_ == Kind::kInt || kind_ == Kind::kDouble;
-  }
-  bool is_bool() const { return kind_ == Kind::kBool; }
 
   /// Typed accessors; each throws sdlo::Error when the kind mismatches,
   /// naming `what` (the request field being read) in the message.
@@ -53,29 +53,30 @@ class JsonValue {
   double as_double(const std::string& what) const;
   const std::string& as_string(const std::string& what) const;
   const std::vector<JsonValue>& as_array(const std::string& what) const;
-  const std::map<std::string, JsonValue>& as_object(
-      const std::string& what) const;
+  /// The members in document order, duplicates included.
+  const std::vector<Member>& as_object(const std::string& what) const;
 
-  /// Object member lookup; nullptr when absent (or not an object).
+  /// Object member lookup (the last duplicate wins); nullptr when absent
+  /// or not an object.
   const JsonValue* find(const std::string& key) const;
 
-  // Construction (used by the parser and by tests).
-  static JsonValue make_null();
-  static JsonValue make_bool(bool b);
-  static JsonValue make_int(std::int64_t i);
-  static JsonValue make_double(double d);
-  static JsonValue make_string(std::string s);
-  static JsonValue make_array(std::vector<JsonValue> a);
-  static JsonValue make_object(std::map<std::string, JsonValue> o);
+  /// This value's text within `document`, the string it was parsed from.
+  std::string_view text_in(std::string_view document) const {
+    return document.substr(begin_, end_ - begin_);
+  }
 
  private:
+  friend class JsonParser;
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   std::int64_t int_ = 0;
   double double_ = 0.0;
   std::string string_;
   std::vector<JsonValue> array_;
-  std::map<std::string, JsonValue> object_;
+  std::vector<Member> object_;
+  std::size_t begin_ = 0;  ///< byte span [begin_, end_) in the document
+  std::size_t end_ = 0;
 };
 
 /// Parses exactly one JSON value spanning the whole input (leading and

@@ -1,56 +1,33 @@
 #include "serve/memo_cache.hpp"
 
-#include <functional>
-
 namespace sdlo::serve {
 
-std::optional<std::string> MemoCache::lookup(std::uint64_t hash,
-                                             const std::string& key) {
+std::optional<std::string> MemoCache::lookup(const std::string& key) {
   std::lock_guard lk(mu_);
-  if (max_entries_ == 0) {
+  const auto it = index_.find(key);
+  if (it == index_.end()) {
     ++stats_.misses;
     return std::nullopt;
   }
-  auto [lo, hi] = index_.equal_range(hash);
-  bool hash_matched = false;
-  for (auto it = lo; it != hi; ++it) {
-    hash_matched = true;
-    if (it->second->key == key) {
-      ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-      return it->second->payload;
-    }
-  }
-  if (hash_matched) ++stats_.collisions;
-  ++stats_.misses;
-  return std::nullopt;
+  ++stats_.hits;
+  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
+  return it->second->payload;
 }
 
-void MemoCache::insert(std::uint64_t hash, const std::string& key,
-                       std::string payload) {
+void MemoCache::insert(const std::string& key, std::string payload) {
   std::lock_guard lk(mu_);
   if (max_entries_ == 0) return;
-  auto [lo, hi] = index_.equal_range(hash);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second->key == key) {
-      it->second->payload = std::move(payload);
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return;
-    }
+  if (const auto it = index_.find(key); it != index_.end()) {
+    it->second->payload = std::move(payload);
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return;
   }
-  lru_.push_front(Entry{hash, key, std::move(payload)});
-  index_.emplace(hash, lru_.begin());
+  lru_.push_front(Entry{key, std::move(payload)});
+  index_.emplace(lru_.front().key, lru_.begin());
   ++stats_.insertions;
-  while (lru_.size() > max_entries_) {
-    const auto victim = std::prev(lru_.end());
-    auto [vlo, vhi] = index_.equal_range(victim->hash);
-    for (auto it = vlo; it != vhi; ++it) {
-      if (it->second == victim) {
-        index_.erase(it);
-        break;
-      }
-    }
-    lru_.erase(victim);
+  if (lru_.size() > max_entries_) {
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
     ++stats_.evictions;
   }
 }
@@ -63,20 +40,6 @@ MemoCache::Stats MemoCache::stats() const {
 std::size_t MemoCache::size() const {
   std::lock_guard lk(mu_);
   return lru_.size();
-}
-
-std::uint64_t mix_config_hash(std::uint64_t structural,
-                              const std::string& config) {
-  std::uint64_t x =
-      structural ^ (std::hash<std::string>{}(config) + 0x9e3779b97f4a7c15ULL +
-                    (structural << 6) + (structural >> 2));
-  // splitmix64 finalizer.
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
 }
 
 }  // namespace sdlo::serve

@@ -1,15 +1,14 @@
 // Result memo cache of the serve daemon (DESIGN.md §16).
 //
-// Keyed by `ir::structural_hash` of the *canonicalized* IR (the parser →
-// printer round trip erases formatting, so two textually different
-// programs with one structure share an entry) mixed with a hash of the
-// request configuration (verb, bindings, capacity, flags). The hash is a
-// filter, never the identity: every entry stores the full canonical key
-// (canonical program text + config string) and a lookup only hits on exact
-// key equality — a 64-bit collision therefore degrades to a miss, it can
-// never serve another request's bytes. Hits return the stored payload
-// verbatim, so a cached response is bit-identical to the first one (and to
-// the equivalent CLI invocation, which the fuzz `serve` oracle enforces).
+// Keyed by the full request key string: the request configuration (verb,
+// bindings, capacity, flags) followed by the *canonicalized* program text
+// (the parser → printer round trip erases formatting, so two textually
+// different programs with one structure share an entry). The index is a
+// hash table over that exact string, so a lookup only hits on exact key
+// equality — it can never serve another request's bytes. Hits return the
+// stored payload verbatim, so a cached response is bit-identical to the
+// first one (and to the equivalent CLI invocation, which the fuzz `serve`
+// oracle enforces).
 //
 // Bounded LRU: `max_entries` entries, least-recently-used evicted first.
 // Thread-safe; every operation takes one mutex (the payloads are small
@@ -22,6 +21,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace sdlo::serve {
@@ -34,50 +34,37 @@ class MemoCache {
   MemoCache(const MemoCache&) = delete;
   MemoCache& operator=(const MemoCache&) = delete;
 
-  /// The stored payload when (hash, key) is present — exact key match
-  /// required. A hash hit with a different key counts as a collision and
-  /// misses.
-  std::optional<std::string> lookup(std::uint64_t hash,
-                                    const std::string& key);
+  /// The stored payload when `key` is present.
+  std::optional<std::string> lookup(const std::string& key);
 
-  /// Stores (hash, key) → payload, evicting the LRU entry when full.
-  /// Re-inserting an existing key refreshes its payload and recency.
-  void insert(std::uint64_t hash, const std::string& key,
-              std::string payload);
+  /// Stores key → payload, evicting the LRU entry when full. Re-inserting
+  /// an existing key refreshes its payload and recency.
+  void insert(const std::string& key, std::string payload);
 
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
-    /// Hash matched but the exact key differed (served as a miss).
-    std::uint64_t collisions = 0;
   };
 
   Stats stats() const;
   std::size_t size() const;
-  std::size_t max_entries() const { return max_entries_; }
 
  private:
   struct Entry {
-    std::uint64_t hash = 0;
     std::string key;
     std::string payload;
   };
-  // Recency list, most-recent first; the index maps a hash to every list
-  // node carrying it (collision chain — normally length 1).
+  // Recency list, most-recent first; the index views each node's key (list
+  // nodes never move, so the views stay valid until the node is erased).
   using List = std::list<Entry>;
 
   const std::size_t max_entries_;
   mutable std::mutex mu_;
   List lru_;
-  std::unordered_multimap<std::uint64_t, List::iterator> index_;
+  std::unordered_map<std::string_view, List::iterator> index_;
   Stats stats_;
 };
-
-/// Mixes a configuration-string hash into a structural hash (splitmix-style
-/// finalizer, matching the ir::structural_hash construction).
-std::uint64_t mix_config_hash(std::uint64_t structural,
-                              const std::string& config);
 
 }  // namespace sdlo::serve

@@ -50,7 +50,6 @@ void Metrics::render_json(const MemoCache& cache, std::ostream& os) const {
      << ",\"timing\":{\"queue_seconds_total\":" << s.queue_seconds_total
      << ",\"run_seconds_total\":" << s.run_seconds_total << "}"
      << ",\"cache\":{\"hits\":" << cs.hits << ",\"misses\":" << cs.misses
-     << ",\"collisions\":" << cs.collisions
      << ",\"insertions\":" << cs.insertions
      << ",\"evictions\":" << cs.evictions << ",\"entries\":" << cache.size()
      << ",\"hit_rate\":"

@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <map>
 #include <sstream>
 
 #include "support/cli.hpp"
@@ -46,8 +47,14 @@ Request parse_request_object(const JsonValue& obj, bool allow_batch) {
     c.program = v->as_string("program");
   }
   if (const JsonValue* v = obj.find("env")) {
+    // By name, the last duplicate winning: a bad binding is reported in
+    // the same order whatever order the line spells them in.
+    std::map<std::string, const JsonValue*> bindings;
     for (const auto& [sym_name, value] : v->as_object("env")) {
-      c.env[sym_name] = value.as_int("env." + sym_name);
+      bindings[sym_name] = &value;
+    }
+    for (const auto& [sym_name, value] : bindings) {
+      c.env[sym_name] = value->as_int("env." + sym_name);
     }
   }
   if (const JsonValue* v = obj.find("cap")) c.cap = v->as_int("cap");
@@ -133,116 +140,36 @@ Status parse_status(const std::string& name) {
 
 namespace {
 
-/// Scans one raw JSON value starting at `pos` (which must point at its
-/// first byte) and returns the position one past its end. String-aware
-/// bracket matching; assumes the document already parses (callers run
-/// parse_json first when they need validation).
-std::size_t skip_raw_value(const std::string& s, std::size_t pos) {
-  const auto fail = [&] {
-    throw ParseError("json: malformed value at offset " +
-                     std::to_string(pos));
-  };
-  if (pos >= s.size()) fail();
-  const char c = s[pos];
-  if (c == '"') {
-    for (std::size_t i = pos + 1; i < s.size(); ++i) {
-      if (s[i] == '\\') {
-        ++i;
-      } else if (s[i] == '"') {
-        return i + 1;
-      }
-    }
-    fail();
-  }
-  if (c == '{' || c == '[') {
-    int depth = 0;
-    bool in_string = false;
-    for (std::size_t i = pos; i < s.size(); ++i) {
-      const char d = s[i];
-      if (in_string) {
-        if (d == '\\') ++i;
-        else if (d == '"') in_string = false;
-      } else if (d == '"') {
-        in_string = true;
-      } else if (d == '{' || d == '[') {
-        ++depth;
-      } else if (d == '}' || d == ']') {
-        if (--depth == 0) return i + 1;
-      }
-    }
-    fail();
-  }
-  // Scalar: runs to the next delimiter.
-  std::size_t i = pos;
-  while (i < s.size() && s[i] != ',' && s[i] != '}' && s[i] != ']' &&
-         s[i] != ' ' && s[i] != '\t' && s[i] != '\n' && s[i] != '\r') {
-    ++i;
-  }
-  if (i == pos) fail();
-  return i;
-}
-
-std::size_t skip_ws(const std::string& s, std::size_t pos) {
-  while (pos < s.size() &&
-         (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\n' ||
-          s[pos] == '\r')) {
-    ++pos;
-  }
-  return pos;
-}
-
-/// Splits a raw JSON array into the raw byte spans of its elements.
-std::vector<std::string> split_array_elements(const std::string& raw) {
-  std::vector<std::string> out;
-  std::size_t pos = skip_ws(raw, 0);
-  if (pos >= raw.size() || raw[pos] != '[') {
-    throw ParseError("json: expected array");
-  }
-  pos = skip_ws(raw, pos + 1);
-  if (pos < raw.size() && raw[pos] == ']') return out;
-  while (true) {
-    const std::size_t end = skip_raw_value(raw, pos);
-    out.push_back(raw.substr(pos, end - pos));
-    pos = skip_ws(raw, end);
-    if (pos >= raw.size()) throw ParseError("json: unterminated array");
-    if (raw[pos] == ']') break;
-    if (raw[pos] != ',') throw ParseError("json: expected ',' in array");
-    pos = skip_ws(raw, pos + 1);
-  }
-  return out;
-}
-
-Response parse_response_object(const std::string& raw) {
-  // Validate + scalar access through the real parser; raw spans for the
-  // byte-exact members.
-  const JsonValue doc = parse_json(raw);
+/// Reads one response envelope out of `line`, the document `obj` was
+/// parsed from: payloads are the exact wire bytes of their span.
+Response response_of(const JsonValue& obj, const std::string& line) {
+  if (!obj.is_object()) throw ParseError("json: expected object");
   Response r;
-  r.id_token = json_id_token(doc.find("id"));
-  if (const JsonValue* v = doc.find("status")) {
+  r.id_token = json_id_token(obj.find("id"));
+  if (const JsonValue* v = obj.find("status")) {
     r.status = parse_status(v->as_string("status"));
   }
-  if (const JsonValue* v = doc.find("cached")) {
+  if (const JsonValue* v = obj.find("cached")) {
     r.cached = v->as_bool("cached");
   }
-  if (const JsonValue* v = doc.find("queue_ms")) {
+  if (const JsonValue* v = obj.find("queue_ms")) {
     r.queue_ms = v->as_double("queue_ms");
   }
-  if (const JsonValue* v = doc.find("run_ms")) {
+  if (const JsonValue* v = obj.find("run_ms")) {
     r.run_ms = v->as_double("run_ms");
   }
-  if (const JsonValue* v = doc.find("retry_after_ms")) {
+  if (const JsonValue* v = obj.find("retry_after_ms")) {
     r.retry_after_ms = static_cast<int>(v->as_int("retry_after_ms"));
   }
-  if (const JsonValue* v = doc.find("error")) {
+  if (const JsonValue* v = obj.find("error")) {
     r.error = v->as_string("error");
   }
-  for (const auto& [key, value] : top_level_members(raw)) {
-    if (key == "payload") {
-      r.payload = value;
-    } else if (key == "responses") {
-      for (const std::string& sub : split_array_elements(value)) {
-        r.batch.push_back(parse_response_object(sub));
-      }
+  if (const JsonValue* v = obj.find("payload")) {
+    r.payload = v->text_in(line);
+  }
+  if (const JsonValue* v = obj.find("responses")) {
+    for (const JsonValue& sub : v->as_array("responses")) {
+      r.batch.push_back(response_of(sub, line));
     }
   }
   return r;
@@ -250,57 +177,27 @@ Response parse_response_object(const std::string& raw) {
 
 }  // namespace
 
+Response parse_response(const std::string& line) {
+  return response_of(parse_json(line), line);
+}
+
 std::vector<std::pair<std::string, std::string>> top_level_members(
     const std::string& json_object) {
+  const JsonValue doc = parse_json(json_object);
+  if (!doc.is_object()) throw ParseError("json: expected object");
   std::vector<std::pair<std::string, std::string>> out;
-  std::size_t pos = skip_ws(json_object, 0);
-  if (pos >= json_object.size() || json_object[pos] != '{') {
-    throw ParseError("json: expected object");
-  }
-  pos = skip_ws(json_object, pos + 1);
-  if (pos < json_object.size() && json_object[pos] == '}') return out;
-  while (true) {
-    if (pos >= json_object.size() || json_object[pos] != '"') {
-      throw ParseError("json: expected object key");
-    }
-    const std::size_t key_end = skip_raw_value(json_object, pos);
-    // The key span includes its quotes; decode through the parser so
-    // escaped keys compare correctly.
-    const std::string key =
-        parse_json(json_object.substr(pos, key_end - pos)).as_string("key");
-    pos = skip_ws(json_object, key_end);
-    if (pos >= json_object.size() || json_object[pos] != ':') {
-      throw ParseError("json: expected ':' after key");
-    }
-    pos = skip_ws(json_object, pos + 1);
-    const std::size_t val_end = skip_raw_value(json_object, pos);
-    out.emplace_back(key, json_object.substr(pos, val_end - pos));
-    pos = skip_ws(json_object, val_end);
-    if (pos >= json_object.size()) {
-      throw ParseError("json: unterminated object");
-    }
-    if (json_object[pos] == '}') break;
-    if (json_object[pos] != ',') {
-      throw ParseError("json: expected ',' in object");
-    }
-    pos = skip_ws(json_object, pos + 1);
+  for (const auto& [key, value] : doc.as_object("object")) {
+    out.emplace_back(key, value.text_in(json_object));
   }
   return out;
 }
 
-Response parse_response(const std::string& line) {
-  return parse_response_object(line);
-}
-
 std::string salvage_id_token(const std::string& line) {
   try {
-    for (const auto& [key, raw] : top_level_members(line)) {
-      if (key == "id") return raw;
-    }
-  } catch (...) {
-    // Not even an object — fall through to "null".
+    return json_id_token(parse_json(line).find("id"));
+  } catch (const ParseError&) {
+    return "null";  // not JSON: nothing in it can be echoed
   }
-  return "null";
 }
 
 int status_exit_code(Status s) {

@@ -3,11 +3,13 @@
 // Transport: newline-delimited JSON over a Unix-domain stream socket. One
 // request per line, one response line per request; a client pipelining
 // several requests matches responses by the echoed `id` (responses may
-// complete out of order).
+// complete out of order). Both directions read JSON through parse_json
+// alone (serve/json.hpp).
 //
 // Request object:
 //
-//   {"id": <string|int>,          optional, echoed verbatim
+//   {"id": <string|int>,          optional, echoed (any other id, and a
+//                                 line that is not JSON, answer null)
 //    "verb": "analyze"|"misses"|"sweep"|"lint"|"advise"
 //            |"batch"|"stats"|"ping"|"shutdown",
 //    "program": "<textual IR>",   analysis verbs
@@ -120,8 +122,8 @@ Status parse_status(const std::string& name);
 
 /// Parses a response line back into the envelope. `payload` (and each
 /// batch sub-payload) carries the *exact bytes* of the wire document —
-/// extracted by span, never re-serialized — so clients and tests can
-/// assert bit-identity against the CLI emitters.
+/// the span parse_json recorded, never re-serialized — so clients and
+/// tests can assert bit-identity against the CLI emitters.
 Response parse_response(const std::string& line);
 
 /// Splits the top-level members of one JSON object into (key, raw value
@@ -130,9 +132,9 @@ Response parse_response(const std::string& line);
 std::vector<std::pair<std::string, std::string>> top_level_members(
     const std::string& json_object);
 
-/// Best-effort recovery of the raw `id` token of a line that failed
-/// request parsing, so a transport can still address its error response;
-/// "null" when the line is not even an object.
+/// The id token of a line that failed request parsing, so a transport can
+/// still address its error response: json_id_token of the line's `id`
+/// when the line is JSON, else "null" — never bytes that are not JSON.
 std::string salvage_id_token(const std::string& line);
 
 /// Maps a response status onto the shared CLI exit-code taxonomy:

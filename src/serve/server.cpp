@@ -195,10 +195,8 @@ void Server::reader_loop(std::shared_ptr<Connection> conn,
       break;
     }
     buf.append(chunk, static_cast<std::size_t>(n));
-    std::size_t nl;
-    while ((nl = buf.find('\n')) != std::string::npos) {
-      std::string line = buf.substr(0, nl);
-      buf.erase(0, nl + 1);
+    std::string line;
+    while (take_line(buf, line)) {
       if (blank(line)) continue;
       // An injected read fault drops this connection only; concurrent
       // connections (and the daemon) are unaffected.
@@ -222,28 +220,15 @@ void Server::reader_loop(std::shared_ptr<Connection> conn,
 
 void Server::handle_request_line(const std::shared_ptr<Connection>& conn,
                                  const std::string& line) {
-  service_.metrics().record_received();
-  Request req;
-  try {
-    req = parse_request(line);
-  } catch (const std::exception& e) {
-    write_response(conn,
-                   service_.error_response(salvage_id_token(line), e.what()));
+  auto step = service_.admit_line(line);
+  if (auto* resp = std::get_if<Response>(&step)) {
+    write_response(conn, *resp);
     return;
   }
-  if (is_control_verb(req.verb)) {
-    write_response(conn, service_.control(req));
-    return;
-  }
-  const int retry = service_.try_admit();
-  if (retry > 0) {
-    write_response(conn, service_.rejected_response(req.id_token, retry));
-    return;
-  }
+  const Request req = std::move(std::get<Request>(step));
   // The admission slot travels with the task as a shared deleter, so it is
-  // released no matter how the task ends — run, dropped by a tripped
-  // cancel token draining the queue, or destroyed by an injected submit
-  // fault.
+  // released no matter how the task ends — run, or destroyed by an
+  // injected submit fault.
   auto ticket = std::shared_ptr<void>(
       nullptr, [this](void*) { service_.release(); });
   const auto enqueued = Clock::now();

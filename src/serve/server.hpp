@@ -1,11 +1,13 @@
 // Unix-domain socket transport of the serve daemon (DESIGN.md §16).
 //
 // One Server wraps one Service. The accept loop hands each connection a
-// reader thread; a reader splits the byte stream into request lines,
-// answers control verbs inline, runs admission control, and schedules
-// admitted requests on the shared parallel::ThreadPool — so a slow
-// request from one tenant never blocks another tenant's reader, and
-// responses to one connection may complete out of order (matched by id).
+// reader thread; a reader splits the byte stream into request lines with
+// take_line, passes each to Service::admit_line (the parse, control-verb
+// and admission steps Service::handle_line runs too), writes an inline
+// answer back, and schedules admitted requests on the shared
+// parallel::ThreadPool — so a slow request from one tenant never blocks
+// another tenant's reader, and responses to one connection may complete
+// out of order (matched by id).
 //
 // Robustness invariants (the failpoint matrix in tests/robustness_test.cpp
 // drives serve-accept / serve-read / serve-write / serve-enqueue through

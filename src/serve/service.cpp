@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <chrono>
-#include <functional>
 #include <sstream>
 
 #include "analysis/verbs.hpp"
@@ -107,22 +106,18 @@ void Service::dispatch(const Request& req, const Governor* gov,
   const analysis::VerbRequest call = analysis::resolve(req.call);
 
   // Cache key. analyze/misses/sweep key on the *canonicalized* program
-  // (structural_hash + printer round trip), so formatting differences
-  // share an entry. lint and advise key on the raw text: their payloads
-  // carry SourceLoc positions, which canonicalization would falsify — and
-  // lint must accept text that does not parse at all.
-  std::string key = config_fingerprint(call);
+  // (printer round trip), so formatting differences share an entry. lint
+  // and advise key on the raw text: their payloads carry SourceLoc
+  // positions, which canonicalization would falsify — and lint must accept
+  // text that does not parse at all.
   const bool textual = call.verb == analysis::Verb::kLint ||
                        call.verb == analysis::Verb::kAdvise;
   const ir::Program prog =
       textual ? ir::Program{} : ir::parse_program(call.program);
-  const std::uint64_t hash = mix_config_hash(
-      textual ? std::hash<std::string>{}(call.program)
-              : ir::structural_hash(prog),
-      key);
+  std::string key = config_fingerprint(call);
   key.push_back('\0');
   key += textual ? call.program : ir::to_code_string(prog);
-  if (auto cached = cache_.lookup(hash, key)) {
+  if (auto cached = cache_.lookup(key)) {
     resp.payload = std::move(*cached);
     resp.cached = true;
     resp.status = Status::kOk;
@@ -139,7 +134,7 @@ void Service::dispatch(const Request& req, const Governor* gov,
   resp.error = res.error;
   // Only complete, successful responses are memoized: a truncated payload
   // reflects this request's budget, not the next one's.
-  if (resp.status == Status::kOk) cache_.insert(hash, key, resp.payload);
+  if (resp.status == Status::kOk) cache_.insert(key, resp.payload);
 }
 
 Response Service::run_single(const Request& req,
@@ -189,7 +184,7 @@ Response Service::run(const Request& req, const CancellationToken& cancel,
     resp.batch.reserve(req.batch.size());
     for (const Request& sub : req.batch) {
       if (is_control_verb(sub.verb)) {
-        resp.batch.push_back(control_payload(sub));
+        resp.batch.push_back(control(sub));
       } else {
         resp.batch.push_back(run_single(sub, cancel, 0.0));
       }
@@ -204,7 +199,7 @@ Response Service::run(const Request& req, const CancellationToken& cancel,
   return resp;
 }
 
-Response Service::control_payload(const Request& req) {
+Response Service::control(const Request& req) {
   Response resp;
   resp.id_token = req.id_token;
   switch (req.verb) {
@@ -231,12 +226,6 @@ Response Service::control_payload(const Request& req) {
   return resp;
 }
 
-Response Service::control(const Request& req) {
-  Response resp = control_payload(req);
-  metrics_.record_done(resp.status, false, 0, 0);
-  return resp;
-}
-
 Response Service::error_response(const std::string& id_token,
                                  const std::string& message) {
   metrics_.record_done(Status::kError, false, 0, 0);
@@ -257,8 +246,7 @@ Response Service::rejected_response(const std::string& id_token,
   return resp;
 }
 
-Response Service::handle_line(const std::string& line,
-                              const CancellationToken& cancel) {
+std::variant<Response, Request> Service::admit_line(const std::string& line) {
   metrics_.record_received();
   Request req;
   try {
@@ -266,10 +254,21 @@ Response Service::handle_line(const std::string& line,
   } catch (const std::exception& e) {
     return error_response(salvage_id_token(line), e.what());
   }
-  if (is_control_verb(req.verb)) return control(req);
+  if (is_control_verb(req.verb)) {
+    Response resp = control(req);
+    metrics_.record_done(resp.status, false, 0, 0);
+    return resp;
+  }
   const int retry = try_admit();
   if (retry > 0) return rejected_response(req.id_token, retry);
-  Response resp = run(req, cancel, 0.0);
+  return req;
+}
+
+Response Service::handle_line(const std::string& line,
+                              const CancellationToken& cancel) {
+  auto step = admit_line(line);
+  if (auto* resp = std::get_if<Response>(&step)) return std::move(*resp);
+  Response resp = run(std::get<Request>(step), cancel, 0.0);
   release();
   return resp;
 }

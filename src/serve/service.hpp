@@ -1,13 +1,15 @@
 // Transport-independent core of the serve daemon (DESIGN.md §16).
 //
 // Service owns everything about request execution that is not a socket:
-// admission control, the per-request Governor (deadline, shared memory
-// budget, cancellation), the memo cache and the metrics. It runs every
-// analysis verb through analysis::run_verb, the function behind `sdlo
-// <verb>` too — which is how the daemon keeps its headline promise that a
-// response payload is byte-identical to the equivalent `sdlo <verb>
-// --json` invocation, and a bad knob the same error (the fuzz `serve`
-// oracle enforces the bytes, memo-cache hits included).
+// the per-line pipeline (admit_line: parse, control verbs, admission,
+// shared by the socket reader and handle_line), the per-request Governor
+// (deadline, shared memory budget, cancellation), the memo cache and the
+// metrics. It runs every analysis verb through analysis::run_verb, the
+// function behind `sdlo <verb>` too — which is how the daemon keeps its
+// headline promise that a response payload is byte-identical to the
+// equivalent `sdlo <verb> --json` invocation, and a bad knob the same
+// error (the fuzz `serve` oracle enforces the bytes, memo-cache hits
+// included).
 //
 // Admission control sheds load instead of queueing it unboundedly: a
 // request is admitted only while fewer than `max_active` requests are in
@@ -28,6 +30,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <variant>
 
 #include "serve/memo_cache.hpp"
 #include "serve/metrics.hpp"
@@ -59,11 +62,13 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Admission check. Returns 0 and claims a slot on success (the caller
-  /// must release()); returns the retry_after_ms hint (> 0) when the
-  /// request must be shed — queue bound exceeded or memory contended.
-  int try_admit();
-  void release();
+  /// The per-line steps every transport shares, up to running: records
+  /// the line, parses it, answers a malformed line or a control verb
+  /// (stats/ping/shutdown) inline, then claims an admission slot — a shed
+  /// line is answered `rejected` inline too. Returns the inline response,
+  /// or the admitted request, which the caller must run() and then
+  /// release().
+  std::variant<Response, Request> admit_line(const std::string& line);
 
   /// Runs one admitted request to a terminal state. Never throws: every
   /// failure becomes a typed response status. `cancel` is the transport's
@@ -72,17 +77,18 @@ class Service {
   Response run(const Request& req, const CancellationToken& cancel,
                double queue_seconds);
 
-  /// Answers a control verb (stats/ping/shutdown) inline.
-  Response control(const Request& req);
+  /// Frees the admission slot of a request admit_line() admitted.
+  void release();
 
-  /// The full per-line pipeline a transport performs, minus the socket:
-  /// parse, control short-circuit, admission, run, release. Used by
-  /// in-process callers (the fuzz serve-vs-CLI oracle, tests).
+  /// admit_line(), then run() and release() when admitted: the whole
+  /// per-line pipeline minus the socket. Used by in-process callers (the
+  /// fuzz serve-vs-CLI oracle, tests).
   Response handle_line(const std::string& line,
                        const CancellationToken& cancel = {});
 
-  /// Builds the typed error response a transport sends for a line it could
-  /// not parse (also records it in the metrics).
+  /// Builds a typed error response — for a line that does not parse, or
+  /// an admitted request a transport could not schedule — and records it
+  /// in the metrics.
   Response error_response(const std::string& id_token,
                           const std::string& message);
 
@@ -106,8 +112,12 @@ class Service {
   void dispatch(const Request& req, const Governor* gov, Response& resp);
   Response run_single(const Request& req, const CancellationToken& cancel,
                       double queue_seconds);
-  /// control() minus the metrics record — shared with batch sub-requests.
-  Response control_payload(const Request& req);
+  /// Answers a control verb; the caller records it in the metrics.
+  Response control(const Request& req);
+  /// Admission check. Returns 0 and claims a slot on success; returns the
+  /// retry_after_ms hint (> 0) when the request must be shed — queue bound
+  /// exceeded or memory contended.
+  int try_admit();
 
   const ServiceOptions opts_;
   MemoryBudget budget_;

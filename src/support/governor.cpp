@@ -16,12 +16,6 @@ Deadline Deadline::after_seconds(double seconds) {
   return d;
 }
 
-Deadline Deadline::at(Clock::time_point when) {
-  Deadline d;
-  d.at_ = when;
-  return d;
-}
-
 double Deadline::remaining_seconds() const {
   if (unlimited()) return std::numeric_limits<double>::infinity();
   return std::chrono::duration<double>(at_ - Clock::now()).count();

@@ -52,9 +52,6 @@ class Deadline {
   /// Expires `seconds` from now (<= 0 means already expired).
   static Deadline after_seconds(double seconds);
 
-  /// Expires at the given steady-clock instant.
-  static Deadline at(Clock::time_point when);
-
   bool unlimited() const { return at_ == Clock::time_point::max(); }
   bool expired() const {
     return !unlimited() && Clock::now() >= at_;

@@ -404,28 +404,42 @@ TEST(CliServeParity, FlaglessJsonIsTheDaemonPayload) {
 
 TEST(CliServeParity, OverflowingBindingsAreAWF007ErrorFromBothFrontDoors) {
   // At N=2000000 the matmul trace has 2.4e19 accesses: the verifier's size
-  // check must answer before a driver's int64 arithmetic overflows.
+  // check must answer before a driver's int64 arithmetic overflows. At
+  // N<=0 no loop runs: WF009 must answer before a driver counts negative
+  // accesses or the walker's extent check fires.
   struct Case {
     std::string verb, flags, members;
+    std::int64_t n;
+    std::string rule;
   };
   const std::vector<Case> cases = {
-      {"misses", "--cap 8192", ",\"cap\":8192"},
-      {"sweep", "--engine symbolic", ",\"engine\":\"symbolic\""},
-      {"advise", "--cap 8192", ",\"cap\":8192"},
+      {"misses", "--cap 8192", ",\"cap\":8192", 2000000, "WF007"},
+      {"sweep", "--engine symbolic", ",\"engine\":\"symbolic\"", 2000000,
+       "WF007"},
+      {"advise", "--cap 8192", ",\"cap\":8192", 2000000, "WF007"},
+      {"sweep", "", "", 0, "WF009"},
+      {"sweep", "--engine symbolic", ",\"engine\":\"symbolic\"", 0,
+       "WF009"},
+      {"misses", "--cap 8", ",\"cap\":8", -3, "WF009"},
+      {"advise", "", "", -3, "WF009"},
   };
   sdlo::serve::Service service;
   for (const Case& c : cases) {
+    const std::string what = c.verb + " " + c.flags + " N=" +
+                             std::to_string(c.n);
     int rc = -1;
     const std::string err = capture_stderr(
-        c.verb + " " + program_file() + " --set N=2000000 " + c.flags, rc,
-        "timeout 10 ");
-    EXPECT_EQ(rc, 1) << c.verb;
-    EXPECT_NE(err.find("WF007"), std::string::npos) << c.verb << ": " << err;
+        c.verb + " " + program_file() + " --set N=" + std::to_string(c.n) +
+            " " + c.flags,
+        rc, "timeout 10 ");
+    EXPECT_EQ(rc, 1) << what;
+    EXPECT_EQ(err.rfind("sdlo: " + c.rule + ": ", 0), 0u) << what << ": "
+                                                         << err;
     EXPECT_EQ(err.find("Check failed"), std::string::npos) << err;
     const sdlo::serve::Response resp =
-        service.handle_line(daemon_request(c.verb, c.members, 2000000));
-    EXPECT_EQ(resp.status, sdlo::serve::Status::kError) << c.verb;
-    EXPECT_EQ(err, "sdlo: " + resp.error + "\n") << c.verb;
+        service.handle_line(daemon_request(c.verb, c.members, c.n));
+    EXPECT_EQ(resp.status, sdlo::serve::Status::kError) << what;
+    EXPECT_EQ(err, "sdlo: " + resp.error + "\n") << what;
   }
 }
 

@@ -350,7 +350,7 @@ TEST(StructuralHash, RoundTripAndGalleryConsistency) {
     hashes.insert(structural_hash(g.prog));
   }
   // The five gallery programs are pairwise distinct; so must be the hashes
-  // (no collisions across this tiny set).
+  // (no two of this tiny set share one).
   EXPECT_EQ(hashes.size(), gallery.size());
 }
 

@@ -97,32 +97,6 @@ TEST(ThreadPool, FirstOfSeveralErrorsWins) {
   }
 }
 
-TEST(ThreadPool, CancelTokenDrainsQueuedTasks) {
-  // One worker, and the first task blocks until the token is cancelled:
-  // every task queued behind it must be drained without running.
-  ThreadPool pool(1);
-  CancellationToken token;
-  pool.set_cancel_token(token);
-  std::atomic<int> ran{0};
-  pool.submit([&token] {
-    while (!token.cancelled()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1); });
-  }
-  token.request_cancel();
-  pool.wait_idle();  // returns: drained tasks still count down in_flight
-  EXPECT_EQ(ran.load(), 0);
-
-  // Detach governance; the pool runs tasks again.
-  pool.set_cancel_token(CancellationToken());
-  pool.submit([&ran] { ran.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 1);
-}
-
 TEST(ThreadPool, TaskFailpointInjectsTypedError) {
   failpoints::ScopedFailpoint fp(failpoints::kPoolTask,
                                  {failpoints::Action::kThrow, 0});

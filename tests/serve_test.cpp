@@ -63,6 +63,16 @@ std::string analysis_request(const std::string& id, const std::string& verb,
          std::to_string(n) + "}" + extra + "}";
 }
 
+/// Request lines whose id the daemon cannot echo: three are not JSON (a
+/// bare token, a bad escape, a raw control byte in a string) and one has
+/// an object id.
+const std::vector<std::string> kUnechoableIdLines = {
+    "{\"id\":12x,\"verb\":\"ping\"}",
+    "{\"id\":\"a\\q\",\"verb\":\"misses\"}",
+    "{\"id\":\"a\x01\",\"verb\":\"ping\"}",
+    "{\"id\":{\"k\":[1,2]},\"verb\":\"nope\"}",
+};
+
 /// The exact bytes `sdlo misses --json` prints (trailing newline chomped,
 /// as the envelope embeds the document mid-line).
 std::string expected_misses_payload(const std::string& text,
@@ -239,7 +249,14 @@ TEST(ServeProtocol, SalvagesIdFromUnparseableLines) {
   EXPECT_EQ(serve::salvage_id_token(
                 "{\"id\":42,\"verb\":\"frobnicate\",\"x\":true}"),
             "42");
+  EXPECT_EQ(serve::salvage_id_token("{\"id\":\"r 1\",\"verb\":\"nope\"}"),
+            "\"r 1\"");
   EXPECT_EQ(serve::salvage_id_token("complete garbage"), "null");
+  // A line that is not JSON has no id to echo, and an id that is neither
+  // a string nor an integer is never echoed.
+  for (const std::string& line : kUnechoableIdLines) {
+    EXPECT_EQ(serve::salvage_id_token(line), "null") << line;
+  }
 }
 
 TEST(ServeProtocol, StatusMirrorsCliExitCodes) {
@@ -278,47 +295,35 @@ TEST(ServeBackoff, CustomPolicyIsPure) {
 // Memo cache
 // ---------------------------------------------------------------------------
 
-TEST(ServeMemoCache, InjectedHashCollisionNeverServesWrongBytes) {
-  // Two entries forced onto one 64-bit hash: the exact-key check must keep
-  // them apart, and a third key on the same hash must miss (counted as a
-  // collision), never return another request's payload.
-  serve::MemoCache cache(8);
-  const std::uint64_t h = 0xdeadbeef12345678ULL;
-  cache.insert(h, "key-a", "payload-a");
-  cache.insert(h, "key-b", "payload-b");
-  ASSERT_TRUE(cache.lookup(h, "key-a").has_value());
-  EXPECT_EQ(*cache.lookup(h, "key-a"), "payload-a");
-  EXPECT_EQ(*cache.lookup(h, "key-b"), "payload-b");
-  EXPECT_FALSE(cache.lookup(h, "key-c").has_value());
-  const auto st = cache.stats();
-  EXPECT_EQ(st.insertions, 2u);
-  EXPECT_GE(st.collisions, 1u);  // the key-c probe matched hash, not key
-  EXPECT_EQ(cache.size(), 2u);
-}
-
 TEST(ServeMemoCache, LruEvictsLeastRecentlyUsed) {
   serve::MemoCache cache(2);
-  cache.insert(1, "a", "A");
-  cache.insert(2, "b", "B");
-  ASSERT_TRUE(cache.lookup(1, "a").has_value());  // refresh a
-  cache.insert(3, "c", "C");                      // evicts b
-  EXPECT_TRUE(cache.lookup(1, "a").has_value());
-  EXPECT_FALSE(cache.lookup(2, "b").has_value());
-  EXPECT_TRUE(cache.lookup(3, "c").has_value());
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  cache.insert("key-a", "payload-a");
+  cache.insert("key-b", "payload-b");
+  // Distinct keys keep their own payloads; an absent key misses.
+  EXPECT_EQ(*cache.lookup("key-b"), "payload-b");
+  EXPECT_FALSE(cache.lookup("key-c").has_value());
+  ASSERT_TRUE(cache.lookup("key-a").has_value());  // refresh a
+  EXPECT_EQ(*cache.lookup("key-a"), "payload-a");
+  cache.insert("key-c", "payload-c");  // evicts b
+  EXPECT_TRUE(cache.lookup("key-a").has_value());
+  EXPECT_FALSE(cache.lookup("key-b").has_value());
+  EXPECT_EQ(*cache.lookup("key-c"), "payload-c");
+  const auto st = cache.stats();
+  EXPECT_EQ(st.insertions, 3u);
+  EXPECT_EQ(st.evictions, 1u);
   EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(ServeMemoCache, ReinsertRefreshesPayloadAndZeroEntriesDisables) {
   serve::MemoCache cache(2);
-  cache.insert(1, "a", "old");
-  cache.insert(1, "a", "new");
-  EXPECT_EQ(*cache.lookup(1, "a"), "new");
+  cache.insert("a", "old");
+  cache.insert("a", "new");
+  EXPECT_EQ(*cache.lookup("a"), "new");
   EXPECT_EQ(cache.size(), 1u);
 
   serve::MemoCache off(0);
-  off.insert(1, "a", "A");
-  EXPECT_FALSE(off.lookup(1, "a").has_value());
+  off.insert("a", "A");
+  EXPECT_FALSE(off.lookup("a").has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -388,6 +393,19 @@ TEST(ServeService, MalformedAndInvalidRequestsBecomeTypedErrorResponses) {
   EXPECT_EQ(garbage.status, serve::Status::kError);
   EXPECT_EQ(garbage.id_token, "9");  // salvaged from the broken line
   EXPECT_FALSE(garbage.error.empty());
+  const auto named = svc.handle_line("{\"id\":\"q\",\"verb\":\"frobnicate\"}");
+  EXPECT_EQ(named.id_token, "\"q\"");
+
+  // Every reply is one JSON line, addressed to id null when the request's
+  // id cannot be echoed.
+  for (const std::string& line : kUnechoableIdLines) {
+    const auto resp = svc.handle_line(line);
+    EXPECT_EQ(resp.status, serve::Status::kError) << line;
+    const serve::JsonValue envelope =
+        serve::parse_json(serve::render_response(resp));
+    ASSERT_NE(envelope.find("id"), nullptr) << line;
+    EXPECT_TRUE(envelope.find("id")->is_null()) << line;
+  }
 
   const auto missing = svc.handle_line("{\"id\":1,\"verb\":\"misses\"}");
   EXPECT_EQ(missing.status, serve::Status::kError);
