@@ -1,8 +1,11 @@
-// Ablation A1: exact stack-distance profiler (Fenwick over last-access
-// times, the Almasi et al. technique) versus a naive O(n) list scan, and
-// versus the plain LRU simulator, in ns/access. Demonstrates why the
-// Fenwick profiler, not a list scan, is the per-access histogram reference
-// the tests check the sweep engines against.
+// Ablation A1: exact stack distances from the shared RecencyIndex (Fenwick
+// over last-access times, the Almasi et al. technique) versus a naive O(n)
+// list scan, and versus the plain LRU simulator, in ns/access. The index,
+// fed `d = resolve(line); append(line);` per access, is what
+// profile_stack_distances runs and what the streamed sweep's hole merge
+// resolves holes with; this shows why it, not a list scan, is the
+// per-access histogram reference the tests check the sweep engines
+// against.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -10,7 +13,7 @@
 #include <unordered_map>
 
 #include "cachesim/lru_cache.hpp"
-#include "cachesim/stack_profiler.hpp"
+#include "cachesim/recency_index.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -45,20 +48,22 @@ std::vector<std::uint64_t> make_trace(std::size_t n, std::uint64_t range) {
   return t;
 }
 
-void BM_FenwickProfiler(benchmark::State& state) {
+void BM_RecencyIndex(benchmark::State& state) {
   const auto trace = make_trace(1 << 16,
                                 static_cast<std::uint64_t>(state.range(0)));
   for (auto _ : state) {
-    cachesim::StackDistanceProfiler p(
-        static_cast<std::uint64_t>(state.range(0)));
-    std::int64_t acc = 0;
-    for (auto a : trace) acc += p.access(a);
+    cachesim::RecencyIndex index(static_cast<std::uint64_t>(state.range(0)));
+    std::uint64_t acc = 0;
+    for (auto a : trace) {
+      acc += index.resolve(a);
+      index.append(a);
+    }
     benchmark::DoNotOptimize(acc);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(trace.size()));
 }
-BENCHMARK(BM_FenwickProfiler)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
+BENCHMARK(BM_RecencyIndex)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_NaiveProfiler(benchmark::State& state) {
   const auto trace = make_trace(1 << 13,

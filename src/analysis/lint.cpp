@@ -127,8 +127,8 @@ LintReport lint_checked(const ir::Program& prog,
   }
   rep.verified = true;
   const model::Analysis an = model::analyze(prog);
-  rep.applicability = check_applicability(an, env, opts.capacity,
-                                          opts.predict, opts.max_union_boxes);
+  rep.applicability =
+      check_applicability(an, env, opts.capacity, opts.predict);
   append_applicability_diagnostics(*rep.applicability, locs, opts.capacity,
                                    rep.diagnostics);
   rep.loops = analyze_parallel_safety(prog, env, opts.line_elems);

@@ -33,9 +33,6 @@ struct LintOptions {
   /// Cache line size in elements for false-sharing analysis (PS202);
   /// 0 → skipped.
   std::int64_t line_elems = 0;
-  /// Inclusion–exclusion budget forwarded to check_applicability; windows
-  /// with more boxes are over-approximated and flagged AP102.
-  std::size_t max_union_boxes = 12;
   /// Options of the model's one evaluation (AP103 and AP105 share it).
   model::SymbolicSweepOptions predict;
 };

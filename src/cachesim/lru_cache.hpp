@@ -32,7 +32,6 @@ class LruCache {
   /// (evicting the LRU element if full).
   bool access(std::uint64_t addr);
 
-  std::int64_t capacity() const { return capacity_; }
   std::int64_t size() const { return size_; }
 
   std::uint64_t hits() const { return hits_; }

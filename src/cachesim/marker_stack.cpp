@@ -81,11 +81,12 @@ MarkerStackEngine::MarkerStackEngine(std::vector<std::int64_t> caps_lines,
   seg_.reserve(static_cast<std::size_t>(footprint_lines));
 }
 
-std::size_t MarkerStackEngine::segment_of_depth(std::uint64_t depth) const {
+std::size_t segment_of_depth(const std::vector<std::int64_t>& caps,
+                             std::uint64_t depth) {
   return static_cast<std::size_t>(
-      std::lower_bound(caps_.begin(), caps_.end(),
+      std::lower_bound(caps.begin(), caps.end(),
                        static_cast<std::int64_t>(depth)) -
-      caps_.begin());
+      caps.begin());
 }
 
 std::vector<std::uint64_t> MarkerStackEngine::recency_order() const {
@@ -156,6 +157,36 @@ void MarkerStackEngine::consume_runs(const Run* g, std::size_t nrefs) {
   }
 }
 
+inline void MarkerStackEngine::move_to_top(std::int32_t ni) {
+  const std::size_t k = caps_.size();
+  Node& x = nodes_[static_cast<std::size_t>(ni)];
+  const auto s = static_cast<std::size_t>(seg_[static_cast<std::size_t>(ni)]);
+  // Rotating x to the top shifts positions 1..pos(x)-1 down by one: the
+  // node sitting exactly on each boundary below x crosses it. The new
+  // boundary node is its predecessor — or x itself when the boundary is
+  // position 1 (cap[j] == 1) and the old boundary node was the head.
+  for (std::size_t j = 0; j < s; ++j) {
+    const auto m = static_cast<std::size_t>(markers_[j]);
+    seg_[m] = static_cast<std::uint8_t>(j + 1);
+    markers_[j] = nodes_[m].prev >= 0 ? nodes_[m].prev : ni;
+  }
+  // If x itself sat on boundary s, its predecessor shifts onto it.
+  if (s < k && markers_[s] == ni) markers_[s] = x.prev;
+  // Unlink (x is not the head, so x.prev exists).
+  nodes_[static_cast<std::size_t>(x.prev)].next = x.next;
+  if (x.next >= 0) {
+    nodes_[static_cast<std::size_t>(x.next)].prev = x.prev;
+  } else {
+    tail_ = x.prev;
+  }
+  // Push front.
+  x.prev = -1;
+  x.next = head_;
+  nodes_[static_cast<std::size_t>(head_)].prev = ni;
+  head_ = ni;
+  seg_[static_cast<std::size_t>(ni)] = 0;
+}
+
 std::int32_t MarkerStackEngine::step(std::uint64_t line, std::int32_t site) {
   const std::size_t k = caps_.size();
   std::int32_t ni = node_of_[line];
@@ -190,36 +221,13 @@ std::int32_t MarkerStackEngine::step(std::uint64_t line, std::int32_t site) {
     return -1;
   }
 
-  Node& x = nodes_[static_cast<std::size_t>(ni)];
-  const auto s = static_cast<std::size_t>(seg_[static_cast<std::size_t>(ni)]);
+  const std::int32_t s = seg_[static_cast<std::size_t>(ni)];
   // The access hits every capacity of segment >= s, misses every smaller
   // one; segment 0 (position <= smallest capacity) misses none.
-  ++buckets_[static_cast<std::size_t>(site) * ks_ + s];
-  // Rotating x to the top shifts positions 1..pos(x)-1 down by one: the
-  // node sitting exactly on each boundary below x crosses it. The new
-  // boundary node is its predecessor — or x itself when the boundary is
-  // position 1 (cap[j] == 1) and the old boundary node was the head.
-  for (std::size_t j = 0; j < s; ++j) {
-    const auto m = static_cast<std::size_t>(markers_[j]);
-    seg_[m] = static_cast<std::uint8_t>(j + 1);
-    markers_[j] = nodes_[m].prev >= 0 ? nodes_[m].prev : ni;
-  }
-  // If x itself sat on boundary s, its predecessor shifts onto it.
-  if (s < k && markers_[s] == ni) markers_[s] = x.prev;
-  // Unlink (x is not the head, so x.prev exists).
-  nodes_[static_cast<std::size_t>(x.prev)].next = x.next;
-  if (x.next >= 0) {
-    nodes_[static_cast<std::size_t>(x.next)].prev = x.prev;
-  } else {
-    tail_ = x.prev;
-  }
-  // Push front.
-  x.prev = -1;
-  x.next = head_;
-  nodes_[static_cast<std::size_t>(head_)].prev = ni;
-  head_ = ni;
-  seg_[static_cast<std::size_t>(ni)] = 0;
-  return static_cast<std::int32_t>(s);
+  ++buckets_[static_cast<std::size_t>(site) * ks_ +
+             static_cast<std::size_t>(s)];
+  move_to_top(ni);
+  return s;
 }
 
 void MarkerStackEngine::consume_single(const Run& run) {
@@ -327,7 +335,7 @@ bool MarkerStackEngine::consume_disjoint_group(const Run* g,
   }
   // Bulk terms: duplicates hit segment 0 on every iteration; pinned refs
   // hit at depth n_distinct on iterations 1..count-1.
-  const std::size_t pin_seg = segment_of_depth(n_distinct);
+  const std::size_t pin_seg = segment_of_depth(caps_, n_distinct);
   bool moving[trace::kMaxLeafRefs];
   std::size_t n_moving = 0;
   for (std::size_t r = 0; r < nrefs; ++r) {
@@ -376,35 +384,12 @@ bool MarkerStackEngine::consume_disjoint_group(const Run* g,
   }
   // Silent replay of the final iteration restores the exact stack order.
   for (std::size_t r = 0; r < nrefs; ++r) {
-    if (!dup[r]) rotate_to_top(g[r].at(count - 1) >> shift_);
+    if (dup[r]) continue;
+    const std::int32_t ni = node_of_[g[r].at(count - 1) >> shift_];
+    SDLO_EXPECTS(ni >= 0);
+    if (ni != head_) move_to_top(ni);
   }
   return true;
-}
-
-void MarkerStackEngine::rotate_to_top(std::uint64_t line) {
-  const std::size_t k = caps_.size();
-  const std::int32_t ni = node_of_[line];
-  SDLO_EXPECTS(ni >= 0);
-  if (ni == head_) return;
-  Node& x = nodes_[static_cast<std::size_t>(ni)];
-  const auto s = static_cast<std::size_t>(seg_[static_cast<std::size_t>(ni)]);
-  for (std::size_t j = 0; j < s; ++j) {
-    const auto m = static_cast<std::size_t>(markers_[j]);
-    seg_[m] = static_cast<std::uint8_t>(j + 1);
-    markers_[j] = nodes_[m].prev >= 0 ? nodes_[m].prev : ni;
-  }
-  if (s < k && markers_[s] == ni) markers_[s] = x.prev;
-  nodes_[static_cast<std::size_t>(x.prev)].next = x.next;
-  if (x.next >= 0) {
-    nodes_[static_cast<std::size_t>(x.next)].prev = x.prev;
-  } else {
-    tail_ = x.prev;
-  }
-  x.prev = -1;
-  x.next = head_;
-  nodes_[static_cast<std::size_t>(head_)].prev = ni;
-  head_ = ni;
-  seg_[static_cast<std::size_t>(ni)] = 0;
 }
 
 }  // namespace sdlo::cachesim

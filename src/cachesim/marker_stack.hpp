@@ -63,6 +63,11 @@ struct Hole {
   std::int32_t site = 0;
 };
 
+/// Segment index of a stack depth against ascending capacities `caps`: the
+/// number of capacities < depth.
+std::size_t segment_of_depth(const std::vector<std::int64_t>& caps,
+                             std::uint64_t depth);
+
 /// Folds per-site segment hit counts into one SimResult per capacity:
 /// `slots[r]` lists the `out` entries the r-th of the k = slots.size()
 /// ascending capacities answers, and its misses are each site's cold
@@ -102,9 +107,6 @@ class MarkerStackEngine {
     return cold_by_site_;
   }
 
-  /// Segment index of a stack depth: the number of capacities < depth.
-  std::size_t segment_of_depth(std::uint64_t depth) const;
-
   /// The resident lines in last-access order, oldest (LRU) first. Exact:
   /// every bulk path preserves the true final stack order.
   std::vector<std::uint64_t> recency_order() const;
@@ -116,10 +118,13 @@ class MarkerStackEngine {
   };
 
   std::int32_t step(std::uint64_t line, std::int32_t site);
+  /// Rotates resident node `ni` (not the head) to the top of the stack,
+  /// moving each capacity boundary it passes; the one stack rotation of
+  /// step()'s hit path and of the disjoint-group replay.
+  void move_to_top(std::int32_t ni);
   void consume_single(const trace::Run& run);
   void consume_pinned_group(const trace::Run* g, std::size_t nrefs);
   bool consume_disjoint_group(const trace::Run* g, std::size_t nrefs);
-  void rotate_to_top(std::uint64_t line);
   void step_lines(const std::uint64_t* lines, std::size_t n,
                   std::int32_t site);
 

@@ -6,13 +6,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <utility>
 
 #include "cachesim/lru_cache.hpp"
 #include "cachesim/marker_stack.hpp"
+#include "cachesim/recency_index.hpp"
 #include "cachesim/set_assoc_cache.hpp"
 #include "support/check.hpp"
 #include "support/failpoints.hpp"
@@ -24,97 +24,9 @@ namespace {
 
 using trace::Run;
 
-constexpr std::uint64_t kNoPos = std::numeric_limits<std::uint64_t>::max();
-
-/// Bytes per footprint line of the merge structure's dense last-access
-/// table (one uint64 timestamp per line).
-constexpr std::uint64_t kMergeBytesPerLine = 8;
-
 /// Internal control-flow exception: thrown by a governed walk at a
 /// run-group boundary. Never escapes this translation unit.
 struct AbortWalk {};
-
-/// The sequential hole-merge structure: per line last touched by an earlier
-/// chunk (and not since re-touched), its last-access timestamp; a Fenwick
-/// tree counts live timestamps so a suffix count answers "how many distinct
-/// lines were last accessed at or after time p". Timestamps are appended
-/// monotonically (chunks are merged in trace order) and renumbered when the
-/// window fills, exactly like StackDistanceProfiler.
-class BoundaryMerge {
- public:
-  explicit BoundaryMerge(std::uint64_t footprint_lines)
-      : pos_of_(static_cast<std::size_t>(footprint_lines), kNoPos) {
-    window_ = std::size_t{1} << 10;
-    tree_.assign(window_ + 1, 0);
-  }
-
-  /// When `line` was last touched by an earlier chunk: returns the number
-  /// of live timestamps at or after its own (its own included, so >= 1)
-  /// and deletes the line, so later holes never count it again. Returns 0
-  /// when the line is unseen — a true cold access.
-  std::uint64_t resolve(std::uint64_t line) {
-    const std::uint64_t p = pos_of_[static_cast<std::size_t>(line)];
-    if (p == kNoPos) return 0;
-    const std::int64_t cnt =
-        active_ - (p == 0 ? 0 : prefix_sum(static_cast<std::size_t>(p) - 1));
-    bit_update(static_cast<std::size_t>(p), -1);
-    --active_;
-    pos_of_[static_cast<std::size_t>(line)] = kNoPos;
-    return static_cast<std::uint64_t>(cnt);
-  }
-
-  /// Appends `line` (must be absent) with a fresh, monotonically newest
-  /// timestamp.
-  void append(std::uint64_t line) {
-    if (cur_ >= window_) compact();
-    pos_of_[static_cast<std::size_t>(line)] = cur_;
-    bit_update(static_cast<std::size_t>(cur_), +1);
-    ++cur_;
-    ++active_;
-  }
-
- private:
-  void bit_update(std::size_t pos, int delta) {
-    for (std::size_t i = pos + 1; i <= window_; i += i & (~i + 1)) {
-      tree_[i] += delta;
-    }
-  }
-
-  std::int64_t prefix_sum(std::size_t pos) const {
-    std::int64_t s = 0;
-    for (std::size_t i = pos + 1; i > 0; i -= i & (~i + 1)) {
-      s += tree_[i];
-    }
-    return s;
-  }
-
-  void compact() {
-    // Renumber live timestamps to 0..n-1 preserving order; grow the window
-    // if the live set uses more than half of it.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> by_time;
-    by_time.reserve(static_cast<std::size_t>(active_));
-    for (std::size_t line = 0; line < pos_of_.size(); ++line) {
-      if (pos_of_[line] != kNoPos) by_time.emplace_back(pos_of_[line], line);
-    }
-    std::sort(by_time.begin(), by_time.end());
-    if (by_time.size() * 2 >= window_) {
-      window_ = std::bit_ceil(by_time.size() * 4 + 2);
-    }
-    tree_.assign(window_ + 1, 0);
-    for (std::size_t i = 0; i < by_time.size(); ++i) {
-      pos_of_[static_cast<std::size_t>(by_time[i].second)] = i;
-      bit_update(i, +1);
-    }
-    cur_ = by_time.size();
-    SDLO_ENSURES(static_cast<std::size_t>(active_) == by_time.size());
-  }
-
-  std::vector<std::uint64_t> pos_of_;  // dense line -> timestamp, kNoPos
-  std::vector<std::int32_t> tree_;     // Fenwick over timestamps
-  std::size_t window_ = 0;
-  std::uint64_t cur_ = 0;              // next timestamp
-  std::int64_t active_ = 0;            // live timestamps
-};
 
 /// One chunk's profile for one line size: the per-chunk engine plus its
 /// recorded holes.
@@ -124,7 +36,7 @@ struct ChunkProfile {
 };
 
 /// The incremental half of the rolling frontier: folds chunks into the
-/// boundary-merge structure strictly in trace order, one call per chunk,
+/// merge's recency index strictly in trace order, one call per chunk,
 /// and releases each chunk's engine the moment it is merged. Because the
 /// fold order equals the sequential merge order, the accumulated buckets,
 /// cold counts and access totals are bit-identical to the barriered merge
@@ -150,12 +62,8 @@ class FrontierMerger {
         ++cold_by_site_[static_cast<std::size_t>(h.site)];
         continue;
       }
-      const std::uint64_t depth = cnt + j;
-      const std::size_t seg = static_cast<std::size_t>(
-          std::lower_bound(caps_.begin(), caps_.end(),
-                           static_cast<std::int64_t>(depth)) -
-          caps_.begin());
-      ++buckets_[static_cast<std::size_t>(h.site) * ks_ + seg];
+      ++buckets_[static_cast<std::size_t>(h.site) * ks_ +
+                 segment_of_depth(caps_, cnt + j)];
     }
     for (std::uint64_t l : p.engine->recency_order()) merge_.append(l);
     const std::vector<std::uint64_t>& chunk_buckets = p.engine->buckets();
@@ -181,7 +89,7 @@ class FrontierMerger {
   std::vector<std::uint64_t> buckets_;
   std::vector<std::uint64_t> cold_by_site_;
   std::uint64_t accesses_ = 0;
-  BoundaryMerge merge_;
+  RecencyIndex merge_;
 };
 
 /// Per-group completion board shared between the workers and the merging
@@ -326,11 +234,12 @@ struct StreamLine {
   std::unique_ptr<FrontierMerger> merger;
 };
 
-std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
-                                     const std::vector<SweepConfig>& configs,
-                                     parallel::ThreadPool* pool,
-                                     const StreamOptions& sopt,
-                                     const Governor* gov) {
+}  // namespace
+
+std::vector<SimResult> simulate_sweep_streamed(
+    const trace::CompiledProgram& prog,
+    const std::vector<SweepConfig>& configs, parallel::ThreadPool* pool,
+    const StreamOptions& sopt, const Governor* gov) {
   const PartitionOptions& opt = sopt.partition;
   std::vector<SimResult> out(configs.size());
 
@@ -416,13 +325,17 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
 
   // Reserve the dense tables up front — the inline path holds only ONE
   // chunk's tables at a time, its key memory advantage — plus, with more
-  // than one chunk, the merge table.
+  // than one chunk, each live chunk's hole list (at most one Hole per
+  // footprint line) and the merge index at its worst case.
   auto reserve_tables = [&]() {
+    const std::uint64_t live_chunks = pooled ? chunks : 1;
     std::uint64_t bytes = 0;
     for (std::int64_t line : split.lines_seen) {
       const std::uint64_t fp = prog.footprint_lines(line);
-      bytes += (pooled ? chunks : 1) * fp * kStackBytesPerLine +
-               (single ? 0 : fp * kMergeBytesPerLine);
+      bytes += live_chunks * fp * kStackBytesPerLine;
+      if (!single) {
+        bytes += live_chunks * fp * sizeof(Hole) + RecencyIndex::max_bytes(fp);
+      }
     }
     return MemoryReservation(gov != nullptr ? gov->memory : nullptr, bytes);
   };
@@ -637,15 +550,6 @@ std::vector<SimResult> streamed_impl(const trace::CompiledProgram& prog,
     if (sl.merger != nullptr) sl.merger->finish(sl.slots, truncated, out);
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<SimResult> simulate_sweep_streamed(
-    const trace::CompiledProgram& prog,
-    const std::vector<SweepConfig>& configs, parallel::ThreadPool* pool,
-    const StreamOptions& opt, const Governor* gov) {
-  return streamed_impl(prog, configs, pool, opt, gov);
 }
 
 }  // namespace sdlo::cachesim

@@ -20,7 +20,7 @@
 // in an earlier chunk. Engines record holes in program order; a sequential
 // merge pass then resolves every hole exactly (this is the
 // time-partitioning idea of PARDA-style parallel stack distance, built on
-// the same Fenwick last-access formulation as stack_profiler.hpp):
+// the RecencyIndex that profile_stack_distances also uses):
 //
 //   The merge is a ROLLING FRONTIER, not a barrier: chunk i's holes are
 //   resolved as soon as chunks 0..i have finished profiling, while later
@@ -30,10 +30,9 @@
 //   the all-barriered sequential merge — the overlap changes wall-clock
 //   only, never a single count.
 //
-//   The merge keeps, per line touched by previous chunks and not since
-//   re-touched, its last-access timestamp, with a Fenwick tree counting
-//   live timestamps. For the j-th hole (0-based) of a chunk, with its line
-//   found at timestamp p:
+//   The merge's RecencyIndex keeps, per line touched by previous chunks
+//   and not since re-touched, its last-access timestamp. For the j-th hole
+//   (0-based) of a chunk, with its line found at timestamp p:
 //
 //     depth = (live timestamps >= p, including the line's own) + j
 //
@@ -48,7 +47,7 @@
 //   preserve it) with fresh monotone timestamps.
 //
 // A one-chunk plan has no reuse that crosses a chunk boundary: its engine
-// runs with no hole sink and no merge table, and its buckets fold straight
+// runs with no hole sink and no merge index, and its buckets fold straight
 // into the results (fold_segments).
 //
 // The merged result — per-site segment buckets summed across chunks plus
@@ -57,8 +56,10 @@
 // simulate_lru_lines reference.
 //
 // Governance: the dense tables are reserved against the memory budget up
-// front (per chunk on a pool, one chunk's worth inline, plus the merge
-// table when there is more than one chunk). When the reservation is
+// front (per chunk on a pool, one chunk's worth inline). With more than one
+// chunk the reservation also charges each live chunk's hole list (at most
+// one Hole per footprint line) and the merge index at its worst-case size
+// (RecencyIndex::max_bytes). When the reservation is
 // denied, the engine degrades a rung at a time, bit-identically:
 //   1. a multi-chunk plan retries as one chunk with no pool, which needs
 //      only the stack tables (fp * kStackBytesPerLine per line size);

@@ -32,9 +32,6 @@ class SetAssocCache {
   std::uint64_t misses() const { return misses_; }
   std::uint64_t accesses() const { return hits_ + misses_; }
 
-  std::int64_t num_sets() const { return num_sets_; }
-  int ways() const { return ways_; }
-
   void reset();
 
  private:

@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include "cachesim/recency_index.hpp"
+
 namespace sdlo::cachesim {
 
 SimResult simulate_lru(const trace::CompiledProgram& prog,
@@ -56,12 +58,26 @@ ProfileResult profile_stack_distances(const trace::CompiledProgram& prog,
       static_cast<std::uint64_t>(line_elems)));
   const int shift =
       std::countr_zero(static_cast<std::uint64_t>(line_elems));
-  StackDistanceProfiler profiler(prog.footprint_lines(line_elems));
-  profiler.enable_site_tracking(prog.num_sites());
+  RecencyIndex index(prog.footprint_lines(line_elems));
+  ProfileResult r;
+  r.line_elems = line_elems;
+  r.cold_by_site.assign(static_cast<std::size_t>(prog.num_sites()), 0);
+  r.histogram_by_site.resize(static_cast<std::size_t>(prog.num_sites()));
   prog.walk([&](const trace::Access& a) {
-    profiler.access(a.addr >> shift, a.site);
+    const std::uint64_t line = a.addr >> shift;
+    const auto depth = static_cast<std::int64_t>(index.resolve(line));
+    index.append(line);
+    ++r.accesses;
+    const auto site = static_cast<std::size_t>(a.site);
+    if (depth == 0) {
+      ++r.cold;
+      ++r.cold_by_site[site];
+    } else {
+      ++r.histogram[depth];
+      ++r.histogram_by_site[site][depth];
+    }
   });
-  return profiler.result(line_elems);
+  return r;
 }
 
 }  // namespace sdlo::cachesim

@@ -1,8 +1,9 @@
 // Per-access reference drivers: each feeds every access of a
-// CompiledProgram's walk() to one cache simulator or to the stack-distance
-// profiler, with no run-group shortcut. They produce the "#Actual misses"
-// columns of Tables 2 and 3, and they are what tests and the fuzz battery
-// check the streamed sweep engine and the symbolic sweep against.
+// CompiledProgram's walk() to one cache simulator or to the recency index
+// (recency_index.hpp), with no run-group shortcut. They produce the
+// "#Actual misses" columns of Tables 2 and 3, and they are what tests and
+// the fuzz battery check the streamed sweep engine and the symbolic sweep
+// against.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,6 @@
 #include "cachesim/lru_cache.hpp"
 #include "cachesim/results.hpp"
 #include "cachesim/set_assoc_cache.hpp"
-#include "cachesim/stack_profiler.hpp"
 #include "trace/walker.hpp"
 
 namespace sdlo::cachesim {
@@ -38,9 +38,9 @@ SimResult simulate_lru_lines(const trace::CompiledProgram& prog,
                              std::int64_t line_elems);
 
 /// Profiles the trace at `line_elems` granularity (a power of two):
-/// addresses are grouped into lines and every access of walk() is fed to
-/// StackDistanceProfiler::access, recording global and per-site depth
-/// histograms in one walk.
+/// addresses are grouped into lines and every access of walk() is fed to a
+/// RecencyIndex as `d = resolve(line); append(line);`, recording d (0 for a
+/// cold access) in the global and per-site depth histograms in one walk.
 ProfileResult profile_stack_distances(const trace::CompiledProgram& prog,
                                       std::int64_t line_elems = 1);
 

@@ -43,6 +43,20 @@ namespace {
 
 using cachesim::SimResult;
 
+/// Element capacities for the model-vs-profiler comparison (line size 1).
+constexpr std::array<std::int64_t, 10> kCapacities = {1,  2,  3,  5,   8,
+                                                      13, 21, 55, 200, 5000};
+/// Line sizes (elements, powers of two) for line-granular oracles.
+constexpr std::array<std::int64_t, 3> kLineSizes = {1, 2, 4};
+/// Capacities *in lines* for line-granular and set-associative oracles
+/// (element capacity = lines * line size).
+constexpr std::array<std::int64_t, 5> kCapacityLines = {1, 2, 3, 8, 21};
+/// Associativities for the set-associative oracles.
+constexpr std::array<int, 2> kWaysLadder = {1, 2};
+/// Per-site capacity for the model per-site oracle (and the lint, advise
+/// and daemon oracles' capacity).
+constexpr std::int64_t kPerSiteCapacity = 21;
+
 void add_mismatch(OracleReport& report, const std::string& oracle,
                   const std::string& detail) {
   report.mismatches.push_back(Mismatch{oracle, detail});
@@ -148,12 +162,11 @@ void check_walker(OracleReport& report, const trace::CompiledProgram& cp) {
 }
 
 void check_model(OracleReport& report, const ir::Program& prog,
-                 const sym::Env& env, const trace::CompiledProgram& cp,
-                 const OracleOptions& opts) {
+                 const sym::Env& env, const trace::CompiledProgram& cp) {
   const auto an = model::analyze(prog);
   const auto prof = cachesim::profile_stack_distances(cp);
   const model::SymbolicSweep sweep = model::symbolic_sweep(an, env);
-  for (const std::int64_t cap : opts.capacities) {
+  for (const std::int64_t cap : kCapacities) {
     const auto pred = model::predict_at(an, sweep, env, cap);
     if (static_cast<std::uint64_t>(pred.misses) != prof.misses(cap)) {
       std::ostringstream os;
@@ -163,7 +176,7 @@ void check_model(OracleReport& report, const ir::Program& prog,
     }
   }
   // Per-site agreement against the arena LRU cache at one mid capacity.
-  const std::int64_t cap = opts.per_site_capacity;
+  const std::int64_t cap = kPerSiteCapacity;
   const auto sim = cachesim::simulate_lru(cp, cap);
   compare_results(report, "model-vs-lru-per-site",
                   "cap=" + std::to_string(cap),
@@ -177,7 +190,7 @@ void check_model(OracleReport& report, const ir::Program& prog,
   model::SymbolicSweepOptions tiny;
   tiny.enum_limit = 16;
   const model::SymbolicSweep probed = model::symbolic_sweep(an, env, tiny);
-  for (const std::int64_t c : opts.capacities) {
+  for (const std::int64_t c : kCapacities) {
     const auto pred = model::predict_at(an, probed, env, c);
     if (pred.confidence == model::Confidence::kApproximate) continue;
     compare_results(report, "model-tiny-budget-vs-profile",
@@ -205,8 +218,8 @@ void check_model(OracleReport& report, const ir::Program& prog,
   }
   // And the evaluated curve must be bit-identical to the streamed engine at
   // the capacity ladder plus every crossing point and both its neighbors.
-  std::set<std::int64_t> caps(opts.capacities.begin(),
-                              opts.capacities.end());
+  std::set<std::int64_t> caps(kCapacities.begin(),
+                              kCapacities.end());
   for (const std::int64_t d : sweep.crossing_points()) {
     if (d > 1) caps.insert(d - 1);
     caps.insert(d);
@@ -233,13 +246,12 @@ void check_model(OracleReport& report, const ir::Program& prog,
   }
 }
 
-void check_profile(OracleReport& report, const trace::CompiledProgram& cp,
-                   const OracleOptions& opts) {
+void check_profile(OracleReport& report, const trace::CompiledProgram& cp) {
   // The Fenwick profiler against the LruCache simulator: two independent
   // per-access implementations of the same LRU semantics.
-  for (const std::int64_t line : opts.line_sizes) {
+  for (const std::int64_t line : kLineSizes) {
     const auto prof = cachesim::profile_stack_distances(cp, line);
-    for (const std::int64_t cl : opts.capacity_lines) {
+    for (const std::int64_t cl : kCapacityLines) {
       const std::int64_t cap = cl * line;
       std::ostringstream where;
       where << "cap=" << cap << " line=" << line;
@@ -300,13 +312,12 @@ void check_spool_groups(OracleReport& report,
 // Chunk counts cover single-group chunks on small traces (the count is
 // clamped to the group count). A teed run must also write the exact bytes
 // spool_program does, and the spool must stream the program's groups back.
-void check_sweep(OracleReport& report, const trace::CompiledProgram& cp,
-                 const OracleOptions& opts) {
+void check_sweep(OracleReport& report, const trace::CompiledProgram& cp) {
   std::vector<cachesim::SweepConfig> configs;
-  for (const std::int64_t line : opts.line_sizes) {
-    for (const std::int64_t cl : opts.capacity_lines) {
+  for (const std::int64_t line : kLineSizes) {
+    for (const std::int64_t cl : kCapacityLines) {
       configs.push_back({cl * line, line, 0, cachesim::Replacement::kLru});
-      for (const int ways : opts.ways_ladder) {
+      for (const int ways : kWaysLadder) {
         if (cl % ways != 0) continue;
         configs.push_back({cl * line, line, ways,
                            cachesim::Replacement::kLru});
@@ -381,10 +392,9 @@ void check_sweep(OracleReport& report, const trace::CompiledProgram& cp,
 }
 
 void check_set_assoc_edges(OracleReport& report,
-                           const trace::CompiledProgram& cp,
-                           const OracleOptions& opts) {
-  for (const std::int64_t line : opts.line_sizes) {
-    for (const std::int64_t cl : opts.capacity_lines) {
+                           const trace::CompiledProgram& cp) {
+  for (const std::int64_t line : kLineSizes) {
+    for (const std::int64_t cl : kCapacityLines) {
       const std::int64_t cap = cl * line;
       std::ostringstream base;
       base << "cap=" << cap << " line=" << line;
@@ -413,11 +423,10 @@ void check_set_assoc_edges(OracleReport& report,
 // counts, misses_by_site included, and no spurious truncation (no deadline
 // is set).
 void check_budgeted_degradation(OracleReport& report,
-                                const trace::CompiledProgram& cp,
-                                const OracleOptions& opts) {
+                                const trace::CompiledProgram& cp) {
   std::vector<cachesim::SweepConfig> configs;
-  for (const std::int64_t line : opts.line_sizes) {
-    for (const std::int64_t cl : opts.capacity_lines) {
+  for (const std::int64_t line : kLineSizes) {
+    for (const std::int64_t cl : kCapacityLines) {
       configs.push_back({cl * line, line, 0, cachesim::Replacement::kLru});
     }
   }
@@ -443,9 +452,10 @@ void check_budgeted_degradation(OracleReport& report,
                                                  &gov),
                "budgeted-hashed-vs-dense");
   // A budget holding exactly the stack tables denies a multi-chunk plan
-  // its merge tables; the retry as one chunk must fit and agree.
+  // its hole lists and merge index; the retry as one chunk must fit and
+  // agree.
   std::uint64_t stack_bytes = 0;
-  for (const std::int64_t line : opts.line_sizes) {
+  for (const std::int64_t line : kLineSizes) {
     stack_bytes += cp.footprint_lines(line) * cachesim::kStackBytesPerLine;
   }
   MemoryBudget stack_only(stack_bytes);
@@ -462,11 +472,11 @@ void check_budgeted_degradation(OracleReport& report,
 // the lint pipeline must report it well formed: any error-severity
 // diagnostic is a verifier (or generator) bug.
 void check_lint_gate(OracleReport& report, const ir::Program& prog,
-                     const sym::Env& env, const OracleOptions& opts) {
+                     const sym::Env& env) {
   analysis::LintOptions lo;
   lo.env = env;
-  lo.capacity = opts.per_site_capacity;
-  lo.line_elems = opts.line_sizes.empty() ? 0 : opts.line_sizes.back();
+  lo.capacity = kPerSiteCapacity;
+  lo.line_elems = kLineSizes.back();
   const analysis::LintReport rep = analysis::lint_program(prog, nullptr, lo);
   if (rep.ok()) return;
   std::ostringstream os;
@@ -798,7 +808,7 @@ void check_advise_claims(OracleReport& report, const ir::Program& prog,
   if (report.accesses > kAdviseAccessBudget) return;
 
   analysis::AdvisorOptions aopts;
-  aopts.capacity = opts.per_site_capacity;
+  aopts.capacity = kPerSiteCapacity;
   aopts.max_band_loops = 4;
   aopts.max_candidates = 8;
   aopts.tile_sizes = {2, 3};
@@ -886,7 +896,7 @@ void check_serve_equivalence(OracleReport& report, const ir::Program& prog,
     std::uint64_t budget;       ///< largest trace it runs end to end on
   };
   constexpr std::uint64_t kAny = ~std::uint64_t{0};
-  const std::int64_t cap = opts.per_site_capacity;
+  const std::int64_t cap = kPerSiteCapacity;
   const std::string cap_member = ",\"cap\":" + std::to_string(cap);
   const std::vector<Case> cases = {
       {"analyze", {.verb = Verb::kAnalyze}, "", kAny},
@@ -1027,19 +1037,17 @@ OracleReport check_program(const ir::Program& prog, const sym::Env& env,
   }
   if (opts.check_walker && !out_of_budget()) check_walker(report, cp);
   if (opts.check_model && !out_of_budget()) {
-    check_model(report, prog, env, cp, opts);
+    check_model(report, prog, env, cp);
   }
-  if (opts.check_profile && !out_of_budget()) check_profile(report, cp, opts);
-  if (opts.check_sweep && !out_of_budget()) check_sweep(report, cp, opts);
+  if (opts.check_profile && !out_of_budget()) check_profile(report, cp);
+  if (opts.check_sweep && !out_of_budget()) check_sweep(report, cp);
   if (opts.check_set_assoc && !out_of_budget()) {
-    check_set_assoc_edges(report, cp, opts);
+    check_set_assoc_edges(report, cp);
   }
   if (opts.check_budgeted && !out_of_budget()) {
-    check_budgeted_degradation(report, cp, opts);
+    check_budgeted_degradation(report, cp);
   }
-  if (opts.check_lint && !out_of_budget()) {
-    check_lint_gate(report, prog, env, opts);
-  }
+  if (opts.check_lint && !out_of_budget()) check_lint_gate(report, prog, env);
   if (opts.check_parallel && !out_of_budget()) {
     check_parallel_claims(report, prog, env);
   }

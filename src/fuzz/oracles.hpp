@@ -13,8 +13,10 @@
 //                                at line granularity (simulate_lru is
 //                                its one-element-line case)
 //   cachesim::profile_stack_distances / ProfileResult::result
-//                                per-access Fenwick stack-distance
-//                                histogram: the exact trace-side reference
+//                                per-access stack-distance histogram from
+//                                the Fenwick RecencyIndex (the one the
+//                                sweep's hole merge also uses): the exact
+//                                trace-side reference
 //   cachesim::simulate_sweep_streamed
 //                                the one sweep engine: per-chunk
 //                                marker-augmented LRU stacks + exact hole
@@ -59,22 +61,10 @@
 
 namespace sdlo::fuzz {
 
-/// Which ladders the oracles sweep, and which oracle families run.
+/// Which oracle families run, and which programs are too long to check.
 struct OracleOptions {
-  /// Element capacities for the model-vs-profiler comparison (line size 1).
-  std::vector<std::int64_t> capacities = {1, 2, 3, 5, 8, 13, 21, 55, 200,
-                                          5000};
-  /// Line sizes (elements, powers of two) for line-granular oracles.
-  std::vector<std::int64_t> line_sizes = {1, 2, 4};
-  /// Capacities *in lines* for line-granular and set-associative oracles
-  /// (element capacity = lines * line_size).
-  std::vector<std::int64_t> capacity_lines = {1, 2, 3, 8, 21};
-  /// Associativities for the set-associative oracles.
-  std::vector<int> ways_ladder = {1, 2};
   /// Programs whose trace exceeds this are skipped (report.skipped).
   std::uint64_t max_trace_accesses = 2'000'000;
-  /// Per-site capacity for the model per-site oracle.
-  std::int64_t per_site_capacity = 21;
 
   bool check_roundtrip = true;  ///< parse(print(p)) structural equality
   bool check_walker = true;     ///< walk_runs group contract and counts

@@ -17,6 +17,11 @@ namespace {
 constexpr std::size_t kBeam = 8;
 constexpr int kRefineRounds = 3;
 
+/// The bound every loop gets in unknown-bounds mode: a power of two, so
+/// every candidate tile value divides it, and 2^14 so that four-bound
+/// reference-count products stay within 64-bit range.
+constexpr std::int64_t kVirtualBound = std::int64_t{1} << 14;
+
 /// Candidate tile values for one dimension: powers of two in
 /// [1, min(max_tile, bound)] dividing the bound, ascending.
 std::vector<std::int64_t> value_ladder(std::int64_t bound,
@@ -204,7 +209,7 @@ SearchResult search_tiles(const ir::GalleryProgram& g,
   SDLO_CHECK(!g.tiles.empty(), "program has no tile symbols to search");
   std::vector<std::int64_t> eff_bounds = bounds;
   if (opts.unknown_bounds) {
-    eff_bounds.assign(g.bounds.size(), opts.virtual_bound);
+    eff_bounds.assign(g.bounds.size(), kVirtualBound);
   }
   SDLO_CHECK(eff_bounds.size() == g.bounds.size(),
              "bounds arity mismatch");
@@ -310,7 +315,7 @@ SearchResult exhaustive_tiles(const ir::GalleryProgram& g,
                               const SearchOptions& opts) {
   std::vector<std::int64_t> eff_bounds = bounds;
   if (opts.unknown_bounds) {
-    eff_bounds.assign(g.bounds.size(), opts.virtual_bound);
+    eff_bounds.assign(g.bounds.size(), kVirtualBound);
   }
   const auto ladders = make_ladders(g, eff_bounds, opts);
   const GridLayout layout(ladders);

@@ -48,13 +48,9 @@ struct Candidate {
 struct SearchOptions {
   /// Largest tile value considered per dimension (paper: 512).
   std::int64_t max_tile = 512;
-  /// When true, bounds are replaced by a large virtual value (the
+  /// When true, bounds are replaced by a large virtual value, 2^14 (the
   /// unknown-loop-bounds mode of §6 / Table 4).
   bool unknown_bounds = false;
-  /// Virtual bound used in unknown-bounds mode (must be divisible by every
-  /// candidate tile value; a large power of two). Kept at 2^14 so that
-  /// four-bound reference-count products stay within 64-bit range.
-  std::int64_t virtual_bound = std::int64_t{1} << 14;
   /// Optional worker pool: batches of unscored tuples are evaluated in
   /// parallel (the FastMissModel is immutable and thread-safe).
   parallel::ThreadPool* pool = nullptr;

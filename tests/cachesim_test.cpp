@@ -1,16 +1,18 @@
-// Unit + property tests for the cache simulators and the exact
-// stack-distance profiler.
+// Unit + property tests for the cache simulators and the recency index
+// behind the exact stack-distance profile.
 #include "support/check.hpp"
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
 #include "cachesim/lru_cache.hpp"
 #include "cachesim/set_assoc_cache.hpp"
 #include "cachesim/sim.hpp"
-#include "cachesim/stack_profiler.hpp"
+#include "cachesim/recency_index.hpp"
 #include "ir/gallery.hpp"
 #include "support/rng.hpp"
 #include "trace/walker.hpp"
@@ -74,6 +76,32 @@ class ReferenceLru {
   std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> map_;
 };
 
+// One access of profile_stack_distances: the access's LRU stack depth, 0
+// when cold.
+std::int64_t depth_of(RecencyIndex& index, std::uint64_t line) {
+  const auto depth = static_cast<std::int64_t>(index.resolve(line));
+  index.append(line);
+  return depth;
+}
+
+// Naive LRU stack, most recent first: the depth is the scan position.
+class NaiveStack {
+ public:
+  std::int64_t access(std::uint64_t line) {
+    const auto it = std::find(stack_.begin(), stack_.end(), line);
+    std::int64_t depth = 0;
+    if (it != stack_.end()) {
+      depth = it - stack_.begin() + 1;
+      stack_.erase(it);
+    }
+    stack_.insert(stack_.begin(), line);
+    return depth;
+  }
+
+ private:
+  std::vector<std::uint64_t> stack_;
+};
+
 class LruDifferentialTest
     : public ::testing::TestWithParam<std::pair<int, int>> {};
 
@@ -81,22 +109,29 @@ TEST_P(LruDifferentialTest, MatchesReferenceOnRandomTraces) {
   const auto [cap, range] = GetParam();
   LruCache fast(cap);
   ReferenceLru ref(cap);
-  StackDistanceProfiler prof(static_cast<std::uint64_t>(range));
+  RecencyIndex index(static_cast<std::uint64_t>(range));
+  std::map<std::int64_t, std::uint64_t> hist;
+  std::uint64_t cold = 0;
   SplitMix64 rng(static_cast<std::uint64_t>(cap * 7919 + range));
-  std::uint64_t prof_misses_check = 0;
+  std::uint64_t index_misses = 0;
   for (int i = 0; i < 20000; ++i) {
     const auto addr = rng.below(static_cast<std::uint64_t>(range));
     const bool hit_fast = fast.access(addr);
     const bool hit_ref = ref.access(addr);
     ASSERT_EQ(hit_fast, hit_ref) << "step " << i;
-    // Profiler agreement: hit iff depth in [1, cap].
-    const auto depth = prof.access(addr);
-    const bool hit_prof = depth != 0 && depth <= cap;
-    ASSERT_EQ(hit_fast, hit_prof) << "step " << i;
-    if (!hit_prof) ++prof_misses_check;
+    // Index agreement: hit iff depth in [1, cap].
+    const auto depth = depth_of(index, addr);
+    const bool hit_index = depth != 0 && depth <= cap;
+    ASSERT_EQ(hit_fast, hit_index) << "step " << i;
+    if (!hit_index) ++index_misses;
+    if (depth == 0) {
+      ++cold;
+    } else {
+      ++hist[depth];
+    }
   }
-  EXPECT_EQ(fast.misses(), prof_misses_check);
-  EXPECT_EQ(prof.misses(cap), fast.misses());
+  EXPECT_EQ(fast.misses(), index_misses);
+  EXPECT_EQ(misses_from_histogram(hist, cold, cap), fast.misses());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -106,41 +141,99 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{255, 4096}, std::pair{1024, 700}));
 
 TEST(StackProfiler, DepthsAreExact) {
-  StackDistanceProfiler p(16);
-  EXPECT_EQ(p.access(10), 0);  // cold
-  EXPECT_EQ(p.access(11), 0);
-  EXPECT_EQ(p.access(10), 2);  // {11, 10}
-  EXPECT_EQ(p.access(10), 1);  // immediate reuse
-  EXPECT_EQ(p.access(12), 0);
-  EXPECT_EQ(p.access(11), 3);  // {12, 10, 11}
-  EXPECT_EQ(p.cold_accesses(), 3u);
-  EXPECT_EQ(p.total_accesses(), 6u);
+  RecencyIndex index(16);
+  EXPECT_EQ(depth_of(index, 10), 0);  // cold
+  EXPECT_EQ(depth_of(index, 11), 0);
+  EXPECT_EQ(depth_of(index, 10), 2);  // {11, 10}
+  EXPECT_EQ(depth_of(index, 10), 1);  // immediate reuse
+  EXPECT_EQ(depth_of(index, 12), 0);
+  EXPECT_EQ(depth_of(index, 11), 3);  // {12, 10, 11}
+  // Oldest first the live lines are 10, 12, 11; resolve counts the live
+  // timestamps at or after the line's own and removes the line.
+  EXPECT_EQ(index.resolve(12), 2u);  // {12, 11}
+  EXPECT_EQ(index.resolve(12), 0u);  // absent now
+  EXPECT_EQ(index.resolve(10), 2u);  // {10, 11}
 }
 
 TEST(StackProfiler, HistogramAndMisses) {
-  StackDistanceProfiler p(16);
+  RecencyIndex index(16);
+  std::map<std::int64_t, std::uint64_t> hist;
+  std::uint64_t cold = 0;
   // a b a b a b -> depths: 0 0 2 2 2 2
   for (int i = 0; i < 3; ++i) {
-    p.access(1);
-    p.access(2);
+    for (const std::uint64_t line : {1u, 2u}) {
+      const std::int64_t depth = depth_of(index, line);
+      if (depth == 0) {
+        ++cold;
+      } else {
+        ++hist[depth];
+      }
+    }
   }
-  EXPECT_EQ(p.histogram().at(2), 4u);
-  EXPECT_EQ(p.misses(1), 2u + 4u);  // cold + all depth-2
-  EXPECT_EQ(p.misses(2), 2u);
-  EXPECT_EQ(p.misses(100), 2u);
+  EXPECT_EQ(cold, 2u);
+  EXPECT_EQ(hist.at(2), 4u);
+  EXPECT_EQ(misses_from_histogram(hist, cold, 1), 2u + 4u);  // cold + all
+  EXPECT_EQ(misses_from_histogram(hist, cold, 2), 2u);
+  EXPECT_EQ(misses_from_histogram(hist, cold, 100), 2u);
 }
 
 TEST(StackProfiler, CompactionPreservesDepths) {
-  // A window sized for 2000 addresses compacts every ~2000 accesses; one
-  // sized for 65536 compacts twice in the whole run.
-  StackDistanceProfiler small(2000);  // window = bit_ceil(4002) = 4096
-  StackDistanceProfiler big(1 << 16);
+  // 2000 lines: the window starts at 1024 timestamps; the first compaction
+  // finds ~800 live and grows it to bit_ceil(4 * live + 2) = 4096. With all
+  // 2000 live it then compacts about every 2100 accesses — some 45 times in
+  // this run — renumbering every live line.
+  RecencyIndex index(2000);
+  NaiveStack naive;
   SplitMix64 rng(99);
-  for (int i = 0; i < 300000; ++i) {
-    const auto addr = rng.below(2000);
-    ASSERT_EQ(small.access(addr), big.access(addr)) << i;
+  for (int i = 0; i < 100000; ++i) {
+    const auto line = rng.below(2000);
+    ASSERT_EQ(depth_of(index, line), naive.access(line)) << i;
   }
-  EXPECT_EQ(small.distinct_addresses(), big.distinct_addresses());
+  EXPECT_EQ(index.window(), 4096u);
+}
+
+TEST(StackProfiler, MergePatternMatchesListScan) {
+  // The frontier merge's use: each chunk first resolves its holes (first
+  // touches, in program order) without re-appending them, then appends its
+  // resident lines in recency order. Chunk c touches 250 new lines and 150
+  // random older ones, so the live set grows to 15000 lines and the window
+  // grows from 1024 at least three times.
+  constexpr std::uint64_t kLines = 15000;
+  RecencyIndex index(kLines);
+  std::vector<std::uint64_t> live;  // naive list, oldest first
+  SplitMix64 rng(7);
+  std::vector<std::size_t> windows = {index.window()};
+  for (std::uint64_t c = 0; c < 60; ++c) {
+    std::vector<std::uint64_t> chunk;
+    for (std::uint64_t l = 250 * c; l < 250 * (c + 1); ++l) chunk.push_back(l);
+    for (int i = 0; i < 150 && c > 0; ++i) chunk.push_back(rng.below(250 * c));
+    for (std::size_t i = chunk.size(); i > 1; --i) {
+      std::swap(chunk[i - 1], chunk[rng.below(i)]);
+    }
+    std::vector<std::uint64_t> recency;  // distinct lines, oldest first
+    for (const std::uint64_t l : chunk) {
+      const auto seen = std::find(recency.begin(), recency.end(), l);
+      if (seen == recency.end()) {
+        // A hole: live timestamps at or after the line's own, or 0.
+        const auto it = std::find(live.begin(), live.end(), l);
+        std::uint64_t expect = 0;
+        if (it != live.end()) {
+          expect = static_cast<std::uint64_t>(live.end() - it);
+          live.erase(it);
+        }
+        ASSERT_EQ(index.resolve(l), expect) << "chunk " << c << " line " << l;
+      } else {
+        recency.erase(seen);
+      }
+      recency.push_back(l);
+    }
+    for (const std::uint64_t l : recency) {
+      index.append(l);
+      live.push_back(l);
+      if (index.window() != windows.back()) windows.push_back(index.window());
+    }
+  }
+  EXPECT_GE(windows.size(), 4u);  // 1024 and three growths
 }
 
 TEST(LruCache, DenseAddressingMatchesHashedOnRandomTraces) {

@@ -21,6 +21,7 @@
 #include "cachesim/lru_cache.hpp"
 #include "cachesim/marker_stack.hpp"
 #include "cachesim/parallel_stack.hpp"
+#include "cachesim/recency_index.hpp"
 #include "cachesim/sim.hpp"
 #include "cachesim/sweep.hpp"
 #include "fuzz/oracles.hpp"
@@ -433,7 +434,7 @@ TEST(StreamedSweep, MemoryDenialDegradesButTeeStillCompletes) {
 TEST(StreamedSweep, OneChunkNeedsOnlyTheStackTables) {
   // One chunk has no reuse crossing a chunk boundary, so a budget of
   // exactly the marker stack's dense tables must let the one-thread sweep
-  // run on the dense path — no hole list, no merge table.
+  // run on the dense path — no hole list, no merge index.
   const auto g = ir::matmul_tiled();
   const CompiledProgram cp(g.prog, g.make_env({16, 16, 16}, {4, 8, 4}));
   std::vector<SweepConfig> configs;
@@ -483,6 +484,41 @@ TEST(StreamedSweep, DeniedMultiChunkPlanRetriesAsOneChunk) {
   }
   EXPECT_EQ(stats.chunks, 1u) << "did not retry as one chunk";
   EXPECT_EQ(exact.used(), 0u);
+}
+
+TEST(StreamedSweep, MergeReservationChargesTheIndexAndHoleLists) {
+  // A pooled multi-chunk plan holds every chunk's stack tables and hole
+  // list (at most one 16-byte Hole per footprint line) plus the merge's
+  // RecencyIndex, whose Fenwick tree outgrows its last-access table. A
+  // budget of the stack tables plus the last-access table alone must be
+  // denied and retried as one chunk; the full charge runs 4 chunks.
+  const auto g = ir::matmul_tiled();
+  const CompiledProgram cp(g.prog, g.make_env({16, 16, 16}, {4, 8, 4}));
+  std::vector<SweepConfig> configs;
+  for (std::int64_t cap : {1, 2, 16, 64, 250, 1024}) {
+    configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
+  }
+  parallel::ThreadPool pool(4);
+  const auto want = cachesim::simulate_sweep_streamed(cp, configs, &pool);
+  const std::uint64_t fp = cp.footprint_lines(1);
+  const std::uint64_t tables = 4 * fp * cachesim::kStackBytesPerLine;
+  const std::uint64_t full = tables + 4 * fp * sizeof(cachesim::Hole) +
+                             cachesim::RecencyIndex::max_bytes(fp);
+  for (const auto& [budget, chunks] :
+       {std::pair{tables + 8 * fp, 1u}, std::pair{full - 1, 1u},
+        std::pair{full, 4u}}) {
+    MemoryBudget mem(budget);
+    Governor gov;
+    gov.memory = &mem;
+    PartitionStats stats;
+    StreamOptions sopt;
+    sopt.partition.stats = &stats;
+    const auto got =
+        cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt, &gov);
+    expect_same(got, want, "budget " + std::to_string(budget));
+    EXPECT_EQ(stats.chunks, chunks) << "budget " << budget;
+    EXPECT_EQ(mem.used(), 0u);
+  }
 }
 
 TEST(StreamedSweep, TeeWriteFailureUnwindsCleanlyOnThePooledPath) {

@@ -97,7 +97,6 @@ TEST(Search, UnknownBoundsMatchesLargeKnownBounds) {
   opts.max_tile = 64;
   SearchOptions unknown = opts;
   unknown.unknown_bounds = true;
-  unknown.virtual_bound = 1 << 14;
   const auto u = search_tiles(g, fast, {}, 1024, unknown);
   const auto k = search_tiles(g, fast, {256, 256, 256, 256}, 1024, opts);
   EXPECT_EQ(u.best.tiles, k.best.tiles);
