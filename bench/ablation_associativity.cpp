@@ -6,6 +6,7 @@
 
 #include "bench_common.hpp"
 #include "cachesim/parallel_stack.hpp"
+#include "cachesim/sim.hpp"
 #include "ir/gallery.hpp"
 #include "trace/walker.hpp"
 
@@ -27,17 +28,12 @@ int main(int argc, char** argv) {
            {16, 16, 16}, {32, 32, 32}, {64, 64, 64}}) {
     const auto env = g.make_env({n, n, n}, tiles);
     trace::CompiledProgram cp(g.prog, env);
-    // One sweep call: the FA config rides the marker engine, the three
-    // set-associative geometries share a single serial trace walk.
-    const auto sims = cachesim::simulate_sweep_streamed(
-        cp, {{cap, 1, 0, cachesim::Replacement::kLru},
-             {cap, 1, 16, cachesim::Replacement::kLru},
-             {cap, 1, 4, cachesim::Replacement::kLru},
-             {cap, 1, 1, cachesim::Replacement::kLru}});
-    const auto fa = sims[0].misses;
-    const auto w16 = sims[1].misses;
-    const auto w4 = sims[2].misses;
-    const auto dm = sims[3].misses;
+    // The sweep engine answers the fully-associative cache; each
+    // set-associative geometry is simulated on its own.
+    const auto fa = cachesim::simulate_sweep_streamed(cp, {{cap, 1}})[0].misses;
+    const auto w16 = cachesim::simulate_set_assoc(cp, cap, 16, 1).misses;
+    const auto w4 = cachesim::simulate_set_assoc(cp, cap, 4, 1).misses;
+    const auto dm = cachesim::simulate_set_assoc(cp, cap, 1, 1).misses;
     t.add_row({bench::tuple_str(tiles),
                with_commas(static_cast<std::int64_t>(fa)),
                with_commas(static_cast<std::int64_t>(w16)),

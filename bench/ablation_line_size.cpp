@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     // All four line granularities from one trace walk.
     std::vector<cachesim::SweepConfig> configs;
     for (std::int64_t line : {1, 2, 4, 8}) {
-      configs.push_back({cap, line, 0, cachesim::Replacement::kLru});
+      configs.push_back({cap, line});
     }
     std::vector<std::uint64_t> sims;
     for (const auto& r : cachesim::simulate_sweep_streamed(cp, configs)) {

@@ -70,8 +70,7 @@ int main(int argc, char** argv) {
 
     WallTimer sim_timer;
     trace::CompiledProgram cp(g.prog, env);
-    const auto sim = cachesim::simulate_sweep_streamed(
-        cp, {{cap, 1, 0, cachesim::Replacement::kLru}})[0];
+    const auto sim = cachesim::simulate_sweep_streamed(cp, {{cap, 1}})[0];
     const double sim_s = sim_timer.seconds();
 
     t.add_row({bench::tuple_str(bounds), bench::tuple_str(tiles),

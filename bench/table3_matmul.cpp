@@ -71,8 +71,7 @@ int main(int argc, char** argv) {
       const auto env = g.make_env({row.n, row.n, row.n}, row.tiles);
       row.predicted = model::predict_misses(an, env, cap).misses;
       trace::CompiledProgram cp(g.prog, env);
-      row.sim = cachesim::simulate_sweep_streamed(
-          cp, {{cap, 1, 0, cachesim::Replacement::kLru}})[0];
+      row.sim = cachesim::simulate_sweep_streamed(cp, {{cap, 1}})[0];
     });
   }
   pool.wait_idle();

@@ -49,8 +49,7 @@ Score score_program(const ir::Program& prog, const sym::Env& env,
     if (total && *total <= kMaxSimAccesses) {
       trace::CompiledProgram cp(prog, env);
       const cachesim::SimResult r = cachesim::simulate_sweep_streamed(
-          cp, {{opts.capacity, 1, 0, cachesim::Replacement::kLru}}, nullptr,
-          {}, opts.governor)[0];
+          cp, {{opts.capacity, 1}}, nullptr, {}, opts.governor)[0];
       if (r.completeness == Completeness::kComplete) {
         s.misses = static_cast<std::int64_t>(r.misses);
         s.by_site.assign(r.misses_by_site.begin(), r.misses_by_site.end());

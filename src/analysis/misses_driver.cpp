@@ -29,8 +29,7 @@ MissesOutcome run_misses(const ir::Program& prog, const sym::Env& env,
   if (opts.simulate) {
     trace::CompiledProgram cp(prog, env);
     oc.sim = cachesim::simulate_sweep_streamed(
-        cp, {{opts.capacity, 1, 0, cachesim::Replacement::kLru}}, nullptr,
-        {}, gov)[0];
+        cp, {{opts.capacity, 1}}, nullptr, {}, gov)[0];
     oc.simulated = true;
   }
   return oc;

@@ -51,14 +51,13 @@ void simulate_ladder(const trace::CompiledProgram& cp,
   std::vector<cachesim::SweepConfig> configs;
   configs.reserve(oc.capacities.size());
   for (const std::int64_t cap : oc.capacities) {
-    configs.push_back({cap, opts.line_elems, 0, cachesim::Replacement::kLru});
+    configs.push_back({cap, opts.line_elems});
   }
   std::unique_ptr<parallel::ThreadPool> pool;
   if (opts.threads > 1) {
     pool = std::make_unique<parallel::ThreadPool>(opts.threads);
   }
   cachesim::StreamOptions sopt;
-  sopt.partition.threads = opts.threads;
   std::optional<trace::SpoolFileGuard> guard;
   std::optional<trace::SpoolWriter> writer;
   if (!opts.spool_path.empty()) {

@@ -43,23 +43,6 @@ LruCache::LruCache(std::int64_t capacity, std::uint64_t addr_limit)
   }
 }
 
-void LruCache::reset() {
-  size_ = 0;
-  hits_ = 0;
-  misses_ = 0;
-  head_ = tail_ = -1;
-  for (std::int32_t i = 0; i < capacity_; ++i) {
-    nodes_[static_cast<std::size_t>(i)].next =
-        (i + 1 < capacity_) ? i + 1 : -1;
-  }
-  free_head_ = 0;
-  if (!node_of_.empty()) {
-    node_of_.assign(node_of_.size(), -1);
-  } else {
-    keys_.assign(keys_.size(), kEmptyKey);
-  }
-}
-
 std::int32_t LruCache::find_slot(std::uint64_t addr) const {
   std::uint64_t i = hash_addr(addr) & mask_;
   while (keys_[i] != kEmptyKey) {

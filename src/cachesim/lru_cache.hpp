@@ -38,9 +38,6 @@ class LruCache {
   std::uint64_t misses() const { return misses_; }
   std::uint64_t accesses() const { return hits_ + misses_; }
 
-  /// Empties the cache and zeroes the counters.
-  void reset();
-
  private:
   struct Node {
     std::uint64_t addr = 0;

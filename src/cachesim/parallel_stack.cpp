@@ -13,7 +13,6 @@
 #include "cachesim/lru_cache.hpp"
 #include "cachesim/marker_stack.hpp"
 #include "cachesim/recency_index.hpp"
-#include "cachesim/set_assoc_cache.hpp"
 #include "support/check.hpp"
 #include "support/failpoints.hpp"
 #include "support/timer.hpp"
@@ -102,35 +101,25 @@ struct FrontierBoard {
   std::exception_ptr first_error;
 };
 
-/// One configuration simulated by a real cache model: a hashed-table
-/// LruCache for a fully-associative configuration whose dense stack tables
-/// were denied, or a SetAssocCache. Units consume whole run groups and
-/// share one serial walk.
+/// One configuration on the hashed rung: a hashed-table LruCache for a
+/// configuration whose dense stack tables were denied. Units consume whole
+/// run groups and share one serial walk.
 class CacheUnit {
  public:
   CacheUnit(const SweepConfig& cfg, std::size_t slot, std::int32_t num_sites)
       : slot_(slot),
-        misses_by_site_(static_cast<std::size_t>(num_sites), 0) {
-    if (cfg.ways == 0) {
-      shift_ = std::countr_zero(static_cast<std::uint64_t>(cfg.line_elems));
-      // addr_limit 0 selects the open-addressing map: memory proportional
-      // to the capacity, not the footprint.
-      lru_ = std::make_unique<LruCache>(cfg.capacity_elems / cfg.line_elems);
-    } else {
-      set_assoc_ = std::make_unique<SetAssocCache>(
-          cfg.capacity_elems, cfg.ways, cfg.line_elems, cfg.policy);
-    }
-  }
+        shift_(std::countr_zero(static_cast<std::uint64_t>(cfg.line_elems))),
+        // addr_limit 0 selects the open-addressing map: memory proportional
+        // to the capacity, not the footprint.
+        lru_(cfg.capacity_elems / cfg.line_elems),
+        misses_by_site_(static_cast<std::size_t>(num_sites), 0) {}
 
   void consume_runs(const Run* g, std::size_t nrefs) {
     const std::uint64_t count = g[0].count;
     accesses_ += count * nrefs;
     for (std::uint64_t v = 0; v < count; ++v) {
       for (std::size_t r = 0; r < nrefs; ++r) {
-        const std::uint64_t addr = g[r].at(v);
-        const bool hit = lru_ ? lru_->access(addr >> shift_)
-                              : set_assoc_->access(addr);
-        if (!hit) {
+        if (!lru_.access(g[r].at(v) >> shift_)) {
           ++misses_;
           ++misses_by_site_[static_cast<std::size_t>(g[r].site)];
         }
@@ -148,36 +137,25 @@ class CacheUnit {
 
  private:
   std::size_t slot_;
-  int shift_ = 0;
-  std::unique_ptr<LruCache> lru_;
-  std::unique_ptr<SetAssocCache> set_assoc_;
+  int shift_;
+  LruCache lru_;
   std::uint64_t accesses_ = 0;
   std::uint64_t misses_ = 0;
   std::vector<std::uint64_t> misses_by_site_;
 };
 
-/// Split of a sweep into the set-associative configurations, which take
-/// the shared walk, and the distinct fully-associative line sizes the
-/// stack engines cover.
-struct ConfigSplit {
-  std::vector<std::size_t> sa_slots;
-  std::vector<std::int64_t> lines_seen;
-};
-
-ConfigSplit split_configs(const std::vector<SweepConfig>& configs) {
-  ConfigSplit split;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    check_sweep_config(configs[i]);
-    if (configs[i].ways != 0) {
-      split.sa_slots.push_back(i);
-      continue;
-    }
-    if (std::find(split.lines_seen.begin(), split.lines_seen.end(),
-                  configs[i].line_elems) == split.lines_seen.end()) {
-      split.lines_seen.push_back(configs[i].line_elems);
+/// Checks every configuration and returns the distinct line sizes, in
+/// first-seen order.
+std::vector<std::int64_t> distinct_lines(
+    const std::vector<SweepConfig>& configs) {
+  std::vector<std::int64_t> lines;
+  for (const SweepConfig& c : configs) {
+    check_sweep_config(c);
+    if (std::find(lines.begin(), lines.end(), c.line_elems) == lines.end()) {
+      lines.push_back(c.line_elems);
     }
   }
-  return split;
+  return lines;
 }
 
 /// Sorted distinct capacities (in lines) for one line size, each with the
@@ -187,7 +165,7 @@ void collect_caps(const std::vector<SweepConfig>& configs, std::int64_t line,
                   std::vector<std::vector<std::size_t>>& slots) {
   std::vector<std::pair<std::int64_t, std::size_t>> caps;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (configs[i].ways == 0 && configs[i].line_elems == line) {
+    if (configs[i].line_elems == line) {
       caps.emplace_back(configs[i].capacity_elems / line, i);
     }
   }
@@ -252,22 +230,15 @@ std::vector<SimResult> simulate_sweep_streamed(
   const std::uint64_t interval =
       gov != nullptr && gov->poll_interval > 0 ? gov->poll_interval : 1024;
 
-  double spool_seconds = 0;
-  trace::SpoolWriter* tee = sopt.tee;
-  auto tee_group = [&](const Run* g, std::size_t nrefs) {
-    if (tee == nullptr) return;
-    WallTimer t;
-    tee->add_group(g, nrefs);
-    spool_seconds += t.seconds();
-  };
-
-  const ConfigSplit split = split_configs(configs);
+  const std::vector<std::int64_t> line_sizes = distinct_lines(configs);
   const std::int32_t num_sites = prog.num_sites();
+  trace::SpoolWriter* tee = sopt.tee;
+  double spool_seconds = 0;
 
-  // One serial walk of groups [0, end_group) through real cache models,
-  // teeing each group first when `with_tee`; writes the units' results.
-  auto shared_walk = [&](std::vector<CacheUnit>& units, bool with_tee) {
-    if (units.empty() && !with_tee) return;
+  // One serial walk of groups [0, end_group) on this thread, teeing each
+  // group and feeding it to `units`; writes the units' results.
+  auto serial_walk = [&](std::vector<CacheUnit>& units) {
+    if (units.empty() && tee == nullptr) return;
     std::uint64_t tick = 0;
     bool complete = !capped;
     try {
@@ -276,7 +247,11 @@ std::vector<SimResult> simulate_sweep_streamed(
           tick = 0;
           if (gov->should_stop()) throw AbortWalk{};
         }
-        if (with_tee) tee_group(g, n);
+        if (tee != nullptr) {
+          WallTimer t;
+          tee->add_group(g, n);
+          spool_seconds += t.seconds();
+        }
         for (CacheUnit& u : units) u.consume_runs(g, n);
       });
     } catch (const AbortWalk&) {
@@ -290,60 +265,57 @@ std::vector<SimResult> simulate_sweep_streamed(
     }
   };
 
-  // The last rung: every configuration on a real cache model — hashed
-  // tables for the fully-associative ones — in one serial walk that also
-  // completes the tee. Also serves an empty trace and a sweep with no
-  // fully-associative configuration.
+  // The last rung: every configuration on a hashed-table LruCache, in one
+  // serial walk that also completes the tee. Also serves an empty trace
+  // and an empty configuration list.
   auto hashed = [&]() {
     std::vector<CacheUnit> units;
     units.reserve(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
       units.emplace_back(configs[i], i, num_sites);
     }
-    shared_walk(units, true);
+    serial_walk(units);
     if (opt.stats != nullptr) opt.stats->spool_write_seconds += spool_seconds;
     return out;
   };
 
-  if (total_accesses == 0 || end_group == 0 || split.lines_seen.empty() ||
+  if (total_accesses == 0 || end_group == 0 || line_sizes.empty() ||
       failpoints::fail_alloc(failpoints::kSweepDenseAlloc)) {
     return hashed();
   }
 
-  int threads = opt.threads > 0
-                    ? opt.threads
-                    : (pool != nullptr ? pool->num_threads() : 1);
-  if (threads < 1) threads = 1;
-  std::uint64_t chunks = static_cast<std::uint64_t>(
-      opt.chunks > 0 ? opt.chunks : threads);
-  chunks = std::min(chunks, end_group);
-  // One chunk has no reuse crossing a chunk boundary: no holes, no merge.
-  bool single = chunks == 1;
-  // A 1-thread pool runs the chunks one after another anyway; the inline
-  // path does the same with only one chunk's tables live.
+  // Two plans: N chunks on a pool of >= 2 threads, or one chunk on this
+  // thread, which has no reuse crossing a chunk boundary: no holes, no
+  // merge.
+  const int threads = opt.threads > 0
+                          ? opt.threads
+                          : (pool != nullptr ? pool->num_threads() : 1);
+  std::uint64_t chunks = std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(std::max(opt.chunks > 0 ? opt.chunks
+                                                         : threads,
+                                          1)),
+      end_group);
   bool pooled = pool != nullptr && pool->num_threads() > 1 && chunks > 1;
+  if (!pooled) chunks = 1;
 
-  // Reserve the dense tables up front — the inline path holds only ONE
-  // chunk's tables at a time, its key memory advantage — plus, with more
-  // than one chunk, each live chunk's hole list (at most one Hole per
-  // footprint line) and the merge index at its worst case.
+  // Reserve every live chunk's dense tables up front, plus, on the pool,
+  // each chunk's hole list (at most one Hole per footprint line) and the
+  // merge index at its worst case.
   auto reserve_tables = [&]() {
-    const std::uint64_t live_chunks = pooled ? chunks : 1;
     std::uint64_t bytes = 0;
-    for (std::int64_t line : split.lines_seen) {
+    for (std::int64_t line : line_sizes) {
       const std::uint64_t fp = prog.footprint_lines(line);
-      bytes += live_chunks * fp * kStackBytesPerLine;
-      if (!single) {
-        bytes += live_chunks * fp * sizeof(Hole) + RecencyIndex::max_bytes(fp);
+      bytes += chunks * fp * kStackBytesPerLine;
+      if (pooled) {
+        bytes += chunks * fp * sizeof(Hole) + RecencyIndex::max_bytes(fp);
       }
     }
     return MemoryReservation(gov != nullptr ? gov->memory : nullptr, bytes);
   };
   MemoryReservation reservation = reserve_tables();
-  if (!reservation.ok() && !single) {
-    // Middle rung: one chunk and no pool needs only the stack tables.
+  if (!reservation.ok() && pooled) {
+    // Middle rung: one chunk needs only the stack tables.
     chunks = 1;
-    single = true;
     pooled = false;
     reservation = reserve_tables();
   }
@@ -353,18 +325,12 @@ std::vector<SimResult> simulate_sweep_streamed(
   const std::vector<std::uint64_t> bounds =
       make_bounds(prog, chunks, end_group, total_accesses);
 
-  std::vector<CacheUnit> sa_units;
-  sa_units.reserve(split.sa_slots.size());
-  for (std::size_t slot : split.sa_slots) {
-    sa_units.emplace_back(configs[slot], slot, num_sites);
-  }
-
-  std::vector<StreamLine> lines(split.lines_seen.size());
+  std::vector<StreamLine> lines(line_sizes.size());
   for (std::size_t l = 0; l < lines.size(); ++l) {
-    lines[l].line = split.lines_seen[l];
+    lines[l].line = line_sizes[l];
     lines[l].fp = prog.footprint_lines(lines[l].line);
     collect_caps(configs, lines[l].line, lines[l].caps, lines[l].slots);
-    if (!single) {
+    if (pooled) {
       lines[l].merger = std::make_unique<FrontierMerger>(
           lines[l].caps, num_sites, lines[l].fp);
     }
@@ -385,7 +351,7 @@ std::vector<SimResult> simulate_sweep_streamed(
     for (std::size_t l = 0; l < lines.size(); ++l) {
       prof[l].engine = std::make_unique<MarkerStackEngine>(
           lines[l].caps, lines[l].line, num_sites, lines[l].fp,
-          single ? nullptr : &prof[l].holes);
+          pooled ? &prof[l].holes : nullptr);
     }
     std::uint64_t tick = 0;
     try {
@@ -412,27 +378,12 @@ std::vector<SimResult> simulate_sweep_streamed(
   double wait_seconds = 0;
   std::uint64_t merged_chunks = 0;
   std::uint64_t overlapped = 0;
-
-  // Folds chunk cc into every line size's frontier (a one-chunk plan has
-  // nothing to fold: its engines are the result).
-  auto merge = [&](std::size_t cc, std::vector<ChunkProfile>& prof,
-                   std::size_t profiled_now) {
-    if (!single) {
-      WallTimer t;
-      for (std::size_t l = 0; l < lines.size(); ++l) {
-        lines[l].merger->merge_chunk(prof[l]);
-      }
-      merge_seconds += t.seconds();
-    }
-    ++merged_chunks;
-    if (opt.merge_observer) opt.merge_observer(cc, profiled_now, nchunks);
-  };
+  std::vector<CacheUnit> no_units;
 
   if (pooled) {
     // One pool task per chunk, each walking its own group range; the
-    // caller walks the trace once for the tee and the set-associative
-    // units meanwhile, then advances the rolling merge frontier while
-    // later chunks are still profiling.
+    // caller walks the trace once for the tee meanwhile, then advances the
+    // rolling merge frontier while later chunks are still profiling.
     std::vector<std::vector<ChunkProfile>> profiles(nchunks);
     std::vector<char> chunk_complete(nchunks, 0);
     FrontierBoard board;
@@ -474,7 +425,7 @@ std::vector<SimResult> simulate_sweep_streamed(
         board.cv.notify_all();
       });
     }
-    shared_walk(sa_units, tee != nullptr);
+    serial_walk(no_units);
 
     // Rolling frontier: fold chunks in trace order as they finish. It stops
     // at the first chunk that failed, or that a pool fault dropped (such a
@@ -500,7 +451,13 @@ std::vector<SimResult> simulate_sweep_streamed(
         break;
       }
 
-      merge(cc, profiles[cc], profiled_now);
+      WallTimer t;
+      for (std::size_t l = 0; l < lines.size(); ++l) {
+        lines[l].merger->merge_chunk(profiles[cc][l]);
+      }
+      merge_seconds += t.seconds();
+      ++merged_chunks;
+      if (opt.merge_observer) opt.merge_observer(cc, profiled_now, nchunks);
       if (profiled_now < nchunks) ++overlapped;
       if (chunk_complete[cc] == 0) {
         truncated = true;
@@ -513,27 +470,22 @@ std::vector<SimResult> simulate_sweep_streamed(
       std::scoped_lock lock(board.mu);
       if (board.first_error) std::rethrow_exception(board.first_error);
     }
-  } else {
-    // Inline: the chunks run in chunk order on this thread, each merged
-    // right after it is profiled — only one chunk's tables are ever live.
-    shared_walk(sa_units, tee != nullptr);
-    std::vector<ChunkProfile> prof;
-    for (std::size_t cc = 0; cc < nchunks; ++cc) {
-      const bool complete = profile_chunk(cc, prof);
-      merge(cc, prof, cc + 1);
-      if (!complete) {
-        truncated = true;
-        break;
-      }
+    for (const StreamLine& sl : lines) {
+      sl.merger->finish(sl.slots, truncated, out);
     }
-    if (single) {
-      for (std::size_t l = 0; l < lines.size(); ++l) {
-        const MarkerStackEngine& e = *prof[l].engine;
-        fold_segments(e.buckets(), e.cold_by_site(), e.accesses(),
-                      truncated ? Completeness::kTruncated
-                                : Completeness::kComplete,
-                      lines[l].slots, out);
-      }
+  } else {
+    // One chunk on this thread: its engines are the result.
+    serial_walk(no_units);
+    std::vector<ChunkProfile> prof;
+    if (!profile_chunk(0, prof)) truncated = true;
+    merged_chunks = 1;
+    if (opt.merge_observer) opt.merge_observer(0, 1, 1);
+    for (std::size_t l = 0; l < lines.size(); ++l) {
+      const MarkerStackEngine& e = *prof[l].engine;
+      fold_segments(e.buckets(), e.cold_by_site(), e.accesses(),
+                    truncated ? Completeness::kTruncated
+                              : Completeness::kComplete,
+                    lines[l].slots, out);
     }
   }
 
@@ -544,10 +496,6 @@ std::vector<SimResult> simulate_sweep_streamed(
     opt.stats->chunks += chunks;
     opt.stats->merged_chunks += merged_chunks;
     opt.stats->overlapped_merges += overlapped;
-  }
-
-  for (const StreamLine& sl : lines) {
-    if (sl.merger != nullptr) sl.merger->finish(sl.slots, truncated, out);
   }
   return out;
 }

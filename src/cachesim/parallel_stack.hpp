@@ -1,5 +1,12 @@
 // Time-partitioned stack distance: the streamed sweep engine.
 //
+// The engine simulates one geometry, the paper's fully-associative LRU
+// cache (§5.2), at many capacities and line sizes at once; a
+// set-associative configuration is a ContractViolation (simulate_set_assoc
+// in sim.hpp models those caches one at a time). It runs one of two plans:
+// one chunk on the calling thread, or, given a pool of >= 2 threads, N
+// chunks on the pool.
+//
 // One stack-distance computation — a single fully-associative sweep over
 // one trace — is made to scale across cores by partitioning the
 // run-compressed trace in TIME: the group stream is split into contiguous
@@ -56,20 +63,17 @@
 // simulate_lru_lines reference.
 //
 // Governance: the dense tables are reserved against the memory budget up
-// front (per chunk on a pool, one chunk's worth inline). With more than one
-// chunk the reservation also charges each live chunk's hole list (at most
-// one Hole per footprint line) and the merge index at its worst-case size
-// (RecencyIndex::max_bytes). When the reservation is
+// front, one set per chunk. A pooled plan also charges each chunk's hole
+// list (at most one Hole per footprint line) and the merge index at its
+// worst-case size (RecencyIndex::max_bytes). When the reservation is
 // denied, the engine degrades a rung at a time, bit-identically:
-//   1. a multi-chunk plan retries as one chunk with no pool, which needs
-//      only the stack tables (fp * kStackBytesPerLine per line size);
+//   1. a pooled plan retries as one chunk with no pool, which needs only
+//      the stack tables (fp * kStackBytesPerLine per line size);
 //   2. when that is denied too — or the sweep-dense-alloc failpoint injects
 //      a denial — every configuration runs on a hashed-table LruCache
 //      (memory proportional to the capacities, O(#configs) per access),
 //      all fed from one serial walk.
-// Set-associative configurations, which the inclusion property does not
-// cover, always take that serial shared walk over real SetAssocCache
-// models. Every chunk walk polls the governor, so a deadline or
+// Every chunk walk polls the governor, so a deadline or
 // cancellation stops it at a group boundary; the merged result is then the
 // bit-exact simulation of the longest contiguous prefix profiled (the
 // frontier merges through the earliest incomplete chunk and discards the
@@ -113,10 +117,12 @@ struct PartitionStats {
 
 /// How to split the trace in time.
 struct PartitionOptions {
-  /// Worker parallelism; 0 uses the pool's thread count (1 without a pool).
+  /// Chunks to split into when `chunks` is 0; 0 uses the pool's thread
+  /// count (1 without a pool).
   int threads = 0;
   /// Explicit chunk-count override (hole-merge tests); 0 splits the trace
-  /// evenly across threads. Clamped to the run-group count.
+  /// evenly across threads. Clamped to the run-group count. Without a pool
+  /// of >= 2 threads the engine always runs one chunk.
   int chunks = 0;
   /// When nonzero, process only the first max_groups run groups and mark
   /// the result truncated if that is a proper prefix — the deterministic
@@ -150,16 +156,16 @@ struct StreamOptions {
 /// feeding every requested line size's engine for that chunk, then
 /// resolves holes with the rolling-frontier merge. Results are exact and
 /// returned in `configs` order, bit-identical to per-configuration
-/// simulate_lru / simulate_lru_lines / simulate_set_assoc.
+/// simulate_lru / simulate_lru_lines. Throws ContractViolation when a
+/// configuration is not a valid fully-associative geometry.
 ///
-/// With a pool of >= 2 threads each chunk is one pool task, and the
-/// caller merges chunk c as soon as chunks 0..c are done, while later
-/// chunks still profile. Otherwise the caller runs the chunks inline in
-/// chunk order and merges each right after it, holding only ONE chunk's
-/// tables at a time; with one chunk it needs no hole list and no merge
-/// table (the lowest-memory exact path). When the memory budget denies
-/// the dense tables, the run degrades as the file comment describes; the
-/// tee still completes on every rung.
+/// With a pool of >= 2 threads and more than one chunk, each chunk is one
+/// pool task, and the caller merges chunk c as soon as chunks 0..c are
+/// done, while later chunks still profile. Otherwise the caller runs one
+/// chunk, which needs no hole list and no merge table (the lowest-memory
+/// exact path). When the memory budget denies the dense tables, the run
+/// degrades as the file comment describes; the tee still completes on
+/// every rung.
 std::vector<SimResult> simulate_sweep_streamed(
     const trace::CompiledProgram& prog,
     const std::vector<SweepConfig>& configs,

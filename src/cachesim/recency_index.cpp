@@ -12,20 +12,28 @@ namespace {
 
 constexpr std::uint64_t kNoPos = std::numeric_limits<std::uint64_t>::max();
 
-constexpr std::size_t kInitialWindow = std::size_t{1} << 10;
+constexpr std::size_t kMinWindow = std::size_t{1} << 10;
 
 std::size_t lowbit(std::size_t i) { return i & (~i + 1); }
+
+/// A compaction scans the whole last-access table, so the first window
+/// grows with the table: then it costs O(1) per append amortized even when
+/// few lines are live.
+std::size_t initial_window(std::uint64_t lines) {
+  return std::max<std::size_t>(
+      kMinWindow, static_cast<std::size_t>(std::bit_ceil(lines) / 16));
+}
 
 }  // namespace
 
 RecencyIndex::RecencyIndex(std::uint64_t lines)
     : pos_of_(static_cast<std::size_t>(lines), kNoPos),
-      tree_(kInitialWindow + 1, 0),
-      window_(kInitialWindow) {}
+      tree_(initial_window(lines) + 1, 0),
+      window_(initial_window(lines)) {}
 
 std::uint64_t RecencyIndex::max_bytes(std::uint64_t lines) {
   const std::uint64_t window =
-      std::max<std::uint64_t>(std::bit_ceil(4 * lines + 2), kInitialWindow);
+      std::max<std::uint64_t>(std::bit_ceil(4 * lines + 2), kMinWindow);
   return lines * sizeof(std::uint64_t) + (window + 1) * sizeof(std::int32_t);
 }
 

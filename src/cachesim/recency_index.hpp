@@ -36,10 +36,12 @@ class RecencyIndex {
 
   /// Worst-case bytes an index over `lines` lines holds at once: the
   /// last-access table (one uint64 per line) plus the Fenwick tree (one
-  /// int32 per timestamp, window + 1 entries). The window starts at 1024
-  /// and, when a compaction finds half of it live, grows to
-  /// bit_ceil(4 * live + 2); live <= lines bounds it. A compaction
-  /// renumbers in place and frees the old tree before growing it.
+  /// int32 per timestamp, window + 1 entries). The window starts at
+  /// max(1024, bit_ceil(lines) / 16), so that the O(lines) scan of a
+  /// compaction amortizes over at least lines / 16 appends, and when a
+  /// compaction finds half of it live, grows to bit_ceil(4 * live + 2);
+  /// live <= lines bounds it. A compaction renumbers in place and frees
+  /// the old tree before growing it.
   static std::uint64_t max_bytes(std::uint64_t lines);
 
  private:

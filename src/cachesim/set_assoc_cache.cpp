@@ -7,8 +7,8 @@
 namespace sdlo::cachesim {
 
 SetAssocCache::SetAssocCache(std::int64_t capacity_elems, int ways,
-                             std::int64_t line_elems, Replacement policy)
-    : ways_(ways), line_elems_(line_elems), policy_(policy) {
+                             std::int64_t line_elems)
+    : ways_(ways), line_elems_(line_elems) {
   SDLO_EXPECTS(capacity_elems > 0 && ways > 0 && line_elems > 0);
   SDLO_EXPECTS(std::has_single_bit(static_cast<std::uint64_t>(line_elems)));
   SDLO_CHECK(capacity_elems % (ways * line_elems) == 0,
@@ -16,13 +16,6 @@ SetAssocCache::SetAssocCache(std::int64_t capacity_elems, int ways,
   num_sets_ = capacity_elems / (ways * line_elems);
   line_shift_ = std::countr_zero(static_cast<std::uint64_t>(line_elems));
   lines_.assign(static_cast<std::size_t>(num_sets_ * ways), Line{});
-}
-
-void SetAssocCache::reset() {
-  lines_.assign(lines_.size(), Line{});
-  clock_ = 0;
-  hits_ = 0;
-  misses_ = 0;
 }
 
 bool SetAssocCache::access(std::uint64_t addr) {
@@ -38,7 +31,7 @@ bool SetAssocCache::access(std::uint64_t addr) {
     Line& line = base[w];
     if (line.valid && line.tag == tag) {
       ++hits_;
-      if (policy_ == Replacement::kLru) line.stamp = clock_;
+      line.stamp = clock_;
       return true;
     }
     if (!line.valid) {

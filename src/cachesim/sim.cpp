@@ -13,8 +13,8 @@ SimResult simulate_lru(const trace::CompiledProgram& prog,
 
 SimResult simulate_set_assoc(const trace::CompiledProgram& prog,
                              std::int64_t capacity_elems, int ways,
-                             std::int64_t line_elems, Replacement policy) {
-  SetAssocCache cache(capacity_elems, ways, line_elems, policy);
+                             std::int64_t line_elems) {
+  SetAssocCache cache(capacity_elems, ways, line_elems);
   SimResult r;
   r.misses_by_site.assign(static_cast<std::size_t>(prog.num_sites()), 0);
   prog.walk([&](const trace::Access& a) {

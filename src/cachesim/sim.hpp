@@ -25,8 +25,7 @@ SimResult simulate_lru(const trace::CompiledProgram& prog,
 /// Simulates against a set-associative cache (conflict-miss ablation).
 SimResult simulate_set_assoc(const trace::CompiledProgram& prog,
                              std::int64_t capacity_elems, int ways,
-                             std::int64_t line_elems,
-                             Replacement policy = Replacement::kLru);
+                             std::int64_t line_elems);
 
 /// Fully-associative LRU at cache-*line* granularity: addresses are grouped
 /// into lines of `line_elems` (a power of two) and the cache holds

@@ -14,6 +14,9 @@ void check_sweep_config(const SweepConfig& c) {
              "sweep line size must be a positive power of two");
   SDLO_CHECK(c.capacity_elems % c.line_elems == 0,
              "sweep capacity must be a whole number of lines");
+  SDLO_CHECK(c.ways == 0,
+             "the sweep engine is fully associative; simulate a "
+             "set-associative geometry with simulate_set_assoc");
 }
 
 }  // namespace sdlo::cachesim

@@ -6,14 +6,18 @@
 // the stack of a larger one, so one annotated stack answers every capacity
 // at once: cachesim::simulate_sweep_streamed (parallel_stack.hpp) is the
 // one engine that does it, and the header to include. This header only
-// names the geometry the engine accepts.
+// names the geometry the engine accepts: a fully-associative LRU cache,
+// the paper's model (§5.2). Set-associative geometries are simulated one
+// at a time by simulate_set_assoc (sim.hpp).
 #pragma once
 
 #include <cstdint>
 
-#include "cachesim/set_assoc_cache.hpp"
-
 namespace sdlo::cachesim {
+
+/// Replacement policy. LRU is the only one; the enum remains because
+/// SweepConfig::policy still spells it.
+enum class Replacement : std::uint8_t { kLru };
 
 /// One cache configuration of a sweep.
 struct SweepConfig {
@@ -21,16 +25,16 @@ struct SweepConfig {
   std::int64_t capacity_elems = 0;
   /// Line size in elements (a power of two; 1 = the paper's element model).
   std::int64_t line_elems = 1;
-  /// Associativity: 0 = fully associative (the marker-stack engine);
-  /// otherwise a W-way set-associative geometry (a real cache model fed
-  /// from a shared walk).
+  /// Must be 0 (fully associative). Kept only for aggregate initializers
+  /// that still spell all four members.
   int ways = 0;
-  /// Replacement policy for set-associative configurations.
+  /// Must be kLru; kept for the same reason as `ways`.
   Replacement policy = Replacement::kLru;
 };
 
 /// Throws ContractViolation unless `c` is a valid geometry: a positive
-/// capacity that is a whole number of lines of a power-of-two size.
+/// capacity that is a whole number of lines of a power-of-two size, fully
+/// associative.
 void check_sweep_config(const SweepConfig& c);
 
 }  // namespace sdlo::cachesim

@@ -51,8 +51,6 @@ constexpr std::array<std::int64_t, 3> kLineSizes = {1, 2, 4};
 /// Capacities *in lines* for line-granular and set-associative oracles
 /// (element capacity = lines * line size).
 constexpr std::array<std::int64_t, 5> kCapacityLines = {1, 2, 3, 8, 21};
-/// Associativities for the set-associative oracles.
-constexpr std::array<int, 2> kWaysLadder = {1, 2};
 /// Per-site capacity for the model per-site oracle (and the lint, advise
 /// and daemon oracles' capacity).
 constexpr std::int64_t kPerSiteCapacity = 21;
@@ -233,8 +231,7 @@ void check_model(OracleReport& report, const ir::Program& prog,
     std::vector<cachesim::SweepConfig> configs;
     configs.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      configs.push_back(
-          {cap_list[base + i], 1, 0, cachesim::Replacement::kLru});
+      configs.push_back({cap_list[base + i], 1});
     }
     const auto swept = cachesim::simulate_sweep_streamed(cp, configs);
     for (std::size_t i = 0; i < n; ++i) {
@@ -303,12 +300,11 @@ void check_spool_groups(OracleReport& report,
   }
 }
 
-// The one sweep engine against the per-configuration references. One mixed
-// config list — fully-associative entries per line size plus
-// set-associative entries under both policies — runs at several chunk
-// counts, inline and on a pool, so the hole-merge pass that reconstructs
-// cross-chunk reuse depths is pinned to the naive simulators,
-// misses_by_site included.
+// The one sweep engine against the per-configuration references. One
+// fully-associative config list over every line size runs as one chunk
+// inline and at several chunk counts on a pool, so the hole-merge pass
+// that reconstructs cross-chunk reuse depths is pinned to the naive
+// simulators, misses_by_site included.
 // Chunk counts cover single-group chunks on small traces (the count is
 // clamped to the group count). A teed run must also write the exact bytes
 // spool_program does, and the spool must stream the program's groups back.
@@ -316,38 +312,27 @@ void check_sweep(OracleReport& report, const trace::CompiledProgram& cp) {
   std::vector<cachesim::SweepConfig> configs;
   for (const std::int64_t line : kLineSizes) {
     for (const std::int64_t cl : kCapacityLines) {
-      configs.push_back({cl * line, line, 0, cachesim::Replacement::kLru});
-      for (const int ways : kWaysLadder) {
-        if (cl % ways != 0) continue;
-        configs.push_back({cl * line, line, ways,
-                           cachesim::Replacement::kLru});
-        configs.push_back({cl * line, line, ways,
-                           cachesim::Replacement::kFifo});
-      }
+      configs.push_back({cl * line, line});
     }
   }
   const std::vector<SimResult> want = reference_sweep(cp, configs);
   const auto compare_all = [&](const std::vector<SimResult>& got,
                                const std::string& suffix) {
     for (std::size_t i = 0; i < configs.size(); ++i) {
-      const auto& c = configs[i];
       std::ostringstream where;
-      where << "cap=" << c.capacity_elems << " line=" << c.line_elems
-            << " ways=" << c.ways
-            << (c.policy == cachesim::Replacement::kFifo ? " fifo" : " lru")
-            << suffix;
+      where << "cap=" << configs[i].capacity_elems
+            << " line=" << configs[i].line_elems << suffix;
       compare_results(report, "sweep-vs-reference", where.str(), got[i],
                       want[i]);
     }
   };
-  // Each chunk count runs inline and again on one shared 2-thread pool,
-  // where the chunks walk their group ranges concurrently.
+  compare_all(cachesim::simulate_sweep_streamed(cp, configs), " chunks=1");
+  // Every multi-chunk run shares one 2-thread pool, where the chunks walk
+  // their group ranges concurrently.
   parallel::ThreadPool pool(2);
-  for (const int chunks : {1, 2, 5, 17}) {
+  for (const int chunks : {2, 5, 17}) {
     cachesim::StreamOptions sopt;
     sopt.partition.chunks = chunks;
-    compare_all(cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt),
-                " chunks=" + std::to_string(chunks));
     compare_all(cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt),
                 " chunks=" + std::to_string(chunks) + " pooled");
   }
@@ -376,8 +361,8 @@ void check_sweep(OracleReport& report, const trace::CompiledProgram& cp) {
     cachesim::StreamOptions sopt;
     sopt.partition.chunks = 3;
     sopt.tee = &tee;
-    compare_all(cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt),
-                " chunks=3 tee");
+    compare_all(cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt),
+                " chunks=3 pooled tee");
     tee.finish(cp.num_sites(), cp.address_space_size());
     if (!files_equal(path_tee, path)) {
       add_mismatch(report, "streamed-tee-bytes",
@@ -402,17 +387,8 @@ void check_set_assoc_edges(OracleReport& report,
       // fully associative and must match the LruCache-based simulator.
       compare_results(
           report, "set-assoc-fully-assoc-edge", base.str(),
-          cachesim::simulate_set_assoc(cp, cap, static_cast<int>(cl), line,
-                                       cachesim::Replacement::kLru),
+          cachesim::simulate_set_assoc(cp, cap, static_cast<int>(cl), line),
           cachesim::simulate_lru_lines(cp, cap, line));
-      // Direct-mapped (1-way) sets hold a single line, so the replacement
-      // policy cannot matter: LRU and FIFO must agree access for access.
-      compare_results(
-          report, "set-assoc-direct-mapped-edge", base.str() + " ways=1",
-          cachesim::simulate_set_assoc(cp, cap, 1, line,
-                                       cachesim::Replacement::kFifo),
-          cachesim::simulate_set_assoc(cp, cap, 1, line,
-                                       cachesim::Replacement::kLru));
     }
   }
 }
@@ -427,7 +403,7 @@ void check_budgeted_degradation(OracleReport& report,
   std::vector<cachesim::SweepConfig> configs;
   for (const std::int64_t line : kLineSizes) {
     for (const std::int64_t cl : kCapacityLines) {
-      configs.push_back({cl * line, line, 0, cachesim::Replacement::kLru});
+      configs.push_back({cl * line, line});
     }
   }
   const auto dense = cachesim::simulate_sweep_streamed(cp, configs);
@@ -451,9 +427,9 @@ void check_budgeted_degradation(OracleReport& report,
   expect_dense(cachesim::simulate_sweep_streamed(cp, configs, nullptr, {},
                                                  &gov),
                "budgeted-hashed-vs-dense");
-  // A budget holding exactly the stack tables denies a multi-chunk plan
-  // its hole lists and merge index; the retry as one chunk must fit and
-  // agree.
+  // A budget holding exactly the stack tables denies a pooled multi-chunk
+  // plan its hole lists and merge index; the retry as one chunk must fit
+  // and agree.
   std::uint64_t stack_bytes = 0;
   for (const std::int64_t line : kLineSizes) {
     stack_bytes += cp.footprint_lines(line) * cachesim::kStackBytesPerLine;
@@ -461,9 +437,10 @@ void check_budgeted_degradation(OracleReport& report,
   MemoryBudget stack_only(stack_bytes);
   Governor one_chunk_gov;
   one_chunk_gov.memory = &stack_only;
+  parallel::ThreadPool pool(2);
   cachesim::StreamOptions sopt;
   sopt.partition.chunks = 5;
-  expect_dense(cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt,
+  expect_dense(cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt,
                                                  &one_chunk_gov),
                "budgeted-one-chunk-vs-dense");
 }
@@ -1003,12 +980,8 @@ std::vector<SimResult> reference_sweep(
   std::vector<SimResult> out;
   out.reserve(configs.size());
   for (const auto& c : configs) {
-    out.push_back(c.ways == 0
-                      ? cachesim::simulate_lru_lines(cp, c.capacity_elems,
-                                                     c.line_elems)
-                      : cachesim::simulate_set_assoc(cp, c.capacity_elems,
-                                                     c.ways, c.line_elems,
-                                                     c.policy));
+    out.push_back(
+        cachesim::simulate_lru_lines(cp, c.capacity_elems, c.line_elems));
   }
   return out;
 }

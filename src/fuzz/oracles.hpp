@@ -20,8 +20,8 @@
 //   cachesim::simulate_sweep_streamed
 //                                the one sweep engine: per-chunk
 //                                marker-augmented LRU stacks + exact hole
-//                                merge, hashed and set-associative cache
-//                                models on its shared walk
+//                                merge, hashed LruCaches on its last
+//                                memory rung
 //   trace::SpooledTrace          out-of-core spool round trip
 //   cachesim::simulate_set_assoc set-associative geometry (edge cases of
 //                                which must degenerate to the above)
@@ -77,12 +77,13 @@ struct OracleOptions {
   /// point (misses_by_site included).
   bool check_model = true;
   bool check_profile = true;    ///< profiler vs simulate_lru_lines
-  /// The streamed sweep engine at chunk counts {1, 2, 5, 17}, inline and
-  /// on a 2-thread pool, against simulate_lru_lines / simulate_set_assoc,
-  /// a teed run's spool bytes against spool_program, and SpooledTrace's
+  /// The streamed sweep engine as one chunk inline and at chunk counts
+  /// {2, 5, 17} on a 2-thread pool, against simulate_lru_lines, a teed
+  /// pooled run's spool bytes against spool_program, and SpooledTrace's
   /// groups against the program's own walk_runs.
   bool check_sweep = true;
-  bool check_set_assoc = true;  ///< set-associative edge geometries
+  /// simulate_set_assoc at full associativity vs simulate_lru_lines.
+  bool check_set_assoc = true;
   bool check_lint = true;       ///< generated programs lint error-free
   /// Brute-force verification of DOALL-safety claims: every loop the
   /// analysis pass marks safe is executed element-wise and checked for
@@ -90,8 +91,8 @@ struct OracleOptions {
   bool check_parallel = true;
   /// Budget-degradation oracle: a zero memory budget forces the sweep
   /// engine onto its hashed fallback, and a budget of only the stack
-  /// tables forces a multi-chunk sweep down to one chunk; both must be
-  /// bit-identical to the unbudgeted dense runs.
+  /// tables forces a pooled multi-chunk sweep down to one chunk; both must
+  /// be bit-identical to the unbudgeted dense runs.
   bool check_budgeted = true;
   /// Brute-force dependence oracle: replay the trace recording every
   /// observed (src site, dst site, kind, direction vector) tuple and
@@ -144,8 +145,8 @@ struct OracleReport {
 };
 
 /// Every configuration simulated on its own by the per-access reference
-/// simulators (simulate_lru_lines, simulate_set_assoc), in `configs`
-/// order: what simulate_sweep_streamed must return bit for bit.
+/// simulate_lru_lines, in `configs` order: what simulate_sweep_streamed
+/// must return bit for bit.
 std::vector<cachesim::SimResult> reference_sweep(
     const trace::CompiledProgram& cp,
     const std::vector<cachesim::SweepConfig>& configs);

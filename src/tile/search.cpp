@@ -156,8 +156,7 @@ std::uint64_t Scorer::simulated_misses(
     return it->second;
   }
   trace::CompiledProgram cp(g_.prog, g_.make_env(bounds_, tiles));
-  const auto r = cachesim::simulate_sweep_streamed(
-      cp, {{capacity_, 1, 0, cachesim::Replacement::kLru}});
+  const auto r = cachesim::simulate_sweep_streamed(cp, {{capacity_, 1}});
   return sim_memo_.emplace(tiles, r[0].misses).first->second;
 }
 

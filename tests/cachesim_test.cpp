@@ -41,15 +41,6 @@ TEST(LruCache, CapacityOne) {
   EXPECT_EQ(c.size(), 1);
 }
 
-TEST(LruCache, ResetClearsEverything) {
-  LruCache c(4);
-  c.access(1);
-  c.access(2);
-  c.reset();
-  EXPECT_EQ(c.accesses(), 0u);
-  EXPECT_FALSE(c.access(1));  // cold again
-}
-
 // Reference LRU built on std::list + unordered_map, for differential
 // testing of the open-addressing implementation.
 class ReferenceLru {
@@ -192,6 +183,22 @@ TEST(StackProfiler, CompactionPreservesDepths) {
   EXPECT_EQ(index.window(), 4096u);
 }
 
+TEST(StackProfiler, WindowFloorScalesWithTheTable) {
+  // A compaction scans the whole last-access table, so the first window
+  // grows with it: cycling over a few lines of a large index compacts
+  // once per table/16 appends, not once per 1024.
+  EXPECT_EQ(RecencyIndex(16).window(), 1024u);
+  EXPECT_EQ(RecencyIndex(std::uint64_t{1} << 14).window(), 1024u);
+  RecencyIndex index(std::uint64_t{1} << 20);
+  EXPECT_EQ(index.window(), std::size_t{1} << 16);
+  NaiveStack naive;
+  for (std::uint64_t i = 0; i < 100000; ++i) {
+    const std::uint64_t line = (i % 16) << 16;
+    ASSERT_EQ(depth_of(index, line), naive.access(line)) << i;
+  }
+  EXPECT_EQ(index.window(), std::size_t{1} << 16);
+}
+
 TEST(StackProfiler, MergePatternMatchesListScan) {
   // The frontier merge's use: each chunk first resolves its holes (first
   // touches, in program order) without re-appending them, then appends its
@@ -258,7 +265,7 @@ TEST(LruCache, DenseAddressingMatchesHashedOnRandomTraces) {
 }
 
 TEST(SetAssoc, FullyAssociativeLruMatchesLruCache) {
-  SetAssocCache sa(64, 64, 1, Replacement::kLru);
+  SetAssocCache sa(64, 64, 1);
   LruCache lru(64);
   SplitMix64 rng(5);
   for (int i = 0; i < 50000; ++i) {

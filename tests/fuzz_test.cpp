@@ -196,8 +196,7 @@ TEST(FuzzArtifactTest, ReplaysThroughBothTracePaths) {
 
   trace::CompiledProgram cp(parsed.prog, parsed.env);
   for (const std::int64_t cap : {1, 2, 3, 5, 8, 64}) {
-    const std::vector<cachesim::SweepConfig> cfg{
-        {cap, 1, 0, cachesim::Replacement::kLru}};
+    const std::vector<cachesim::SweepConfig> cfg{{cap, 1}};
     const auto runs = cachesim::simulate_sweep_streamed(cp, cfg);
     const auto per_access = cachesim::simulate_lru(cp, cap);
     EXPECT_EQ(runs[0].misses, per_access.misses) << "cap=" << cap;

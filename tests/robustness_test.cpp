@@ -84,19 +84,14 @@ std::vector<Operation> operations() {
   std::vector<Operation> ops;
   ops.push_back({"sweep-serial", [] {
                    const auto cp = small_program();
-                   cachesim::simulate_sweep_streamed(
-                       cp, {{64, 1, 0, cachesim::Replacement::kLru},
-                            {256, 4, 0, cachesim::Replacement::kLru}});
+                   cachesim::simulate_sweep_streamed(cp,
+                                                     {{64, 1}, {256, 4}});
                  }});
   ops.push_back({"sweep-pooled", [] {
                    parallel::ThreadPool pool(2);
                    const auto cp = small_program();
                    cachesim::simulate_sweep_streamed(
-                       cp,
-                       {{16, 1, 0, cachesim::Replacement::kLru},
-                        {64, 1, 2, cachesim::Replacement::kLru},
-                        {1024, 1, 0, cachesim::Replacement::kLru}},
-                       &pool);
+                       cp, {{16, 1}, {1024, 1}}, &pool);
                  }});
   ops.push_back({"sweep-streamed", [] {
                    parallel::ThreadPool pool(2);
@@ -104,10 +99,7 @@ std::vector<Operation> operations() {
                    cachesim::StreamOptions opt;
                    opt.partition.chunks = 3;
                    cachesim::simulate_sweep_streamed(
-                       cp,
-                       {{16, 1, 0, cachesim::Replacement::kLru},
-                        {1024, 1, 0, cachesim::Replacement::kLru}},
-                       &pool, opt);
+                       cp, {{16, 1}, {1024, 1}}, &pool, opt);
                  }});
   ops.push_back({"sweep-symbolic", [] {
                    // The analytic engine plus its simulation fallback path.
@@ -238,10 +230,7 @@ TEST(Robustness, InjectedDenialsNeverChangeResults) {
   // `fail` on the dense-alloc site is a pure degradation: compare the sweep
   // counts under it bit for bit.
   const auto cp = small_program();
-  const std::vector<cachesim::SweepConfig> configs{
-      {16, 1, 0, cachesim::Replacement::kLru},
-      {256, 1, 0, cachesim::Replacement::kLru},
-  };
+  const std::vector<cachesim::SweepConfig> configs{{16, 1}, {256, 1}};
   const auto want = cachesim::simulate_sweep_streamed(cp, configs);
   failpoints::ScopedFailpoint sweep_fp(failpoints::kSweepDenseAlloc,
                                        {failpoints::Action::kFailAlloc, 0});
@@ -255,17 +244,15 @@ TEST(Robustness, InjectedDenialsNeverChangeResults) {
 
 TEST(Robustness, ConcurrentCancelMidPooledSweepIsClean) {
   // The TSan workload: a second thread trips the shared token while four
-  // workers profile the pool's default chunking — after the serial shared
-  // walk of a set-associative configuration, which the token can trip
-  // too. Every iteration must return promptly with each result either
-  // complete or a valid truncated prefix.
+  // workers profile the pool's default chunking. Every iteration must
+  // return promptly with each result either complete or a valid truncated
+  // prefix.
   const auto g = ir::matmul();
   trace::CompiledProgram cp(g.prog, g.make_env({48, 48, 48}, {}));
   std::vector<cachesim::SweepConfig> configs;
   for (std::int64_t cap : {8, 64, 512, 4096}) {
-    configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
+    configs.push_back({cap, 1});
   }
-  configs.push_back({64, 1, 4, cachesim::Replacement::kLru});
   const auto full = fuzz::reference_sweep(cp, configs);
   parallel::ThreadPool pool(4);
   for (int iter = 0; iter < 5; ++iter) {
@@ -297,7 +284,7 @@ TEST(Robustness, ConcurrentCancelMidPartitionedSweepIsClean) {
   trace::CompiledProgram cp(g.prog, g.make_env({48, 48, 48}, {}));
   std::vector<cachesim::SweepConfig> configs;
   for (std::int64_t cap : {8, 64, 512, 4096}) {
-    configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
+    configs.push_back({cap, 1});
   }
   const auto full = fuzz::reference_sweep(cp, configs);
   parallel::ThreadPool pool(4);
@@ -403,7 +390,7 @@ TEST(Robustness, DeadlineStopsLongGovernedRunPromptly) {
   bool saw_truncation = false;
   while (!saw_truncation && seconds_since_start() < 4.0) {
     const auto res = cachesim::simulate_sweep_streamed(
-        cp, {{64, 1, 0, cachesim::Replacement::kLru}}, nullptr, {}, &gov);
+        cp, {{64, 1}}, nullptr, {}, &gov);
     saw_truncation = res[0].completeness == Completeness::kTruncated;
   }
   const auto elapsed = seconds_since_start();

@@ -1,13 +1,16 @@
-// Tests for the streamed sweep driver and the rolling merge frontier:
-// simulate_sweep_streamed must be bit-identical to the per-configuration
-// reference simulators on both its paths (inline chunk-at-a-time, and one
-// pool task per chunk, each walking its own group range), the tee spool it
-// writes while sweeping must be byte-identical to a standalone
-// spool_program of the same trace, the frontier must demonstrably merge
-// chunks while later chunks are still profiling, a one-chunk plan must
-// need only the stack tables (and a denied multi-chunk plan must retry as
-// one), and a governed cancellation mid-frontier must yield the bit-exact
-// simulation of a contiguous trace prefix.
+// Tests for the streamed sweep engine, simulate_sweep_streamed. It must be
+// bit-identical to the per-configuration reference simulators, including
+// misses_by_site, on both of its plans: one chunk on the calling thread,
+// and one pool task per chunk, each walking its own group range, for
+// every chunking of the trace (the hole merge resolves cross-chunk reuses
+// exactly). Also covered: the hole-merge edge cases (reuse windows
+// spanning several chunk boundaries, single-group chunks, all-cold
+// chunks); the tee spool it writes while sweeping, byte-identical to a
+// standalone spool_program; the frontier merging chunks while later ones
+// still profile; deterministic max_groups truncation and governed
+// cancellation, each the bit-exact simulation of a contiguous trace
+// prefix; and the memory-budget ladder (a denied pooled plan retries as
+// one chunk, a denied chunk runs on hashed tables).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -58,16 +61,32 @@ void expect_same(const std::vector<SimResult>& got,
   }
 }
 
+/// The streamed sweep under the given chunking.
+std::vector<SimResult> streamed(const CompiledProgram& cp,
+                                const std::vector<SweepConfig>& configs,
+                                parallel::ThreadPool* pool,
+                                const PartitionOptions& opt = {},
+                                const Governor* gov = nullptr) {
+  StreamOptions sopt;
+  sopt.partition = opt;
+  return cachesim::simulate_sweep_streamed(cp, configs, pool, sopt, gov);
+}
+
+PartitionOptions chunked(int chunks) {
+  PartitionOptions opt;
+  opt.chunks = chunks;
+  return opt;
+}
+
 std::vector<SweepConfig> standard_configs() {
   std::vector<SweepConfig> configs;
   for (std::int64_t cap : {1, 2, 3, 16, 64, 250, 1024}) {
-    configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
+    configs.push_back({cap, 1});
   }
   for (std::int64_t line : {4, 8}) {
-    configs.push_back({16 * line, line, 0, cachesim::Replacement::kLru});
-    configs.push_back({64 * line, line, 0, cachesim::Replacement::kLru});
+    configs.push_back({16 * line, line});
+    configs.push_back({64 * line, line});
   }
-  configs.push_back({64, 4, 4, cachesim::Replacement::kLru});  // set-assoc
   return configs;
 }
 
@@ -92,23 +111,149 @@ std::vector<std::uint64_t> access_prefix(const CompiledProgram& cp) {
   return prefix;
 }
 
+TEST(ParallelSweep, MatchesSequentialOnEveryGalleryProgram) {
+  struct Case {
+    std::string name;
+    ir::GalleryProgram g;
+    std::vector<std::int64_t> bounds;
+    std::vector<std::int64_t> tiles;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"matmul", ir::matmul(), {12, 12, 12}, {}});
+  cases.push_back(
+      {"matmul_tiled", ir::matmul_tiled(), {16, 16, 16}, {4, 8, 4}});
+  cases.push_back(
+      {"two_index_fused", ir::two_index_fused(), {8, 8, 8, 8}, {}});
+  cases.push_back({"two_index_tiled", ir::two_index_tiled(),
+                   {16, 16, 16, 16}, {4, 8, 8, 4}});
+  cases.push_back(
+      {"two_index_unfused", ir::two_index_unfused(), {8, 8, 8, 8}, {}});
+
+  const auto configs = standard_configs();
+  parallel::ThreadPool pool(2);
+  for (const auto& c : cases) {
+    const CompiledProgram cp(c.g.prog, c.g.make_env(c.bounds, c.tiles));
+    const auto want = fuzz::reference_sweep(cp, configs);
+    for (int chunks : {2, 3, 4, 13}) {
+      const std::string what = c.name + " chunks=" + std::to_string(chunks);
+      PartitionStats stats;
+      PartitionOptions opt = chunked(chunks);
+      opt.stats = &stats;
+      expect_same(streamed(cp, configs, &pool, opt), want, what);
+      EXPECT_EQ(stats.chunks,
+                std::min(static_cast<std::uint64_t>(chunks),
+                         cp.group_count()))
+          << what;
+      EXPECT_EQ(stats.merged_chunks, stats.chunks) << what;
+      EXPECT_EQ(stats.spool_write_seconds, 0.0) << "no tee configured";
+    }
+  }
+}
+
 TEST(StreamedSweep, FusedMatchesSequentialAcrossChunkLadder) {
   const auto g = ir::matmul_tiled();
   const CompiledProgram cp(g.prog, g.make_env({16, 16, 16}, {4, 8, 4}));
   const auto configs = standard_configs();
   const auto want = fuzz::reference_sweep(cp, configs);
+  parallel::ThreadPool pool(2);
   for (int chunks : {1, 2, 5, 17}) {
     PartitionStats stats;
-    StreamOptions sopt;
-    sopt.partition.chunks = chunks;
-    sopt.partition.stats = &stats;
-    const auto got =
-        cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt);
-    expect_same(got, want, "inline chunks=" + std::to_string(chunks));
-    // Without a pool, every chunk is profiled and merged on this thread.
-    EXPECT_EQ(stats.merged_chunks, stats.chunks)
-        << "chunks=" << chunks;
+    PartitionOptions opt = chunked(chunks);
+    opt.stats = &stats;
+    expect_same(streamed(cp, configs, &pool, opt), want,
+                "chunks=" + std::to_string(chunks));
+    // Every chunk that was profiled has been merged by the time the sweep
+    // returns.
+    EXPECT_EQ(stats.merged_chunks, stats.chunks) << "chunks=" << chunks;
     EXPECT_EQ(stats.spool_write_seconds, 0.0) << "no tee configured";
+  }
+}
+
+TEST(ParallelSweep, PoolMatchesSerialPartitioning) {
+  const auto g = ir::matmul_tiled();
+  const CompiledProgram cp(g.prog, g.make_env({16, 16, 16}, {4, 8, 4}));
+  const auto configs = standard_configs();
+  const auto want = fuzz::reference_sweep(cp, configs);
+  parallel::ThreadPool pool(3);
+  expect_same(streamed(cp, configs, &pool, chunked(5)), want,
+              "pooled chunks=5");
+  // threads from the pool when no explicit chunk count is given.
+  expect_same(streamed(cp, configs, &pool), want, "pooled default-chunking");
+}
+
+TEST(ParallelSweep, SingleGroupChunks) {
+  // A chunk count above the group count is clamped to one run group per
+  // chunk (the floor): every chunk's accesses are all holes or all
+  // intra-group reuses, and the merge reconstructs the global stack alone.
+  const ir::Program p = ir::parse_program(R"(
+    for i<7> { S1: A[i] += B[i] }
+    for i<7> { S2: C[i] += A[i] }
+  )");
+  const CompiledProgram cp(p, {});
+  std::vector<SweepConfig> configs;
+  for (std::int64_t cap : {1, 2, 4, 8, 32}) configs.push_back({cap, 1});
+  parallel::ThreadPool pool(2);
+  expect_same(streamed(cp, configs, &pool, chunked(1 << 20)),
+              fuzz::reference_sweep(cp, configs), "one-group chunks");
+}
+
+TEST(ParallelSweep, ReuseSpansMultipleChunkBoundaries) {
+  // A[0] is touched once per outer iteration with a 64-element stream in
+  // between; with many chunks each A[0]-to-A[0] reuse window crosses
+  // several chunk boundaries, so its hole resolves against merge state
+  // built from more than one earlier chunk.
+  const ir::Program p = ir::parse_program(R"(
+    for r<4> { for z<1> { S1: A[z] += A[z] }  for i<64> { S2: B[i] += B[i] } }
+  )");
+  const CompiledProgram cp(p, {});
+  std::vector<SweepConfig> configs;
+  for (std::int64_t cap : {1, 2, 32, 63, 64, 65, 66, 128})
+    configs.push_back({cap, 1});
+  const auto want = fuzz::reference_sweep(cp, configs);
+  parallel::ThreadPool pool(2);
+  for (int chunks : {2, 8, 16}) {
+    expect_same(streamed(cp, configs, &pool, chunked(chunks)), want,
+                "spanning chunks=" + std::to_string(chunks));
+  }
+  // Sanity anchor: at capacity 66 the whole working set (A[0] + 64 B lines
+  // + the stack) fits, so only the 65 distinct elements miss.
+  ASSERT_EQ(want[6].misses, 65u);
+}
+
+TEST(ParallelSweep, AllHolesChunks) {
+  // A pure stream never reuses across groups: every chunk is all holes and
+  // the merge must classify each one cold.
+  const ir::Program p = ir::parse_program(R"(
+    for i<256> { S1: A[i] += A[i] }
+  )");
+  const CompiledProgram cp(p, {});
+  std::vector<SweepConfig> configs{{1, 1}, {16, 1}, {512, 1}};
+  const auto want = fuzz::reference_sweep(cp, configs);
+  parallel::ThreadPool pool(2);
+  for (int chunks : {2, 4, 32}) {
+    expect_same(streamed(cp, configs, &pool, chunked(chunks)), want,
+                "all-holes chunks=" + std::to_string(chunks));
+  }
+  for (const auto& r : want) EXPECT_EQ(r.misses, 256u);  // all cold
+}
+
+TEST(StreamedSweep, PoollessRunIsOneChunk) {
+  // Without a pool of at least two threads the engine runs one chunk,
+  // whatever chunk count is asked for, with the same counts.
+  const auto g = ir::matmul_tiled();
+  const CompiledProgram cp(g.prog, g.make_env({16, 16, 16}, {4, 8, 4}));
+  const auto configs = standard_configs();
+  const auto want = fuzz::reference_sweep(cp, configs);
+  parallel::ThreadPool one_thread(1);
+  for (parallel::ThreadPool* pool :
+       std::vector<parallel::ThreadPool*>{nullptr, &one_thread}) {
+    PartitionStats stats;
+    PartitionOptions opt = chunked(5);
+    opt.stats = &stats;
+    expect_same(streamed(cp, configs, pool, opt), want, "chunks=5");
+    EXPECT_EQ(stats.chunks, 1u);
+    EXPECT_EQ(stats.merged_chunks, 1u);
+    EXPECT_EQ(stats.merge_seconds, 0.0);
   }
 }
 
@@ -146,7 +291,7 @@ TEST(StreamedSweep, PooledChunkLadderMatchesOneChunk) {
   std::vector<SweepConfig> configs;
   for (std::int64_t line : {1, 8}) {
     for (std::int64_t lines : {1, 2, 3, 16, 64, 250}) {
-      configs.push_back({lines * line, line, 0, cachesim::Replacement::kLru});
+      configs.push_back({lines * line, line});
     }
   }
   for (const auto& [name, cp] : inputs) {
@@ -160,11 +305,6 @@ TEST(StreamedSweep, PooledChunkLadderMatchesOneChunk) {
     const auto one_chunk =
         cachesim::simulate_sweep_streamed(cp, configs, nullptr, one);
     expect_same(one_chunk, reference, name + " one chunk");
-    StreamOptions inline_five;
-    inline_five.partition.chunks = 5;
-    expect_same(
-        cachesim::simulate_sweep_streamed(cp, configs, nullptr, inline_five),
-        reference, name + " inline chunks=5");
     for (const int threads : {2, 4}) {
       parallel::ThreadPool pool(threads);
       for (const int chunks : {2, 3, 4, 5, 7, 16}) {
@@ -206,12 +346,12 @@ TEST(StreamedSweep, TeeSpoolIsByteIdenticalToSpoolProgram) {
       trace::SpoolWriter writer(tee_path);
       PartitionStats stats;
       StreamOptions sopt;
-      sopt.partition.chunks = 4;
+      sopt.partition.chunks = pooled ? 4 : 1;
       sopt.partition.stats = &stats;
       sopt.tee = &writer;
       const auto got = cachesim::simulate_sweep_streamed(
           cp, configs, pool.get(), sopt);
-      expect_same(got, want, pooled ? "tee pooled" : "tee inline");
+      expect_same(got, want, pooled ? "tee pooled" : "tee one chunk");
       ASSERT_EQ(writer.groups(), cp.group_count());
       ASSERT_EQ(writer.accesses(), cp.total_accesses());
       EXPECT_GT(stats.spool_write_seconds, 0.0);
@@ -240,7 +380,7 @@ TEST(StreamedSweep, FrontierMergesWhileLaterChunksProfile) {
   const CompiledProgram cp(p, {});
   std::vector<SweepConfig> configs;
   for (std::int64_t cap : {1, 2, 32, 64, 66, 128})
-    configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
+    configs.push_back({cap, 1});
   const auto want = fuzz::reference_sweep(cp, configs);
 
   bool overlapped = false;
@@ -285,9 +425,7 @@ TEST(StreamedSweep, StreamedOverlapsOnThePooledPath) {
     }
   )");
   const CompiledProgram cp(p, {});
-  std::vector<SweepConfig> configs{
-      {2, 1, 0, cachesim::Replacement::kLru},
-      {66, 1, 0, cachesim::Replacement::kLru}};
+  std::vector<SweepConfig> configs{{2, 1}, {66, 1}};
   const auto want = fuzz::reference_sweep(cp, configs);
 
   bool overlapped = false;
@@ -308,11 +446,11 @@ TEST(StreamedSweep, StreamedOverlapsOnThePooledPath) {
 
 TEST(StreamedSweep, MaxGroupsTruncationMatchesPartitioned) {
   // The one-chunk run of a max_groups prefix is pinned to a plain LRU
-  // replay of exactly that prefix; every partitioned run must match it.
+  // replay of exactly that prefix; every partitioned run must match it,
+  // whatever the chunk count.
   const auto g = ir::matmul();
   const CompiledProgram cp(g.prog, g.make_env({10, 10, 10}, {}));
-  std::vector<SweepConfig> configs{{4, 1, 0, cachesim::Replacement::kLru},
-                                   {64, 1, 0, cachesim::Replacement::kLru}};
+  std::vector<SweepConfig> configs{{4, 1}, {64, 1}};
   const std::uint64_t max_groups = cp.group_count() / 3;
   ASSERT_GT(max_groups, 4u);
 
@@ -334,36 +472,75 @@ TEST(StreamedSweep, MaxGroupsTruncationMatchesPartitioned) {
         }
       }
     });
+    ASSERT_LT(r.accesses, cp.total_accesses());
+    ASSERT_GT(r.accesses, 0u);
   }
 
+  parallel::ThreadPool pool(2);
   for (int chunks : {1, 4, 7}) {
-    StreamOptions sopt;
-    sopt.partition.chunks = chunks;
-    sopt.partition.max_groups = max_groups;
-    const auto got =
-        cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt);
-    expect_same(got, want,
+    PartitionOptions opt = chunked(chunks);
+    opt.max_groups = max_groups;
+    expect_same(streamed(cp, configs, &pool, opt), want,
                 "max_groups chunks=" + std::to_string(chunks));
   }
+}
+
+TEST(ParallelSweep, MaxGroupsTruncationIsChunkCountInvariant) {
+  const auto g = ir::matmul();
+  const CompiledProgram cp(g.prog, g.make_env({10, 10, 10}, {}));
+  std::vector<SweepConfig> configs{{4, 1}, {64, 1}};
+  const std::uint64_t max_groups = cp.group_count() / 3;
+  ASSERT_GT(max_groups, 4u);
+
+  parallel::ThreadPool pool(2);
+  PartitionOptions one = chunked(1);
+  one.max_groups = max_groups;
+  const auto want = streamed(cp, configs, &pool, one);
+  for (const auto& r : want) {
+    EXPECT_EQ(r.completeness, Completeness::kTruncated);
+    EXPECT_LT(r.accesses, cp.total_accesses());
+    EXPECT_GT(r.accesses, 0u);
+  }
+  PartitionOptions four = chunked(4);
+  four.max_groups = max_groups;
+  expect_same(streamed(cp, configs, &pool, four), want,
+              "max_groups chunks=4 vs 1");
+}
+
+TEST(ParallelSweep, GovernedCancellationTruncatesExactPrefix) {
+  const auto g = ir::matmul();
+  const CompiledProgram cp(g.prog, g.make_env({12, 12, 12}, {}));
+  std::vector<SweepConfig> configs{{16, 1}};
+  const auto full = fuzz::reference_sweep(cp, configs);
+
+  parallel::ThreadPool pool(2);
+  Governor gov;
+  gov.poll_interval = 1;
+  gov.cancel.cancel_after(3);
+  const auto got = streamed(cp, configs, &pool, chunked(4), &gov);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].completeness, Completeness::kTruncated);
+  // The truncated counts are an exact prefix simulation, hence bounded by
+  // the full-trace counts.
+  EXPECT_LT(got[0].accesses, full[0].accesses);
+  EXPECT_LE(got[0].misses, full[0].misses);
 }
 
 TEST(StreamedSweep, CancellationMidFrontierYieldsExactPrefix) {
   const auto g = ir::matmul();
   const CompiledProgram cp(g.prog, g.make_env({12, 12, 12}, {}));
-  std::vector<SweepConfig> configs{{16, 1, 0, cachesim::Replacement::kLru},
-                                   {64, 1, 0, cachesim::Replacement::kLru}};
+  std::vector<SweepConfig> configs{{16, 1}, {64, 1}};
   const auto prefix = access_prefix(cp);
 
   for (const bool pooled : {false, true}) {
+    const std::string what = pooled ? "pooled" : "one chunk";
     std::unique_ptr<parallel::ThreadPool> pool;
     if (pooled) pool = std::make_unique<parallel::ThreadPool>(2);
     Governor gov;
     gov.poll_interval = 1;
     gov.cancel.cancel_after(50);
-    StreamOptions sopt;
-    sopt.partition.chunks = 4;
-    const auto got = cachesim::simulate_sweep_streamed(
-        cp, configs, pool.get(), sopt, &gov);
+    const auto got =
+        streamed(cp, configs, pool.get(), chunked(pooled ? 4 : 1), &gov);
     ASSERT_EQ(got.size(), configs.size());
     EXPECT_EQ(got[0].completeness, Completeness::kTruncated);
     EXPECT_LT(got[0].accesses, cp.total_accesses());
@@ -380,24 +557,22 @@ TEST(StreamedSweep, CancellationMidFrontierYieldsExactPrefix) {
         break;
       }
     }
-    ASSERT_TRUE(found) << "truncated accesses " << got[0].accesses
+    ASSERT_TRUE(found) << what << ": truncated accesses " << got[0].accesses
                        << " are not a whole-group prefix";
     if (groups == 0) {
       for (const auto& r : got) EXPECT_EQ(r.misses, 0u);
       continue;
     }
-    StreamOptions replay;
-    replay.partition.chunks = 1;
-    replay.partition.max_groups = groups;
-    const auto want =
-        cachesim::simulate_sweep_streamed(cp, configs, nullptr, replay);
-    expect_same(got, want,
-                std::string("prefix replay ") +
-                    (pooled ? "pooled" : "inline"));
+    PartitionOptions replay;
+    replay.max_groups = groups;
+    expect_same(got, streamed(cp, configs, nullptr, replay),
+                "prefix replay " + what);
   }
 }
 
 TEST(StreamedSweep, MemoryDenialDegradesButTeeStillCompletes) {
+  // A zero budget sends every configuration to the hashed rung; the tee
+  // must still write the whole spool.
   const auto g = ir::matmul();
   const CompiledProgram cp(g.prog, g.make_env({10, 10, 10}, {}));
   const auto configs = standard_configs();
@@ -407,6 +582,7 @@ TEST(StreamedSweep, MemoryDenialDegradesButTeeStillCompletes) {
   trace::spool_program(ref_path, cp);
   const std::string tee_path = temp_path("sdlo_stream_degrade_tee.spl");
 
+  parallel::ThreadPool pool(2);
   MemoryBudget none(0);
   Governor gov;
   gov.memory = &none;
@@ -418,7 +594,7 @@ TEST(StreamedSweep, MemoryDenialDegradesButTeeStillCompletes) {
     sopt.partition.stats = &stats;
     sopt.tee = &writer;
     const auto got =
-        cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt, &gov);
+        cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt, &gov);
     expect_same(got, want, "degraded results");
     EXPECT_EQ(stats.chunks, 0u) << "a zero budget must reach the hashed rung";
     ASSERT_EQ(writer.groups(), cp.group_count());
@@ -431,6 +607,37 @@ TEST(StreamedSweep, MemoryDenialDegradesButTeeStillCompletes) {
   std::remove(tee_path.c_str());
 }
 
+TEST(ParallelSweep, MemoryDenialDegradesToSequentialEngine) {
+  // A zero budget denies a pooled 4-chunk plan and its one-chunk retry:
+  // every configuration runs on hashed tables, with the reference counts.
+  const auto g = ir::matmul();
+  const CompiledProgram cp(g.prog, g.make_env({10, 10, 10}, {}));
+  const auto configs = standard_configs();
+  const auto want = fuzz::reference_sweep(cp, configs);
+
+  parallel::ThreadPool pool(2);
+  MemoryBudget none(0);
+  Governor gov;
+  gov.memory = &none;
+  PartitionStats stats;
+  PartitionOptions opt = chunked(4);
+  opt.stats = &stats;
+  expect_same(streamed(cp, configs, &pool, opt, &gov), want,
+              "budget-denied fallback");
+  EXPECT_EQ(stats.chunks, 0u) << "a zero budget must reach the hashed rung";
+  EXPECT_EQ(none.used(), 0u);
+
+  // The failpoint skips the one-chunk retry: it must force the hashed
+  // rung even with an unlimited budget.
+  failpoints::ScopedFailpoint fp(
+      failpoints::kSweepDenseAlloc,
+      failpoints::Spec{failpoints::Action::kFailAlloc, 0});
+  stats = PartitionStats{};
+  expect_same(streamed(cp, configs, &pool, opt), want,
+              "failpoint-denied fallback");
+  EXPECT_EQ(stats.chunks, 0u) << "a denied run profiled a dense chunk";
+}
+
 TEST(StreamedSweep, OneChunkNeedsOnlyTheStackTables) {
   // One chunk has no reuse crossing a chunk boundary, so a budget of
   // exactly the marker stack's dense tables must let the one-thread sweep
@@ -439,7 +646,7 @@ TEST(StreamedSweep, OneChunkNeedsOnlyTheStackTables) {
   const CompiledProgram cp(g.prog, g.make_env({16, 16, 16}, {4, 8, 4}));
   std::vector<SweepConfig> configs;
   for (std::int64_t cap : {1, 2, 16, 64, 250, 1024}) {
-    configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
+    configs.push_back({cap, 1});
   }
   const auto want = fuzz::reference_sweep(cp, configs);
   MemoryBudget exact(cp.footprint_lines(1) * cachesim::kStackBytesPerLine);
@@ -447,7 +654,6 @@ TEST(StreamedSweep, OneChunkNeedsOnlyTheStackTables) {
   gov.memory = &exact;
   PartitionStats stats;
   StreamOptions sopt;
-  sopt.partition.threads = 1;
   sopt.partition.stats = &stats;
   const auto got =
       cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt, &gov);
@@ -466,7 +672,7 @@ TEST(StreamedSweep, DeniedMultiChunkPlanRetriesAsOneChunk) {
   const CompiledProgram cp(g.prog, g.make_env({16, 16, 16}, {4, 8, 4}));
   std::vector<SweepConfig> configs;
   for (std::int64_t cap : {1, 2, 16, 64, 250, 1024}) {
-    configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
+    configs.push_back({cap, 1});
   }
   parallel::ThreadPool pool(4);
   const auto want = cachesim::simulate_sweep_streamed(cp, configs, &pool);
@@ -496,7 +702,7 @@ TEST(StreamedSweep, MergeReservationChargesTheIndexAndHoleLists) {
   const CompiledProgram cp(g.prog, g.make_env({16, 16, 16}, {4, 8, 4}));
   std::vector<SweepConfig> configs;
   for (std::int64_t cap : {1, 2, 16, 64, 250, 1024}) {
-    configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
+    configs.push_back({cap, 1});
   }
   parallel::ThreadPool pool(4);
   const auto want = cachesim::simulate_sweep_streamed(cp, configs, &pool);
@@ -536,7 +742,7 @@ TEST(StreamedSweep, TeeWriteFailureUnwindsCleanlyOnThePooledPath) {
     } }
   )");
   const CompiledProgram cp(p, {});
-  std::vector<SweepConfig> configs{{16, 1, 0, cachesim::Replacement::kLru}};
+  std::vector<SweepConfig> configs{{16, 1}};
   const std::string tee_path = temp_path("sdlo_stream_failpoint_tee.spl");
   std::remove(tee_path.c_str());
 
@@ -571,7 +777,7 @@ TEST(StreamedSweep, DroppedPoolTaskSurfacesWithoutDeadlock) {
   // for a chunk that never signals, and the failure must surface.
   const auto g = ir::matmul();
   const CompiledProgram cp(g.prog, g.make_env({12, 12, 12}, {}));
-  std::vector<SweepConfig> configs{{16, 1, 0, cachesim::Replacement::kLru}};
+  std::vector<SweepConfig> configs{{16, 1}};
   parallel::ThreadPool pool(2);
   failpoints::ScopedFailpoint fp(
       failpoints::kPoolTask,
@@ -592,7 +798,7 @@ TEST(StreamedSweep, EmptyConfigListAndZeroAccessPrograms) {
   // holes to merge beyond the cold ones.
   const ir::Program p = ir::parse_program("for i<1> { S1: A[i] += A[i] }");
   const CompiledProgram tiny(p, {});
-  std::vector<SweepConfig> configs{{4, 1, 0, cachesim::Replacement::kLru}};
+  std::vector<SweepConfig> configs{{4, 1}};
   const auto want = fuzz::reference_sweep(tiny, configs);
   const auto got = cachesim::simulate_sweep_streamed(tiny, configs);
   expect_same(got, want, "tiny program");

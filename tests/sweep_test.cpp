@@ -1,7 +1,7 @@
 // Differential tests for the sweep engine: simulate_sweep_streamed must be
 // bit-identical to the per-configuration simulators on every gallery
-// program, for every capacity, line size and associativity tried —
-// including the per-site miss breakdown — and the run-fed profiler to the
+// program, for every capacity and line size tried — including the
+// per-site miss breakdown — and the run-fed profiler to the
 // per-access reference profile. Also covers pool-vs-serial equivalence,
 // governed truncation and the memory-budget degradation.
 #include <gtest/gtest.h>
@@ -63,9 +63,7 @@ TEST(SweepTest, MatchesSimulateLruOnEveryGalleryProgram) {
   for (const auto& c : gallery_cases()) {
     const auto cp = compile(c);
     std::vector<cachesim::SweepConfig> configs;
-    for (std::int64_t cap : caps) {
-      configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
-    }
+    for (std::int64_t cap : caps) configs.push_back({cap, 1});
     const auto swept = cachesim::simulate_sweep_streamed(cp, configs);
     ASSERT_EQ(swept.size(), caps.size());
     for (std::size_t i = 0; i < caps.size(); ++i) {
@@ -81,8 +79,7 @@ TEST(SweepTest, MatchesSimulateLruLinesAcrossLineSizes) {
     std::vector<cachesim::SweepConfig> configs;
     for (std::int64_t line : {2, 4, 8}) {
       for (std::int64_t mult : {1, 16, 256}) {
-        configs.push_back(
-            {line * mult, line, 0, cachesim::Replacement::kLru});
+        configs.push_back({line * mult, line});
       }
     }
     const auto swept = cachesim::simulate_sweep_streamed(cp, configs);
@@ -102,50 +99,18 @@ TEST(SweepTest, MixedConfigListWithDuplicatesKeepsOrder) {
   const auto cases = gallery_cases();
   const auto cp = compile(cases[1]);  // matmul_tiled
   const std::vector<cachesim::SweepConfig> configs{
-      {64, 1, 0, cachesim::Replacement::kLru},
-      {256, 4, 0, cachesim::Replacement::kLru},
-      {64, 1, 4, cachesim::Replacement::kLru},   // set-associative
-      {64, 1, 0, cachesim::Replacement::kLru},   // duplicate of [0]
-      {1024, 1, 0, cachesim::Replacement::kLru},
-      {128, 2, 1, cachesim::Replacement::kLru},  // direct-mapped, lines
+      {64, 1},
+      {256, 4},
+      {64, 1},  // duplicate of [0]
+      {1024, 1},
   };
   const auto swept = cachesim::simulate_sweep_streamed(cp, configs);
   ASSERT_EQ(swept.size(), configs.size());
   expect_same(swept[0], cachesim::simulate_lru(cp, 64), "cap=64");
   expect_same(swept[1], cachesim::simulate_lru_lines(cp, 256, 4),
               "cap=256 line=4");
-  expect_same(swept[2], cachesim::simulate_set_assoc(cp, 64, 4, 1),
-              "cap=64 4-way");
-  expect_same(swept[3], swept[0], "duplicate config");
-  expect_same(swept[4], cachesim::simulate_lru(cp, 1024), "cap=1024");
-  expect_same(swept[5], cachesim::simulate_set_assoc(cp, 128, 1, 2),
-              "cap=128 direct-mapped line=2");
-}
-
-TEST(SweepTest, SetAssocConfigsMatchSetAssocSimulator) {
-  for (const auto& c : gallery_cases()) {
-    const auto cp = compile(c);
-    const std::vector<cachesim::SweepConfig> configs{
-        {64, 1, 1, cachesim::Replacement::kLru},
-        {64, 1, 4, cachesim::Replacement::kLru},
-        {256, 4, 8, cachesim::Replacement::kLru},
-        {64, 1, 2, cachesim::Replacement::kFifo},
-        {128, 1, 0, cachesim::Replacement::kLru},  // rides the stack engine
-    };
-    const auto swept = cachesim::simulate_sweep_streamed(cp, configs);
-    ASSERT_EQ(swept.size(), configs.size());
-    expect_same(swept[0], cachesim::simulate_set_assoc(cp, 64, 1, 1),
-                c.name + " dm");
-    expect_same(swept[1], cachesim::simulate_set_assoc(cp, 64, 4, 1),
-                c.name + " 4-way");
-    expect_same(swept[2], cachesim::simulate_set_assoc(cp, 256, 8, 4),
-                c.name + " 8-way line=4");
-    expect_same(swept[3],
-                cachesim::simulate_set_assoc(cp, 64, 2, 1,
-                                             cachesim::Replacement::kFifo),
-                c.name + " 2-way fifo");
-    expect_same(swept[4], cachesim::simulate_lru(cp, 128), c.name + " fa");
-  }
+  expect_same(swept[2], swept[0], "duplicate config");
+  expect_same(swept[3], cachesim::simulate_lru(cp, 1024), "cap=1024");
 }
 
 TEST(SweepTest, ProfileResultMatchesSimulation) {
@@ -168,10 +133,7 @@ TEST(SweepTest, PoolAndSerialAgree) {
   for (const auto& c : gallery_cases()) {
     const auto cp = compile(c);
     std::vector<cachesim::SweepConfig> configs;
-    for (std::int64_t cap : {16, 256, 4096}) {
-      configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
-      configs.push_back({cap, 1, 2, cachesim::Replacement::kLru});
-    }
+    for (std::int64_t cap : {16, 256, 4096}) configs.push_back({cap, 1});
     const auto serial = cachesim::simulate_sweep_streamed(cp, configs);
     const auto pooled =
         cachesim::simulate_sweep_streamed(cp, configs, &pool);
@@ -186,19 +148,17 @@ TEST(SweepTest, PoolAndSerialAgree) {
 TEST(SweepTest, RejectsBadGeometry) {
   const auto cases = gallery_cases();
   const auto cp = compile(cases[0]);
-  EXPECT_THROW(cachesim::simulate_sweep_streamed(
-                   cp, {{0, 1, 0, cachesim::Replacement::kLru}}),
-               Error);
-  EXPECT_THROW(cachesim::simulate_sweep_streamed(
-                   cp, {{64, 3, 0, cachesim::Replacement::kLru}}),
-               Error);
-  EXPECT_THROW(cachesim::simulate_sweep_streamed(
-                   cp, {{66, 4, 0, cachesim::Replacement::kLru}}),
-               Error);
-  // Set-associative geometries are checked too.
-  EXPECT_THROW(cachesim::simulate_sweep_streamed(
-                   cp, {{48, 3, 2, cachesim::Replacement::kLru}}),
-               Error);
+  EXPECT_THROW(cachesim::simulate_sweep_streamed(cp, {{0, 1}}), Error);
+  EXPECT_THROW(cachesim::simulate_sweep_streamed(cp, {{64, 3}}), Error);
+  EXPECT_THROW(cachesim::simulate_sweep_streamed(cp, {{66, 4}}), Error);
+  // The engine is fully associative: naming an associativity is an error,
+  // never a different geometry.
+  for (const int ways : {1, 4, 64}) {
+    EXPECT_THROW(
+        cachesim::simulate_sweep_streamed(cp, {{64, 1}, {64, 1, ways}}),
+        ContractViolation)
+        << "ways=" << ways;
+  }
 }
 
 // --- run-compressed trace mode -------------------------------------------
@@ -242,19 +202,14 @@ ir::ArrayRef make_ref(std::string array, std::vector<std::string> vars,
 void expect_runs_match_reference(const trace::CompiledProgram& cp,
                                  const std::string& name) {
   const std::vector<cachesim::SweepConfig> configs{
-      {1, 1, 0, cachesim::Replacement::kLru},
-      {3, 1, 0, cachesim::Replacement::kLru},
-      {16, 1, 0, cachesim::Replacement::kLru},
-      {64, 4, 0, cachesim::Replacement::kLru},
-      {1024, 1, 0, cachesim::Replacement::kLru},
-      {64, 1, 4, cachesim::Replacement::kLru},
-  };
+      {1, 1}, {3, 1}, {16, 1}, {64, 4}, {1024, 1}};
   const auto want = fuzz::reference_sweep(cp, configs);
+  parallel::ThreadPool pool(2);
   for (int chunks : {1, 3}) {
     cachesim::StreamOptions sopt;
     sopt.partition.chunks = chunks;
     const auto got =
-        cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt);
+        cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt);
     ASSERT_EQ(got.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
       expect_same(got[i], want[i],
@@ -345,10 +300,7 @@ TEST(SweepTest, DeterministicCancelTruncatesToExactPrefix) {
     std::vector<trace::Access> stream;
     cp.walk([&](const trace::Access& a) { stream.push_back(a); });
 
-    const std::vector<cachesim::SweepConfig> configs{
-        {3, 1, 0, cachesim::Replacement::kLru},
-        {64, 1, 0, cachesim::Replacement::kLru},
-    };
+    const std::vector<cachesim::SweepConfig> configs{{3, 1}, {64, 1}};
     const auto full = cachesim::simulate_sweep_streamed(cp, configs);
     Governor gov;
     gov.poll_interval = 1;  // poll at every run group
@@ -378,8 +330,8 @@ TEST(SweepTest, ExpiredDeadlineTruncatesSweep) {
   Governor gov;
   gov.deadline = Deadline::after_seconds(0);
   gov.poll_interval = 1;
-  const auto swept = cachesim::simulate_sweep_streamed(
-      cp, {{64, 1, 0, cachesim::Replacement::kLru}}, nullptr, {}, &gov);
+  const auto swept =
+      cachesim::simulate_sweep_streamed(cp, {{64, 1}}, nullptr, {}, &gov);
   EXPECT_EQ(swept[0].completeness, Completeness::kTruncated);
   EXPECT_LT(swept[0].accesses, cp.total_accesses());
 }
@@ -391,10 +343,7 @@ TEST(SweepTest, ZeroMemoryBudgetDegradesBitIdentically) {
   for (const auto& c : gallery_cases()) {
     const auto cp = compile(c);
     const std::vector<cachesim::SweepConfig> configs{
-        {3, 1, 0, cachesim::Replacement::kLru},
-        {64, 1, 0, cachesim::Replacement::kLru},
-        {256, 4, 0, cachesim::Replacement::kLru},
-    };
+        {3, 1}, {64, 1}, {256, 4}};
     const auto dense = cachesim::simulate_sweep_streamed(cp, configs);
     MemoryBudget zero(0);
     Governor gov;
@@ -419,10 +368,7 @@ TEST(SweepTest, DenseAllocFailpointDegradesBitIdentically) {
   // must behave exactly like a denied memory reservation.
   const auto cases = gallery_cases();
   const auto cp = compile(cases[3]);  // two_index_tiled
-  const std::vector<cachesim::SweepConfig> configs{
-      {16, 1, 0, cachesim::Replacement::kLru},
-      {1024, 1, 0, cachesim::Replacement::kLru},
-  };
+  const std::vector<cachesim::SweepConfig> configs{{16, 1}, {1024, 1}};
   const auto dense = cachesim::simulate_sweep_streamed(cp, configs);
   {
     failpoints::ScopedFailpoint fp(failpoints::kSweepDenseAlloc,
@@ -449,7 +395,7 @@ TEST(SweepTest, GovernedPooledSweepTruncatesCleanly) {
   const auto cp = compile(cases[1]);
   std::vector<cachesim::SweepConfig> configs;
   for (std::int64_t cap : {4, 16, 64, 256, 1024, 4096}) {
-    configs.push_back({cap, 1, 0, cachesim::Replacement::kLru});
+    configs.push_back({cap, 1});
   }
   const auto full = cachesim::simulate_sweep_streamed(cp, configs);
   Governor gov;

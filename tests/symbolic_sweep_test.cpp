@@ -93,8 +93,7 @@ TEST(SymbolicSweepTest, CurveMatchesSimulationAtEveryCapacityAndCrossing) {
       const std::size_t n = std::min<std::size_t>(200, cap_list.size() - base);
       std::vector<cachesim::SweepConfig> configs;
       for (std::size_t i = 0; i < n; ++i) {
-        configs.push_back(
-            {cap_list[base + i], 1, 0, cachesim::Replacement::kLru});
+        configs.push_back({cap_list[base + i], 1});
       }
       const auto simulated = cachesim::simulate_sweep_streamed(cp, configs);
       for (std::size_t i = 0; i < n; ++i) {
