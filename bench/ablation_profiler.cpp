@@ -83,7 +83,8 @@ void BM_LruCacheSingleCapacity(benchmark::State& state) {
   const auto trace = make_trace(1 << 16,
                                 static_cast<std::uint64_t>(state.range(0)));
   for (auto _ : state) {
-    cachesim::LruCache c(state.range(0) / 2 + 1);
+    cachesim::LruCache c(state.range(0) / 2 + 1,
+                         static_cast<std::uint64_t>(state.range(0)));
     for (auto a : trace) benchmark::DoNotOptimize(c.access(a));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

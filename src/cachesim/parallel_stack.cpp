@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
@@ -10,7 +9,6 @@
 #include <mutex>
 #include <utility>
 
-#include "cachesim/lru_cache.hpp"
 #include "cachesim/marker_stack.hpp"
 #include "cachesim/recency_index.hpp"
 #include "support/check.hpp"
@@ -99,49 +97,6 @@ struct FrontierBoard {
   std::vector<char> done;
   std::size_t done_count = 0;
   std::exception_ptr first_error;
-};
-
-/// One configuration on the hashed rung: a hashed-table LruCache for a
-/// configuration whose dense stack tables were denied. Units consume whole
-/// run groups and share one serial walk.
-class CacheUnit {
- public:
-  CacheUnit(const SweepConfig& cfg, std::size_t slot, std::int32_t num_sites)
-      : slot_(slot),
-        shift_(std::countr_zero(static_cast<std::uint64_t>(cfg.line_elems))),
-        // addr_limit 0 selects the open-addressing map: memory proportional
-        // to the capacity, not the footprint.
-        lru_(cfg.capacity_elems / cfg.line_elems),
-        misses_by_site_(static_cast<std::size_t>(num_sites), 0) {}
-
-  void consume_runs(const Run* g, std::size_t nrefs) {
-    const std::uint64_t count = g[0].count;
-    accesses_ += count * nrefs;
-    for (std::uint64_t v = 0; v < count; ++v) {
-      for (std::size_t r = 0; r < nrefs; ++r) {
-        if (!lru_.access(g[r].at(v) >> shift_)) {
-          ++misses_;
-          ++misses_by_site_[static_cast<std::size_t>(g[r].site)];
-        }
-      }
-    }
-  }
-
-  void finish(Completeness completeness, std::vector<SimResult>& out) const {
-    SimResult& res = out[slot_];
-    res.accesses = accesses_;
-    res.completeness = completeness;
-    res.misses = misses_;
-    res.misses_by_site = misses_by_site_;
-  }
-
- private:
-  std::size_t slot_;
-  int shift_;
-  LruCache lru_;
-  std::uint64_t accesses_ = 0;
-  std::uint64_t misses_ = 0;
-  std::vector<std::uint64_t> misses_by_site_;
 };
 
 /// Checks every configuration and returns the distinct line sizes, in
@@ -235,53 +190,47 @@ std::vector<SimResult> simulate_sweep_streamed(
   trace::SpoolWriter* tee = sopt.tee;
   double spool_seconds = 0;
 
-  // One serial walk of groups [0, end_group) on this thread, teeing each
-  // group and feeding it to `units`; writes the units' results.
-  auto serial_walk = [&](std::vector<CacheUnit>& units) {
-    if (units.empty() && tee == nullptr) return;
+  // Walks groups [0, end_group) into the tee on this thread; returns false
+  // when the governor stopped it early. The caller decides whether to
+  // finish() the spool.
+  auto tee_walk = [&]() {
+    if (tee == nullptr) return true;
     std::uint64_t tick = 0;
-    bool complete = !capped;
     try {
       prog.walk_runs_range(0, end_group, [&](const Run* g, std::size_t n) {
         if (gov != nullptr && ++tick >= interval) {
           tick = 0;
           if (gov->should_stop()) throw AbortWalk{};
         }
-        if (tee != nullptr) {
-          WallTimer t;
-          tee->add_group(g, n);
-          spool_seconds += t.seconds();
-        }
-        for (CacheUnit& u : units) u.consume_runs(g, n);
+        WallTimer t;
+        tee->add_group(g, n);
+        spool_seconds += t.seconds();
       });
     } catch (const AbortWalk&) {
-      // The units (and the tee) hold exactly the walked prefix; the
-      // caller decides whether to finish() the spool.
-      complete = false;
+      return false;
     }
-    for (const CacheUnit& u : units) {
-      u.finish(complete ? Completeness::kComplete : Completeness::kTruncated,
-               out);
-    }
+    return true;
   };
 
-  // The last rung: every configuration on a hashed-table LruCache, in one
-  // serial walk that also completes the tee. Also serves an empty trace
-  // and an empty configuration list.
-  auto hashed = [&]() {
-    std::vector<CacheUnit> units;
-    units.reserve(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      units.emplace_back(configs[i], i, num_sites);
+  // Every row zero accesses and zero misses: the exact result of an empty
+  // trace, or of the empty prefix when `completeness` is kTruncated.
+  auto zero_rows = [&](Completeness completeness) {
+    for (SimResult& r : out) {
+      r.misses_by_site.assign(static_cast<std::size_t>(num_sites), 0);
+      r.completeness = completeness;
     }
-    serial_walk(units);
-    if (opt.stats != nullptr) opt.stats->spool_write_seconds += spool_seconds;
     return out;
   };
 
-  if (total_accesses == 0 || end_group == 0 || line_sizes.empty() ||
-      failpoints::fail_alloc(failpoints::kSweepDenseAlloc)) {
-    return hashed();
+  if (total_accesses == 0 || end_group == 0 || line_sizes.empty()) {
+    const bool complete = tee_walk() && !capped;
+    if (opt.stats != nullptr) opt.stats->spool_write_seconds += spool_seconds;
+    return zero_rows(complete ? Completeness::kComplete
+                              : Completeness::kTruncated);
+  }
+  // An injected denial of the dense tables: nothing is walked.
+  if (failpoints::fail_alloc(failpoints::kSweepDenseAlloc)) {
+    return zero_rows(Completeness::kTruncated);
   }
 
   // Two plans: N chunks on a pool of >= 2 threads, or one chunk on this
@@ -319,7 +268,9 @@ std::vector<SimResult> simulate_sweep_streamed(
     pooled = false;
     reservation = reserve_tables();
   }
-  if (!reservation.ok()) return hashed();
+  // Denied on the last rung too: the budget is never exceeded, so the
+  // result is the empty prefix and nothing is walked.
+  if (!reservation.ok()) return zero_rows(Completeness::kTruncated);
   const std::size_t nchunks = static_cast<std::size_t>(chunks);
 
   const std::vector<std::uint64_t> bounds =
@@ -378,7 +329,6 @@ std::vector<SimResult> simulate_sweep_streamed(
   double wait_seconds = 0;
   std::uint64_t merged_chunks = 0;
   std::uint64_t overlapped = 0;
-  std::vector<CacheUnit> no_units;
 
   if (pooled) {
     // One pool task per chunk, each walking its own group range; the
@@ -425,7 +375,7 @@ std::vector<SimResult> simulate_sweep_streamed(
         board.cv.notify_all();
       });
     }
-    serial_walk(no_units);
+    tee_walk();
 
     // Rolling frontier: fold chunks in trace order as they finish. It stops
     // at the first chunk that failed, or that a pool fault dropped (such a
@@ -475,7 +425,7 @@ std::vector<SimResult> simulate_sweep_streamed(
     }
   } else {
     // One chunk on this thread: its engines are the result.
-    serial_walk(no_units);
+    tee_walk();
     std::vector<ChunkProfile> prof;
     if (!profile_chunk(0, prof)) truncated = true;
     merged_chunks = 1;

@@ -65,14 +65,16 @@
 // Governance: the dense tables are reserved against the memory budget up
 // front, one set per chunk. A pooled plan also charges each chunk's hole
 // list (at most one Hole per footprint line) and the merge index at its
-// worst-case size (RecencyIndex::max_bytes). When the reservation is
-// denied, the engine degrades a rung at a time, bit-identically:
+// worst-case size (RecencyIndex::max_bytes). The budget is never
+// exceeded; a denied reservation costs completeness instead:
 //   1. a pooled plan retries as one chunk with no pool, which needs only
-//      the stack tables (fp * kStackBytesPerLine per line size);
+//      the stack tables (fp * kStackBytesPerLine per line size) and gives
+//      the same bytes;
 //   2. when that is denied too — or the sweep-dense-alloc failpoint injects
-//      a denial — every configuration runs on a hashed-table LruCache
-//      (memory proportional to the capacities, O(#configs) per access),
-//      all fed from one serial walk.
+//      a denial — nothing is walked, the tee included: every row is the
+//      exact empty prefix (0 accesses, 0 misses), marked
+//      Completeness::kTruncated — the rows a governor trip before the
+//      first group gives.
 // Every chunk walk polls the governor, so a deadline or
 // cancellation stops it at a group boundary; the merged result is then the
 // bit-exact simulation of the longest contiguous prefix profiled (the
@@ -147,7 +149,7 @@ struct StreamOptions {
   /// order, by one walk on the calling thread (on a pool, while the
   /// workers profile). The caller keeps ownership and decides whether to
   /// finish() the writer (a governor trip leaves a valid spool of exactly
-  /// the walked prefix).
+  /// the walked prefix; a sweep denied its tables appends nothing).
   trace::SpoolWriter* tee = nullptr;
 };
 
@@ -164,8 +166,8 @@ struct StreamOptions {
 /// done, while later chunks still profile. Otherwise the caller runs one
 /// chunk, which needs no hole list and no merge table (the lowest-memory
 /// exact path). When the memory budget denies the dense tables, the run
-/// degrades as the file comment describes; the tee still completes on
-/// every rung.
+/// retries as one chunk, then returns the truncated empty prefix, as the
+/// file comment describes.
 std::vector<SimResult> simulate_sweep_streamed(
     const trace::CompiledProgram& prog,
     const std::vector<SweepConfig>& configs,

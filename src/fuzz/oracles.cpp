@@ -393,11 +393,12 @@ void check_set_assoc_edges(OracleReport& report,
   }
 }
 
-// Budget-degradation oracle: a zero-byte memory budget denies every dense
-// address-table reservation, forcing the sweep engine onto its hashed
-// fallback. Degradation must be invisible in the results: bit-identical
-// counts, misses_by_site included, and no spurious truncation (no deadline
-// is set).
+// Budget oracle: the budget is never exceeded, and a denial costs
+// completeness, never exactness. A zero-byte budget denies every dense
+// table, so the sweep must return the truncated empty prefix — every row
+// 0 accesses, 0 misses — having charged nothing. A budget of exactly the
+// stack tables denies a pooled multi-chunk plan, whose retry as one chunk
+// must agree bit for bit with the unbudgeted run.
 void check_budgeted_degradation(OracleReport& report,
                                 const trace::CompiledProgram& cp) {
   std::vector<cachesim::SweepConfig> configs;
@@ -406,27 +407,37 @@ void check_budgeted_degradation(OracleReport& report,
       configs.push_back({cl * line, line});
     }
   }
-  const auto dense = cachesim::simulate_sweep_streamed(cp, configs);
-  const auto expect_dense = [&](const std::vector<SimResult>& got,
-                                const std::string& oracle) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      std::ostringstream where;
-      where << "cap=" << configs[i].capacity_elems
-            << " line=" << configs[i].line_elems;
-      compare_results(report, oracle, where.str(), got[i], dense[i]);
-      if (got[i].completeness != Completeness::kComplete) {
-        add_mismatch(report, oracle,
-                     where.str() + ": memory-budgeted run reported "
-                                   "truncation without a deadline");
-      }
-    }
+  const auto where_of = [&](std::size_t i) {
+    std::ostringstream where;
+    where << "cap=" << configs[i].capacity_elems
+          << " line=" << configs[i].line_elems;
+    return where.str();
   };
+
   MemoryBudget no_memory(0);
   Governor gov;
   gov.memory = &no_memory;
-  expect_dense(cachesim::simulate_sweep_streamed(cp, configs, nullptr, {},
-                                                 &gov),
-               "budgeted-hashed-vs-dense");
+  const auto denied =
+      cachesim::simulate_sweep_streamed(cp, configs, nullptr, {}, &gov);
+  // An empty trace is answered before any reservation, complete.
+  SimResult empty;
+  empty.misses_by_site.assign(static_cast<std::size_t>(cp.num_sites()), 0);
+  if (cp.total_accesses() > 0) empty.completeness = Completeness::kTruncated;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    compare_results(report, "budgeted-zero-is-empty-prefix", where_of(i),
+                    denied[i], empty);
+    if (denied[i].completeness != empty.completeness) {
+      add_mismatch(report, "budgeted-zero-is-empty-prefix",
+                   where_of(i) + ": completeness differs from the empty "
+                                 "prefix's");
+    }
+  }
+  if (no_memory.used() != 0) {
+    add_mismatch(report, "budgeted-zero-is-empty-prefix",
+                 "a denied sweep left " + std::to_string(no_memory.used()) +
+                     " bytes charged to a zero budget");
+  }
+
   // A budget holding exactly the stack tables denies a pooled multi-chunk
   // plan its hole lists and merge index; the retry as one chunk must fit
   // and agree.
@@ -440,9 +451,18 @@ void check_budgeted_degradation(OracleReport& report,
   parallel::ThreadPool pool(2);
   cachesim::StreamOptions sopt;
   sopt.partition.chunks = 5;
-  expect_dense(cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt,
-                                                 &one_chunk_gov),
-               "budgeted-one-chunk-vs-dense");
+  const auto dense = cachesim::simulate_sweep_streamed(cp, configs);
+  const auto one_chunk = cachesim::simulate_sweep_streamed(
+      cp, configs, &pool, sopt, &one_chunk_gov);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    compare_results(report, "budgeted-one-chunk-vs-dense", where_of(i),
+                    one_chunk[i], dense[i]);
+    if (one_chunk[i].completeness != Completeness::kComplete) {
+      add_mismatch(report, "budgeted-one-chunk-vs-dense",
+                   where_of(i) + ": memory-budgeted run reported "
+                                 "truncation without a deadline");
+    }
+  }
 }
 
 // Every generated program is in the constrained class by construction, so

@@ -20,8 +20,7 @@
 //   cachesim::simulate_sweep_streamed
 //                                the one sweep engine: per-chunk
 //                                marker-augmented LRU stacks + exact hole
-//                                merge, hashed LruCaches on its last
-//                                memory rung
+//                                merge
 //   trace::SpooledTrace          out-of-core spool round trip
 //   cachesim::simulate_set_assoc set-associative geometry (edge cases of
 //                                which must degenerate to the above)
@@ -89,10 +88,10 @@ struct OracleOptions {
   /// analysis pass marks safe is executed element-wise and checked for
   /// cross-iteration conflicts; loops flagged unsafe are excluded.
   bool check_parallel = true;
-  /// Budget-degradation oracle: a zero memory budget forces the sweep
-  /// engine onto its hashed fallback, and a budget of only the stack
-  /// tables forces a pooled multi-chunk sweep down to one chunk; both must
-  /// be bit-identical to the unbudgeted dense runs.
+  /// Budget oracle: a zero memory budget must give the truncated empty
+  /// prefix (every row 0 accesses, 0 misses) and leave nothing charged,
+  /// and a budget of only the stack tables forces a pooled multi-chunk
+  /// sweep down to one chunk, bit-identical to the unbudgeted run.
   bool check_budgeted = true;
   /// Brute-force dependence oracle: replay the trace recording every
   /// observed (src site, dst site, kind, direction vector) tuple and

@@ -85,7 +85,7 @@ int Service::try_admit() {
       budget_.used() >= opts_.memory_budget_bytes -
                             opts_.memory_budget_bytes / 8) {
     // ≥ 7/8 of the shared budget is reserved by requests already running:
-    // admitting more would only force their dense engines to degrade.
+    // a sweep admitted now would be denied its tables and truncate.
     active_.fetch_sub(1, std::memory_order_acq_rel);
     return 100;
   }

@@ -17,11 +17,12 @@
 // request gets a typed `rejected` response with a `retry_after_ms` hint
 // that grows with the overload — the bundled client's retry helper honors
 // it. Degradation inside an admitted request is the governor's job: the
-// dense engines fall back to hashed ones under budget pressure
-// (bit-identically), the advisor downgrades exact scoring to the fast
+// budget is never exceeded, so a sweep denied its dense tables answers the
+// truncated empty prefix (a pooled plan first retries as one chunk, with
+// the same bytes), the advisor downgrades exact scoring to the fast
 // model, and a tripped deadline truncates to a valid partial payload —
 // each surfaced through the response `status`, mirroring the CLI exit-code
-// taxonomy.
+// taxonomy. A truncated payload is never memoized.
 //
 // Thread safety: one Service is shared by every connection and worker of a
 // Server; all public methods are safe to call concurrently.

@@ -16,13 +16,13 @@
 //
 // The registered sites (kAllSites) sit at exactly the places where a
 // resource-governed driver makes a robustness promise: the dense-engine
-// allocations (must degrade to the hashed engines, bit-identically), the
-// thread-pool submit/task boundary (a throwing task must surface from
-// wait_idle(), never std::terminate), the fuzz artifact write (a killed
-// write must never leave a truncated replay file), the oracle battery
-// step (a failing oracle run must surface as a typed error from the CLI),
-// the trace-spool write (a killed spool write must never leave a
-// partial spool file behind at the destination path), and the serve
+// allocations (a denial must truncate to the exact empty prefix, walking
+// nothing), the thread-pool submit/task boundary (a throwing task must
+// surface from wait_idle(), never std::terminate), the fuzz artifact
+// write (a killed write must never leave a truncated replay file), the
+// oracle battery step (a failing oracle run must surface as a typed error
+// from the CLI), the trace-spool write (a killed spool write must never
+// leave a partial spool file behind at the destination path), and the serve
 // daemon's accept/read/write/enqueue boundaries (a faulted connection must
 // be dropped — never crash the daemon, hang a peer, leak a descriptor, or
 // corrupt a concurrent response).

@@ -12,11 +12,13 @@
 // it never corrupts one: a truncated sweep's miss counts are the bit-exact
 // counts of the trace prefix, hence a lower bound on the full-trace counts.
 //
-// Memory ceilings work the same way by *downgrade* rather than failure: the
-// dense direct-indexed engines ask the budget for their footprint-sized
-// tables up front and, when denied, fall back to the hashed engines (which
-// are differentially tested to be bit-identical) instead of throwing
-// std::bad_alloc from deep inside a worker thread.
+// Memory ceilings are never exceeded, and a denial costs completeness, not
+// exactness: the dense direct-indexed engines ask the budget for their
+// footprint-sized tables up front. A pooled sweep that is denied retries
+// as one chunk (the same result); when even that is denied, the sweep
+// walks nothing and returns the exact empty prefix, marked truncated,
+// instead of allocating past the ceiling or throwing std::bad_alloc from
+// deep inside a worker thread.
 //
 // Everything here is thread-safe: tokens and budgets are shared atomics, a
 // Deadline is an immutable time point, and one Governor may be polled
@@ -109,7 +111,8 @@ class CancellationToken {
 
 /// A byte ceiling shared by every allocation site of one governed run.
 /// try_reserve() is an atomic all-or-nothing claim; engines that are denied
-/// downgrade to their non-dense implementation rather than failing.
+/// retry with smaller tables or return a truncated result, and never
+/// allocate past the ceiling.
 class MemoryBudget {
  public:
   /// `limit_bytes` is the ceiling; 0 denies every reservation.
@@ -172,7 +175,8 @@ class MemoryReservation {
 struct Governor {
   Deadline deadline = Deadline::never();
   CancellationToken cancel;
-  /// Byte ceiling for the dense direct-indexed tables; nullptr = unlimited.
+  /// Byte ceiling for the dense direct-indexed tables, never exceeded: a
+  /// denied sweep truncates; nullptr = unlimited.
   MemoryBudget* memory = nullptr;
   /// Run groups (or equivalent units of work) between should_stop() polls.
   /// One poll is ~two atomic loads plus a clock read, so the default keeps

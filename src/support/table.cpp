@@ -49,10 +49,22 @@ void TextTable::print(std::ostream& os) const {
 }
 
 void TextTable::print_csv(std::ostream& os) const {
+  // RFC 4180: a cell holding a comma, a quote or a line break is quoted,
+  // with each embedded quote doubled.
   auto emit = [&](const std::vector<std::string>& row) {
     for (std::size_t c = 0; c < row.size(); ++c) {
       if (c != 0) os << ",";
-      os << row[c];
+      const std::string& cell = row[c];
+      if (cell.find_first_of(",\"\r\n") == std::string::npos) {
+        os << cell;
+        continue;
+      }
+      os << '"';
+      for (const char ch : cell) {
+        if (ch == '"') os << '"';
+        os << ch;
+      }
+      os << '"';
     }
     os << "\n";
   };

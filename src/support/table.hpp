@@ -23,7 +23,8 @@ class TextTable {
   /// Renders with a header rule and column padding.
   void print(std::ostream& os) const;
 
-  /// Renders as CSV (no padding), for machine consumption.
+  /// Renders as RFC 4180 CSV (no padding), for machine consumption: a
+  /// cell holding a comma, a quote or a line break is quoted.
   void print_csv(std::ostream& os) const;
 
   std::size_t num_rows() const { return rows_.size(); }

@@ -21,7 +21,7 @@ namespace sdlo::cachesim {
 namespace {
 
 TEST(LruCache, BasicHitMiss) {
-  LruCache c(2);
+  LruCache c(2, 4);
   EXPECT_FALSE(c.access(1));
   EXPECT_FALSE(c.access(2));
   EXPECT_TRUE(c.access(1));   // 1 is resident
@@ -33,7 +33,7 @@ TEST(LruCache, BasicHitMiss) {
 }
 
 TEST(LruCache, CapacityOne) {
-  LruCache c(1);
+  LruCache c(1, 9);
   EXPECT_FALSE(c.access(7));
   EXPECT_TRUE(c.access(7));
   EXPECT_FALSE(c.access(8));
@@ -42,7 +42,7 @@ TEST(LruCache, CapacityOne) {
 }
 
 // Reference LRU built on std::list + unordered_map, for differential
-// testing of the open-addressing implementation.
+// testing of the arena implementation.
 class ReferenceLru {
  public:
   explicit ReferenceLru(std::int64_t cap) : cap_(cap) {}
@@ -98,7 +98,7 @@ class LruDifferentialTest
 
 TEST_P(LruDifferentialTest, MatchesReferenceOnRandomTraces) {
   const auto [cap, range] = GetParam();
-  LruCache fast(cap);
+  LruCache fast(cap, static_cast<std::uint64_t>(range));
   ReferenceLru ref(cap);
   RecencyIndex index(static_cast<std::uint64_t>(range));
   std::map<std::int64_t, std::uint64_t> hist;
@@ -243,30 +243,9 @@ TEST(StackProfiler, MergePatternMatchesListScan) {
   EXPECT_GE(windows.size(), 4u);  // 1024 and three growths
 }
 
-TEST(LruCache, DenseAddressingMatchesHashedOnRandomTraces) {
-  // The dense direct-indexed table is an internal representation switch:
-  // with an address bound promised up front, every access must behave
-  // exactly like the hashed path.
-  for (const auto& [cap, range] :
-       {std::pair{1, 16}, std::pair{7, 64}, std::pair{64, 64},
-        std::pair{100, 4096}}) {
-    LruCache dense(cap, static_cast<std::uint64_t>(range));
-    LruCache hashed(cap);
-    SplitMix64 rng(static_cast<std::uint64_t>(cap * 31 + range));
-    for (int i = 0; i < 20000; ++i) {
-      const auto addr = rng.below(static_cast<std::uint64_t>(range));
-      ASSERT_EQ(dense.access(addr), hashed.access(addr))
-          << "cap=" << cap << " range=" << range << " step " << i;
-    }
-    EXPECT_EQ(dense.hits(), hashed.hits());
-    EXPECT_EQ(dense.misses(), hashed.misses());
-    EXPECT_EQ(dense.size(), hashed.size());
-  }
-}
-
 TEST(SetAssoc, FullyAssociativeLruMatchesLruCache) {
   SetAssocCache sa(64, 64, 1);
-  LruCache lru(64);
+  LruCache lru(64, 300);
   SplitMix64 rng(5);
   for (int i = 0; i < 50000; ++i) {
     const auto addr = rng.below(300);

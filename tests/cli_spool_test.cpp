@@ -8,11 +8,13 @@
 // real binary as a subprocess so the cleanup is exercised through process
 // exit, not just stack unwind. `sdlo trace --limit` is pinned here too: its
 // first lines are walk()'s first accesses and its tail count is exact. So
-// is `--cap` and `--threads` validation: an out-of-range value is a usage
-// error naming the flag, never an internal precondition failure or a
-// silent default. A repeated `--set` binds every symbol it names. Every
-// analysis verb answers the CLI and the daemon alike: the same --json
-// bytes for the same question, and the same message for a bad knob.
+// is `--cap`, `--threads`, `--deadline` and `--mem-budget` validation: an
+// out-of-range value is a usage error naming the flag, never an internal
+// precondition failure or a silent default. A repeated `--set` binds
+// every symbol it names. Every analysis verb answers the CLI and the
+// daemon alike: the same --json bytes for the same question (a memory
+// budget below a sweep's tables included), and the same message for a bad
+// knob.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -318,6 +320,33 @@ TEST(CliThreads, OutOfRangeThreadsIsAUsageError) {
   EXPECT_EQ(run_sweep("", "--threads 256 --json"), 0);
 }
 
+TEST(CliBudget, NegativeOrWrappingBudgetFlagIsAUsageError) {
+  // Taken as given, a negative value would turn its flag off and a budget
+  // above 2^43 MB would wrap its byte count, so each would run ungoverned.
+  // serve checks them before it binds a socket.
+  struct Case {
+    std::string args, message;
+  };
+  const std::string sweep = "sweep " + program_file() + " --set N=8 ";
+  for (const Case& c :
+       {Case{sweep + "--mem-budget -5", "--mem-budget must be between 0 and"},
+        Case{sweep + "--mem-budget 8796093022209",
+             "--mem-budget must be between 0 and"},
+        Case{sweep + "--deadline -1", "--deadline must be at least 0"},
+        Case{sweep + "--deadline nan", "--deadline must be at least 0"},
+        Case{"serve --socket " + unique_path("sdlo_cli_budget") +
+                 " --mem-budget -5",
+             "--mem-budget must be between 0 and"}}) {
+    int rc = -1;
+    const std::string err = capture_stderr(c.args, rc, "timeout 10 ");
+    EXPECT_EQ(rc, 1) << c.args;
+    EXPECT_NE(err.find(c.message), std::string::npos)
+        << c.args << ": " << err;
+  }
+  EXPECT_EQ(run_sweep("", "--mem-budget 8796093022208 --json"), 0);
+  EXPECT_EQ(run_sweep("", "--deadline 0 --mem-budget 0 --json"), 0);
+}
+
 TEST(CliLine, NonPowerOfTwoLineIsAUsageError) {
   // 0 and negative sizes once looped in the sweep's capacity ladder until
   // memory ran out, and lint and advise took them as "no line"; timeout
@@ -400,6 +429,33 @@ TEST(CliServeParity, FlaglessJsonIsTheDaemonPayload) {
     ASSERT_FALSE(resp.payload.empty()) << verb << ": " << resp.error;
     EXPECT_EQ(out, resp.payload + "\n") << verb;
   }
+}
+
+TEST(ServeService, BudgetBelowTheStackTablesTruncatesLikeTheCli) {
+  // At N=200 the matmul footprint is 120,000 lines, whose stack tables
+  // (13 bytes a line) outgrow a 1 MB budget: the CLI and the daemon both
+  // answer the truncated empty prefix, at once, with the same bytes. A
+  // truncated payload reflects this request's budget, so the repeat is
+  // computed again, not served from the memo cache.
+  int rc = -1;
+  const std::string out = capture(
+      "sweep " + program_file() + " --set N=200 --json --mem-budget 1", rc);
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(out.find("\"accesses\":0,\"completeness\":\"truncated\""),
+            std::string::npos)
+      << out;
+  sdlo::serve::ServiceOptions opts;
+  opts.memory_budget_bytes = std::uint64_t{1} << 20;
+  sdlo::serve::Service service(opts);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const sdlo::serve::Response resp =
+        service.handle_line(daemon_request("sweep", "", 200));
+    EXPECT_EQ(resp.status, sdlo::serve::Status::kTruncated)
+        << attempt << ": " << resp.error;
+    EXPECT_FALSE(resp.cached) << attempt;
+    EXPECT_EQ(out, resp.payload + "\n") << attempt;
+  }
+  EXPECT_EQ(service.cache().stats().hits, 0u);
 }
 
 TEST(CliServeParity, OverflowingBindingsAreAWF007ErrorFromBothFrontDoors) {

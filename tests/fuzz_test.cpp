@@ -240,7 +240,8 @@ TEST(FuzzArtifactTest, WriteIsAtomicUnderInjectedFault) {
 }
 
 TEST(FuzzOracleTest, BudgetedDegradationFamilyIsClean) {
-  // The budgeted-degradation oracle (zero memory budget => hashed engines)
+  // The budget oracle (a zero budget gives the truncated empty prefix; a
+  // stack-tables budget retries a pooled plan as one chunk, bit-identical)
   // must pass on gallery and generated programs.
   const auto g = ir::matmul_tiled();
   fuzz::OracleOptions opts;

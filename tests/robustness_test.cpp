@@ -20,6 +20,7 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -226,19 +227,34 @@ TEST(Robustness, FailpointMatrixNeverCrashesOrHangs) {
   EXPECT_FALSE(failpoints::armed());  // every scope restored itself
 }
 
-TEST(Robustness, InjectedDenialsNeverChangeResults) {
-  // `fail` on the dense-alloc site is a pure degradation: compare the sweep
-  // counts under it bit for bit.
-  const auto cp = small_program();
-  const std::vector<cachesim::SweepConfig> configs{{16, 1}, {256, 1}};
-  const auto want = cachesim::simulate_sweep_streamed(cp, configs);
-  failpoints::ScopedFailpoint sweep_fp(failpoints::kSweepDenseAlloc,
-                                       {failpoints::Action::kFailAlloc, 0});
-  const auto got = cachesim::simulate_sweep_streamed(cp, configs);
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    EXPECT_EQ(got[i].misses, want[i].misses) << i;
-    EXPECT_EQ(got[i].misses_by_site, want[i].misses_by_site) << i;
-    EXPECT_EQ(got[i].completeness, Completeness::kComplete) << i;
+TEST(Robustness, DeniedSweepTruncatesAndKeepsNoSpool) {
+  // A denial that reaches the engine's last rung — the dense-alloc
+  // failpoint, or a zero budget — never exceeds the budget: the sweep
+  // driver reports the empty prefix with exit code 2, and keeps no spool,
+  // since nothing was walked.
+  const auto g = ir::matmul_tiled();
+  const sym::Env env = g.make_env({8, 8, 8}, {4, 4, 4});
+  for (const bool failpoint : {true, false}) {
+    const std::string what = failpoint ? "failpoint" : "zero budget";
+    analysis::SweepDriverOptions opts;
+    opts.threads = 2;
+    opts.spool_path = scratch_path("denied.spl");
+    MemoryBudget zero(0);
+    Governor gov;
+    if (!failpoint) gov.memory = &zero;
+    std::optional<failpoints::ScopedFailpoint> fp;
+    if (failpoint) {
+      fp.emplace(failpoints::kSweepDenseAlloc,
+                 failpoints::Spec{failpoints::Action::kFailAlloc, 0});
+    }
+    const auto oc = analysis::run_sweep(g.prog, env, opts, &gov);
+    EXPECT_TRUE(oc.truncated()) << what;
+    EXPECT_EQ(oc.exit_code(), 2) << what;
+    EXPECT_EQ(oc.accesses, 0u) << what;
+    for (const auto& r : oc.rows) EXPECT_EQ(r.misses, 0u) << what;
+    EXPECT_TRUE(oc.spool_path.empty()) << what;
+    EXPECT_FALSE(std::filesystem::exists(opts.spool_path)) << what;
+    EXPECT_EQ(zero.used(), 0u) << what;
   }
 }
 

@@ -106,7 +106,18 @@ TEST(TextTable, AlignsAndCounts) {
   EXPECT_NE(s.find("22,222 |"), std::string::npos);
   std::ostringstream csv;
   t.print_csv(csv);
-  EXPECT_EQ(csv.str(), "name,value\nalpha,1\nb,22,222\n");
+  EXPECT_EQ(csv.str(), "name,value\nalpha,1\nb,\"22,222\"\n");
+}
+
+TEST(TextTable, CsvQuotesCellsThatNeedIt) {
+  TextTable t({"tile", "note"});
+  t.add_row({"(16,16,16)", "say \"hi\""});
+  t.add_row({"two\nlines", "plain"});
+  std::ostringstream csv;
+  t.print_csv(csv);
+  EXPECT_EQ(csv.str(),
+            "tile,note\n\"(16,16,16)\",\"say \"\"hi\"\"\"\n"
+            "\"two\nlines\",plain\n");
 }
 
 TEST(TextTable, RejectsArityMismatch) {

@@ -3,7 +3,7 @@
 // program, for every capacity and line size tried — including the
 // per-site miss breakdown — and the run-fed profiler to the
 // per-access reference profile. Also covers pool-vs-serial equivalence,
-// governed truncation and the memory-budget degradation.
+// governed truncation and a denied memory budget's truncated empty prefix.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -314,7 +314,8 @@ TEST(SweepTest, DeterministicCancelTruncatesToExactPrefix) {
       EXPECT_LT(part[i].accesses, full[i].accesses) << c.name;
       EXPECT_LE(part[i].misses, full[i].misses) << c.name;
 
-      cachesim::LruCache ref(configs[i].capacity_elems);
+      cachesim::LruCache ref(configs[i].capacity_elems,
+                             cp.address_space_size());
       for (std::uint64_t a = 0; a < part[i].accesses; ++a) {
         ref.access(stream[static_cast<std::size_t>(a)].addr);
       }
@@ -336,54 +337,61 @@ TEST(SweepTest, ExpiredDeadlineTruncatesSweep) {
   EXPECT_LT(swept[0].accesses, cp.total_accesses());
 }
 
-TEST(SweepTest, ZeroMemoryBudgetDegradesBitIdentically) {
-  // A zero budget denies every dense-table reservation; the engine must
-  // fall back to its hashed implementation with identical results and no
-  // truncation (a memory downgrade is not a partial answer).
+/// The truncated empty prefix a denied sweep must return: every row 0
+/// accesses, 0 misses and an all-zero per-site breakdown.
+void expect_empty_prefix(const std::vector<cachesim::SimResult>& got,
+                         const trace::CompiledProgram& cp,
+                         const std::string& what) {
+  for (const cachesim::SimResult& r : got) {
+    EXPECT_EQ(r.accesses, 0u) << what;
+    EXPECT_EQ(r.misses, 0u) << what;
+    EXPECT_EQ(r.misses_by_site,
+              std::vector<std::uint64_t>(
+                  static_cast<std::size_t>(cp.num_sites()), 0))
+        << what;
+    EXPECT_EQ(r.completeness, Completeness::kTruncated) << what;
+  }
+}
+
+TEST(SweepTest, ZeroMemoryBudgetTruncatesToTheEmptyPrefix) {
+  // A zero budget denies every dense-table reservation. The budget is
+  // never exceeded, so the engine walks nothing and returns the exact
+  // empty prefix, marked truncated, with nothing left charged.
   for (const auto& c : gallery_cases()) {
     const auto cp = compile(c);
     const std::vector<cachesim::SweepConfig> configs{
         {3, 1}, {64, 1}, {256, 4}};
-    const auto dense = cachesim::simulate_sweep_streamed(cp, configs);
     MemoryBudget zero(0);
     Governor gov;
     gov.memory = &zero;
     cachesim::PartitionStats stats;
     cachesim::StreamOptions sopt;
     sopt.partition.stats = &stats;
-    const auto hashed =
+    const auto denied =
         cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt, &gov);
-    ASSERT_EQ(hashed.size(), dense.size());
-    for (std::size_t i = 0; i < dense.size(); ++i) {
-      expect_same(hashed[i], dense[i], c.name + " budgeted sweep");
-      EXPECT_EQ(hashed[i].completeness, Completeness::kComplete) << c.name;
-    }
+    ASSERT_EQ(denied.size(), configs.size());
+    expect_empty_prefix(denied, cp, c.name + " budgeted sweep");
     EXPECT_EQ(stats.chunks, 0u) << c.name << ": the dense path ran";
     EXPECT_EQ(zero.used(), 0u);  // every denial released nothing
   }
 }
 
-TEST(SweepTest, DenseAllocFailpointDegradesBitIdentically) {
+TEST(SweepTest, DenseAllocFailpointTruncatesToTheEmptyPrefix) {
   // SDLO_FAILPOINTS=sweep-dense-alloc=fail (here armed programmatically)
   // must behave exactly like a denied memory reservation.
   const auto cases = gallery_cases();
   const auto cp = compile(cases[3]);  // two_index_tiled
   const std::vector<cachesim::SweepConfig> configs{{16, 1}, {1024, 1}};
-  const auto dense = cachesim::simulate_sweep_streamed(cp, configs);
-  {
-    failpoints::ScopedFailpoint fp(failpoints::kSweepDenseAlloc,
-                                   {failpoints::Action::kFailAlloc, 0});
-    cachesim::PartitionStats stats;
-    cachesim::StreamOptions sopt;
-    sopt.partition.stats = &stats;
-    const auto hashed =
-        cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt);
-    EXPECT_EQ(stats.chunks, 0u) << "the dense path ran";
-    for (std::size_t i = 0; i < dense.size(); ++i) {
-      expect_same(hashed[i], dense[i], "failpoint sweep");
-      EXPECT_EQ(hashed[i].completeness, Completeness::kComplete);
-    }
-  }
+  failpoints::ScopedFailpoint fp(failpoints::kSweepDenseAlloc,
+                                 {failpoints::Action::kFailAlloc, 0});
+  cachesim::PartitionStats stats;
+  cachesim::StreamOptions sopt;
+  sopt.partition.stats = &stats;
+  const auto denied =
+      cachesim::simulate_sweep_streamed(cp, configs, nullptr, sopt);
+  ASSERT_EQ(denied.size(), configs.size());
+  expect_empty_prefix(denied, cp, "failpoint sweep");
+  EXPECT_EQ(stats.chunks, 0u) << "the dense path ran";
 }
 
 TEST(SweepTest, GovernedPooledSweepTruncatesCleanly) {

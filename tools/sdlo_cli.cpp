@@ -23,9 +23,12 @@
 // flags `--deadline SEC` and `--mem-budget MB` (support/governor.hpp): on
 // deadline/cancellation the verb stops at the next safe point and prints a
 // valid partial result, marked "truncated" in text and JSON, exiting with
-// status 2 (ExitCode::kTruncated). A memory budget never truncates — it
-// degrades the dense engines to their hashed fallbacks, bit-identically.
-// Exit codes: 0 ok, 1 error, 2 truncated by budget.
+// status 2 (ExitCode::kTruncated). A memory budget is never exceeded: a
+// pooled sweep denied its tables retries as one chunk (the same bytes),
+// and a sweep denied even those walks nothing and answers the truncated
+// empty prefix, exit 2. A negative --deadline, or a --mem-budget below 0
+// or above 2^43 MB, is a usage error. Exit codes: 0 ok, 1 error, 2
+// truncated by budget.
 //
 // The five analysis verbs have one front door, shared with the daemon
 // (analysis/verbs.hpp): main() turns the flags into an
@@ -55,6 +58,7 @@
 // a mismatch is reduced to a minimal counterexample and written to
 // --artifact-dir as a `.sdlo` artifact that `--replay` re-checks.
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -124,7 +128,24 @@ struct CliGovernor {
   const Governor* get() const { return active ? &gov : nullptr; }
 };
 
+/// The largest --mem-budget: 2^43 MB is 2^63 bytes, so the byte count
+/// neither wraps nor leaves the signed range.
+constexpr std::int64_t kMaxMemBudgetMb = std::int64_t{1} << 43;
+
+/// Builds the governor (0 turns either flag off). A value the governor
+/// cannot honor is a usage error naming the flag, never a silent
+/// ungoverned run.
 CliGovernor make_governor(double deadline_sec, std::int64_t mem_budget_mb) {
+  if (std::isnan(deadline_sec) || deadline_sec < 0) {
+    std::ostringstream got;
+    got << deadline_sec;
+    throw Error("--deadline must be at least 0 seconds, got " + got.str());
+  }
+  if (mem_budget_mb < 0 || mem_budget_mb > kMaxMemBudgetMb) {
+    throw Error("--mem-budget must be between 0 and " +
+                std::to_string(kMaxMemBudgetMb) + " MB, got " +
+                std::to_string(mem_budget_mb));
+  }
   CliGovernor g;
   if (deadline_sec > 0) {
     g.gov.deadline = Deadline::after_seconds(deadline_sec);
@@ -391,7 +412,8 @@ int main(int argc, char** argv) {
         .flag("deadline",
               "wall-clock ceiling in seconds; partial results exit 2")
         .flag("mem-budget",
-              "dense-table memory ceiling in MB (degrades to hashed)")
+              "dense-table memory ceiling in MB, 0-2^43; a sweep denied "
+              "its tables truncates (exit 2)")
         .flag("threads",
               "worker threads for sweep, 1-256: > 1 profiles time chunks "
               "in parallel (bit-identical)")
