@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "cachesim/marker_stack.hpp"
@@ -30,73 +26,6 @@ struct AbortWalk {};
 struct ChunkProfile {
   std::unique_ptr<MarkerStackEngine> engine;
   std::vector<Hole> holes;
-};
-
-/// The incremental half of the rolling frontier: folds chunks into the
-/// merge's recency index strictly in trace order, one call per chunk,
-/// and releases each chunk's engine the moment it is merged. Because the
-/// fold order equals the sequential merge order, the accumulated buckets,
-/// cold counts and access totals are bit-identical to the barriered merge
-/// no matter when (relative to still-profiling workers) each fold runs.
-class FrontierMerger {
- public:
-  FrontierMerger(const std::vector<std::int64_t>& caps,
-                 std::int32_t num_sites, std::uint64_t fp)
-      : caps_(caps),
-        ks_(caps.size() + 1),
-        buckets_(static_cast<std::size_t>(num_sites) * ks_, 0),
-        cold_by_site_(static_cast<std::size_t>(num_sites), 0),
-        merge_(fp) {}
-
-  /// Folds chunk `p` in (must be called for chunks 0, 1, 2, ... in order)
-  /// and frees its engine and hole list.
-  void merge_chunk(ChunkProfile& p) {
-    accesses_ += p.engine->accesses();
-    for (std::size_t j = 0; j < p.holes.size(); ++j) {
-      const Hole& h = p.holes[j];
-      const std::uint64_t cnt = merge_.resolve(h.line);
-      if (cnt == 0) {
-        ++cold_by_site_[static_cast<std::size_t>(h.site)];
-        continue;
-      }
-      ++buckets_[static_cast<std::size_t>(h.site) * ks_ +
-                 segment_of_depth(caps_, cnt + j)];
-    }
-    for (std::uint64_t l : p.engine->recency_order()) merge_.append(l);
-    const std::vector<std::uint64_t>& chunk_buckets = p.engine->buckets();
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      buckets_[i] += chunk_buckets[i];
-    }
-    p.engine.reset();
-    std::vector<Hole>().swap(p.holes);
-  }
-
-  /// Writes the merged result into the `slots` of `out`.
-  void finish(const std::vector<std::vector<std::size_t>>& slots,
-              bool truncated, std::vector<SimResult>& out) const {
-    fold_segments(buckets_, cold_by_site_, accesses_,
-                  truncated ? Completeness::kTruncated
-                            : Completeness::kComplete,
-                  slots, out);
-  }
-
- private:
-  const std::vector<std::int64_t>& caps_;
-  std::size_t ks_;
-  std::vector<std::uint64_t> buckets_;
-  std::vector<std::uint64_t> cold_by_site_;
-  std::uint64_t accesses_ = 0;
-  RecencyIndex merge_;
-};
-
-/// Per-group completion board shared between the workers and the merging
-/// thread: done flags, a running count, and the first captured error.
-struct FrontierBoard {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<char> done;
-  std::size_t done_count = 0;
-  std::exception_ptr first_error;
 };
 
 /// Checks every configuration and returns the distinct line sizes, in
@@ -156,16 +85,53 @@ std::vector<std::uint64_t> make_bounds(const trace::CompiledProgram& src,
   return bounds;
 }
 
-/// Per line size state of one streamed sweep: the distinct capacities with
-/// their result slots and the frontier merger folding chunks in order.
-/// `caps` lives here because FrontierMerger holds a reference to it.
+/// Per line size state of one streamed sweep: its footprint and the
+/// distinct capacities with their result slots.
 struct StreamLine {
   std::int64_t line = 0;
   std::uint64_t fp = 0;
   std::vector<std::int64_t> caps;
   std::vector<std::vector<std::size_t>> slots;
-  std::unique_ptr<FrontierMerger> merger;
 };
+
+/// The hole merge for one line size: folds line `l` of chunks
+/// 0..merged-1 into a RecencyIndex strictly in trace order, freeing each
+/// chunk's engine and hole list right after its fold, and writes the
+/// merged rows into `sl.slots` of `out`.
+void merge_chunks(std::vector<std::vector<ChunkProfile>>& profiles,
+                  std::size_t merged, std::size_t l, const StreamLine& sl,
+                  std::int32_t num_sites, Completeness completeness,
+                  std::vector<SimResult>& out) {
+  const std::size_t ks = sl.caps.size() + 1;
+  std::vector<std::uint64_t> buckets(static_cast<std::size_t>(num_sites) * ks,
+                                     0);
+  std::vector<std::uint64_t> cold_by_site(static_cast<std::size_t>(num_sites),
+                                          0);
+  std::uint64_t accesses = 0;
+  RecencyIndex index(sl.fp);
+  for (std::size_t c = 0; c < merged; ++c) {
+    ChunkProfile& p = profiles[c][l];
+    accesses += p.engine->accesses();
+    for (std::size_t j = 0; j < p.holes.size(); ++j) {
+      const Hole& h = p.holes[j];
+      const std::uint64_t cnt = index.resolve(h.line);
+      if (cnt == 0) {
+        ++cold_by_site[static_cast<std::size_t>(h.site)];
+        continue;
+      }
+      ++buckets[static_cast<std::size_t>(h.site) * ks +
+                segment_of_depth(sl.caps, cnt + j)];
+    }
+    for (std::uint64_t line : p.engine->recency_order()) index.append(line);
+    const std::vector<std::uint64_t>& chunk_buckets = p.engine->buckets();
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+      buckets[i] += chunk_buckets[i];
+    }
+    p.engine.reset();
+    std::vector<Hole>().swap(p.holes);
+  }
+  fold_segments(buckets, cold_by_site, accesses, completeness, sl.slots, out);
+}
 
 }  // namespace
 
@@ -188,7 +154,6 @@ std::vector<SimResult> simulate_sweep_streamed(
   const std::vector<std::int64_t> line_sizes = distinct_lines(configs);
   const std::int32_t num_sites = prog.num_sites();
   trace::SpoolWriter* tee = sopt.tee;
-  double spool_seconds = 0;
 
   // Walks groups [0, end_group) into the tee on this thread; returns false
   // when the governor stopped it early. The caller decides whether to
@@ -202,9 +167,7 @@ std::vector<SimResult> simulate_sweep_streamed(
           tick = 0;
           if (gov->should_stop()) throw AbortWalk{};
         }
-        WallTimer t;
         tee->add_group(g, n);
-        spool_seconds += t.seconds();
       });
     } catch (const AbortWalk&) {
       return false;
@@ -224,7 +187,6 @@ std::vector<SimResult> simulate_sweep_streamed(
 
   if (total_accesses == 0 || end_group == 0 || line_sizes.empty()) {
     const bool complete = tee_walk() && !capped;
-    if (opt.stats != nullptr) opt.stats->spool_write_seconds += spool_seconds;
     return zero_rows(complete ? Completeness::kComplete
                               : Completeness::kTruncated);
   }
@@ -281,15 +243,11 @@ std::vector<SimResult> simulate_sweep_streamed(
     lines[l].line = line_sizes[l];
     lines[l].fp = prog.footprint_lines(lines[l].line);
     collect_caps(configs, lines[l].line, lines[l].caps, lines[l].slots);
-    if (pooled) {
-      lines[l].merger = std::make_unique<FrontierMerger>(
-          lines[l].caps, num_sites, lines[l].fp);
-    }
   }
 
-  // Raised when the caller stops waiting for the remaining chunks (an
-  // unwinding error, or a frontier that stopped early), so running walks
-  // return at their next poll instead of finishing work nobody merges.
+  // Raised when the caller unwinds before the chunks finish (a failed
+  // submit, a throwing tee write), so running walks return at their next
+  // poll instead of finishing work nobody merges.
   std::atomic<bool> abandon{false};
 
   // Profiles chunk cc: walks its own group range [bounds[cc],
@@ -327,17 +285,13 @@ std::vector<SimResult> simulate_sweep_streamed(
   bool truncated = capped;
   double merge_seconds = 0;
   double wait_seconds = 0;
-  std::uint64_t merged_chunks = 0;
-  std::uint64_t overlapped = 0;
 
   if (pooled) {
     // One pool task per chunk, each walking its own group range; the
-    // caller walks the trace once for the tee meanwhile, then advances the
-    // rolling merge frontier while later chunks are still profiling.
+    // caller walks the trace once for the tee meanwhile, waits for every
+    // chunk, then merges them in trace order.
     std::vector<std::vector<ChunkProfile>> profiles(nchunks);
     std::vector<char> chunk_complete(nchunks, 0);
-    FrontierBoard board;
-    board.done.assign(nchunks, 0);
 
     // If anything below throws (a failed submit, an injected tee write
     // failure), the workers must not outlive the profiles they fill: stop
@@ -358,78 +312,38 @@ std::vector<SimResult> simulate_sweep_streamed(
 
     for (std::size_t cc = 0; cc < nchunks; ++cc) {
       pool->submit([&, cc] {
-        try {
-          chunk_complete[cc] =
-              static_cast<char>(profile_chunk(cc, profiles[cc]));
-        } catch (...) {
-          std::scoped_lock lock(board.mu);
-          if (!board.first_error) {
-            board.first_error = std::current_exception();
-          }
-        }
-        {
-          std::scoped_lock lock(board.mu);
-          board.done[cc] = 1;
-          ++board.done_count;
-        }
-        board.cv.notify_all();
+        chunk_complete[cc] = static_cast<char>(profile_chunk(cc, profiles[cc]));
       });
     }
     tee_walk();
 
-    // Rolling frontier: fold chunks in trace order as they finish. It stops
-    // at the first chunk that failed, or that a pool fault dropped (such a
-    // task never signals, so the pool going idle gives it away); any
-    // failure is rethrown below.
-    for (std::size_t cc = 0; cc < nchunks; ++cc) {
-      std::size_t profiled_now = 0;
-      bool ready = false;
-      {
-        WallTimer wait_timer;
-        std::unique_lock lock(board.mu);
-        while (!board.cv.wait_for(lock, std::chrono::milliseconds(2), [&] {
-          return board.done[cc] != 0 || board.first_error != nullptr;
-        })) {
-          if (pool->idle()) break;
-        }
-        ready = board.done[cc] != 0 && board.first_error == nullptr;
-        profiled_now = board.done_count;
-        wait_seconds += wait_timer.seconds();
-      }
-      if (!ready) {
-        truncated = true;
-        break;
-      }
-
-      WallTimer t;
-      for (std::size_t l = 0; l < lines.size(); ++l) {
-        lines[l].merger->merge_chunk(profiles[cc][l]);
-      }
-      merge_seconds += t.seconds();
-      ++merged_chunks;
-      if (opt.merge_observer) opt.merge_observer(cc, profiled_now, nchunks);
-      if (profiled_now < nchunks) ++overlapped;
-      if (chunk_complete[cc] == 0) {
-        truncated = true;
-        break;
-      }
-    }
-    abandon.store(true, std::memory_order_relaxed);
+    // The barrier: rethrows the first error of any chunk task, a task the
+    // pool dropped (an injected pool-task fault) included.
+    WallTimer wait_timer;
     pool->wait_idle();
-    {
-      std::scoped_lock lock(board.mu);
-      if (board.first_error) std::rethrow_exception(board.first_error);
+    wait_seconds = wait_timer.seconds();
+
+    // Merge chunks 0..merged-1: through the first incomplete one, whose
+    // successors do not extend a contiguous prefix.
+    std::size_t merged = 0;
+    while (merged < nchunks && chunk_complete[merged] != 0) ++merged;
+    if (merged < nchunks) {
+      truncated = true;
+      ++merged;
     }
-    for (const StreamLine& sl : lines) {
-      sl.merger->finish(sl.slots, truncated, out);
+    const Completeness completeness =
+        truncated ? Completeness::kTruncated : Completeness::kComplete;
+    WallTimer t;
+    for (std::size_t l = 0; l < lines.size(); ++l) {
+      merge_chunks(profiles, merged, l, lines[l], num_sites, completeness,
+                   out);
     }
+    merge_seconds = t.seconds();
   } else {
     // One chunk on this thread: its engines are the result.
     tee_walk();
     std::vector<ChunkProfile> prof;
     if (!profile_chunk(0, prof)) truncated = true;
-    merged_chunks = 1;
-    if (opt.merge_observer) opt.merge_observer(0, 1, 1);
     for (std::size_t l = 0; l < lines.size(); ++l) {
       const MarkerStackEngine& e = *prof[l].engine;
       fold_segments(e.buckets(), e.cold_by_site(), e.accesses(),
@@ -442,10 +356,7 @@ std::vector<SimResult> simulate_sweep_streamed(
   if (opt.stats != nullptr) {
     opt.stats->merge_seconds += merge_seconds;
     opt.stats->merge_wait_seconds += wait_seconds;
-    opt.stats->spool_write_seconds += spool_seconds;
     opt.stats->chunks += chunks;
-    opt.stats->merged_chunks += merged_chunks;
-    opt.stats->overlapped_merges += overlapped;
   }
   return out;
 }

@@ -24,22 +24,17 @@
 // global trace — so the per-chunk hit buckets are globally correct as-is.
 // The only accesses a chunk cannot classify are its "holes": the first
 // touch of each line within the chunk, whose previous access (if any) lies
-// in an earlier chunk. Engines record holes in program order; a sequential
-// merge pass then resolves every hole exactly (this is the
-// time-partitioning idea of PARDA-style parallel stack distance, built on
-// the RecencyIndex that profile_stack_distances also uses):
+// in an earlier chunk. Engines record holes in program order; once every
+// chunk has finished profiling, a sequential merge pass on the caller
+// resolves every hole exactly (this is the time-partitioning idea of
+// PARDA-style parallel stack distance, built on the RecencyIndex that
+// profile_stack_distances also uses):
 //
-//   The merge is a ROLLING FRONTIER, not a barrier: chunk i's holes are
-//   resolved as soon as chunks 0..i have finished profiling, while later
-//   chunks are still being profiled, and each merged chunk's engine is
-//   freed immediately. Because chunks are merged strictly in trace order,
-//   the merge structure's state when chunk i is folded in is identical to
-//   the all-barriered sequential merge — the overlap changes wall-clock
-//   only, never a single count.
-//
-//   The merge's RecencyIndex keeps, per line touched by previous chunks
-//   and not since re-touched, its last-access timestamp. For the j-th hole
-//   (0-based) of a chunk, with its line found at timestamp p:
+//   Chunks are folded strictly in trace order, and each chunk's engine is
+//   freed right after its fold. The merge's RecencyIndex keeps, per line
+//   touched by previous chunks and not since re-touched, its last-access
+//   timestamp. For the j-th hole (0-based) of a chunk, with its line found
+//   at timestamp p:
 //
 //     depth = (live timestamps >= p, including the line's own) + j
 //
@@ -78,14 +73,13 @@
 // Every chunk walk polls the governor, so a deadline or
 // cancellation stops it at a group boundary; the merged result is then the
 // bit-exact simulation of the longest contiguous prefix profiled (the
-// frontier merges through the earliest incomplete chunk and discards the
+// merge runs through the earliest incomplete chunk and discards the
 // rest), marked Completeness::kTruncated. PartitionOptions::max_groups
 // caps the walk at a deterministic prefix for tests, independent of
 // timing.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "cachesim/results.hpp"
@@ -97,23 +91,17 @@
 
 namespace sdlo::cachesim {
 
-/// Phase accounting of one streamed sweep, accumulated across line-size
-/// groups. Seconds are wall-clock on the merging (caller) thread; because
-/// the merge overlaps profiling, merge_seconds is hidden time whenever
-/// overlapped_merges > 0.
+/// Phase accounting of streamed sweeps, accumulated across calls. Seconds
+/// are wall-clock on the calling thread, and stay 0 on the one-chunk plan.
 struct PartitionStats {
-  /// Time spent inside hole-merge steps (overlaps profiling).
+  /// Time spent in the hole merge, after every chunk has finished.
   double merge_seconds = 0;
-  /// Time the merging thread spent blocked waiting for its frontier chunk.
+  /// Time the caller spent waiting for the chunks after its tee walk.
   double merge_wait_seconds = 0;
-  /// Time spent appending groups to the streamed tee spool (overlaps
-  /// profiling on the pooled path; zero without a tee).
-  double spool_write_seconds = 0;
-  /// Chunks profiled / merged, over every line-size group.
+  /// Chunks profiled.
   std::uint64_t chunks = 0;
-  std::uint64_t merged_chunks = 0;
-  /// Merges that completed while at least one later chunk was still being
-  /// profiled — the direct evidence of merge/profile overlap.
+  /// Always 0: the merge starts only after every chunk has finished. Kept
+  /// because the benchmark's traced run still reports it.
   std::uint64_t overlapped_merges = 0;
 };
 
@@ -130,20 +118,13 @@ struct PartitionOptions {
   /// the result truncated if that is a proper prefix — the deterministic
   /// stand-in for a timing-dependent governor trip.
   std::uint64_t max_groups = 0;
-  /// When non-null, phase timings and overlap counters accumulate here.
+  /// When non-null, phase timings and the chunk count accumulate here.
   PartitionStats* stats = nullptr;
-  /// Test hook, invoked on the merging thread right after chunk `merged`
-  /// is folded in, with how many of the group's `chunks` chunks had
-  /// finished profiling at that instant. profiled < chunks proves the
-  /// frontier merged under still-running workers.
-  std::function<void(std::size_t merged, std::size_t profiled,
-                     std::size_t chunks)>
-      merge_observer;
 };
 
 /// Configuration of the streamed sweep driver.
 struct StreamOptions {
-  /// Chunking, stats and test hooks.
+  /// Chunking and stats.
   PartitionOptions partition;
   /// When non-null, every run group is also appended here, in program
   /// order, by one walk on the calling thread (on a pool, while the
@@ -156,18 +137,18 @@ struct StreamOptions {
 /// The one multi-configuration simulation entry point: profiles the
 /// compiled program's time chunks, each walking its own group range and
 /// feeding every requested line size's engine for that chunk, then
-/// resolves holes with the rolling-frontier merge. Results are exact and
+/// resolves holes with the in-order hole merge. Results are exact and
 /// returned in `configs` order, bit-identical to per-configuration
 /// simulate_lru / simulate_lru_lines. Throws ContractViolation when a
 /// configuration is not a valid fully-associative geometry.
 ///
 /// With a pool of >= 2 threads and more than one chunk, each chunk is one
-/// pool task, and the caller merges chunk c as soon as chunks 0..c are
-/// done, while later chunks still profile. Otherwise the caller runs one
-/// chunk, which needs no hole list and no merge table (the lowest-memory
-/// exact path). When the memory budget denies the dense tables, the run
-/// retries as one chunk, then returns the truncated empty prefix, as the
-/// file comment describes.
+/// pool task; the caller walks the tee, waits for every chunk, rethrowing
+/// the first task error, and merges them in trace order. Otherwise the
+/// caller runs one chunk, which needs no hole list and no merge table (the
+/// lowest-memory exact path). When the memory budget denies the dense
+/// tables, the run retries as one chunk, then returns the truncated empty
+/// prefix, as the file comment describes.
 std::vector<SimResult> simulate_sweep_streamed(
     const trace::CompiledProgram& prog,
     const std::vector<SweepConfig>& configs,

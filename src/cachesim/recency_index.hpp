@@ -7,7 +7,7 @@
 //
 // profile_stack_distances (sim.hpp) feeds every access as
 // `d = resolve(line); append(line);` (d is the LRU stack depth, 0 when
-// cold). The streamed sweep's frontier merge (parallel_stack.cpp) resolves
+// cold). The streamed sweep's hole merge (parallel_stack.cpp) resolves
 // a chunk's holes without re-appending them, then appends the chunk's
 // resident lines in recency order.
 #pragma once

@@ -48,11 +48,6 @@ void ThreadPool::wait_idle_nothrow() {
   first_error_ = nullptr;
 }
 
-bool ThreadPool::idle() const {
-  std::scoped_lock lock(mu_);
-  return in_flight_ == 0;
-}
-
 void ThreadPool::run_task(std::function<void()>& task) {
   try {
     failpoints::hit(failpoints::kPoolTask);

@@ -1,14 +1,16 @@
 // Minimal task-based thread pool (CP.4: think tasks, not threads).
 //
 // Used by the kernels for real shared-memory execution of the partitioned
-// outer loops (§7), and by the SMP calibration runs. Workers are jthreads
-// joined on destruction (CP.23/CP.25); tasks are plain function objects.
+// outer loops (§7), by the SMP calibration runs, and by the streamed sweep,
+// whose time chunks are one task each. Workers are jthreads joined on
+// destruction (CP.23/CP.25); tasks are plain function objects.
 //
 // Exception safety: a task that throws never takes the process down. The
 // worker captures the first in-flight exception and wait_idle() rethrows it
 // once the pool is quiescent; later exceptions from the same batch are
-// dropped (first-error-wins, matching the per-chunk convention in the sweep
-// engine). After the rethrow the pool is idle and fully reusable.
+// dropped (first-error-wins). A task dropped by an injected pool-task
+// fault is such an exception, so wait_idle() is the one barrier a caller
+// needs. After the rethrow the pool is idle and fully reusable.
 // Cancellation is the tasks' own business: a governed task polls its
 // Governor, and the pool runs every task it queued.
 #pragma once
@@ -48,19 +50,12 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Snapshot: true when no task is queued or running. Used by drivers that
-  /// overlap work with the pool (the rolling merge frontier) to detect that
-  /// a task they are waiting on was dropped by an injected submit/task
-  /// fault, instead of blocking forever on a completion that will never be
-  /// signalled.
-  bool idle() const;
-
  private:
   void worker_loop(std::stop_token st);
   void run_task(std::function<void()>& task);
   void wait_idle_nothrow();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable_any cv_;
   std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;

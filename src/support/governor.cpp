@@ -9,10 +9,18 @@ const char* completeness_name(Completeness c) {
 }
 
 Deadline Deadline::after_seconds(double seconds) {
-  Deadline d;
+  const Clock::time_point now = Clock::now();
+  // A span the clock cannot represent from now on (infinity included)
+  // never expires; the conversion below would overflow.
+  const Clock::duration room = Clock::time_point::max() - now;
+  if (!(seconds < std::chrono::duration<double>(room).count())) {
+    return never();
+  }
   const auto delta = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(seconds));
-  d.at_ = Clock::now() + delta;
+  if (delta >= room) return never();  // rounded up to the clock's end
+  Deadline d;
+  d.at_ = now + delta;
   return d;
 }
 

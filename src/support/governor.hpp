@@ -51,7 +51,8 @@ class Deadline {
   /// A deadline that never expires.
   static Deadline never() { return Deadline(); }
 
-  /// Expires `seconds` from now (<= 0 means already expired).
+  /// Expires `seconds` from now (<= 0 means already expired). A span past
+  /// the clock's range (about 292 years), or infinity, never expires.
   static Deadline after_seconds(double seconds);
 
   bool unlimited() const { return at_ == Clock::time_point::max(); }

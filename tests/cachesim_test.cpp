@@ -200,11 +200,11 @@ TEST(StackProfiler, WindowFloorScalesWithTheTable) {
 }
 
 TEST(StackProfiler, MergePatternMatchesListScan) {
-  // The frontier merge's use: each chunk first resolves its holes (first
-  // touches, in program order) without re-appending them, then appends its
-  // resident lines in recency order. Chunk c touches 250 new lines and 150
-  // random older ones, so the live set grows to 15000 lines and the window
-  // grows from 1024 at least three times.
+  // The streamed sweep's hole merge: each chunk first resolves its holes
+  // (first touches, in program order) without re-appending them, then
+  // appends its resident lines in recency order. Chunk c touches 250 new
+  // lines and 150 random older ones, so the live set grows to 15000 lines
+  // and the window grows from 1024 at least three times.
   constexpr std::uint64_t kLines = 15000;
   RecencyIndex index(kLines);
   std::vector<std::uint64_t> live;  // naive list, oldest first

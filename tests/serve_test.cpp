@@ -511,6 +511,23 @@ TEST(ServeService, ExpiredDeadlineTruncatesAndIsNotCached) {
   EXPECT_EQ(repeat.payload, full.payload);
 }
 
+TEST(ServeService, DeadlinePastTheClockRangeRunsComplete) {
+  // With the clamp off, a default deadline past the clock's range reaches
+  // the governor unchanged and must mean no deadline at all.
+  serve::ServiceOptions opts;
+  opts.default_deadline_sec = 1e300;
+  opts.max_deadline_sec = 0;
+  serve::Service svc(opts);
+  // 1600 run groups: past the first governor poll of the walk.
+  const auto resp = svc.handle_line(analysis_request(
+      "d", "sweep",
+      "for i<N>, j<N>, k<N> {\n  S1: C[i,k] += A[i,j] * B[j,k]\n}\n", 40));
+  ASSERT_EQ(resp.status, serve::Status::kOk) << resp.error;
+  EXPECT_NE(resp.payload.find("\"completeness\":\"complete\""),
+            std::string::npos)
+      << resp.payload;
+}
+
 TEST(ServeService, BatchRunsSubRequestsAndReportsWorstStatus) {
   serve::Service svc;
   const std::string line =

@@ -6,8 +6,8 @@
 // exactly). Also covered: the hole-merge edge cases (reuse windows
 // spanning several chunk boundaries, single-group chunks, all-cold
 // chunks); the tee spool it writes while sweeping, byte-identical to a
-// standalone spool_program; the frontier merging chunks while later ones
-// still profile; deterministic max_groups truncation and governed
+// standalone spool_program; a failing or dropped chunk task surfacing from
+// the pool's barrier; deterministic max_groups truncation and governed
 // cancellation, each the bit-exact simulation of a contiguous trace
 // prefix; and the memory-budget ladder (a denied pooled plan retries as
 // one chunk, a denied chunk returns the truncated empty prefix).
@@ -161,8 +161,6 @@ TEST(ParallelSweep, MatchesSequentialOnEveryGalleryProgram) {
                 std::min(static_cast<std::uint64_t>(chunks),
                          cp.group_count()))
           << what;
-      EXPECT_EQ(stats.merged_chunks, stats.chunks) << what;
-      EXPECT_EQ(stats.spool_write_seconds, 0.0) << "no tee configured";
     }
   }
 }
@@ -174,16 +172,29 @@ TEST(StreamedSweep, FusedMatchesSequentialAcrossChunkLadder) {
   const auto want = fuzz::reference_sweep(cp, configs);
   parallel::ThreadPool pool(2);
   for (int chunks : {1, 2, 5, 17}) {
-    PartitionStats stats;
-    PartitionOptions opt = chunked(chunks);
-    opt.stats = &stats;
-    expect_same(streamed(cp, configs, &pool, opt), want,
+    expect_same(streamed(cp, configs, &pool, chunked(chunks)), want,
                 "chunks=" + std::to_string(chunks));
-    // Every chunk that was profiled has been merged by the time the sweep
-    // returns.
-    EXPECT_EQ(stats.merged_chunks, stats.chunks) << "chunks=" << chunks;
-    EXPECT_EQ(stats.spool_write_seconds, 0.0) << "no tee configured";
   }
+
+  // 16 chunks queued on a 3-thread pool over ~4.2M accesses in 64K short
+  // groups. A[0] reuses once per r-block with a long B-stream in between,
+  // so each r-block spans ~4 chunks and the holes of chunks 4, 8 and 12
+  // resolve across 3+ chunk boundaries.
+  const ir::Program p = ir::parse_program(R"(
+    for r<4> {
+      for z<1> { S1: A[z] += A[z] }
+      for k<16384> { for j<64> { S2: B[j] += B[j] } }
+    }
+  )");
+  const CompiledProgram blocks(p, {});
+  std::vector<SweepConfig> block_configs;
+  for (std::int64_t cap : {1, 2, 32, 64, 66, 128}) {
+    block_configs.push_back({cap, 1});
+  }
+  parallel::ThreadPool three(3);
+  expect_same(streamed(blocks, block_configs, &three, chunked(16)),
+              fuzz::reference_sweep(blocks, block_configs),
+              "r-blocks chunks=16");
 }
 
 TEST(ParallelSweep, PoolMatchesSerialPartitioning) {
@@ -269,7 +280,6 @@ TEST(StreamedSweep, PoollessRunIsOneChunk) {
     opt.stats = &stats;
     expect_same(streamed(cp, configs, pool, opt), want, "chunks=5");
     EXPECT_EQ(stats.chunks, 1u);
-    EXPECT_EQ(stats.merged_chunks, 1u);
     EXPECT_EQ(stats.merge_seconds, 0.0);
   }
 }
@@ -337,7 +347,6 @@ TEST(StreamedSweep, PooledChunkLadderMatchesOneChunk) {
         expect_same(got, one_chunk, what + " vs one chunk");
         expect_same(got, reference, what + " vs simulate_lru_lines");
         EXPECT_EQ(stats.chunks, static_cast<std::uint64_t>(chunks)) << what;
-        EXPECT_EQ(stats.merged_chunks, stats.chunks) << what;
       }
     }
   }
@@ -361,104 +370,20 @@ TEST(StreamedSweep, TeeSpoolIsByteIdenticalToSpoolProgram) {
     if (pooled) pool = std::make_unique<parallel::ThreadPool>(2);
     {
       trace::SpoolWriter writer(tee_path);
-      PartitionStats stats;
       StreamOptions sopt;
       sopt.partition.chunks = pooled ? 4 : 1;
-      sopt.partition.stats = &stats;
       sopt.tee = &writer;
       const auto got = cachesim::simulate_sweep_streamed(
           cp, configs, pool.get(), sopt);
       expect_same(got, want, pooled ? "tee pooled" : "tee one chunk");
       ASSERT_EQ(writer.groups(), cp.group_count());
       ASSERT_EQ(writer.accesses(), cp.total_accesses());
-      EXPECT_GT(stats.spool_write_seconds, 0.0);
       writer.finish(cp.num_sites(), cp.address_space_size());
     }
     EXPECT_EQ(file_bytes(tee_path), ref) << "pooled=" << pooled;
     std::remove(tee_path.c_str());
   }
   std::remove(ref_path.c_str());
-}
-
-TEST(StreamedSweep, FrontierMergesWhileLaterChunksProfile) {
-  // A[0] reuses once per r-block with a long B-stream in between: with 16
-  // chunks each r-block spans ~4 of them, so the holes merged at chunks 4,
-  // 8 and 12 resolve across 3+ chunk boundaries. The trace is big enough
-  // (~4.2M accesses in 64K short groups) that the frontier has real time
-  // to fold early chunks while workers are still profiling late ones; the
-  // observer proves it happened. Scheduling can in principle finish every
-  // chunk before the first merge, so the overlap check retries.
-  const ir::Program p = ir::parse_program(R"(
-    for r<4> {
-      for z<1> { S1: A[z] += A[z] }
-      for k<16384> { for j<64> { S2: B[j] += B[j] } }
-    }
-  )");
-  const CompiledProgram cp(p, {});
-  std::vector<SweepConfig> configs;
-  for (std::int64_t cap : {1, 2, 32, 64, 66, 128})
-    configs.push_back({cap, 1});
-  const auto want = fuzz::reference_sweep(cp, configs);
-
-  bool overlapped = false;
-  for (int attempt = 0; attempt < 3 && !overlapped; ++attempt) {
-    parallel::ThreadPool pool(3);
-    PartitionStats stats;
-    struct Event {
-      std::size_t merged, profiled, chunks;
-    };
-    std::vector<Event> events;
-    StreamOptions sopt;
-    sopt.partition.chunks = 16;
-    sopt.partition.stats = &stats;
-    sopt.partition.merge_observer = [&](std::size_t merged,
-                                        std::size_t profiled,
-                                        std::size_t chunks) {
-      events.push_back({merged, profiled, chunks});
-    };
-    const auto got =
-        cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt);
-    expect_same(got, want, "attempt=" + std::to_string(attempt));
-    EXPECT_EQ(stats.merged_chunks, stats.chunks);
-    for (const auto& e : events) {
-      EXPECT_LE(e.profiled, e.chunks);
-      if (e.profiled < e.chunks) overlapped = true;
-    }
-    EXPECT_EQ(overlapped, stats.overlapped_merges > 0);
-  }
-  EXPECT_TRUE(overlapped)
-      << "no merge overlapped still-running workers in 3 attempts";
-}
-
-TEST(StreamedSweep, StreamedOverlapsOnThePooledPath) {
-  // Same property with only two configurations, so each chunk's profile is
-  // cheap next to its walk: workers still walk later chunks while earlier
-  // ones merge. Identity is asserted every attempt; the overlap flag is
-  // retried like above.
-  const ir::Program p = ir::parse_program(R"(
-    for r<4> {
-      for z<1> { S1: A[z] += A[z] }
-      for k<16384> { for j<64> { S2: B[j] += B[j] } }
-    }
-  )");
-  const CompiledProgram cp(p, {});
-  std::vector<SweepConfig> configs{{2, 1}, {66, 1}};
-  const auto want = fuzz::reference_sweep(cp, configs);
-
-  bool overlapped = false;
-  for (int attempt = 0; attempt < 3 && !overlapped; ++attempt) {
-    parallel::ThreadPool pool(3);
-    PartitionStats stats;
-    StreamOptions sopt;
-    sopt.partition.chunks = 16;
-    sopt.partition.stats = &stats;
-    const auto got =
-        cachesim::simulate_sweep_streamed(cp, configs, &pool, sopt);
-    expect_same(got, want, "attempt=" + std::to_string(attempt));
-    overlapped = stats.overlapped_merges > 0;
-  }
-  EXPECT_TRUE(overlapped)
-      << "no streamed merge overlapped running workers in 3 attempts";
 }
 
 TEST(StreamedSweep, MaxGroupsTruncationMatchesPartitioned) {
@@ -782,8 +707,8 @@ TEST(StreamedSweep, TeeWriteFailureUnwindsCleanlyOnThePooledPath) {
 
 TEST(StreamedSweep, DroppedPoolTaskSurfacesWithoutDeadlock) {
   // The pool-task failpoint makes every chunk task die before it walks:
-  // the frontier must notice (via idle polling) instead of waiting forever
-  // for a chunk that never signals, and the failure must surface.
+  // the caller's wait for the chunks must return rather than hang, and the
+  // failure must surface from the sweep.
   const auto g = ir::matmul();
   const CompiledProgram cp(g.prog, g.make_env({12, 12, 12}, {}));
   std::vector<SweepConfig> configs{{16, 1}};

@@ -3,6 +3,7 @@
 #include "support/check.hpp"
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -167,9 +168,21 @@ TEST(Governor, DeadlineNeverAndExpiry) {
   EXPECT_TRUE(past.expired());
   EXPECT_LE(past.remaining_seconds(), 0.0);
 
-  const Deadline future = Deadline::after_seconds(3600);
-  EXPECT_FALSE(future.expired());
-  EXPECT_GT(future.remaining_seconds(), 3000.0);
+  for (const double seconds : {3600.0, 1e9}) {  // an hour, ~32 years
+    const Deadline future = Deadline::after_seconds(seconds);
+    EXPECT_FALSE(future.unlimited()) << seconds;
+    EXPECT_FALSE(future.expired()) << seconds;
+    EXPECT_GT(future.remaining_seconds(), 0.9 * seconds) << seconds;
+  }
+
+  // steady_clock counts int64 nanoseconds, about 292 years: a longer span
+  // cannot be represented and means no deadline, not an overflow.
+  for (const double seconds :
+       {1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+    const Deadline d = Deadline::after_seconds(seconds);
+    EXPECT_TRUE(d.unlimited()) << seconds;
+    EXPECT_FALSE(d.expired()) << seconds;
+  }
 }
 
 TEST(Governor, CancellationSharedAcrossCopies) {
