@@ -102,6 +102,10 @@ VerbRequest resolve(VerbRequest req) {
       break;
     case Verb::kSweep:
       req.line = req.line.value_or(SweepDriverOptions{}.line_elems);
+      if (req.engine) {
+        const SweepEngine e = parse_sweep_engine(*req.engine);
+        *req.engine = e == SweepEngine::kSymbolic ? "symbolic" : "simulate";
+      }
       if (req.threads < 1 || req.threads > kMaxThreads) {
         throw Error("--threads must be between 1 and " +
                     std::to_string(kMaxThreads) + ", got " +
@@ -153,7 +157,7 @@ VerbResult run_verb(const VerbRequest& request, bool json,
     }
     case Verb::kSweep: {
       SweepDriverOptions opts;
-      opts.engine = parse_sweep_engine(req.engine);
+      if (req.engine) opts.engine = parse_sweep_engine(*req.engine);
       opts.line_elems = *req.line;
       opts.threads = static_cast<int>(req.threads);
       opts.spool_path = req.spool_path;

@@ -35,7 +35,7 @@ struct VerbRequest {
   std::optional<std::int64_t> line{};  ///< sweep, lint, advise (elements)
   bool simulate = false;               ///< misses
   bool sites = false;                  ///< sweep
-  std::string engine = "simulate";     ///< sweep
+  std::optional<std::string> engine{};  ///< sweep; absent = planned
   std::int64_t top = 0;                ///< advise: recommendations, 0 = all
   // CLI only: the daemon leaves these at their defaults.
   std::int64_t threads = 1;            ///< sweep
@@ -47,7 +47,9 @@ struct VerbRequest {
 
 /// `req` with an absent cap (misses, lint, advise) or sweep line set to
 /// the driver's default, so a request that spells out a default resolves
-/// equal to one that leaves it out; resolving twice changes nothing. The
+/// equal to one that leaves it out, and a sweep engine spelled by its
+/// canonical name ("simulate" or "symbolic"; an absent engine stays
+/// absent: the driver plans one); resolving twice changes nothing. The
 /// one place the knob rules live: cap >= 1 (misses, advise) or >= 0
 /// (lint), line a positive power of two, top >= 0, threads in 1-256; a
 /// knob the verb reads that breaks its rule throws the usage error naming

@@ -18,7 +18,8 @@
 //    "line": 4,                   sweep/lint/advise line size (elements)
 //    "simulate": true,            misses: cross-check with the simulator
 //    "sites": true,               sweep: per-site breakdown
-//    "engine": "symbolic",        sweep engine (default "simulate")
+//    "engine": "symbolic",        sweep engine (default: planned from the
+//                                 trace's size, as `sdlo sweep` plans it)
 //    "top": 3,                    advise: max recommendations
 //    "deadline": 0.5,             per-request wall-clock ceiling (seconds)
 //    "requests": [...]}           batch: sub-request objects (no nesting)

@@ -40,7 +40,7 @@ std::string config_fingerprint(const analysis::VerbRequest& r) {
   }
   os << ";cap=" << knob(r.cap) << ";line=" << knob(r.line)
      << ";sim=" << (r.simulate ? 1 : 0) << ";sites=" << (r.sites ? 1 : 0)
-     << ";engine=" << r.engine << ";top=" << r.top;
+     << ";engine=" << r.engine.value_or("planned") << ";top=" << r.top;
   return os.str();
 }
 

@@ -760,6 +760,12 @@ TEST(Verbs, ResolveFillsTheDriverDefaultsOnce) {
             SweepDriverOptions{}.line_elems);
   // No line size means no false-sharing check, so lint keeps it absent.
   EXPECT_FALSE(resolve({.verb = Verb::kLint}).line.has_value());
+  // An absent sweep engine stays absent (the driver plans one); a named
+  // one resolves to its canonical name, and an unknown one is an error.
+  EXPECT_FALSE(resolve({.verb = Verb::kSweep}).engine.has_value());
+  EXPECT_EQ(resolve({.verb = Verb::kSweep, .engine = "simulated"}).engine,
+            "simulate");
+  EXPECT_THROW(resolve({.verb = Verb::kSweep, .engine = "marker"}), Error);
   for (const Verb v : {Verb::kAnalyze, Verb::kMisses, Verb::kSweep,
                        Verb::kLint, Verb::kAdvise}) {
     const VerbRequest once = resolve({.verb = v});

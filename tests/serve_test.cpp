@@ -141,7 +141,7 @@ TEST(ServeProtocol, RequestDefaultsMatchFlaglessCli) {
   EXPECT_FALSE(req.call.cap.has_value());
   EXPECT_FALSE(req.call.line.has_value());
   EXPECT_FALSE(req.call.simulate);
-  EXPECT_EQ(req.call.engine, "simulate");
+  EXPECT_FALSE(req.call.engine.has_value());  // planned, as the CLI
   EXPECT_EQ(req.deadline_sec, 0.0);
   EXPECT_EQ(req.call.env.at("N"), 12);
 
