@@ -52,6 +52,13 @@ MemoryReservation::MemoryReservation(MemoryBudget* budget,
   if (budget_ != nullptr) ok_ = budget_->try_reserve(bytes_);
 }
 
+bool MemoryReservation::grow(std::uint64_t bytes) {
+  if (!ok_) return false;
+  if (budget_ != nullptr && !budget_->try_reserve(bytes)) return false;
+  bytes_ += bytes;
+  return true;
+}
+
 MemoryReservation::MemoryReservation(MemoryReservation&& other) noexcept
     : budget_(other.budget_), bytes_(other.bytes_), ok_(other.ok_) {
   other.budget_ = nullptr;
